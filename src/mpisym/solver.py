@@ -1,12 +1,29 @@
 """Satisfiability of path conditions over bounded integer domains.
 
 Each symbolic input ranges over a declared inclusive interval.  Deciding a
-path condition runs in two stages: an interval pre-pass evaluates every
-conjunct over the input intervals, discarding trivially-true conjuncts and
-refuting trivially-false ones, then a backtracking enumeration assigns the
-remaining inputs in declaration order, checking each conjunct as soon as
-its variables are bound.  Because assignments are enumerated ascending,
-the first model found is the lexicographically smallest one, which keeps
+path condition runs in three stages:
+
+1. Pre-pass.  Top-level conjunctions are flattened and repeated conjuncts
+   dropped.  A conjunct present together with its `symbolic.negate` refutes
+   the query at once.  An interval pass then evaluates every conjunct over
+   the input intervals, discarding trivially-true conjuncts and refuting
+   trivially-false ones.
+2. Components.  The remaining conjuncts are split into groups that share
+   no variables (constraint independence, as in KLEE), and each group is
+   solved on its own variables only.  A conflict in one group is then found
+   without enumerating the domains of the others.
+3. Backtracking.  One generator assigns a group's variables in declaration
+   order, ascending, checking each conjunct as soon as its variables are
+   bound, so it yields models in ascending lexicographic order.
+
+Query answers take the first model of every group; a declared input that
+no remaining conjunct mentions gets the low end of its domain.  This is the
+lexicographically smallest model of the whole query: because the groups
+share no variables, the models of the query are exactly the combinations
+of one model per group, so the smallest value of an input, given the
+values chosen for the inputs declared before it, depends only on the
+earlier inputs of its own group.  `enumerate_models` runs the generator
+over all inputs at once, without splitting.  The smallest model keeps
 generated test cases and golden files stable.
 
 Arithmetic is exact (Python integers); only the declared domains are
@@ -15,7 +32,8 @@ bounded, so no overflow behavior exists to model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import lang, symbolic
 from .symbolic import (BinaryOp, BoolConst, IntConst, PathCondition, SymExpr,
@@ -38,13 +56,6 @@ def domains_of(program: lang.Program) -> Domains:
             raise SolverError(f"domain of {d.name!r} wider than {lang.MAX_DOMAIN_WIDTH}")
         out[d.name] = (d.lo, d.hi)
     return out
-
-
-def _check_declared(pc: PathCondition, domains: Domains):
-    for c in pc:
-        for name in symbolic.free_syms(c):
-            if name not in domains:
-                raise SolverError(f"undeclared symbolic input {name!r}")
 
 
 def _flatten(pc: PathCondition) -> List[SymExpr]:
@@ -151,42 +162,95 @@ def _tribool(e: SymExpr, domains: Domains) -> Optional[bool]:
     raise SolverError(f"not a boolean expression: {e!r}")
 
 
-# -- backtracking enumeration -------------------------------------------------
+# -- pre-pass, components, backtracking ---------------------------------------
 
 
-def _solve(pc: PathCondition, domains: Domains) -> Optional[Model]:
-    _check_declared(pc, domains)
-    conjuncts = []
-    for c in _flatten(pc):
+Conjuncts = List[Tuple[SymExpr, frozenset]]  # each with its free variables
+
+
+def _prepare(pc: PathCondition, domains: Domains) -> Optional[Conjuncts]:
+    """The conjuncts of `pc` that no pre-pass decides, each once, in first
+    occurrence order and with its free variables; None when a pre-pass
+    refutes `pc`.  Malformed queries raise even when they are refutable."""
+    conjuncts = {c: symbolic.free_syms(c) for c in _flatten(pc)}
+    for c, names in conjuncts.items():
+        # checked here because `negate` below rejects integer terms
+        if symbolic.sort_of(c) != "bool":
+            raise SolverError(f"not a boolean expression: {c!r}")
+        for name in names:
+            if name not in domains:
+                raise SolverError(f"undeclared symbolic input {name!r}")
+    if any(symbolic.negate(c) in conjuncts for c in conjuncts):
+        return None
+    undecided = []
+    for c, names in conjuncts.items():
         v = _tribool(c, domains)
         if v is False:
             return None
         if v is None:
-            conjuncts.append(c)
-    order = list(domains)
-    index = {name: i for i, name in enumerate(order)}
-    buckets: List[List[SymExpr]] = [[] for _ in order]
-    for c in conjuncts:
-        syms = symbolic.free_syms(c)
-        buckets[max(index[n] for n in syms)].append(c)
+            undecided.append((c, names))
+    return undecided
 
+
+def _components(conjuncts: Conjuncts,
+                domains: Domains) -> List[Tuple[List[str], Conjuncts]]:
+    """Group the conjuncts so that no two groups share a variable.  Each
+    group comes with its variables in declaration order."""
+    parent: Dict[str, str] = {}
+
+    def find(name: str) -> str:
+        while parent.setdefault(name, name) != name:
+            name = parent[name]
+        return name
+
+    for _, names in conjuncts:
+        first, *rest = names
+        for name in rest:
+            parent[find(name)] = find(first)
+    groups: Dict[str, Conjuncts] = {}
+    for c, names in conjuncts:
+        groups.setdefault(find(next(iter(names))), []).append((c, names))
+    return [([n for n in domains if n in parent and find(n) == root], group)
+            for root, group in groups.items()]
+
+
+def _models(conjuncts: Conjuncts, names: List[str],
+            domains: Domains) -> Iterator[Model]:
+    """Every assignment to `names` that satisfies all `conjuncts`, in
+    ascending lexicographic order of `names`.  Each conjunct is checked as
+    soon as its last variable is bound."""
+    index = {name: i for i, name in enumerate(names)}
+    buckets: List[List[SymExpr]] = [[] for _ in names]
+    for c, syms in conjuncts:
+        buckets[max(index[n] for n in syms)].append(c)
     assignment: Model = {}
 
-    def descend(i: int) -> bool:
-        if i == len(order):
-            return True
-        lo, hi = domains[order[i]]
+    def descend(i: int) -> Iterator[Model]:
+        if i == len(names):
+            yield dict(assignment)
+            return
+        name = names[i]
+        lo, hi = domains[name]
         for v in range(lo, hi + 1):
-            assignment[order[i]] = v
+            assignment[name] = v
             if all(symbolic.evaluate(c, assignment) for c in buckets[i]):
-                if descend(i + 1):
-                    return True
-        del assignment[order[i]]
-        return False
+                yield from descend(i + 1)
+        del assignment[name]
 
-    if descend(0):
-        return {name: assignment[name] for name in order}
-    return None
+    return descend(0)
+
+
+def _solve(pc: PathCondition, domains: Domains) -> Optional[Model]:
+    conjuncts = _prepare(pc, domains)
+    if conjuncts is None:
+        return None
+    model = {name: lo for name, (lo, _) in domains.items()}
+    for names, group in _components(conjuncts, domains):
+        m = next(_models(group, names, domains), None)
+        if m is None:
+            return None
+        model.update(m)
+    return model
 
 
 def is_sat(pc: PathCondition, domains: Domains) -> bool:
@@ -225,40 +289,7 @@ def check_entailed_constant(pc: PathCondition, e: SymExpr,
 
 def enumerate_models(pc: PathCondition, domains: Domains, limit: int) -> List[Model]:
     """Up to `limit` satisfying assignments in ascending lexicographic order."""
-    _check_declared(pc, domains)
-    if limit <= 0:
+    conjuncts = _prepare(pc, domains)
+    if conjuncts is None or limit <= 0:
         return []
-    conjuncts = []
-    for c in _flatten(pc):
-        v = _tribool(c, domains)
-        if v is False:
-            return []
-        if v is None:
-            conjuncts.append(c)
-    order = list(domains)
-    index = {name: i for i, name in enumerate(order)}
-    buckets: List[List[SymExpr]] = [[] for _ in order]
-    for c in conjuncts:
-        syms = symbolic.free_syms(c)
-        buckets[max(index[n] for n in syms)].append(c)
-
-    found: List[Model] = []
-    assignment: Model = {}
-
-    def descend(i: int) -> bool:
-        if i == len(order):
-            found.append({name: assignment[name] for name in order})
-            return len(found) >= limit
-        lo, hi = domains[order[i]]
-        for v in range(lo, hi + 1):
-            assignment[order[i]] = v
-            if all(symbolic.evaluate(c, assignment) for c in buckets[i]):
-                if descend(i + 1):
-                    return True
-        del assignment[order[i]]
-        return False
-
-    if not order:
-        return [{}] if all(symbolic.evaluate(c, {}) for c in conjuncts) else []
-    descend(0)
-    return found
+    return list(islice(_models(conjuncts, list(domains), domains), limit))

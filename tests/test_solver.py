@@ -12,15 +12,24 @@ from mpisym.symbolic import IntConst, SymRef, binary
 X, Y, Z = SymRef("X"), SymRef("Y"), SymRef("Z")
 
 
-def brute_force(pc, domains):
-    """Independent oracle: enumerate the full product domain."""
+def _hits(pc, domains):
+    """Independent oracle: walk the full product domain in ascending
+    lexicographic order and yield every model of pc."""
     names = list(domains)
-    hits = []
     for values in itertools.product(*(range(lo, hi + 1) for lo, hi in domains.values())):
         model = dict(zip(names, values))
         if all(symbolic.evaluate(c, model) for c in pc):
-            hits.append(model)
-    return hits
+            yield model
+
+
+def brute_force(pc, domains):
+    """Every model of pc, smallest first."""
+    return list(_hits(pc, domains))
+
+
+def first_hit(pc, domains):
+    """The smallest model of pc, or None; stops at the first hit."""
+    return next(_hits(pc, domains), None)
 
 
 def test_is_sat_simple():
@@ -55,8 +64,14 @@ def test_get_model_unsat_raises():
 
 
 def test_undeclared_symbol_raises():
-    with pytest.raises(SolverError):
-        is_sat((binary("==", X, IntConst(1)),), {"Y": (0, 3)})
+    d = {"Y": (0, 3)}
+    c = binary("==", X, IntConst(1))
+    # also when the query is refuted before any search
+    for pc in ((c,), (c, symbolic.negate(c)), (c, c), (binary("<", Y, IntConst(0)), c)):
+        with pytest.raises(SolverError):
+            is_sat(pc, d)
+        with pytest.raises(SolverError):
+            enumerate_models(pc, d, 1)
 
 
 def test_domain_bounds_respected():
@@ -83,6 +98,94 @@ def test_enumerate_models_ascending():
     models = enumerate_models((binary(">", X, IntConst(3)),), d, 3)
     assert models == [{"X": 4, "Y": 0}, {"X": 4, "Y": 1}, {"X": 5, "Y": 0}]
     assert enumerate_models((), {}, 2) == [{}]
+
+
+def test_components_interleaved_in_declaration_order():
+    # X and Z are linked, Y stands alone and W is unused, so the groups
+    # interleave in declaration order.
+    d = {"W": (-2, 1), "X": (0, 9), "Y": (0, 9), "Z": (0, 9)}
+    pc = (binary("==", binary("+", X, Z), IntConst(7)),
+          binary(">=", Y, IntConst(4)),
+          binary(">", X, Z),
+          binary("!=", Y, IntConst(5)))
+    assert get_model(pc, d) == first_hit(pc, d) == {"W": -2, "X": 4, "Y": 4, "Z": 3}
+    models = enumerate_models(pc, d, 7)
+    assert models == brute_force(pc, d)[:7]
+    keys = [tuple(m.values()) for m in models]
+    assert keys == sorted(set(keys))
+
+
+def test_repeated_conjuncts_answer_like_the_deduplicated_query():
+    d = {"X": (0, 31), "Y": (0, 31)}
+    a = binary(">", X, binary("+", Y, IntConst(7)))
+    b = binary("<", Y, IntConst(3))
+    never = binary(">", Y, X)
+    for pc, repeated in (((a, b), (a, b, a, binary("&&", b, a))),
+                         ((a, never), (a, never, a, never))):
+        assert is_sat(repeated, d) == is_sat(pc, d)
+        assert enumerate_models(repeated, d, 5) == enumerate_models(pc, d, 5)
+        if is_sat(pc, d):
+            assert get_model(repeated, d) == get_model(pc, d) == first_hit(pc, d)
+            assert check_entailed_constant(repeated, Y, d) == check_entailed_constant(pc, Y, d)
+
+
+def test_conjunct_with_its_negation_is_unsat():
+    d = {"X": (0, 255), "Y": (0, 255)}
+    either = binary("||", binary("==", X, IntConst(3)), binary("<", Y, X))
+    for c in (binary(">", X, Y), either, symbolic.negate(either)):
+        pc = (binary("<", Y, IntConst(200)), c, binary(">", X, IntConst(1)),
+              symbolic.negate(c))
+        assert not is_sat(pc, d)
+        assert enumerate_models(pc, d, 3) == []
+        with pytest.raises(SolverError):
+            get_model(pc, d)
+
+
+def test_conflict_in_one_component_skips_the_others_box(monkeypatch):
+    """Z > 40 and Z < 30 conflict; the X x Y box (4M points) must not be
+    enumerated to find that out."""
+    d = {"X": (0, 2047), "Y": (0, 2047), "Z": (0, 63)}
+    pc = (binary(">", X, binary("+", Y, IntConst(7))), binary(">", Z, IntConst(40)),
+          binary(">", X, Y), binary("<", Z, IntConst(30)))
+    evaluate = symbolic.evaluate
+    calls = 0
+
+    def counted(e, model):
+        nonlocal calls
+        calls += 1
+        if calls > 500_000:
+            raise AssertionError("solver enumerated the X x Y box")
+        return evaluate(e, model)
+
+    monkeypatch.setattr(symbolic, "evaluate", counted)
+    assert not is_sat(pc, d)
+    assert calls > 0
+
+
+def test_agreement_on_shared_conjunct_pool(rng):
+    """300 queries drawn from a small pool of satisfiable conjuncts and two
+    of their negations, so repeats, complementary pairs and groups that
+    share no variables are common."""
+    scopes = (("X",), ("Y",), ("Z",), ("X", "Z"))
+    for case in range(300):
+        domains = {}
+        for n in ("X", "Y", "Z"):
+            lo = rng.randint(-4, 8)
+            domains[n] = (lo, lo + rng.randint(0, 9))
+        pool = []
+        while len(pool) < 5:
+            c = random_condition(rng, rng.choice(scopes))
+            if first_hit((c,), domains) is not None:
+                pool.append(c)
+        pool += [symbolic.negate(c) for c in pool[:2]]
+        pc = tuple(rng.choice(pool) for _ in range(rng.randint(1, 5)))
+        expected = brute_force(pc, domains)
+        assert is_sat(pc, domains) == bool(expected), (pc, domains)
+        if expected:
+            model = get_model(pc, domains)
+            assert symbolic.pc_holds(pc, model)
+            assert model == expected[0], (pc, domains)
+        assert enumerate_models(pc, domains, 4) == expected[:4], (pc, domains)
 
 
 def test_monotone_under_strengthening(rng):
@@ -131,11 +234,11 @@ def test_brute_force_agreement_1000_cases(rng):
             lo = rng.randint(-8, 32)
             domains[n] = (lo, lo + rng.randint(0, 63))
         pc = tuple(random_condition(rng, names) for _ in range(rng.randint(1, 4)))
-        expected = brute_force(pc, domains)
-        assert is_sat(pc, domains) == bool(expected), (pc, domains)
-        if expected:
+        expected = first_hit(pc, domains)
+        assert is_sat(pc, domains) == (expected is not None), (pc, domains)
+        if expected is not None:
             model = get_model(pc, domains)
             assert symbolic.pc_holds(pc, model)
-            assert model == expected[0], (pc, domains)  # smallest model
+            assert model == expected, (pc, domains)  # smallest model
         agree += 1
     assert agree == 1000
