@@ -193,7 +193,7 @@ def cmd_corpus(args) -> int:
 
     mismatches = 0
     for e in entries:
-        result = engine.search(e.program(), e.nprocs, _strategy_defaults(args))
+        result = engine.search(e.program(), e.nprocs, _strategy(args))
         got_deadlock = bool(result.counts.get("deadlock", 0))
         got_assert = bool(result.counts.get("assertfail", 0))
         ok = (got_deadlock == e.deadlock_reachable
@@ -208,10 +208,6 @@ def cmd_corpus(args) -> int:
         return EXIT_FOUND
     print(f"all {len(entries)} corpus entries match")
     return EXIT_OK
-
-
-def _strategy_defaults(args) -> engine.SearchStrategy:
-    return engine.SearchStrategy(max_states=args.max_states, max_depth=args.max_depth)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--max-states", type=int, default=None)
     p_corpus.add_argument("--max-depth", type=int, default=None)
     p_corpus.add_argument("-v", "--verbose", action="count", default=0)
-    p_corpus.set_defaults(func=cmd_corpus)
+    p_corpus.set_defaults(func=cmd_corpus, strategy="dfs")
     return parser
 
 

@@ -15,10 +15,17 @@ A barrier needs every process of the program to arrive; a process that ran
 off its body without reaching one disables B forever, so the remaining
 processes wedge, exactly like a missing collective call does.
 
+``step`` applies one action in place and is the package's only concrete
+interpreter: ``apply`` wraps it for the search, and replay walks recorded
+traces over it.  Environments are copy-on-write: ``copy`` copies the
+cursor and environment lists, and ``step`` replaces an environment dict
+instead of mutating it.
+
 ``check_theorem`` is the differential test: for a pinned model, the set of
 deadlocked terminal states (canonicalized) and, per terminal, the set of
 reachable global-action path lengths must coincide between the engine and
-this oracle.
+this oracle.  ``explore_full`` and ``deadlock_path_lengths`` share one
+breadth-first walk of the deduplicated state graph.
 """
 
 from __future__ import annotations
@@ -68,16 +75,6 @@ class Local:
 GlobalAction = object
 
 
-def weight(action: GlobalAction) -> int:
-    """Total order on communication actions: a barrier weighs 1; a
-    rendezvous weighs the lower of its two participating ranks."""
-    if isinstance(action, B):
-        return 1
-    if isinstance(action, (SR, SRStar)):
-        return min(action.sender, action.receiver)
-    raise OracleError(f"no weight defined for {action!r}")
-
-
 def _action_sort_key(a: GlobalAction):
     if isinstance(a, B):
         return (0, 0, 0)
@@ -109,18 +106,16 @@ class ConcreteState:
         t.nprocs = self.nprocs
         t.inputs = self.inputs
         t.cursors = list(self.cursors)
-        t.envs = [dict(e) for e in self.envs]
+        t.envs = list(self.envs)  # the dicts are shared: step never mutates one
         t.fail_loc = self.fail_loc
         return t
 
-    def exited(self, r: int) -> bool:
-        return self.cursors[r] >= self.compiled.end
-
     def all_exited(self) -> bool:
-        return all(self.exited(r) for r in range(self.nprocs))
+        return all(pc >= self.compiled.end for pc in self.cursors)
 
     def current_op(self, r: int):
-        return None if self.exited(r) else self.compiled.op_at(self.cursors[r])
+        pc = self.cursors[r]
+        return self.compiled.ops[pc] if pc < len(self.compiled.ops) else None
 
     def eval(self, r: int, e: lang.Expr):
         return lang.eval_concrete(e, self.envs[r], r, self.nprocs, self.inputs)
@@ -176,63 +171,56 @@ def enabled(s: ConcreteState) -> List[GlobalAction]:
     return acts
 
 
-def apply(s: ConcreteState, action: GlobalAction) -> ConcreteState:
-    """Successor state under one enabled global action."""
-    compiled = s.compiled
-    t = s.copy()
-
-    def step(r: int):
-        t.cursors[r] = compiled.next_of[t.cursors[r]]
-
-    if isinstance(action, (SR, SRStar)):
+def step(s: ConcreteState, action: GlobalAction) -> Optional[bool]:
+    """Apply one enabled global action to s in place.  Returns the outcome
+    of a branch or assertion step, None for every other action."""
+    cursors = s.cursors
+    next_of = s.compiled.next_of
+    if isinstance(action, Local):
+        r = action.rank
+        op = s.current_op(r)
+        if isinstance(op, ops.OpBranch):
+            taken = bool(s.eval(r, op.cond))
+            cursors[r] = op.true_target if taken else op.false_target
+            return taken
+        elif isinstance(op, ops.OpAssign):
+            s.envs[r] = {**s.envs[r], op.var: s.eval(r, op.expr)}
+            cursors[r] = next_of[cursors[r]]
+        elif isinstance(op, ops.OpAssert):
+            holds = bool(s.eval(r, op.cond))
+            if holds:
+                cursors[r] = next_of[cursors[r]]
+            else:
+                s.fail_loc = cursors[r]
+            return holds
+        elif isinstance(op, ops.OpExit):
+            cursors[r] = s.compiled.end
+        else:
+            raise OracleError(f"Local({r}) not enabled")
+    elif isinstance(action, (SR, SRStar)):
         i, j = action.sender, action.receiver
         send_op = s.current_op(i)
         recv_op = s.current_op(j)
         if not isinstance(send_op, ops.OpSend) or not isinstance(recv_op, ops.OpRecv):
             raise OracleError(f"{action!r} not enabled")
-        t.envs[j][recv_op.var] = s.eval(i, send_op.payload)
-        step(i)
-        step(j)
-        return t
-    if isinstance(action, B):
+        s.envs[j] = {**s.envs[j], recv_op.var: s.eval(i, send_op.payload)}
+        cursors[i] = next_of[cursors[i]]
+        cursors[j] = next_of[cursors[j]]
+    elif isinstance(action, B):
+        if not all(isinstance(s.current_op(r), ops.OpBarrier) for r in range(s.nprocs)):
+            raise OracleError("barrier applied while some process is elsewhere")
         for r in range(s.nprocs):
-            if not isinstance(s.current_op(r), ops.OpBarrier):
-                raise OracleError("barrier applied while some process is elsewhere")
-            step(r)
-        return t
-    if isinstance(action, Local):
-        r = action.rank
-        op = s.current_op(r)
-        if isinstance(op, ops.OpAssign):
-            t.envs[r][op.var] = s.eval(r, op.expr)
-            step(r)
-        elif isinstance(op, ops.OpBranch):
-            t.cursors[r] = op.true_target if s.eval(r, op.cond) else op.false_target
-        elif isinstance(op, ops.OpAssert):
-            if s.eval(r, op.cond):
-                step(r)
-            else:
-                t.fail_loc = s.cursors[r]
-        elif isinstance(op, ops.OpExit):
-            t.cursors[r] = compiled.end
-        else:
-            raise OracleError(f"Local({r}) not enabled")
-        return t
-    raise OracleError(f"unknown action {action!r}")
+            cursors[r] = next_of[cursors[r]]
+    else:
+        raise OracleError(f"unknown action {action!r}")
+    return None
 
 
-def ample_of(s: ConcreteState) -> List[GlobalAction]:
-    """The subset of enabled actions a reduced exploration needs: a barrier
-    alone, else the lowest-weight source-specific rendezvous alone, else
-    everything (wildcard matches and local steps are expanded in full)."""
-    acts = enabled(s)
-    for a in acts:
-        if isinstance(a, B):
-            return [a]
-    srs = [a for a in acts if isinstance(a, SR)]
-    if srs:
-        return [min(srs, key=weight)]
-    return acts
+def apply(s: ConcreteState, action: GlobalAction) -> ConcreteState:
+    """Successor state under one enabled global action; s is unchanged."""
+    t = s.copy()
+    step(t, action)
+    return t
 
 
 # -- exhaustive exploration -----------------------------------------------------
@@ -242,10 +230,6 @@ def ample_of(s: ConcreteState) -> List[GlobalAction]:
 class OracleResult:
     terminals: Dict[tuple, Tuple[str, int]]  # canonical -> (tag, shortest length)
     visited: int
-
-    def deadlocks(self) -> Dict[tuple, int]:
-        return {k: length for k, (tag, length) in self.terminals.items()
-                if tag == "deadlock"}
 
     @property
     def deadlock_reachable(self) -> bool:
@@ -271,31 +255,40 @@ def make_initial(program: lang.Program, nprocs: int, model: Model,
     return ConcreteState(compiled, nprocs, dict(model))
 
 
-def explore_full(program: lang.Program, nprocs: int, model: Model,
-                 state_bound: int = 200_000) -> OracleResult:
-    """Exhaustive BFS over all interleavings with canonical-state dedup."""
+def _state_graph(program: lang.Program, nprocs: int, model: Model, state_bound: int):
+    """Breadth-first walk of the deduplicated state graph.  Yields every
+    reachable state once, as (key, state, depth, successor keys); depth is
+    the length of a shortest path from the initial state."""
     init = make_initial(program, nprocs, model)
-    seen = {init.canonical()}
-    queue = deque([(init, 0)])
-    terminals: Dict[tuple, Tuple[str, int]] = {}
+    key0 = init.canonical()
+    seen = {key0}
+    queue = deque([(key0, init, 0)])
     visited = 0
     while queue:
-        s, depth = queue.popleft()
+        key, s, depth = queue.popleft()
         visited += 1
         if visited > state_bound:
             raise BoundExceeded(f"oracle state bound {state_bound} exceeded")
-        acts = enabled(s)
-        if not acts:
-            key = s.canonical()
-            if key not in terminals:
-                terminals[key] = (_terminal_tag(s), depth)
-            continue
-        for a in acts:
+        targets = []
+        for a in enabled(s):
             t = apply(s, a)
-            key = t.canonical()
-            if key not in seen:
-                seen.add(key)
-                queue.append((t, depth + 1))
+            tkey = t.canonical()
+            targets.append(tkey)
+            if tkey not in seen:
+                seen.add(tkey)
+                queue.append((tkey, t, depth + 1))
+        yield key, s, depth, targets
+
+
+def explore_full(program: lang.Program, nprocs: int, model: Model,
+                 state_bound: int = 200_000) -> OracleResult:
+    """Exhaustive BFS over all interleavings with canonical-state dedup."""
+    terminals: Dict[tuple, Tuple[str, int]] = {}
+    visited = 0
+    for key, s, depth, targets in _state_graph(program, nprocs, model, state_bound):
+        visited += 1
+        if not targets:
+            terminals[key] = (_terminal_tag(s), depth)
     return OracleResult(terminals=terminals, visited=visited)
 
 
@@ -307,31 +300,16 @@ def deadlock_path_lengths(program: lang.Program, nprocs: int, model: Model,
     The state graph is acyclic (the language has no loops), so lengths are
     computed by propagating depth sets over the deduplicated graph.
     """
-    init = make_initial(program, nprocs, model)
-    key0 = init.canonical()
-    nodes: Dict[tuple, ConcreteState] = {key0: init}
     edges: Dict[tuple, List[tuple]] = {}
-    queue = deque([key0])
-    visited = 0
-    while queue:
-        key = queue.popleft()
-        visited += 1
-        if visited > state_bound:
-            raise BoundExceeded(f"oracle state bound {state_bound} exceeded")
-        s = nodes[key]
-        targets = []
-        for a in enabled(s):
-            t = apply(s, a)
-            tkey = t.canonical()
-            targets.append(tkey)
-            if tkey not in nodes:
-                nodes[tkey] = t
-                queue.append(tkey)
+    deadlocks: List[tuple] = []
+    for key, s, _, targets in _state_graph(program, nprocs, model, state_bound):
         edges[key] = targets
+        if not targets and _terminal_tag(s) == "deadlock":
+            deadlocks.append(key)
 
-    lengths: Dict[tuple, Set[int]] = {key0: {0}}
-    indeg: Dict[tuple, int] = {k: 0 for k in nodes}
-    for k, targets in edges.items():
+    lengths: Dict[tuple, Set[int]] = {next(iter(edges)): {0}}  # the initial state
+    indeg: Dict[tuple, int] = {k: 0 for k in edges}
+    for targets in edges.values():
         for t in targets:
             indeg[t] += 1
     topo = deque(k for k, d in indeg.items() if d == 0)
@@ -344,11 +322,8 @@ def deadlock_path_lengths(program: lang.Program, nprocs: int, model: Model,
             if indeg[t] == 0:
                 topo.append(t)
 
-    out: Dict[tuple, FrozenSet[int]] = {}
-    for key, targets in edges.items():
-        if not targets and _terminal_tag(nodes[key]) == "deadlock":
-            out[key] = frozenset(lengths.get(key, set()))
-    return out, visited
+    out = {key: frozenset(lengths.get(key, set())) for key in deadlocks}
+    return out, len(edges)
 
 
 # -- engine-side correspondence --------------------------------------------------

@@ -1,10 +1,21 @@
 """Recording explored paths as portable test cases and re-executing them.
 
 A test case is the recorded input model plus the schedule trace of one
-path; replaying feeds the recorded input to a concrete interpreter and
-follows the recorded schedule event by event, so reproduction is
-deterministic and needs no solver.  Any disagreement between an event and
-what the concrete semantics actually does is reported as a divergence.
+path.  Replay pins the recorded input and walks the trace over the
+oracle's transition relation (``oracle.step``), so reproduction is
+deterministic and needs no solver; any disagreement between an event and
+the concrete semantics is reported as a divergence.
+
+A step at an assignment, branch, assertion or exit is the action
+``Local(r)``; a source-specific match is ``SR``, a wildcard match
+``SRStar`` and a barrier release ``B``.  A step at a send, receive or
+barrier is the engine's blocking half of a rendezvous and is no action: it
+*posts* the rank, which then waits for the match or release.  The posted
+ranks, each with the rank its call names, are all the state replay keeps
+besides the oracle's, and they carry the engine's own rules: a posted rank
+takes no step, a call whose partner already posted the matching call is
+matched at once, and a trace ends only where no rank can run and no
+wildcard pair is left.
 
 File format (one event per line, LF, UTF-8)::
 
@@ -26,9 +37,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
-from . import engine, lang, ops
+from . import engine, lang, oracle, ops
 from .state import (BarrierRelease, BranchChoice, MatchEvent, StepEvent,
                     Verdict)
 
@@ -201,7 +212,7 @@ def load_testcase(path) -> TestCase:
 
 @dataclass(frozen=True)
 class Divergence:
-    event_index: int
+    event_index: int  # number of events consumed when replay diverged
     expected: str
     observed: str
 
@@ -214,257 +225,122 @@ class ReplayResult:
     verdict: Optional[Verdict]
     expected: Verdict
     divergences: List[Divergence] = field(default_factory=list)
-    final_cursors: Tuple[int, ...] = ()
-    final_envs: Tuple = ()
 
     @property
     def ok(self) -> bool:
         return not self.divergences and self.verdict is self.expected
 
 
-class _Proc:
-    __slots__ = ("cursor", "env", "blocked", "exited")
-
-    def __init__(self, cursor: int):
-        self.cursor = cursor
-        self.env: Dict[str, int] = {}
-        self.blocked = None  # ("send", dest, payload) | ("recv", src, var) | ("any", var) | ("barrier",)
-        self.exited = False
+def _posted_on(s: oracle.ConcreteState, posted, q: int, call: type, peer: Optional[int]) -> bool:
+    """Whether rank q is posted on a `call` (OpSend or OpRecv) naming rank
+    peer; peer None stands for a wildcard receive."""
+    return posted.get(q, -1) == peer and isinstance(s.current_op(q), call)
 
 
-class _Replayer:
-    def __init__(self, program: lang.Program, tc: TestCase):
-        self.compiled = ops.lower(program)
-        self.nprocs = tc.nprocs
-        self.inputs = tc.model_dict()
-        start = ops.entry_point(self.compiled)
-        self.procs = [_Proc(start) for _ in range(self.nprocs)]
-        for p in self.procs:
-            if p.cursor >= self.compiled.end:
-                p.exited = True
-        self.pending: set = set()
-        self.epoch = 0
-        self.fail_loc: Optional[int] = None
-        self.events = list(tc.trace)
-        self.pos = 0
-        self.divergences: List[Divergence] = []
-
-    # -- event cursor --
-
-    def take(self):
-        ev = self.events[self.pos]
-        self.pos += 1
-        return ev
-
-    def peek(self):
-        return self.events[self.pos] if self.pos < len(self.events) else None
-
-    def diverge(self, expected: str, observed: str) -> bool:
-        self.divergences.append(Divergence(self.pos, expected, observed))
-        return False
-
-    # -- execution --
-
-    def eval(self, r: int, e: lang.Expr):
-        return lang.eval_concrete(e, self.procs[r].env, r, self.nprocs, self.inputs)
-
-    def step_forward(self, r: int):
-        p = self.procs[r]
-        p.cursor = self.compiled.next_of[p.cursor]
-        if p.cursor >= self.compiled.end:
-            p.exited = True
-            p.blocked = None
-
-    def transfer(self, sender: int, receiver: int, payload: int, var: str):
-        self.procs[receiver].env[var] = payload
-        self.procs[sender].blocked = None
-        self.procs[receiver].blocked = None
-        self.step_forward(sender)
-        self.step_forward(receiver)
-
-    def run(self) -> bool:
-        """Consume every event; False as soon as a divergence is recorded."""
-        while self.pos < len(self.events):
-            ev = self.take()
-            if isinstance(ev, StepEvent):
-                if not self.exec_step(ev):
-                    return False
-            elif isinstance(ev, MatchEvent):
-                if not ev.wildcard:
-                    return self.diverge("a step before any source-specific match",
-                                        f"standalone {ev}")
-                if not self.exec_wildcard(ev):
-                    return False
+def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
+    """Follow the recorded events over oracle.step, in place: the verdict
+    of the final state, or the first divergence."""
+    n = s.nprocs
+    cursors = s.cursors
+    end = s.compiled.end
+    op_at = s.compiled.op_at
+    local = [oracle.Local(r) for r in range(n)]
+    barrier = oracle.B()
+    posted = {}  # posted rank -> the rank its call names (None: wildcard receive, barrier)
+    arrivals = 0  # ranks posted at the open barrier
+    epoch = 0
+    count = len(events)
+    i = 0
+    while i < count:
+        ev = events[i]
+        i += 1
+        nxt = events[i] if i < count else None
+        if isinstance(ev, StepEvent):
+            r = ev.rank
+            if not 0 <= r < n:
+                return Divergence(i, "a valid rank", f"rank {r}")
+            if r in posted or cursors[r] >= end:
+                return Divergence(i, f"rank {r} runnable",
+                                  "blocked" if r in posted else "exited")
+            if cursors[r] != ev.loc:
+                return Divergence(i, f"rank {r} at loc {ev.loc}", f"loc {cursors[r]}")
+            op = op_at(ev.loc)
+            if isinstance(op, (ops.OpBranch, ops.OpAssert)):
+                if not isinstance(nxt, BranchChoice) or nxt.loc != ev.loc:
+                    return Divergence(i, "a branch-choice event", repr(nxt))
+                i += 1
+                if oracle.step(s, local[r]) != nxt.taken:
+                    what = "branch" if isinstance(op, ops.OpBranch) else "assertion"
+                    return Divergence(i, f"{what} at loc {ev.loc} taken={_yn(nxt.taken)}",
+                                      f"condition evaluated to {_yn(not nxt.taken)}")
+                if s.fail_loc is not None and i < count:
+                    return Divergence(i + 1, "end of trace after the assertion failure",
+                                      repr(events[i]))
+            elif isinstance(op, (ops.OpAssign, ops.OpExit)):
+                oracle.step(s, local[r])
+            elif isinstance(op, ops.OpBarrier):
+                posted[r] = None
+                arrivals += 1
+                if arrivals == n:
+                    if not isinstance(nxt, BarrierRelease):
+                        return Divergence(i, "a barrier-release event", repr(nxt))
+                    if nxt.epoch != epoch:
+                        return Divergence(i, f"barrier epoch {epoch}", f"epoch {nxt.epoch}")
+                    i += 1
+                    oracle.step(s, barrier)
+                    posted.clear()
+                    arrivals = 0
+                    epoch += 1
+            elif isinstance(op, ops.OpRecv) and op.src is None:
+                posted[r] = None  # a wildcard receive waits for a wildcard match
             else:
-                return self.diverge("step or wildcard match event", repr(ev))
-        return True
+                sending = isinstance(op, ops.OpSend)
+                peer = s.eval(r, op.dest if sending else op.src)
+                if not 0 <= peer < n or peer == r:
+                    return Divergence(i, f"a peer rank for rank {r}", f"rank {peer}")
+                snd, rcv = (r, peer) if sending else (peer, r)
+                if _posted_on(s, posted, peer, ops.OpRecv if sending else ops.OpSend, r):
+                    if not (isinstance(nxt, MatchEvent) and not nxt.wildcard
+                            and nxt.sender == snd and nxt.receiver == rcv):
+                        call = f"send to {peer}" if sending else f"receive from {peer}"
+                        return Divergence(i, f"rank {r} blocking on {call}",
+                                          f"a matching {'receive' if sending else 'send'} "
+                                          "was already posted")
+                    i += 1
+                    oracle.step(s, oracle.SR(snd, rcv))
+                    del posted[peer]
+                else:
+                    posted[r] = peer
+        elif isinstance(ev, MatchEvent):
+            snd, rcv = ev.sender, ev.receiver
+            for q in (snd, rcv):
+                if not 0 <= q < n:
+                    return Divergence(i, "a valid rank", f"rank {q}")
+            if not ev.wildcard:
+                return Divergence(i, "a step before any source-specific match",
+                                  f"standalone {ev}")
+            if not (_posted_on(s, posted, snd, ops.OpSend, rcv)
+                    and _posted_on(s, posted, rcv, ops.OpRecv, None)):
+                return Divergence(i, f"rank {snd} blocked sending to {rcv} and rank {rcv} "
+                                  "blocked on a wildcard receive", "not both posted on that pair")
+            oracle.step(s, oracle.SRStar(snd, rcv))
+            del posted[snd], posted[rcv]
+        else:
+            return Divergence(i, "step or wildcard match event", repr(ev))
 
-    def exec_wildcard(self, ev: MatchEvent) -> bool:
-        snd = self.procs[ev.sender]
-        rcv = self.procs[ev.receiver]
-        if snd.blocked is None or snd.blocked[0] != "send" or snd.blocked[1] != ev.receiver:
-            return self.diverge(f"rank {ev.sender} blocked sending to {ev.receiver}",
-                                f"blocked={snd.blocked!r}")
-        if rcv.blocked is None or rcv.blocked[0] != "any":
-            return self.diverge(f"rank {ev.receiver} blocked on a wildcard receive",
-                                f"blocked={rcv.blocked!r}")
-        self.transfer(ev.sender, ev.receiver, snd.blocked[2], rcv.blocked[1])
-        return True
-
-    def exec_step(self, ev: StepEvent) -> bool:
-        r = ev.rank
-        if not 0 <= r < self.nprocs:
-            return self.diverge("a valid rank", f"rank {r}")
-        p = self.procs[r]
-        if p.exited or p.blocked is not None:
-            return self.diverge(f"rank {r} runnable", "exited" if p.exited else "blocked")
-        if p.cursor != ev.loc:
-            return self.diverge(f"rank {r} at loc {ev.loc}", f"loc {p.cursor}")
-        op = self.compiled.op_at(p.cursor)
-
-        if isinstance(op, ops.OpAssign):
-            p.env[op.var] = self.eval(r, op.expr)
-            self.step_forward(r)
-            return True
-
-        if isinstance(op, ops.OpBranch):
-            nxt = self.peek()
-            if not isinstance(nxt, BranchChoice) or nxt.loc != ev.loc:
-                return self.diverge("a branch-choice event", repr(nxt))
-            self.take()
-            actual = bool(self.eval(r, op.cond))
-            if actual != nxt.taken:
-                return self.diverge(f"branch at loc {ev.loc} taken={_yn(nxt.taken)}",
-                                    f"condition evaluated to {_yn(actual)}")
-            p.cursor = op.true_target if actual else op.false_target
-            if p.cursor >= self.compiled.end:
-                p.exited = True
-            return True
-
-        if isinstance(op, ops.OpAssert):
-            nxt = self.peek()
-            if not isinstance(nxt, BranchChoice) or nxt.loc != ev.loc:
-                return self.diverge("an assertion-outcome event", repr(nxt))
-            self.take()
-            actual = bool(self.eval(r, op.cond))
-            if actual != nxt.taken:
-                return self.diverge(f"assertion at loc {ev.loc} -> {_yn(nxt.taken)}",
-                                    f"condition evaluated to {_yn(actual)}")
-            if actual:
-                self.step_forward(r)
-            else:
-                self.fail_loc = ev.loc
-            return True
-
-        if isinstance(op, ops.OpSend):
-            dest = self.eval(r, op.dest)
-            payload = self.eval(r, op.payload)
-            nxt = self.peek()
-            if isinstance(nxt, MatchEvent) and not nxt.wildcard:
-                if nxt.sender != r or nxt.receiver != dest:
-                    return self.diverge(f"match {r}->{dest}",
-                                        f"match {nxt.sender}->{nxt.receiver}")
-                q = self.procs[dest]
-                if q.blocked is None or q.blocked[0] != "recv" or q.blocked[1] != r:
-                    return self.diverge(f"rank {dest} blocked receiving from {r}",
-                                        f"blocked={q.blocked!r}")
-                self.take()
-                self.transfer(r, dest, payload, q.blocked[2])
-                return True
-            q = self.procs[dest]
-            if q.blocked is not None and q.blocked[0] == "recv" and q.blocked[1] == r:
-                return self.diverge(f"rank {r} blocking on send to {dest}",
-                                    "a matching receive was already posted")
-            p.blocked = ("send", dest, payload)
-            return True
-
-        if isinstance(op, ops.OpRecv):
-            if op.src is None:
-                p.blocked = ("any", op.var)
-                return True
-            src = self.eval(r, op.src)
-            nxt = self.peek()
-            if isinstance(nxt, MatchEvent) and not nxt.wildcard:
-                if nxt.sender != src or nxt.receiver != r:
-                    return self.diverge(f"match {src}->{r}",
-                                        f"match {nxt.sender}->{nxt.receiver}")
-                q = self.procs[src]
-                if q.blocked is None or q.blocked[0] != "send" or q.blocked[1] != r:
-                    return self.diverge(f"rank {src} blocked sending to {r}",
-                                        f"blocked={q.blocked!r}")
-                self.take()
-                self.transfer(src, r, q.blocked[2], op.var)
-                return True
-            q = self.procs[src]
-            if q.blocked is not None and q.blocked[0] == "send" and q.blocked[1] == r:
-                return self.diverge(f"rank {r} blocking on receive from {src}",
-                                    "a matching send was already posted")
-            p.blocked = ("recv", src, op.var)
-            return True
-
-        if isinstance(op, ops.OpBarrier):
-            if not self.pending:
-                members = set(range(self.nprocs)) - {r}
-                if members:
-                    self.pending = members
-                    p.blocked = ("barrier",)
-                    return True
-                return self.release(r, [r])
-            if r not in self.pending:
-                return self.diverge(f"rank {r} pending on the open barrier", "not pending")
-            self.pending.discard(r)
-            if self.pending:
-                p.blocked = ("barrier",)
-                return True
-            participants = [q for q in range(self.nprocs)
-                            if self.procs[q].blocked is not None
-                            and self.procs[q].blocked[0] == "barrier"] + [r]
-            return self.release(r, sorted(participants))
-
-        if isinstance(op, ops.OpExit):
-            p.exited = True
-            p.cursor = self.compiled.end
-            return True
-
-        return self.diverge("an executable statement", repr(op))
-
-    def release(self, r: int, participants) -> bool:
-        nxt = self.peek()
-        if not isinstance(nxt, BarrierRelease):
-            return self.diverge("a barrier-release event", repr(nxt))
-        if nxt.epoch != self.epoch:
-            return self.diverge(f"barrier epoch {self.epoch}", f"epoch {nxt.epoch}")
-        self.take()
-        self.epoch += 1
-        for q in participants:
-            self.procs[q].blocked = None
-            self.step_forward(q)
-        return True
-
-    # -- wrap-up --
-
-    def final_verdict(self) -> Optional[Verdict]:
-        if self.fail_loc is not None:
-            return Verdict.ASSERT_FAIL
-        if all(p.exited for p in self.procs):
-            return Verdict.TERMINATED
-        runnable = [r for r in range(self.nprocs)
-                    if not self.procs[r].exited and self.procs[r].blocked is None]
-        if runnable:
-            self.diverge("trace covering every runnable process",
-                         f"rank {runnable[0]} still runnable at end of trace")
-            return None
-        # A wildcard receiver with a blocked sender still has a successor.
-        for rr in range(self.nprocs):
-            p = self.procs[rr]
-            if p.blocked is not None and p.blocked[0] == "any":
-                for qq in range(self.nprocs):
-                    q = self.procs[qq]
-                    if q.blocked is not None and q.blocked[0] == "send" and q.blocked[1] == rr:
-                        self.diverge("a deadlocked final state",
-                                     f"wildcard match {qq}->{rr} still possible")
-                        return None
-        return Verdict.DEADLOCK
+    if s.fail_loc is not None:
+        return Verdict.ASSERT_FAIL
+    if s.all_exited():
+        return Verdict.TERMINATED
+    for r in range(n):
+        if r not in posted and cursors[r] < end:
+            return Divergence(count, "trace covering every runnable process",
+                              f"rank {r} still runnable at end of trace")
+    acts = oracle.enabled(s)  # the checks above leave only wildcard matches possible
+    if acts:
+        return Divergence(count, "a deadlocked final state",
+                          f"wildcard match {acts[0].sender}->{acts[0].receiver} still possible")
+    return Verdict.DEADLOCK
 
 
 def replay_testcase(program: lang.Program, tc: TestCase) -> ReplayResult:
@@ -475,17 +351,12 @@ def replay_testcase(program: lang.Program, tc: TestCase) -> ReplayResult:
     findings = lang.validate(program, tc.nprocs)
     if findings:
         raise ReplayError(f"program fails validation: {findings[0].message}")
-    for d in program.decls:
-        if d.name not in dict(tc.model):
-            raise ReplayError(f"test case does not assign input {d.name!r}")
+    try:
+        s = oracle.make_initial(program, tc.nprocs, tc.model_dict())
+    except oracle.OracleError as exc:
+        raise ReplayError(f"test case input: {exc}") from None
 
-    rp = _Replayer(program, tc)
-    completed = rp.run()
-    verdict = rp.final_verdict() if completed else None
-    return ReplayResult(
-        verdict=verdict,
-        expected=tc.verdict,
-        divergences=rp.divergences,
-        final_cursors=tuple(p.cursor for p in rp.procs),
-        final_envs=tuple(tuple(sorted(p.env.items())) for p in rp.procs),
-    )
+    outcome = _walk(s, tc.trace)
+    if isinstance(outcome, Divergence):
+        return ReplayResult(verdict=None, expected=tc.verdict, divergences=[outcome])
+    return ReplayResult(verdict=outcome, expected=tc.verdict)

@@ -162,10 +162,6 @@ def free_syms(e: SymExpr) -> frozenset:
     return frozenset()
 
 
-def is_concrete(e: SymExpr) -> bool:
-    return isinstance(e, (IntConst, BoolConst))
-
-
 def evaluate(e: SymExpr, model: Mapping[str, int]):
     """Evaluate under a full assignment of symbolic inputs; int or bool."""
     if isinstance(e, IntConst):

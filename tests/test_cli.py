@@ -154,6 +154,12 @@ def test_corpus_flipped_expectation_fixture(capsys, tmp_path):
     assert "MISMATCH" in out
 
 
+def test_corpus_has_no_strategy_option(capsys):
+    code, _, err = run(capsys, "corpus", "--strategy", "bfs")
+    assert code == 1
+    assert "unrecognized arguments: --strategy" in err
+
+
 def test_corpus_empty_dir(capsys, tmp_path):
     code, _, err = run(capsys, "corpus", "--dir", str(tmp_path))
     assert code == 1
@@ -162,3 +168,35 @@ def test_corpus_empty_dir(capsys, tmp_path):
 def test_usage_error_exit_code(capsys):
     assert cli.main(["analyze"]) == 1  # missing positional
     assert cli.main(["frobnicate"]) == 1
+
+
+def test_replay_edited_case_rank_out_of_range(capsys, tmp_path, corpus_entries):
+    path = tmp_path / "fig4b-eager.mpisym"
+    path.write_text(corpus_entries["fig4b-eager"].source)
+    out_dir = tmp_path / "cases"
+    run(capsys, "analyze", str(path), "--out", str(out_dir))
+    case = next(c for c in sorted(out_dir.glob("*.testcase"))
+                if "deadlock" in c.read_text())
+    for sender in ("9", "-1"):
+        edited = tmp_path / f"edited{sender}.testcase"
+        edited.write_text(case.read_text().replace(
+            "match sender=2 receiver=0 wildcard=yes",
+            f"match sender={sender} receiver=0 wildcard=yes"))
+        code, out, err = run(capsys, "replay", str(path), str(edited))
+        assert code == 1
+        assert f"observed rank {sender}" in out
+        assert "Traceback" not in err
+
+
+def test_replay_input_outside_domain_exits_one(capsys, fig1_path, tmp_path):
+    out_dir = tmp_path / "cases"
+    run(capsys, "analyze", str(fig1_path), "--out", str(out_dir))
+    case = sorted(out_dir.glob("*.testcase"))[0]
+    text = case.read_text()
+    edited = tmp_path / "edited.testcase"
+    edited.write_text(text.replace(next(line for line in text.splitlines()
+                                        if line.startswith("X=")), "X=100000"))
+    code, out, err = run(capsys, "replay", str(fig1_path), str(edited))
+    assert code == 1
+    assert "reproduced" not in out
+    assert "outside" in err and "Traceback" not in err

@@ -4,7 +4,7 @@ from mpisym import engine, lang, replay, solver
 from mpisym.replay import (ReplayError, dumps, loads, load_testcase,
                            make_testcase, program_hash, replay_testcase,
                            save_testcase)
-from mpisym.state import MatchEvent, Verdict
+from mpisym.state import BarrierRelease, MatchEvent, StepEvent, Verdict
 from randprog import random_program
 
 
@@ -150,3 +150,161 @@ def test_random_program_paths_replay(rng):
                                [str(d) for d in result.divergences])
             checked += 1
     assert checked > 100
+
+
+# -- engine-specific checks on edited traces -------------------------------------
+
+TWO_RANK_RECV_FIRST = """\
+program (nprocs = 2) {
+  if (rank == 0) {
+    recv m from 1;
+  } else {
+    send 5 to 0;
+  }
+}
+"""
+
+
+def corpus_case(corpus_entries, name, verdict):
+    entry = corpus_entries[name]
+    p, rep = search_records(entry)
+    return p, make_testcase(rep.by_verdict(verdict)[0], p, entry.nprocs)
+
+
+def with_trace(tc, trace, model=None):
+    return replay.TestCase(
+        program_hash=tc.program_hash, nprocs=tc.nprocs,
+        model=tc.model if model is None else model, trace=tuple(trace),
+        verdict=tc.verdict, fail_loc=tc.fail_loc)
+
+
+def first_divergence(p, tc):
+    result = replay_testcase(p, tc)
+    assert not result.ok
+    assert result.verdict is None
+    assert result.divergences
+    return result.divergences[0]
+
+
+def test_replay_step_of_blocked_rank_diverges(corpus_entries):
+    p, tc = corpus_case(corpus_entries, "fig4b-eager", Verdict.DEADLOCK)
+    t = tc.trace
+    k = t.index(StepEvent(0, 1))  # rank 0 posts its wildcard receive
+    d = first_divergence(p, with_trace(tc, t[:k + 1] + (StepEvent(0, 1),) + t[k + 1:]))
+    assert d.event_index == k + 2
+    assert d.observed == "blocked"
+
+
+def test_replay_receive_posted_after_matching_send_diverges(corpus_entries):
+    p, tc = corpus_case(corpus_entries, "rr-deadlock", Verdict.TERMINATED)
+    t = tc.trace
+    k = t.index(MatchEvent(0, 1, False))
+    d = first_divergence(p, with_trace(tc, t[:k] + t[k + 1:]))
+    assert d.event_index == k
+    assert d.observed == "a matching send was already posted"
+    # the rendezvous is recorded, but with sender and receiver swapped
+    d = first_divergence(p, with_trace(tc, t[:k] + (MatchEvent(1, 0, False),) + t[k + 1:]))
+    assert d.event_index == k
+
+
+def test_replay_send_posted_after_matching_receive_diverges():
+    p = lang.parse_program(TWO_RANK_RECV_FIRST)
+    tc = make_testcase(engine.search(p, 2).records[0], p, 2)
+    t = tc.trace
+    k = t.index(MatchEvent(1, 0, False))
+    assert isinstance(t[k - 1], StepEvent) and t[k - 1].rank == 1
+    d = first_divergence(p, with_trace(tc, t[:k]))
+    assert d.event_index == k
+    assert d.observed == "a matching receive was already posted"
+
+
+def test_replay_source_specific_match_without_step_diverges(corpus_entries):
+    p, tc = corpus_case(corpus_entries, "fig4b-eager", Verdict.TERMINATED)
+    t = tc.trace
+    k = t.index(MatchEvent(2, 0, False))
+    assert t[k - 1] == StepEvent(0, 2)
+    d = first_divergence(p, with_trace(tc, t[:k - 1] + t[k:]))
+    assert d.event_index == k
+    assert "step" in d.expected
+
+
+def test_replay_wildcard_match_of_unposted_pair_diverges(corpus_entries):
+    p, tc = corpus_case(corpus_entries, "fig4b-eager", Verdict.DEADLOCK)
+    t = tc.trace
+    k = t.index(MatchEvent(2, 0, True))
+    j = t.index(StepEvent(2, 7))  # rank 2 posts its send
+    # the sender has not posted its send yet
+    early = t[:j] + (MatchEvent(2, 0, True),) + t[j:k] + t[k + 1:]
+    assert first_divergence(p, with_trace(tc, early)).event_index == j + 1
+    # roles swapped: rank 0 waits on a wildcard receive, it does not send
+    swapped = t[:k] + (MatchEvent(0, 2, True),) + t[k + 1:]
+    assert first_divergence(p, with_trace(tc, swapped)).event_index == k + 1
+
+    # the receiver is posted, but on a send rather than a wildcard receive
+    p, tc = corpus_case(corpus_entries, "rr-deadlock", Verdict.DEADLOCK)
+    t = tc.trace + (MatchEvent(0, 1, True),)
+    assert first_divergence(p, with_trace(tc, t)).event_index == len(t)
+
+
+def test_replay_wrong_barrier_epoch_diverges(corpus_entries):
+    p, tc = corpus_case(corpus_entries, "barrier-deadlock", Verdict.TERMINATED)
+    t = tc.trace
+    k = t.index(BarrierRelease(0))
+    d = first_divergence(p, with_trace(tc, t[:k] + (BarrierRelease(1),) + t[k + 1:]))
+    assert d.event_index == k
+    assert "epoch 0" in d.expected
+    d = first_divergence(p, with_trace(tc, t[:k]))
+    assert d.event_index == k
+    assert "release" in d.expected
+
+
+def test_replay_end_of_trace_with_runnable_rank_diverges(corpus_entries):
+    p, tc = corpus_case(corpus_entries, "fig1-motivating", Verdict.DEADLOCK)
+    d = first_divergence(p, with_trace(tc, tc.trace[:3]))
+    assert d.event_index == 3
+    assert "still runnable" in d.observed
+
+
+def test_replay_end_of_trace_with_wildcard_pair_diverges(corpus_entries):
+    p, tc = corpus_case(corpus_entries, "fig4b-eager", Verdict.DEADLOCK)
+    k = tc.trace.index(MatchEvent(2, 0, True))
+    d = first_divergence(p, with_trace(tc, tc.trace[:k]))
+    assert d.event_index == k
+    assert d.observed == "wildcard match 1->0 still possible"
+
+
+# -- hand-edited test cases: out-of-range ranks, out-of-domain inputs ------------
+
+
+@pytest.mark.parametrize("sender", [9, 3, -1])
+def test_replay_wildcard_match_rank_out_of_range_diverges(corpus_entries, sender):
+    p, tc = corpus_case(corpus_entries, "fig4b-eager", Verdict.DEADLOCK)
+    t = tc.trace
+    k = t.index(MatchEvent(2, 0, True))
+    d = first_divergence(p, with_trace(tc, t[:k] + (MatchEvent(sender, 0, True),) + t[k + 1:]))
+    assert d.event_index == k + 1
+    assert d.observed == f"rank {sender}"
+
+
+@pytest.mark.parametrize("event", [StepEvent(-1, 0), StepEvent(3, 0),
+                                   MatchEvent(0, -2, False)])
+def test_replay_rank_out_of_range_diverges(corpus_entries, event):
+    p, tc = corpus_case(corpus_entries, "fig4b-eager", Verdict.DEADLOCK)
+    d = first_divergence(p, with_trace(tc, (event,) + tc.trace))
+    assert d.event_index == 1
+
+
+def test_replay_input_outside_domain_is_an_error(corpus_entries):
+    p, tc = corpus_case(corpus_entries, "fig1-motivating", Verdict.TERMINATED)
+    with pytest.raises(ReplayError, match="outside"):
+        replay_testcase(p, with_trace(tc, tc.trace, model=(("X", 100000),)))
+    with pytest.raises(ReplayError):
+        replay_testcase(p, with_trace(tc, tc.trace, model=()))
+
+
+def test_replay_event_after_assertion_failure_diverges(corpus_entries):
+    p, tc = corpus_case(corpus_entries, "assert-payload", Verdict.ASSERT_FAIL)
+    assert replay_testcase(p, tc).verdict is Verdict.ASSERT_FAIL
+    d = first_divergence(p, with_trace(tc, tc.trace + tc.trace[-2:]))
+    assert d.event_index == len(tc.trace) + 1
+    assert "end of trace" in d.expected
