@@ -30,8 +30,8 @@ from . import lang, ops, solver, symbolic
 from .solver import Model
 from .state import (BranchChoice, BarrierRelease, EngineError, GlobalState,
                     StepEvent, Status, Verdict, WaitBarrier, WaitRecv,
-                    WaitRecvAny, WaitSend, advance, assume, eval_expr,
-                    fork, init_state, match_transfer)
+                    WaitRecvAny, WaitSend, advance, assume, bind, eval_expr,
+                    fork, init_state, match_transfer, update)
 
 
 class ValidationFailure(Exception):
@@ -119,24 +119,34 @@ class AnalysisReport:
 
 
 def _decision(s: GlobalState):
-    """Pure scheduling decision; mutation is applied by expand()."""
+    """Pure scheduling decision; mutation is applied by expand().
+
+    The first active rank in rank order runs.  When none is active, one
+    pass collects the wildcard pairs: every receiver asleep on a wildcard
+    with every sender blocked on it, receiver-ascending, then
+    sender-ascending."""
+    procs = s.procs
     cand = s.next_proc_candidate
-    if cand is not None and s.procs[cand].status is Status.ACTIVE:
+    if cand is not None and procs[cand].status is Status.ACTIVE:
         return ("run", cand, True)
-    active = s.ranks_with_status(Status.ACTIVE)
-    if active:
-        return ("run", min(active), False)
-    pairs = []
-    for p in s.procs:
-        if isinstance(p.blocked_on, WaitRecvAny):
-            for q in s.procs:
-                if isinstance(q.blocked_on, WaitSend) and q.blocked_on.dest == p.rank:
-                    pairs.append((p.rank, q.rank))
+    for p in procs:
+        if p.status is Status.ACTIVE:
+            return ("run", p.rank, False)
+    receivers = []
+    senders = {}
+    inactive = False
+    for p in procs:
+        if p.status is Status.INACTIVE:
+            inactive = True
+            wait = p.blocked_on
+            if isinstance(wait, WaitSend):
+                senders.setdefault(wait.dest, []).append(p.rank)
+            elif isinstance(wait, WaitRecvAny):
+                receivers.append(p.rank)
+    pairs = [(r, q) for r in receivers for q in senders.get(r, ())]
     if pairs:
         return ("wildcard", pairs)
-    if any(p.status is Status.INACTIVE for p in s.procs):
-        return ("deadlock",)
-    raise EngineError("scheduler called on a terminated state")
+    return ("deadlock",) if inactive else ("terminated",)
 
 
 def _wildcard_successors(s: GlobalState, pairs) -> List[GlobalState]:
@@ -164,6 +174,8 @@ def scheduler(s: GlobalState) -> ScheduleOutcome:
     if d[0] == "wildcard":
         pairs = d[1]
         return ForkedWildcard(tuple(_wildcard_successors(s, pairs)), tuple(pairs))
+    if d[0] == "terminated":
+        raise EngineError("scheduler called on a terminated state")
     return Deadlocked()
 
 
@@ -172,9 +184,10 @@ def classify(s: GlobalState) -> Verdict:
     the scheduler has nothing to do, otherwise whatever the state carries."""
     if s.verdict is not Verdict.RUNNING:
         return s.verdict
-    if s.all_exited():
+    kind = _decision(s)[0]
+    if kind == "terminated":
         return Verdict.TERMINATED
-    if _decision(s)[0] == "deadlock":
+    if kind == "deadlock":
         return Verdict.DEADLOCK
     return Verdict.RUNNING
 
@@ -236,7 +249,7 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
 
     if isinstance(op, ops.OpAssign):
         t = stepped()
-        t.procs[p].env[op.var] = eval_expr(t, p, op.expr)
+        bind(t, p, op.var, eval_expr(t, p, op.expr))
         advance(t, (p,))
         return [t]
 
@@ -245,8 +258,7 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
         if isinstance(cond, symbolic.BoolConst):
             t = stepped()
             t.trace.append(BranchChoice(loc, cond.value))
-            t.procs[p].pc_loc = op.true_target if cond.value else op.false_target
-            _exit_if_past_end(t, p)
+            _jump(t, p, op.true_target if cond.value else op.false_target)
             return [t]
         succs = []
         for taken in (True, False):  # true side explored first under DFS
@@ -255,8 +267,7 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
                 t = stepped()
                 t.trace.append(BranchChoice(loc, taken))
                 assume(t, guard)
-                t.procs[p].pc_loc = op.true_target if taken else op.false_target
-                _exit_if_past_end(t, p)
+                _jump(t, p, op.true_target if taken else op.false_target)
                 succs.append(t)
         if not succs:
             raise EngineError("both branch directions unsatisfiable on a live path")
@@ -273,16 +284,15 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
         else:
             # A sleeping wildcard receiver does NOT match here; the sender
             # blocks so the scheduler can later fork over all candidates.
-            t.procs[p].status = Status.INACTIVE
-            t.procs[p].blocked_on = WaitSend(dest, eval_expr(t, p, op.payload))
+            update(t, p, status=Status.INACTIVE,
+                   blocked_on=WaitSend(dest, eval_expr(t, p, op.payload)))
             t.next_proc_candidate = dest
         return [t]
 
     if isinstance(op, ops.OpRecv):
         if op.src is None:
             t = stepped()
-            t.procs[p].status = Status.INACTIVE
-            t.procs[p].blocked_on = WaitRecvAny(op.var)
+            update(t, p, status=Status.INACTIVE, blocked_on=WaitRecvAny(op.var))
             return [t]
         src, err = _resolve_rank(s, p, op.src, stats)
         if err is not None:
@@ -292,22 +302,19 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
         if isinstance(q.blocked_on, WaitSend) and q.blocked_on.dest == p:
             match_transfer(t, src, p)
         else:
-            t.procs[p].status = Status.INACTIVE
-            t.procs[p].blocked_on = WaitRecv(src, op.var)
+            update(t, p, status=Status.INACTIVE, blocked_on=WaitRecv(src, op.var))
             t.next_proc_candidate = src
         return [t]
 
     if isinstance(op, ops.OpBarrier):
         t = stepped()
-        proc_t = t.procs[p]
         if not t.barrier_pending:
             # Open an epoch over every rank; exited members never arrive,
             # which (correctly) wedges the barrier.
             members = set(range(t.nprocs)) - {p}
             if members:
                 t.barrier_pending = members
-                proc_t.status = Status.INACTIVE
-                proc_t.blocked_on = WaitBarrier()
+                update(t, p, status=Status.INACTIVE, blocked_on=WaitBarrier())
             else:
                 t.trace.append(BarrierRelease(t.barrier_epochs))
                 t.barrier_epochs += 1
@@ -317,14 +324,12 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
                 raise EngineError(f"process {p} at a barrier it is not pending on")
             t.barrier_pending.discard(p)
             if t.barrier_pending:
-                proc_t.status = Status.INACTIVE
-                proc_t.blocked_on = WaitBarrier()
+                update(t, p, status=Status.INACTIVE, blocked_on=WaitBarrier())
             else:
                 participants = [q.rank for q in t.procs
                                 if isinstance(q.blocked_on, WaitBarrier)] + [p]
                 for r in participants:
-                    t.procs[r].status = Status.ACTIVE
-                    t.procs[r].blocked_on = None
+                    update(t, r, status=Status.ACTIVE, blocked_on=None)
                 t.trace.append(BarrierRelease(t.barrier_epochs))
                 t.barrier_epochs += 1
                 advance(t, sorted(participants))
@@ -362,18 +367,19 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
 
     if isinstance(op, ops.OpExit):
         t = stepped()
-        t.procs[p].status = Status.EXITED
-        t.procs[p].blocked_on = None
-        t.procs[p].pc_loc = t.compiled.end
+        update(t, p, pc_loc=t.compiled.end, status=Status.EXITED, blocked_on=None)
         return [t]
 
     raise EngineError(f"cannot execute {op!r}")
 
 
-def _exit_if_past_end(s: GlobalState, p: int):
-    if s.procs[p].pc_loc >= s.compiled.end:
-        s.procs[p].status = Status.EXITED
-        s.procs[p].blocked_on = None
+def _jump(s: GlobalState, p: int, target: int):
+    """Move rank p's cursor to a branch target; a target past the end of
+    the body exits the process."""
+    if target >= s.compiled.end:
+        update(s, p, pc_loc=target, status=Status.EXITED, blocked_on=None)
+    else:
+        update(s, p, pc_loc=target)
 
 
 def expand(s: GlobalState, stats: Optional[SolverStats] = None) -> List[GlobalState]:
@@ -444,7 +450,7 @@ def search(program: lang.Program, nprocs: int,
             model = solver.get_model(s.pc, domains)
             records.append(PathRecord(
                 index=len(records), verdict=verdict, pc=s.pc, model=model,
-                trace=tuple(s.trace), steps=s.depth, fail_loc=s.fail_loc,
+                trace=s.trace.as_tuple(), steps=s.depth, fail_loc=s.fail_loc,
                 error=s.error, final_state=s))
             continue
         if strategy.max_depth is not None and s.depth >= strategy.max_depth:

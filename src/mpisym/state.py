@@ -1,16 +1,24 @@
 """Per-process and global execution state for the symbolic engine.
 
-A GlobalState is a self-contained value: forking yields a fully independent
-copy, so worklist items can be explored (or even moved between threads)
-without sharing mutable structure.  The compiled program is immutable and
-shared by every fork.
+A GlobalState is a self-contained value: forking yields an independent
+copy, so worklist items can be explored in any order.  Forking costs the
+same at any path depth because forks share structure, and everything they
+share is immutable: the compiled program, the path-condition tuple, the
+cells of the schedule trace (`Trace`) and the per-process states
+(`ProcState`, whose environment is a read-only view).  A fork owns only
+its `procs` list, its barrier set and its trace head.  A write replaces:
+`update` and `bind` put a new ProcState into the writing state's list, and
+appending to a trace adds a cell that only the appending state points to.
+An in-place write to a shared ProcState or its environment raises instead
+of leaking into another fork.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from . import lang, ops, symbolic
 from .symbolic import SymExpr
@@ -90,31 +98,101 @@ class BranchChoice:
 
 
 TraceEvent = object
-ScheduleTrace = Tuple[TraceEvent, ...]
 
 
-class ProcState:
-    __slots__ = ("rank", "pc_loc", "env", "status", "blocked_on")
+class Trace:
+    """The schedule trace of one state: an append-only chain of immutable
+    ``(event, parent)`` cells, newest first.
 
-    def __init__(self, rank: int, pc_loc: int):
-        self.rank = rank
-        self.pc_loc = pc_loc
-        self.env: Dict[str, SymExpr] = {}
-        self.status = Status.ACTIVE
-        self.blocked_on = None
+    A state owns only the head pointer and the length; a fork shares every
+    cell, so copying costs the same at any depth.  Reading behaves like a
+    list of events, oldest first: ``len``, iteration, indexing, slicing
+    (which returns a list) and ``==`` against a list, tuple or Trace.
+    Every walk is iterative, and the raw cells are never compared, hashed
+    or printed, because CPython recurses into nested tuples.
+    """
 
-    def copy(self) -> "ProcState":
-        other = ProcState.__new__(ProcState)
-        other.rank = self.rank
-        other.pc_loc = self.pc_loc
-        other.env = dict(self.env)
-        other.status = self.status
-        other.blocked_on = self.blocked_on
-        return other
+    __slots__ = ("head", "n")
+
+    def __init__(self):
+        self.head = None
+        self.n = 0
+
+    def append(self, event: TraceEvent):
+        self.head = (event, self.head)
+        self.n += 1
+
+    def copy(self) -> "Trace":
+        """A trace sharing every cell, which the copy can extend alone."""
+        t = Trace.__new__(Trace)
+        t.head = self.head
+        t.n = self.n
+        return t
+
+    def _window(self, start: int, stop: int) -> List[TraceEvent]:
+        """Events [start, stop), oldest first; walks n - start cells."""
+        cell = self.head
+        for _ in range(self.n - stop):
+            cell = cell[1]
+        out = []
+        for _ in range(stop - start):
+            event, cell = cell
+            out.append(event)
+        out.reverse()
+        return out
+
+    def as_tuple(self) -> Tuple[TraceEvent, ...]:
+        return tuple(self._window(0, self.n))
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return iter(self._window(0, self.n))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self.n)
+            if step == 1:
+                return self._window(start, max(start, stop))
+            return self._window(0, self.n)[index]
+        i = index + self.n if index < 0 else index
+        if not 0 <= i < self.n:
+            raise IndexError("trace index out of range")
+        return self._window(i, i + 1)[0]
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return self.n == other.n and (self.head is other.head
+                                          or self._window(0, self.n) == other._window(0, other.n))
+        if isinstance(other, (list, tuple)):
+            return self.n == len(other) and self._window(0, self.n) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # appending changes the value
+
+    def __repr__(self) -> str:
+        return f"Trace({self._window(0, self.n)!r})"
+
+
+class ProcState(NamedTuple):
+    """One process: an immutable value that forks share until one of them
+    replaces it through `update` or `bind`.  `env` is a read-only view."""
+
+    rank: int
+    pc_loc: int
+    env: Mapping[str, SymExpr]
+    status: Status
+    blocked_on: object  # a Wait* while INACTIVE, otherwise None
 
     def snapshot(self):
         return (self.rank, self.pc_loc, tuple(sorted(self.env.items(), key=lambda kv: kv[0])),
                 self.status, self.blocked_on)
+
+
+_EMPTY_ENV: Mapping[str, SymExpr] = MappingProxyType({})
+_KEEP = object()
+_new_proc = tuple.__new__  # skips NamedTuple's Python-level __new__ on hot writes
 
 
 class GlobalState:
@@ -126,15 +204,14 @@ class GlobalState:
         self.compiled = compiled
         self.nprocs = nprocs
         start = ops.entry_point(compiled)
-        self.procs: List[ProcState] = [ProcState(r, start) for r in range(nprocs)]
-        for p in self.procs:
-            if p.pc_loc >= compiled.end:
-                p.status = Status.EXITED
+        status = Status.EXITED if start >= compiled.end else Status.ACTIVE
+        self.procs: List[ProcState] = [ProcState(r, start, _EMPTY_ENV, status, None)
+                                       for r in range(nprocs)]
         self.pc: symbolic.PathCondition = ()
         self.next_proc_candidate: Optional[int] = None
         self.barrier_pending: Set[int] = set()
         self.barrier_epochs = 0
-        self.trace: List[TraceEvent] = []
+        self.trace = Trace()
         self.verdict = Verdict.RUNNING
         self.fail_loc: Optional[int] = None
         self.error: Optional[str] = None
@@ -152,7 +229,7 @@ class GlobalState:
         """Structural fingerprint used by tests to detect cross-fork leaks."""
         return (tuple(p.snapshot() for p in self.procs), self.pc,
                 self.next_proc_candidate, frozenset(self.barrier_pending),
-                self.barrier_epochs, tuple(self.trace), self.verdict,
+                self.barrier_epochs, self.trace.as_tuple(), self.verdict,
                 self.fail_loc, self.error)
 
 
@@ -166,21 +243,44 @@ def init_state(program: lang.Program, nprocs: int,
 
 
 def fork(s: GlobalState) -> GlobalState:
-    """Independent copy; mutating either state never affects the other."""
+    """Independent copy sharing every immutable part: the ProcStates and
+    the trace cells are not copied, so the cost does not grow with depth."""
     t = GlobalState.__new__(GlobalState)
     t.compiled = s.compiled
     t.nprocs = s.nprocs
-    t.procs = [p.copy() for p in s.procs]
+    t.procs = s.procs.copy()
     t.pc = s.pc
     t.next_proc_candidate = s.next_proc_candidate
     t.barrier_pending = set(s.barrier_pending)
     t.barrier_epochs = s.barrier_epochs
-    t.trace = list(s.trace)
+    t.trace = s.trace.copy()
     t.verdict = s.verdict
     t.fail_loc = s.fail_loc
     t.error = s.error
     t.depth = s.depth
     return t
+
+
+def update(s: GlobalState, r: int, pc_loc=_KEEP, status=_KEEP, blocked_on=_KEEP) -> GlobalState:
+    """Replace rank r's ProcState in s by one with the given fields changed."""
+    p = s.procs[r]
+    s.procs[r] = _new_proc(ProcState, (
+        p.rank,
+        p.pc_loc if pc_loc is _KEEP else pc_loc,
+        p.env,
+        p.status if status is _KEEP else status,
+        p.blocked_on if blocked_on is _KEEP else blocked_on))
+    return s
+
+
+def bind(s: GlobalState, r: int, var: str, value: SymExpr) -> GlobalState:
+    """Set variable `var` of rank r in s to `value`."""
+    p = s.procs[r]
+    env = p.env.copy()
+    env[var] = value
+    s.procs[r] = _new_proc(ProcState, (p.rank, p.pc_loc, MappingProxyType(env),
+                                       p.status, p.blocked_on))
+    return s
 
 
 def eval_expr(s: GlobalState, rank: int, e: lang.Expr) -> SymExpr:
@@ -219,14 +319,16 @@ def advance(s: GlobalState, ranks: Iterable[int]) -> GlobalState:
     """Move cursors past the current statement; running off the end of the
     body exits the process."""
     compiled = s.compiled
+    end = compiled.end
     for r in ranks:
-        proc = s.procs[r]
-        if proc.pc_loc >= compiled.end:
+        loc = s.procs[r].pc_loc
+        if loc >= end:
             raise EngineError(f"advance past end of body (rank {r})")
-        proc.pc_loc = compiled.next_of[proc.pc_loc]
-        if proc.pc_loc >= compiled.end:
-            proc.status = Status.EXITED
-            proc.blocked_on = None
+        nxt = compiled.next_of[loc]
+        if nxt >= end:
+            update(s, r, pc_loc=nxt, status=Status.EXITED, blocked_on=None)
+        else:
+            update(s, r, pc_loc=nxt)
     return s
 
 
@@ -267,11 +369,9 @@ def match_transfer(s: GlobalState, sender: int, receiver: int) -> GlobalState:
         var = op.var
         wildcard = op.src is None
 
-    rp.env[var] = payload
-    sp.status = Status.ACTIVE
-    sp.blocked_on = None
-    rp.status = Status.ACTIVE
-    rp.blocked_on = None
+    bind(s, receiver, var, payload)
+    update(s, sender, status=Status.ACTIVE, blocked_on=None)
+    update(s, receiver, status=Status.ACTIVE, blocked_on=None)
     s.trace.append(MatchEvent(sender, receiver, wildcard))
     advance(s, (sender, receiver))
     return s

@@ -1,9 +1,10 @@
 import pytest
 
-from mpisym import engine, lang, symbolic
-from mpisym.state import (EngineError, MatchEvent, Status, Verdict,
-                          WaitSend, advance, assume, eval_expr, fork,
-                          init_state, match_transfer)
+from mpisym import engine, lang, report, symbolic
+from mpisym.state import (BarrierRelease, EngineError, MatchEvent, Status,
+                          StepEvent, Verdict, WaitBarrier, WaitSend, advance,
+                          assume, bind, eval_expr, fork, init_state,
+                          match_transfer, update)
 from randprog import random_program
 
 FIG1 = """\
@@ -84,16 +85,21 @@ def test_fork_independence_under_random_mutation(rng):
             s = engine.expand(s)[0]
         before = s.snapshot()
         t = fork(s)
+        # process states are shared between forks: writing one in place
+        # raises instead of leaking into s
+        with pytest.raises(TypeError):
+            t.procs[0].env["zz"] = symbolic.IntConst(1)
+        with pytest.raises(AttributeError):
+            t.procs[-1].pc_loc = 0
         mutation = rng.randrange(5)
         if mutation == 0:
-            t.procs[0].env["zz"] = symbolic.IntConst(1)
+            bind(t, 0, "zz", symbolic.IntConst(1))
         elif mutation == 1:
             t.trace.append(MatchEvent(0, 1, False))
         elif mutation == 2:
             t.barrier_pending.add(0)
         elif mutation == 3:
-            t.procs[-1].pc_loc = 0
-            t.procs[-1].status = Status.ACTIVE
+            update(t, len(t.procs) - 1, pc_loc=0, status=Status.ACTIVE)
         else:
             assume(t, symbolic.BoolConst(True))
         assert s.snapshot() == before
@@ -111,7 +117,7 @@ def test_fork_at_branch_differs_only_in_pc(fig1):
 
 def test_eval_expr_concrete_fold(fig1):
     s = init_state(fig1, 3)
-    s.procs[0].env["x"] = symbolic.IntConst(5)
+    bind(s, 0, "x", symbolic.IntConst(5))
     e = lang.Binary("+", lang.Var("x"), lang.Num(2))
     assert eval_expr(s, 0, e) == symbolic.IntConst(7)
 
@@ -221,3 +227,115 @@ def test_trace_and_pc_are_prefix_monotone(rng):
                 assert len(t.trace) > len(parent_trace) or t.verdict is Verdict.DEADLOCK
                 assert t.pc[:len(parent_pc)] == parent_pc
             s = succs[rng.randrange(len(succs))]
+
+
+# -- constant-cost fork: shared trace cells and process states -----------------
+
+
+def test_fork_shares_trace_cells(fig1):
+    s = init_state(fig1, 3)
+    for _ in range(5):
+        s = engine.expand(s)[0]
+    n = len(s.trace)
+    t = fork(s)
+    assert n > 5 and len(t.trace) == n
+    assert t.trace.head is s.trace.head
+    assert t.trace == s.trace == list(s.trace)
+    t.trace.append(MatchEvent(0, 1, False))
+    assert t.trace.head[1] is s.trace.head
+    assert len(s.trace) == n and t.trace[-1] == MatchEvent(0, 1, False)
+    assert t.trace[:n] == list(s.trace) and t.trace != s.trace
+
+
+def _replaced(s, t):
+    return {r for r in range(s.nprocs) if t.procs[r] is not s.procs[r]}
+
+
+def _involved(s, events):
+    """Ranks a step may replace: the stepping rank, both sides of a match,
+    every participant of a barrier release."""
+    ranks = set()
+    for ev in events:
+        if isinstance(ev, StepEvent):
+            ranks.add(ev.rank)
+        elif isinstance(ev, MatchEvent):
+            ranks |= {ev.sender, ev.receiver}
+        elif isinstance(ev, BarrierRelease):
+            ranks |= {p.rank for p in s.procs if isinstance(p.blocked_on, WaitBarrier)}
+    return ranks
+
+
+STEP_KINDS = """\
+symbolic
+sym X : int[0..9];
+
+program (nprocs = 4) {
+  if (rank == 0) { x = 5; send x to 1; recv a from any; }
+  if (rank == 1) { recv m from 0; recv n from 2; }
+  if (rank == 2) { if (X > 3) { y = 1; } send 7 to 1; send 8 to 0; }
+  barrier;
+}
+"""
+
+
+def test_step_replaces_only_involved_processes(rng):
+    programs = [lang.parse_program(STEP_KINDS)]
+    programs += [random_program(rng, weights=(4, 2, 4, 3), trailing_barrier=True)
+                 for _ in range(40)]
+    kinds = set()
+    for program in programs:
+        stack = [init_state(program, program.nprocs_default)]
+        while stack:
+            s = stack.pop()
+            if engine.classify(s) is not Verdict.RUNNING:
+                continue
+            outcome = engine.scheduler(s)
+            if isinstance(outcome, engine.RunProc):
+                op = s.compiled.op_at(s.procs[outcome.rank].pc_loc)
+                kinds.add(type(op).__name__)
+            succs = engine.expand(fork(s))
+            for t in succs:
+                events = t.trace[len(s.trace):]
+                if any(isinstance(ev, BarrierRelease) for ev in events):
+                    kinds.add("release")
+                assert _replaced(s, t) == _involved(s, events), events
+            stack.extend(succs)
+    assert {"OpAssign", "OpBranch", "OpSend", "OpRecv", "OpBarrier", "release"} <= kinds
+
+
+def test_wildcard_fork_replaces_only_the_pair(fig1):
+    s = init_state(fig1, 3)
+    while True:
+        outcome = engine.scheduler(s)
+        if isinstance(outcome, engine.ForkedWildcard):
+            break
+        s = engine.expand(s)[-1]  # the X == 'a' side reaches the wildcard
+    for t, (receiver, sender) in zip(outcome.successors, outcome.pairs):
+        assert _replaced(s, t) == {receiver, sender}
+        assert t.trace.head[1] is s.trace.head
+
+
+def test_deep_path_has_no_recursion_limit():
+    program = lang.parse_program(
+        "symbolic sym X : int[0..9];\n"
+        "program (nprocs = 8) {\n"
+        "  repeat 500 {\n"
+        "    v = X * 2;\n"
+        "    if (rank < nprocs - 1) { send v to rank + 1; }\n"
+        "    if (rank > 0) { recv w from rank - 1; }\n"
+        "    barrier;\n"
+        "  }\n"
+        "}\n")
+    rep = engine.search(program, 8)
+    [rec] = rep.records
+    assert rec.verdict is Verdict.TERMINATED
+    assert isinstance(rec.trace, tuple) and len(rec.trace) > 20000
+    final = rec.final_state
+    assert final.trace == list(rec.trace) and final.trace == rec.trace
+    assert final.trace == fork(final).trace
+    assert final.snapshot()[5] == rec.trace
+    assert final.trace[len(final.trace) - 1:] == [rec.trace[-1]]
+    assert repr(final.trace).startswith("Trace([")
+    text = report.render(rep, detail=2)
+    assert text.count(";") >= len(rec.trace) - 1
+    del rep, rec, final  # freeing the chain must not recurse either
