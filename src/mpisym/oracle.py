@@ -25,7 +25,20 @@ instead of mutating it.
 deadlocked terminal states (canonicalized) and, per terminal, the set of
 reachable global-action path lengths must coincide between the engine and
 this oracle.  ``explore_full`` and ``deadlock_path_lengths`` share one
-breadth-first walk of the deduplicated state graph.
+breadth-first walk of the deduplicated state graph, ``_state_graph``.
+
+State identity in that walk is the triple (cursors, per-rank environment
+ids, ``fail_loc``).  An environment id interns the sorted items of one
+rank's dict; a successor reuses its parent's id for every dict that ``step``
+did not replace, so only the one or two written dicts are sorted again.
+Exit flags and barrier waiting are functions of the cursors and are left
+out.  ``fail_loc`` is in: a failed assertion moves no cursor, and its state
+is a terminal of its own.  States are numbered 0, 1, 2, ... as they are
+discovered, edges are lists of these ids, and ``deadlock_path_lengths``
+propagates each state's path lengths as an integer bitset (bit n: some path
+of n actions reaches the state), turned into a set only for deadlocked
+terminals.  The full ``canonical_key``, the form the engine's terminals are
+compared in, is computed for terminal states only.
 """
 
 from __future__ import annotations
@@ -74,15 +87,7 @@ class Local:
 
 GlobalAction = object
 
-
-def _action_sort_key(a: GlobalAction):
-    if isinstance(a, B):
-        return (0, 0, 0)
-    if isinstance(a, SR):
-        return (1, a.sender, a.receiver)
-    if isinstance(a, SRStar):
-        return (2, a.sender, a.receiver)
-    return (3, a.rank, 0)
+_LOCAL_OPS = (ops.OpAssign, ops.OpBranch, ops.OpAssert, ops.OpExit)
 
 
 # -- concrete states ----------------------------------------------------------
@@ -144,31 +149,32 @@ def canonical_key(cursors, envs, compiled: ops.CompiledProgram, nprocs: int):
 
 
 def enabled(s: ConcreteState) -> List[GlobalAction]:
-    """Every composition-rule-enabled action in s, deterministically ordered."""
+    """Every composition-rule-enabled action in s, deterministically ordered:
+    B, then SR by sender, then SRStar by sender, then Local by rank."""
     if s.fail_loc is not None:
         return []
-    acts: List[GlobalAction] = []
     n = s.nprocs
-    if n > 0 and all(isinstance(s.current_op(r), ops.OpBarrier) for r in range(n)):
-        acts.append(B())
-    for i in range(n):
-        op = s.current_op(i)
-        if op is None:
-            continue
-        if isinstance(op, (ops.OpAssign, ops.OpBranch, ops.OpAssert, ops.OpExit)):
-            acts.append(Local(i))
+    table = s.compiled.ops
+    current = [table[pc] if pc < len(table) else None for pc in s.cursors]
+    pairs, stars, locals_ = [], [], []
+    barriers = 0
+    for i, op in enumerate(current):
+        if isinstance(op, _LOCAL_OPS):
+            locals_.append(Local(i))
+        elif isinstance(op, ops.OpBarrier):
+            barriers += 1
         elif isinstance(op, ops.OpSend):
             j = s.eval(i, op.dest)
             if not 0 <= j < n or j == i:
                 raise OracleError(f"send destination {j} invalid at rank {i}")
-            partner = s.current_op(j)
+            partner = current[j]
             if isinstance(partner, ops.OpRecv):
                 if partner.src is None:
-                    acts.append(SRStar(i, j))
+                    stars.append(SRStar(i, j))
                 elif s.eval(j, partner.src) == i:
-                    acts.append(SR(i, j))
-    acts.sort(key=_action_sort_key)
-    return acts
+                    pairs.append(SR(i, j))
+    head = [B()] if barriers == n > 0 else []
+    return head + pairs + stars + locals_
 
 
 def step(s: ConcreteState, action: GlobalAction) -> Optional[bool]:
@@ -257,38 +263,49 @@ def make_initial(program: lang.Program, nprocs: int, model: Model,
 
 def _state_graph(program: lang.Program, nprocs: int, model: Model, state_bound: int):
     """Breadth-first walk of the deduplicated state graph.  Yields every
-    reachable state once, as (key, state, depth, successor keys); depth is
-    the length of a shortest path from the initial state."""
+    reachable state once, as (id, state, depth, successor ids).  Ids number
+    the states 0, 1, 2, ... in discovery order, which is also the order they
+    are yielded in; depth is the length of a shortest path from the initial
+    state."""
+    env_ids: Dict[tuple, int] = {}
+
+    def env_id(env: Dict[str, int]) -> int:
+        return env_ids.setdefault(tuple(sorted(env.items())), len(env_ids))
+
     init = make_initial(program, nprocs, model)
-    key0 = init.canonical()
-    seen = {key0}
-    queue = deque([(key0, init, 0)])
-    visited = 0
+    envs0 = tuple(env_id(env) for env in init.envs)
+    ids = {(tuple(init.cursors), envs0, None): 0}
+    queue = deque([(0, init, 0, envs0)])
     while queue:
-        key, s, depth = queue.popleft()
-        visited += 1
-        if visited > state_bound:
+        sid, s, depth, envs = queue.popleft()
+        if sid >= state_bound:
             raise BoundExceeded(f"oracle state bound {state_bound} exceeded")
         targets = []
         for a in enabled(s):
             t = apply(s, a)
-            tkey = t.canonical()
-            targets.append(tkey)
-            if tkey not in seen:
-                seen.add(tkey)
-                queue.append((tkey, t, depth + 1))
-        yield key, s, depth, targets
+            # equal envs have equal ids, and step replaces only the dicts it
+            # writes: every other rank keeps its parent's env id
+            tenvs = envs if t.envs == s.envs else tuple(
+                k if env is penv else env_id(env)
+                for env, penv, k in zip(t.envs, s.envs, envs))
+            key = (tuple(t.cursors), tenvs, t.fail_loc)
+            tid = ids.get(key)
+            if tid is None:
+                tid = ids[key] = len(ids)
+                queue.append((tid, t, depth + 1, tenvs))
+            targets.append(tid)
+        yield sid, s, depth, targets
 
 
 def explore_full(program: lang.Program, nprocs: int, model: Model,
                  state_bound: int = 200_000) -> OracleResult:
-    """Exhaustive BFS over all interleavings with canonical-state dedup."""
+    """Exhaustive BFS over all interleavings with state dedup."""
     terminals: Dict[tuple, Tuple[str, int]] = {}
     visited = 0
-    for key, s, depth, targets in _state_graph(program, nprocs, model, state_bound):
+    for _, s, depth, targets in _state_graph(program, nprocs, model, state_bound):
         visited += 1
         if not targets:
-            terminals[key] = (_terminal_tag(s), depth)
+            terminals[s.canonical()] = (_terminal_tag(s), depth)
     return OracleResult(terminals=terminals, visited=visited)
 
 
@@ -297,32 +314,35 @@ def deadlock_path_lengths(program: lang.Program, nprocs: int, model: Model,
     """For every deadlocked terminal, the set of path lengths (in global
     actions) over ALL executions reaching it, plus the visited-state count.
 
-    The state graph is acyclic (the language has no loops), so lengths are
-    computed by propagating depth sets over the deduplicated graph.
+    The state graph is acyclic (the language has no loops, and a failed
+    assertion leads to a new, terminal state), so each state's lengths are
+    propagated as a bitset in topological order.
     """
-    edges: Dict[tuple, List[tuple]] = {}
-    deadlocks: List[tuple] = []
-    for key, s, _, targets in _state_graph(program, nprocs, model, state_bound):
-        edges[key] = targets
+    edges: List[List[int]] = []
+    deadlocks: List[Tuple[int, tuple]] = []
+    for sid, s, _, targets in _state_graph(program, nprocs, model, state_bound):
+        edges.append(targets)
         if not targets and _terminal_tag(s) == "deadlock":
-            deadlocks.append(key)
+            deadlocks.append((sid, s.canonical()))
 
-    lengths: Dict[tuple, Set[int]] = {next(iter(edges)): {0}}  # the initial state
-    indeg: Dict[tuple, int] = {k: 0 for k in edges}
-    for targets in edges.values():
+    indeg = [0] * len(edges)
+    for targets in edges:
         for t in targets:
             indeg[t] += 1
-    topo = deque(k for k, d in indeg.items() if d == 0)
-    while topo:
-        k = topo.popleft()
-        ls = lengths.get(k, set())
+    lengths = [0] * len(edges)
+    lengths[0] = 1  # the initial state, reached by the empty path
+    ready = [0]
+    while ready:
+        k = ready.pop()
+        shifted = lengths[k] << 1
         for t in edges[k]:
-            lengths.setdefault(t, set()).update(x + 1 for x in ls)
+            lengths[t] |= shifted
             indeg[t] -= 1
-            if indeg[t] == 0:
-                topo.append(t)
+            if not indeg[t]:
+                ready.append(t)
 
-    out = {key: frozenset(lengths.get(key, set())) for key in deadlocks}
+    out = {key: frozenset(n for n in range(lengths[sid].bit_length()) if lengths[sid] >> n & 1)
+           for sid, key in deadlocks}
     return out, len(edges)
 
 
@@ -340,7 +360,7 @@ def global_action_count(trace, compiled: ops.CompiledProgram) -> int:
             n += 1
         elif isinstance(ev, StepEvent):
             op = compiled.op_at(ev.loc)
-            if isinstance(op, (ops.OpAssign, ops.OpBranch, ops.OpAssert, ops.OpExit)):
+            if isinstance(op, _LOCAL_OPS):
                 n += 1
     return n
 

@@ -135,6 +135,18 @@ def test_compare_oracle_bound_exit(capsys, tmp_path):
     assert "bound" in err
 
 
+def test_compare_oracle_bound_boundary(capsys, tmp_path, corpus_entries):
+    """The oracle stops at the first state past the bound: fig6 has 122."""
+    path = tmp_path / "fig6.mpisym"
+    path.write_text(corpus_entries["fig6-multi-wildcard"].source)
+    code, out, _ = run(capsys, "compare", str(path), "--oracle-bound", "122")
+    assert code == 0
+    assert "oracle-states=122" in out
+    code, _, err = run(capsys, "compare", str(path), "--oracle-bound", "121")
+    assert code == 3
+    assert "oracle state bound 121 exceeded" in err
+
+
 def test_corpus_command(capsys):
     code, out, _ = run(capsys, "corpus")
     assert code == 0

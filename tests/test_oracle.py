@@ -173,6 +173,100 @@ def test_explore_full_bound():
         explore_full(p, 4, {}, state_bound=2)
 
 
+def test_explore_full_reports_assertion_failure(corpus_entries):
+    """A failed assertion is a state of its own, with an `assertfail` tag."""
+    p = corpus_entries["assert-payload"].program()
+    for x, tags in ((0, {"terminated"}), (99, {"terminated"}),
+                    (100, {"assertfail"}), (200, {"assertfail"})):
+        result = explore_full(p, 2, {"X": x})
+        assert {tag for tag, _ in result.terminals.values()} == tags, x
+        assert deadlock_path_lengths(p, 2, {"X": x}) == ({}, result.visited)
+
+
+def test_state_bound_boundary(corpus_entries):
+    """A bound equal to the visited count succeeds; one less raises."""
+    for name, model in (("fig6-multi-wildcard", {}), ("assert-payload", {"X": 200}),
+                        ("barrier-deadlock", {"X": 0})):
+        e = corpus_entries[name]
+        p = e.program()
+        visited = explore_full(p, e.nprocs, model).visited
+        assert explore_full(p, e.nprocs, model, state_bound=visited).visited == visited
+        assert deadlock_path_lengths(p, e.nprocs, model, state_bound=visited)[1] == visited
+        with pytest.raises(oracle.BoundExceeded):
+            explore_full(p, e.nprocs, model, state_bound=visited - 1)
+        with pytest.raises(oracle.BoundExceeded):
+            deadlock_path_lengths(p, e.nprocs, model, state_bound=visited - 1)
+
+
+def all_paths_reference(p, nprocs, model):
+    """Terminals over every path from the initial state, by a depth-first
+    walk over `enabled` / `apply` that shares no code with the oracle's
+    search: terminal canonical -> (tag, set of path lengths), and the number
+    of distinct (cursors, envs, fail_loc) states.  A state's suffixes are
+    memoised, so every path counts without being walked one by one (forty
+    random programs of this size can have over a million paths between
+    them)."""
+    memo = {}
+
+    def suffixes(s):
+        ident = (tuple(s.cursors), tuple(tuple(sorted(env.items())) for env in s.envs),
+                 s.fail_loc)
+        if ident not in memo:
+            acts = enabled(s)
+            if not acts:
+                tag = ("assertfail" if s.fail_loc is not None
+                       else "terminated" if s.all_exited() else "deadlock")
+                memo[ident] = {s.canonical(): (tag, {0})}
+            else:
+                out = {}
+                for a in acts:
+                    for term, (tag, lens) in suffixes(apply(s, a)).items():
+                        out.setdefault(term, (tag, set()))[1].update(n + 1 for n in lens)
+                memo[ident] = out
+        return memo[ident]
+
+    return suffixes(make_initial(p, nprocs, model)), len(memo)
+
+
+REBIND = """\
+program (nprocs = 3) {
+  if (rank == 0) {
+    x = 0;
+    recv x from any;
+    recv x from any;
+  } else {
+    x = rank;
+    send x to 0;
+  }
+}
+"""
+
+
+def test_search_matches_all_paths_reference(corpus_entries, rng):
+    # REBIND overwrites a variable, so a changed env keeps its size
+    cases = [("rebind", program(REBIND), 3, {})]
+    for e in corpus_entries.values():
+        p = e.program()
+        for pick in (lambda d: d.lo, lambda d: d.hi):
+            cases.append((e.name, p, e.nprocs, {d.name: pick(d) for d in p.decls}))
+    for _ in range(40):
+        p = random_program(rng)
+        cases.append((lang.pretty_print(p), p, p.nprocs_default,
+                      {d.name: rng.randint(d.lo, d.hi) for d in p.decls}))
+
+    tags = set()
+    for name, p, nprocs, model in cases:
+        terms, states = all_paths_reference(p, nprocs, model)
+        deadlocks = {k: frozenset(lens) for k, (tag, lens) in terms.items()
+                     if tag == "deadlock"}
+        assert deadlock_path_lengths(p, nprocs, model) == (deadlocks, states), name
+        full = explore_full(p, nprocs, model)
+        assert full.terminals == {k: (tag, min(lens)) for k, (tag, lens) in terms.items()}, name
+        assert full.visited == states, name
+        tags.update(tag for tag, _ in terms.values())
+    assert tags == {"terminated", "deadlock", "assertfail"}
+
+
 def test_model_must_cover_declared_inputs(corpus_entries):
     e = corpus_entries["fig1-motivating"]
     with pytest.raises(OracleError):
