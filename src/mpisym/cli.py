@@ -8,11 +8,16 @@ explorer), corpus (run the bundled expectations table).
 Exit codes: 0 clean, 1 usage/analysis error, 2 deadlock or assertion
 failure found (analyze) / expectation mismatch (corpus, compare FAIL),
 3 explorer state bound exceeded (compare).
+
+`main` may be called many times in one process: the parser is built once,
+the 64 most recent program texts keep their parsed programs, and a program
+keeps its hash, findings and lowered form.  None of this is user-settable.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -173,7 +178,8 @@ def cmd_compare(args) -> int:
     try:
         for model in models:
             verdict = oracle.check_theorem(program, nprocs, model,
-                                           state_bound=args.oracle_bound)
+                                           state_bound=args.oracle_bound,
+                                           max_states=args.max_states)
             sys.stdout.write(report.render_compare(verdict))
             all_hold = all_hold and verdict.holds
     except oracle.BoundExceeded as exc:
@@ -210,7 +216,10 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; parsing never changes it (argparse copies an
+    `append` default before extending it, and `count` starts from 0)."""
     parser = argparse.ArgumentParser(
         prog="mpisym",
         description="Symbolic execution and deadlock detection for a small "
@@ -251,9 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; fold into the tool's contract
         return EXIT_USAGE if exc.code else EXIT_OK

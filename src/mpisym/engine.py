@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from . import lang, ops, solver, symbolic
 from .solver import Model
@@ -79,7 +79,8 @@ class Deadlocked:
     pass
 
 
-ScheduleOutcome = Union[RunProc, ForkedWildcard, Deadlocked]
+if TYPE_CHECKING:  # annotation-only, like lang.Expr
+    ScheduleOutcome = Union[RunProc, ForkedWildcard, Deadlocked]
 
 
 @dataclass
@@ -159,16 +160,17 @@ def _wildcard_successors(s: GlobalState, pairs) -> List[GlobalState]:
     return succs
 
 
-def scheduler(s: GlobalState) -> ScheduleOutcome:
+def scheduler(s: GlobalState, decision=None) -> ScheduleOutcome:
     """Pick what happens next in a running state.
 
     Either a single process to execute, a fan-out of one successor per
     pending wildcard match (only possible once nothing is runnable), or a
-    deadlock report.  The state itself is not modified.
+    deadlock report.  The state itself is not modified.  `decision`, when
+    given, is `_decision(s)`, as in `classify` and `expand`.
     """
     if s.verdict is not Verdict.RUNNING:
         raise EngineError("scheduler called on a non-running state")
-    d = _decision(s)
+    d = decision or _decision(s)
     if d[0] == "run":
         return RunProc(d[1], d[2])
     if d[0] == "wildcard":
@@ -179,12 +181,12 @@ def scheduler(s: GlobalState) -> ScheduleOutcome:
     return Deadlocked()
 
 
-def classify(s: GlobalState) -> Verdict:
+def classify(s: GlobalState, decision=None) -> Verdict:
     """Verdict of a state: Terminated when everything exited, Deadlock when
     the scheduler has nothing to do, otherwise whatever the state carries."""
     if s.verdict is not Verdict.RUNNING:
         return s.verdict
-    kind = _decision(s)[0]
+    kind = (decision or _decision(s))[0]
     if kind == "terminated":
         return Verdict.TERMINATED
     if kind == "deadlock":
@@ -382,11 +384,12 @@ def _jump(s: GlobalState, p: int, target: int):
         update(s, p, pc_loc=target)
 
 
-def expand(s: GlobalState, stats: Optional[SolverStats] = None) -> List[GlobalState]:
+def expand(s: GlobalState, stats: Optional[SolverStats] = None,
+           decision=None) -> List[GlobalState]:
     """One exploration step: schedule, then execute.  Successors are in
     exploration-priority order (the first element is explored first under
     DFS)."""
-    outcome = scheduler(s)
+    outcome = scheduler(s, decision)
     if isinstance(outcome, RunProc):
         if outcome.from_candidate:
             s.next_proc_candidate = None
@@ -415,9 +418,8 @@ def search(program: lang.Program, nprocs: int,
     findings = lang.validate(program, nprocs)
     if findings:
         raise ValidationFailure(findings)
-    compiled = ops.lower(program)
-    domains = compiled.domains
-    s0 = init_state(program, nprocs, compiled)
+    s0 = init_state(program, nprocs)
+    domains = s0.compiled.domains
     if pin_model is not None:
         for name, (lo, hi) in domains.items():
             if name not in pin_model:
@@ -443,7 +445,8 @@ def search(program: lang.Program, nprocs: int,
 
     while worklist:
         s = pop()
-        verdict = classify(s)
+        decision = _decision(s) if s.verdict is Verdict.RUNNING else None
+        verdict = classify(s, decision)
         if verdict is not Verdict.RUNNING:
             s.verdict = verdict
             stats.queries += 1
@@ -459,7 +462,7 @@ def search(program: lang.Program, nprocs: int,
         if strategy.max_states is not None and states_created >= strategy.max_states:
             truncated = True
             continue
-        succs = expand(s, stats)
+        succs = expand(s, stats, decision)
         states_created += len(succs)
         if strategy.order == "dfs":
             worklist.extend(reversed(succs))

@@ -18,8 +18,12 @@ locations, which makes parse/pretty-print round-trips exact.
 
 from __future__ import annotations
 
+import collections
+import functools
+import operator
+import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Tuple, Union
 
 
 class LangError(Exception):
@@ -72,7 +76,8 @@ class Binary:
     right: "Expr"
 
 
-Expr = Union[Num, Var, Rank, Nprocs, Unary, Binary]
+if TYPE_CHECKING:  # annotation-only: a runtime Union would pin these classes in typing's cache
+    Expr = Union[Num, Var, Rank, Nprocs, Unary, Binary]
 
 RANK = Rank()
 NPROCS = Nprocs()
@@ -123,7 +128,8 @@ class Exit:
     line: int = field(default=0, compare=False)
 
 
-Stmt = Union[Assign, If, Send, Recv, Barrier, Assert, Exit]
+if TYPE_CHECKING:
+    Stmt = Union[Assign, If, Send, Recv, Barrier, Assert, Exit]
 
 
 @dataclass(frozen=True)
@@ -144,6 +150,16 @@ class Program:
         return frozenset(d.name for d in self.decls)
 
 
+def derived(program: Program, make, *args):
+    """``make(program, *args)``, computed once and kept on the program, which
+    is immutable: its canonical hash, lowered form and validation findings."""
+    memo = program.__dict__.setdefault("_derived", {})
+    key = (make, *args)
+    if key not in memo:
+        memo[key] = make(program, *args)
+    return memo[key]
+
+
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
@@ -154,88 +170,64 @@ KEYWORDS = {
     "repeat", "rank",
 }
 
-RESERVED_NAMES = KEYWORDS
-
-_TWO_CHAR = ("==", "!=", "<=", ">=", "&&", "||", "..")
-_ONE_CHAR = "+-*(){}[];:=<>!,"
-
 _CHAR_ESCAPES = {"n": 10, "t": 9, "0": 0, "\\": 92, "'": 39}
 
+#: One alternative per token class.  A word may start with any word
+#: character but a decimal digit, and the lexer rejects a start that is not
+#: a letter or "_"; so a non-decimal digit such as "²" is an unexpected
+#: character, also right after a number.  ``bad`` catches everything else.
+_TOKEN = re.compile(r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<nl>\n)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<punct>==|!=|<=|>=|&&|\|\||\.\.|[-+*(){}\[\];:=<>!,])
+  | (?P<int>\d+)
+  | (?P<char>'(?:\\[nt0\\']|[^\\\n])')
+  | (?P<comment>\#[^\n]*)
+  | (?P<bad>.)
+""", re.VERBOSE)
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "int" | "kw" | punctuation text | "eof"
-    value: object
-    line: int
-    col: int
+
+#: kind is "ident", "int", "kw", the punctuation text or "eof".
+Token = collections.namedtuple("Token", "kind value line col")
+_new_token = tuple.__new__  # skips the namedtuple's Python-level __new__
 
 
 def tokenize(text: str):
+    """Tokens with 1-based line and column (in code points).  A comment
+    that ends the text leaves the end-of-file token at its own column."""
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, line_start, end = 1, 0, len(text)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        value = m.group()
+        col = m.start() - line_start + 1
+        if kind == "word":
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise ParseError(f"unexpected character {value[0]!r}", line, col)
+            kind = "kw" if value in KEYWORDS else "ident"
+        elif kind == "punct":
+            kind = value
+        elif kind == "nl":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        elif kind == "int":
+            value = int(value)
+        elif kind == "char":
+            kind = "int"
+            value = ord(value[1]) if len(value) == 3 else _CHAR_ESCAPES[value[2]]
+        elif kind == "comment":
+            if m.end() == len(text):
+                end = m.start()
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == "'":
-            j = i + 1
-            if j < n and text[j] == "\\":
-                if j + 2 >= n or text[j + 2] != "'" or text[j + 1] not in _CHAR_ESCAPES:
-                    raise ParseError("bad character literal", line, start_col)
-                tokens.append(Token("int", _CHAR_ESCAPES[text[j + 1]], line, start_col))
-                i = j + 3
-                col += 4
-                continue
-            if j + 1 >= n or text[j + 1] != "'" or text[j] == "\n":
-                raise ParseError("bad character literal", line, start_col)
-            tokens.append(Token("int", ord(text[j]), line, start_col))
-            i = j + 2
-            col += 3
-            continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token(two, two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _ONE_CHAR:
-            tokens.append(Token(c, c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, start_col)
-    tokens.append(Token("eof", None, line, col))
+        else:
+            raise ParseError("bad character literal" if value == "'"
+                             else f"unexpected character {value!r}", line, col)
+        tokens.append(_new_token(Token, (kind, value, line, col)))
+    tokens.append(_new_token(Token, ("eof", None, line, end - line_start + 1)))
     return tokens
 
 
@@ -455,8 +447,13 @@ class _Parser:
         self.error(f"expected an expression, found {tok.value!r}")
 
 
+@functools.lru_cache(maxsize=64)
 def parse_program(text: str) -> Program:
-    """Parse a complete source file; raises ParseError with line/column."""
+    """Parse a complete source file; raises ParseError with line/column.
+
+    The programs of the 64 most recently parsed texts are kept and shared,
+    which is safe because the AST is immutable; a ParseError is never
+    cached."""
     return _Parser(text).program()
 
 
@@ -563,9 +560,13 @@ def _check_block(stmts, defined, sym_names, nprocs, findings):
 
 def validate(program: Program, nprocs: int):
     """Static checks; returns a list of findings, empty when the program is
-    safe to execute under `nprocs` processes."""
+    safe to execute under `nprocs` processes (computed once per count)."""
     if nprocs < 1:
         raise LangError("nprocs must be positive")
+    return list(derived(program, _findings, nprocs))
+
+
+def _findings(program: Program, nprocs: int) -> tuple:
     findings: list = []
     for d in program.decls:
         if d.lo > d.hi:
@@ -575,16 +576,17 @@ def validate(program: Program, nprocs: int):
             findings.append(Finding("domain-width",
                                     f"domain of {d.name!r} wider than {MAX_DOMAIN_WIDTH}", d.line))
     _check_block(program.body, program.sym_names(), program.sym_names(), nprocs, findings)
-    return findings
+    return tuple(findings)
 
 
 # ---------------------------------------------------------------------------
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-_PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4,
+#: Binding strength of each operator, shared with `symbolic.to_source`.
+PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4,
          "+": 5, "-": 5, "*": 6}
-_UNARY_PREC = 7
+UNARY_PREC = 7
 
 
 def expr_source(e: Expr) -> str:
@@ -601,9 +603,9 @@ def _render(e: Expr, outer: int) -> str:
     if isinstance(e, Nprocs):
         return "nprocs"
     if isinstance(e, Unary):
-        text = f"{e.op}{_render(e.operand, _UNARY_PREC)}"
-        return f"({text})" if outer > _UNARY_PREC else text
-    prec = _PREC[e.op]
+        text = f"{e.op}{_render(e.operand, UNARY_PREC)}"
+        return f"({text})" if outer > UNARY_PREC else text
+    prec = PREC[e.op]
     text = f"{_render(e.left, prec)} {e.op} {_render(e.right, prec + 1)}"
     return f"({text})" if outer > prec else text
 
@@ -659,6 +661,13 @@ def pretty_print(program: Program) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: Integer arithmetic and comparisons, shared with `symbolic`; each
+#: evaluator handles `&&` and `||` itself.
+BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def eval_concrete(e: Expr, env: Mapping[str, int], rank: int, nprocs: int,
                   inputs: Mapping[str, int]):
     """Evaluate an expression to an int or bool given concrete bindings."""
@@ -683,22 +692,7 @@ def eval_concrete(e: Expr, env: Mapping[str, int], rank: int, nprocs: int,
         return bool(a and b)
     if e.op == "||":
         return bool(a or b)
-    if e.op == "+":
-        return a + b
-    if e.op == "-":
-        return a - b
-    if e.op == "*":
-        return a * b
-    if e.op == "==":
-        return a == b
-    if e.op == "!=":
-        return a != b
-    if e.op == "<":
-        return a < b
-    if e.op == "<=":
-        return a <= b
-    if e.op == ">":
-        return a > b
-    if e.op == ">=":
-        return a >= b
-    raise LangError(f"unknown operator {e.op!r}")
+    try:
+        return BINARY_OPS[e.op](a, b)
+    except KeyError:
+        raise LangError(f"unknown operator {e.op!r}") from None

@@ -64,9 +64,6 @@ class _Jump:
     target: int
 
 
-COMM_OPS = (OpSend, OpRecv, OpBarrier)
-
-
 @dataclass(frozen=True)
 class CompiledProgram:
     program: lang.Program
@@ -121,6 +118,11 @@ def _resolve(ops, i: int) -> int:
 
 
 def lower(program: lang.Program) -> CompiledProgram:
+    """The statement table, built once per program (never modified)."""
+    return lang.derived(program, _lower)
+
+
+def _lower(program: lang.Program) -> CompiledProgram:
     raw: list = []
     _lower_block(program.body, raw)
     ops = []

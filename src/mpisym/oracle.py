@@ -250,15 +250,13 @@ def _terminal_tag(s: ConcreteState) -> str:
     return "deadlock"
 
 
-def make_initial(program: lang.Program, nprocs: int, model: Model,
-                 compiled: Optional[ops.CompiledProgram] = None) -> ConcreteState:
-    compiled = compiled if compiled is not None else ops.lower(program)
+def make_initial(program: lang.Program, nprocs: int, model: Model) -> ConcreteState:
     for d in program.decls:
         if d.name not in model:
             raise OracleError(f"model does not assign {d.name!r}")
         if not d.lo <= model[d.name] <= d.hi:
             raise OracleError(f"model value {d.name}={model[d.name]} outside domain")
-    return ConcreteState(compiled, nprocs, dict(model))
+    return ConcreteState(ops.lower(program), nprocs, dict(model))
 
 
 def _state_graph(program: lang.Program, nprocs: int, model: Model, state_bound: int):
@@ -388,19 +386,20 @@ class TheoremVerdict:
     oracle_states: int = 0
 
 
-def check_theorem(program: lang.Program, nprocs: int, model: Model,
-                  state_bound: int = 200_000) -> TheoremVerdict:
+def check_theorem(program: lang.Program, nprocs: int, model: Model, state_bound: int = 200_000,
+                  max_states: Optional[int] = None) -> TheoremVerdict:
     """Differential equivalence check for one concrete model.
 
     Holds iff (a) the engine's pinned run reaches a deadlock exactly when
     the full-interleaving graph does, (b) the canonical deadlocked terminal
     states coincide, and (c) for each such terminal the sets of reachable
-    path lengths (in global actions) coincide.
+    path lengths (in global actions) coincide.  `state_bound` bounds the
+    oracle and `max_states` the engine's pinned search.
     """
     report = engine.search(program, nprocs, pin_model=model,
-                           strategy=engine.SearchStrategy(max_states=state_bound))
+                           strategy=engine.SearchStrategy(max_states=max_states))
     if report.truncated:
-        raise BoundExceeded(f"engine state bound {state_bound} exceeded under pinned model")
+        raise BoundExceeded(f"engine state bound {max_states} exceeded under pinned model")
     for rec in report.records:
         if rec.verdict is Verdict.ERROR:
             raise OracleError(f"engine reported an analysis error: {rec.error}")

@@ -31,6 +31,11 @@ File format (one event per line, LF, UTF-8)::
     release epoch=<k>
     VERDICT
     terminated | deadlock | assertfail loc=<op index>
+
+Replaying many cases of one program in one process prepares the program
+once (its hash, findings and lowered form are kept on it, ``lang.derived``),
+and ``loads`` parses each distinct line of a trace once.  Nothing here is
+user-settable.
 """
 
 from __future__ import annotations
@@ -51,7 +56,12 @@ class ReplayError(Exception):
 
 
 def program_hash(program: lang.Program) -> str:
-    """Whitespace-insensitive program identity: hash of the canonical form."""
+    """Whitespace-insensitive program identity: hash of the canonical form
+    (computed once per program)."""
+    return lang.derived(program, _sha256)
+
+
+def _sha256(program: lang.Program) -> str:
     return hashlib.sha256(lang.pretty_print(program).encode("utf-8")).hexdigest()
 
 
@@ -126,7 +136,26 @@ def _fields(parts: List[str], expect: Tuple[str, ...], line_no: int) -> List[str
     return values
 
 
+#: Per event kind: its field names, and the event made from the field texts.
+_EVENTS = {
+    "step": (("rank", "loc"), lambda r, loc: StepEvent(int(r), int(loc))),
+    "match": (("sender", "receiver", "wildcard"),
+              lambda snd, rcv, wc: MatchEvent(int(snd), int(rcv), wc == "yes")),
+    "branch": (("loc", "taken"), lambda loc, taken: BranchChoice(int(loc), taken == "yes")),
+    "release": (("epoch",), lambda epoch: BarrierRelease(int(epoch))),
+}
+
+
+def _event(entry: str, line_no: int):
+    kind, *parts = entry.split()
+    if kind not in _EVENTS:
+        raise ReplayError(f"line {line_no}: unknown event {kind!r}")
+    keys, make = _EVENTS[kind]
+    return make(*_fields(parts, keys, line_no))
+
+
 def loads(text: str) -> TestCase:
+    """Parse the v1 text; each distinct trace line is parsed once."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise ReplayError(f"not a test case file (expected {FORMAT_HEADER!r})")
@@ -157,23 +186,12 @@ def loads(text: str) -> TestCase:
         model.append((name.strip(), int(value)))
 
     trace = []
+    events = {}  # trace line -> its event, shared by the lines equal to it
     for i, entry in sections["TRACE"]:
-        parts = entry.split()
-        kind = parts[0]
-        if kind == "step":
-            r, loc = _fields(parts[1:], ("rank", "loc"), i)
-            trace.append(StepEvent(int(r), int(loc)))
-        elif kind == "match":
-            snd, rcv, wc = _fields(parts[1:], ("sender", "receiver", "wildcard"), i)
-            trace.append(MatchEvent(int(snd), int(rcv), wc == "yes"))
-        elif kind == "branch":
-            loc, taken = _fields(parts[1:], ("loc", "taken"), i)
-            trace.append(BranchChoice(int(loc), taken == "yes"))
-        elif kind == "release":
-            (epoch,) = _fields(parts[1:], ("epoch",), i)
-            trace.append(BarrierRelease(int(epoch)))
-        else:
-            raise ReplayError(f"line {i}: unknown event {kind!r}")
+        ev = events.get(entry)
+        if ev is None:
+            ev = events[entry] = _event(entry, i)
+        trace.append(ev)
 
     if not sections["VERDICT"]:
         raise ReplayError("missing VERDICT section")

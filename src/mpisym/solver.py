@@ -33,11 +33,13 @@ bounded, so no overflow behavior exists to model.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from . import lang, symbolic
-from .symbolic import (BinaryOp, BoolConst, IntConst, PathCondition, SymExpr,
-                       SymRef, UnaryOp)
+from .symbolic import BinaryOp, BoolConst, IntConst, SymRef, UnaryOp
+
+if TYPE_CHECKING:
+    from .symbolic import PathCondition, SymExpr
 
 Domains = Dict[str, Tuple[int, int]]  # declaration-ordered
 Model = Dict[str, int]
@@ -165,7 +167,8 @@ def _tribool(e: SymExpr, domains: Domains) -> Optional[bool]:
 # -- pre-pass, components, backtracking ---------------------------------------
 
 
-Conjuncts = List[Tuple[SymExpr, frozenset]]  # each with its free variables
+if TYPE_CHECKING:
+    Conjuncts = List[Tuple[SymExpr, frozenset]]  # each with its free variables
 
 
 def _prepare(pc: PathCondition, domains: Domains) -> Optional[Conjuncts]:

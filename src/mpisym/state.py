@@ -18,10 +18,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from . import lang, ops, symbolic
-from .symbolic import SymExpr
+
+if TYPE_CHECKING:
+    from .symbolic import SymExpr
 
 
 class EngineError(Exception):
@@ -233,13 +235,12 @@ class GlobalState:
                 self.fail_loc, self.error)
 
 
-def init_state(program: lang.Program, nprocs: int,
-               compiled: Optional[ops.CompiledProgram] = None) -> GlobalState:
+def init_state(program: lang.Program, nprocs: int) -> GlobalState:
     """Initial state: every process active at the first statement, empty
     path condition and trace."""
     if nprocs < 1:
         raise EngineError("nprocs must be positive")
-    return GlobalState(compiled if compiled is not None else ops.lower(program), nprocs)
+    return GlobalState(ops.lower(program), nprocs)
 
 
 def fork(s: GlobalState) -> GlobalState:

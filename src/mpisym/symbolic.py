@@ -10,7 +10,9 @@ boolean-sorted trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple, Union
+from typing import TYPE_CHECKING, Mapping, Tuple, Union
+
+from .lang import BINARY_OPS, PREC, UNARY_PREC
 
 
 class SymbolicError(Exception):
@@ -47,10 +49,11 @@ class BinaryOp:
     right: "SymExpr"
 
 
-SymExpr = Union[IntConst, BoolConst, SymRef, UnaryOp, BinaryOp]
+if TYPE_CHECKING:  # annotation-only: a runtime Union would pin these classes in typing's cache
+    SymExpr = Union[IntConst, BoolConst, SymRef, UnaryOp, BinaryOp]
 
-#: Conjunction of boolean SymExprs; grown only by appending.
-PathCondition = Tuple[SymExpr, ...]
+    #: Conjunction of boolean SymExprs; grown only by appending.
+    PathCondition = Tuple[SymExpr, ...]
 
 TRUE = BoolConst(True)
 FALSE = BoolConst(False)
@@ -76,25 +79,10 @@ def sort_of(e: SymExpr) -> str:
 
 
 def _apply_binary(op: str, a: int, b: int):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise SymbolicError(f"unknown operator {op!r}")
+    try:
+        return BINARY_OPS[op](a, b)
+    except KeyError:
+        raise SymbolicError(f"unknown operator {op!r}") from None
 
 
 def unary(op: str, operand: SymExpr) -> SymExpr:
@@ -189,22 +177,6 @@ def pc_holds(pc: PathCondition, model: Mapping[str, int]) -> bool:
     return all(evaluate(c, model) for c in pc)
 
 
-_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-}
-_UNARY_PREC = 7
-
-
 def to_source(e: SymExpr) -> str:
     """Render with minimal parentheses; parseable by the surface grammar."""
     return _render(e, 0)
@@ -219,10 +191,10 @@ def _render(e: SymExpr, outer: int) -> str:
     if isinstance(e, SymRef):
         return e.name
     if isinstance(e, UnaryOp):
-        inner = _render(e.operand, _UNARY_PREC)
+        inner = _render(e.operand, UNARY_PREC)
         text = f"{e.op}{inner}"
-        return f"({text})" if outer > _UNARY_PREC else text
-    prec = _PREC[e.op]
+        return f"({text})" if outer > UNARY_PREC else text
+    prec = PREC[e.op]
     # Left-associative grammar: the right child needs parens at equal level.
     text = f"{_render(e.left, prec)} {e.op} {_render(e.right, prec + 1)}"
     return f"({text})" if outer > prec else text

@@ -2,7 +2,7 @@ import shutil
 
 import pytest
 
-from mpisym import cli, corpus
+from mpisym import cli, corpus, report
 
 
 @pytest.fixture()
@@ -132,7 +132,19 @@ def test_compare_oracle_bound_exit(capsys, tmp_path):
     path.write_text("program (nprocs = 4) { barrier; barrier; }")
     code, _, err = run(capsys, "compare", str(path), "--oracle-bound", "2")
     assert code == 3
-    assert "bound" in err
+    assert "oracle state bound 2 exceeded" in err
+
+
+def test_compare_set_engine_bound_exit(capsys, tmp_path):
+    """`--max-states` bounds the engine's pinned search, also under `--set`."""
+    path = tmp_path / "wide.mpisym"
+    path.write_text("symbolic sym X : int[0..3]; program (nprocs = 4) { barrier; barrier; }")
+    code, _, err = run(capsys, "compare", str(path), "--set", "X=1", "--max-states", "2")
+    assert code == 3
+    assert "engine state bound 2 exceeded under pinned model" in err
+    code, out, _ = run(capsys, "compare", str(path), "--set", "X=1")
+    assert code == 0
+    assert "THEOREM-CHECK PASS" in out
 
 
 def test_compare_oracle_bound_boundary(capsys, tmp_path, corpus_entries):
@@ -212,3 +224,38 @@ def test_replay_input_outside_domain_exits_one(capsys, fig1_path, tmp_path):
     assert code == 1
     assert "reproduced" not in out
     assert "outside" in err and "Traceback" not in err
+
+
+def test_main_reentrant_with_shared_parser(capsys, fig1_path):
+    """The process-wide parser gives the outputs of a fresh one whatever
+    ran before: `--set` (append) and `-v` (count) never carry over."""
+    argvs = [
+        ["compare", str(fig1_path), "--set", "X=97"],
+        ["compare", str(fig1_path), "--enumerate-models", "2"],
+        ["analyze", str(fig1_path), "-v", "-v"],
+        ["analyze", str(fig1_path), "--nprocs", "4"],
+        ["compare", str(fig1_path), "--set", "X=0", "--nprocs", "3", "-v"],
+        ["analyze", str(fig1_path)],
+        ["compare", str(fig1_path), "--set", "X=97", "--set", "X=0"],
+    ]
+
+    def outcome(argv):
+        code, out, err = run(capsys, *argv)
+        return code, report.strip_volatile(out), err
+
+    shared = [outcome(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    args = cli.build_parser().parse_args(["compare", str(fig1_path)])
+    assert args.set == [] and args.verbose == 0 and args.nprocs is None
+
+
+def test_non_decimal_digit_is_a_located_parse_error(capsys, tmp_path):
+    path = tmp_path / "digit.mpisym"
+    path.write_text("program {\n  x = 1²;\n}\n", encoding="utf-8")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert err == "mpisym: error: 2:8: unexpected character '²'\n"

@@ -373,10 +373,10 @@ def test_sat_only_worklist(corpus_entries, rng, monkeypatch):
     original = engine_mod.classify
     checked = []
 
-    def checking_classify(s):
+    def checking_classify(s, *decision):
         assert solver.is_sat(s.pc, s.compiled.domains)
         checked.append(1)
-        return original(s)
+        return original(s, *decision)
 
     monkeypatch.setattr(engine_mod, "classify", checking_classify)
     e = corpus_entries["fig1-motivating"]

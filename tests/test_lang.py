@@ -1,3 +1,8 @@
+import gc
+import importlib
+import sys
+import weakref
+
 import pytest
 
 from mpisym import lang
@@ -195,3 +200,163 @@ def test_eval_concrete_matches_python():
     assert lang.eval_concrete(expr, {}, 0, 1, {}) == 13
     assert lang.eval_concrete(lang.RANK, {}, 2, 4, {}) == 2
     assert lang.eval_concrete(lang.NPROCS, {}, 2, 4, {}) == 4
+
+
+# -- lexer ----------------------------------------------------------------------
+
+
+def reference_tokenize(text):
+    """The character-at-a-time lexer that the one-regex `lang.tokenize`
+    replaced, kept as its reference; tokens are (kind, value, line, col)."""
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            tokens.append(("kw" if word in lang.KEYWORDS else "ident", word, line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("int", int(text[i:j]), line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c == "'":
+            j = i + 1
+            escapes = {"n": 10, "t": 9, "0": 0, "\\": 92, "'": 39}
+            if j < n and text[j] == "\\":
+                if j + 2 >= n or text[j + 2] != "'" or text[j + 1] not in escapes:
+                    raise ParseError("bad character literal", line, start_col)
+                tokens.append(("int", escapes[text[j + 1]], line, start_col))
+                i = j + 3
+                col += 4
+                continue
+            if j + 1 >= n or text[j + 1] != "'" or text[j] == "\n":
+                raise ParseError("bad character literal", line, start_col)
+            tokens.append(("int", ord(text[j]), line, start_col))
+            i = j + 2
+            col += 3
+            continue
+        two = text[i:i + 2]
+        if two in ("==", "!=", "<=", ">=", "&&", "||", ".."):
+            tokens.append((two, two, line, start_col))
+            i += 2
+            col += 2
+            continue
+        if c in "+-*(){}[];:=<>!,":
+            tokens.append((c, c, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, start_col)
+    tokens.append(("eof", None, line, col))
+    return tokens
+
+
+def lex(tokenize, text):
+    try:
+        return [tuple(tok) for tok in tokenize(text)]
+    except ParseError as exc:
+        return ("ParseError", str(exc))
+    except ValueError:
+        return ("ValueError",)
+
+
+# characters and fragments the lexer treats differently: Unicode letters,
+# decimal and non-decimal digits, quotes, escapes, comments, line breaks
+LEX_PIECES = list("ax_Z09 \t\r\n#'\\=!<>&|.+-*(){}[];:,@\"é\u00b2\u0663\u00bd\u2167\u00a0") + [
+    "program", "recv", "any", "'a'", "'\\n'", "'\\''", "'''", "'\\q'", "# note",
+    "..", "&&", "||", "==", "12", "\u0661\u0662", "x\u00b2",
+]
+
+
+def test_lexer_agrees_with_reference(rng, corpus_entries):
+    texts = [rng.choice(("", "program {\n")) + "".join(
+        rng.choice(LEX_PIECES) for _ in range(rng.randint(0, 25))) for _ in range(4000)]
+    for entry in corpus_entries.values():
+        texts.append(entry.source)
+        texts.append(entry.source[:rng.randrange(len(entry.source))] + " # cut")
+    for text in texts:
+        old, new = lex(reference_tokenize, text), lex(lang.tokenize, text)
+        if old == ("ValueError",):  # a non-decimal digit in a number: now diagnosed
+            assert new[0] == "ParseError" and "unexpected character" in new[1], text
+        else:
+            assert new == old, text
+
+
+@pytest.mark.parametrize("source,message", [
+    ("program {\n  x = 1; # no newline", "2:10: expected a statement, found None"),
+    ("program { x = 1\u00b2; }", "1:16: unexpected character '\u00b2'"),
+    ("program { x = \u00b2; }", "1:15: unexpected character '\u00b2'"),
+    ("program { x = 'ab'; }", "1:15: bad character literal"),
+])
+def test_parse_error_text_and_location(source, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(source)
+    assert str(err.value) == message
+
+
+def test_unicode_decimal_digits_are_numbers():
+    assert parse_program("program { x = \u0661\u0662; }").body[0] == Assign("x", Num(12))
+
+
+def test_parse_program_memoised_by_text():
+    text = "program (nprocs = 2) { barrier; }"
+    assert parse_program(text) is parse_program(text)
+    for _ in range(2):  # a failed parse is not cached
+        with pytest.raises(ParseError, match="1:15: expected an expression"):
+            parse_program("program { x = ; }")
+
+
+def test_validate_result_is_a_fresh_list_each_call():
+    p = parse_program("program (nprocs = 3) { send 1 to 5; }")
+    first = validate(p, 3)
+    first.clear()
+    assert [f.kind for f in validate(p, 3)] == ["rank-range"]
+    assert validate(p, 6) == []
+
+
+def test_reimport_releases_the_previous_modules():
+    """No runtime typing alias names mpisym's classes: typing's cache would
+    keep every superseded copy of the package alive after a re-import."""
+    def ours():
+        return [k for k in sys.modules if k == "mpisym" or k.startswith("mpisym.")]
+
+    saved = {k: sys.modules.pop(k) for k in ours()}
+    try:
+        fresh = importlib.import_module("mpisym")
+        fresh.search(fresh.parse_program(FIG1), 3)
+        refs = [weakref.ref(sys.modules[f"mpisym.{m}"])
+                for m in ("lang", "ops", "solver", "symbolic", "engine", "replay")]
+        del fresh
+        for k in ours():
+            del sys.modules[k]
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        for k in ours():
+            del sys.modules[k]
+        sys.modules.update(saved)

@@ -4,7 +4,7 @@ from mpisym import engine, lang, replay, solver
 from mpisym.replay import (ReplayError, dumps, loads, load_testcase,
                            make_testcase, program_hash, replay_testcase,
                            save_testcase)
-from mpisym.state import BarrierRelease, MatchEvent, StepEvent, Verdict
+from mpisym.state import BarrierRelease, BranchChoice, MatchEvent, StepEvent, Verdict
 from randprog import random_program
 
 
@@ -308,3 +308,61 @@ def test_replay_event_after_assertion_failure_diverges(corpus_entries):
     d = first_divergence(p, with_trace(tc, tc.trace + tc.trace[-2:]))
     assert d.event_index == len(tc.trace) + 1
     assert "end of trace" in d.expected
+
+
+# -- the v1 text ------------------------------------------------------------------
+
+
+def random_testcase(rng):
+    def rank():
+        return rng.randint(-2, 40)
+
+    makers = (lambda: StepEvent(rank(), rank()),
+              lambda: MatchEvent(rank(), rank(), rng.random() < 0.5),
+              lambda: BranchChoice(rank(), rng.random() < 0.5),
+              lambda: BarrierRelease(rank()))
+    verdict = rng.choice((Verdict.TERMINATED, Verdict.DEADLOCK, Verdict.ASSERT_FAIL))
+    return replay.TestCase(
+        program_hash=f"{rng.getrandbits(256):064x}", nprocs=rng.randint(1, 40),
+        model=tuple((f"X{i}", rng.randint(-9, 300)) for i in range(rng.randint(0, 3))),
+        trace=tuple(rng.choice(makers)() for _ in range(rng.randint(0, 60))),
+        verdict=verdict,
+        fail_loc=rng.randint(0, 40) if verdict is Verdict.ASSERT_FAIL else None)
+
+
+def test_random_testcases_round_trip(rng):
+    for _ in range(300):
+        tc = random_testcase(rng)
+        assert loads(dumps(tc)) == tc
+
+
+TRACE_HEAD = "mpisym-testcase v1\nprogram-hash abc\nnprocs 2\nINPUT\nX=1\nTRACE\nstep rank=0 loc=0\n"
+
+
+@pytest.mark.parametrize("line,error,message", [
+    ("step rank=1", ReplayError, "line 8: malformed event"),
+    ("step rank=1 loc=2 loc=3", ReplayError, "line 8: malformed event"),
+    ("step rnk=1 loc=2", ReplayError, "line 8: expected field 'rank'"),
+    ("step rank=1 pos=2", ReplayError, "line 8: expected field 'loc'"),
+    ("step rank=x loc=2", ValueError, "invalid literal for int() with base 10: 'x'"),
+    ("step rank= loc=2", ValueError, "invalid literal for int() with base 10: ''"),
+    ("match sender=1 receiver=0", ReplayError, "line 8: malformed event"),
+    ("match sender=1 recv=0 wildcard=yes", ReplayError, "line 8: expected field 'receiver'"),
+    ("branch loc=3 taken", ReplayError, "line 8: expected field 'taken'"),
+    ("release", ReplayError, "line 8: malformed event"),
+    ("release epoch=1 extra=2", ReplayError, "line 8: malformed event"),
+    ("release epoch=1.5", ValueError, "invalid literal for int() with base 10: '1.5'"),
+    ("jump to=3", ReplayError, "line 8: unknown event 'jump'"),
+    ("STEP rank=1 loc=2", ReplayError, "line 8: unknown event 'STEP'"),
+])
+def test_malformed_trace_line_messages(line, error, message):
+    with pytest.raises(error) as err:
+        loads(TRACE_HEAD + line + "\nVERDICT\nterminated\n")
+    assert str(err.value) == message
+
+
+def test_trace_lines_with_other_spacing_still_load():
+    tc = loads(TRACE_HEAD + "  step   rank=1\tloc=2  \nmatch\tsender=1 receiver=0 wildcard=maybe\n"
+               "step rank=0 loc=0\nVERDICT\nterminated\n")
+    assert tc.trace == (StepEvent(0, 0), StepEvent(1, 2), MatchEvent(1, 0, False),
+                        StepEvent(0, 0))
