@@ -54,9 +54,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("program", help="program source file")
     parser.add_argument("--nprocs", type=int, default=None,
                         help="process count (defaults to the program header)")
-    parser.add_argument("--strategy", choices=("dfs", "bfs"), default="dfs")
     parser.add_argument("--max-states", type=int, default=None)
-    parser.add_argument("--max-depth", type=int, default=None)
     parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
@@ -228,6 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="explore all paths of a program")
     _add_common(p_analyze)
+    p_analyze.add_argument("--strategy", choices=("dfs", "bfs"), default="dfs")
+    p_analyze.add_argument("--max-depth", type=int, default=None)
     p_analyze.add_argument("--out", default=None,
                            help="directory for one replayable test case per path")
     p_analyze.set_defaults(func=cmd_analyze)

@@ -197,7 +197,7 @@ def classify(s: GlobalState, decision=None) -> Verdict:
 # -- per-statement symbolic execution ----------------------------------------
 
 
-def _sat(s: GlobalState, extra: symbolic.SymExpr, stats: Optional[SolverStats]) -> bool:
+def _sat(s: GlobalState, extra: lang.Expr, stats: Optional[SolverStats]) -> bool:
     if stats is not None:
         stats.queries += 1
     return solver.is_sat(s.pc + (extra,), s.compiled.domains)
@@ -208,14 +208,14 @@ def _resolve_rank(s: GlobalState, rank: int, e: lang.Expr,
     """Concrete value of a destination/source expression, or an error string
     when the path condition does not pin it down."""
     v = eval_expr(s, rank, e)
-    if isinstance(v, symbolic.IntConst):
+    if isinstance(v, lang.Num):
         value = v.value
     else:
         if stats is not None:
             stats.queries += 1
         value = solver.check_entailed_constant(s.pc, v, s.compiled.domains)
         if value is None:
-            return None, f"rank expression {symbolic.to_source(v)} is not constant under the path condition"
+            return None, f"rank expression {lang.expr_source(v)} is not constant under the path condition"
     if not 0 <= value < s.nprocs:
         return None, f"rank {value} out of range [0, {s.nprocs})"
     if value == rank:
@@ -257,7 +257,7 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
 
     if isinstance(op, ops.OpBranch):
         cond = eval_expr(s, p, op.cond)
-        if isinstance(cond, symbolic.BoolConst):
+        if isinstance(cond, lang.Bool):
             t = stepped()
             t.trace.append(BranchChoice(loc, cond.value))
             _jump(t, p, op.true_target if cond.value else op.false_target)
@@ -313,7 +313,7 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
         if not t.barrier_pending:
             # Open an epoch over every rank; exited members never arrive,
             # which (correctly) wedges the barrier.
-            members = set(range(t.nprocs)) - {p}
+            members = frozenset(range(t.nprocs)) - {p}
             if members:
                 t.barrier_pending = members
                 update(t, p, status=Status.INACTIVE, blocked_on=WaitBarrier())
@@ -324,7 +324,7 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
         else:
             if p not in t.barrier_pending:
                 raise EngineError(f"process {p} at a barrier it is not pending on")
-            t.barrier_pending.discard(p)
+            t.barrier_pending = t.barrier_pending - {p}
             if t.barrier_pending:
                 update(t, p, status=Status.INACTIVE, blocked_on=WaitBarrier())
             else:
@@ -339,7 +339,7 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
 
     if isinstance(op, ops.OpAssert):
         cond = eval_expr(s, p, op.cond)
-        if isinstance(cond, symbolic.BoolConst):
+        if isinstance(cond, lang.Bool):
             t = stepped()
             t.trace.append(BranchChoice(loc, cond.value))
             if cond.value:
@@ -427,8 +427,7 @@ def search(program: lang.Program, nprocs: int,
             v = pin_model[name]
             if not lo <= v <= hi:
                 raise EngineError(f"pinned value {name}={v} outside [{lo}, {hi}]")
-            assume(s0, symbolic.BinaryOp("==", symbolic.SymRef(name),
-                                         symbolic.IntConst(v)))
+            assume(s0, lang.Binary("==", lang.Var(name), lang.Num(v)))
 
     stats = SolverStats()
     t_start = time.perf_counter()

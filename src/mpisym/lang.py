@@ -1,5 +1,5 @@
 """The analyzed mini message-passing language: AST, parser, validator,
-pretty-printer, and concrete expression evaluation.
+pretty-printer, and the one expression evaluator.
 
 A source file declares bounded symbolic inputs and one rank-dispatched
 process body:
@@ -14,6 +14,12 @@ process body:
 `repeat K { ... }` is sugar for K spliced copies of the block, so parsed
 programs are always loop-free.  Statement equality ignores source
 locations, which makes parse/pretty-print round-trips exact.
+
+The expression nodes are also the engine's symbolic terms (built by
+`symbolic`): a term is an expression over the declared inputs, in which
+`Var` names an input, and `Bool` (never produced by the parser) is a
+folded boolean constant.  `sort_of`, `expr_source` and `evaluate` serve
+both.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Tuple, Union
 
 
@@ -46,6 +53,13 @@ class ParseError(LangError):
 @dataclass(frozen=True)
 class Num:
     value: int
+
+
+@dataclass(frozen=True)
+class Bool:
+    """A boolean constant; only constant folding makes one."""
+
+    value: bool
 
 
 @dataclass(frozen=True)
@@ -77,7 +91,7 @@ class Binary:
 
 
 if TYPE_CHECKING:  # annotation-only: a runtime Union would pin these classes in typing's cache
-    Expr = Union[Num, Var, Rank, Nprocs, Unary, Binary]
+    Expr = Union[Num, Bool, Var, Rank, Nprocs, Unary, Binary]
 
 RANK = Rank()
 NPROCS = Nprocs()
@@ -215,7 +229,10 @@ def tokenize(text: str):
             line_start = m.end()
             continue
         elif kind == "int":
-            value = int(value)
+            try:
+                value = int(value)
+            except ValueError:  # past the interpreter's int-from-string digit limit
+                raise ParseError("integer literal too long", line, col) from None
         elif kind == "char":
             kind = "int"
             value = ord(value[1]) if len(value) == 3 else _CHAR_ESCAPES[value[2]]
@@ -472,15 +489,15 @@ class Finding:
     line: int
 
 
-def expr_sort(e: Expr) -> str:
-    """Infer "int" or "bool"; variables and inputs are always integers."""
-    if isinstance(e, (Num, Var, Rank, Nprocs)):
-        return "int"
-    if isinstance(e, Unary):
-        return "int" if e.op == "-" else "bool"
-    if e.op in ("&&", "||", "==", "!=", "<", "<=", ">", ">="):
-        return "bool"
-    return "int"
+#: The operators with an integer result; every other one yields a bool.
+ARITH_OPS = ("+", "-", "*")
+
+
+def sort_of(e: Expr) -> str:
+    """"int" or "bool"; variables and inputs are always integers."""
+    if isinstance(e, (Unary, Binary)):
+        return "int" if e.op in ARITH_OPS else "bool"
+    return "bool" if isinstance(e, Bool) else "int"
 
 
 def _check_expr(e: Expr, want: str, defined, findings, line: int):
@@ -494,7 +511,7 @@ def _check_expr(e: Expr, want: str, defined, findings, line: int):
         sub = "bool" if e.op in ("&&", "||") else "int"
         _check_expr(e.left, sub, defined, findings, line)
         _check_expr(e.right, sub, defined, findings, line)
-    if expr_sort(e) != want:
+    if sort_of(e) != want:
         findings.append(Finding("type", f"expected a {want} expression", line))
 
 
@@ -583,21 +600,26 @@ def _findings(program: Program, nprocs: int) -> tuple:
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-#: Binding strength of each operator, shared with `symbolic.to_source`.
+#: Binding strength of each operator.
 PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4,
          "+": 5, "-": 5, "*": 6}
 UNARY_PREC = 7
 
 
 def expr_source(e: Expr) -> str:
+    """Source text with minimal parentheses, parseable by the grammar."""
     return _render(e, 0)
 
 
 def _render(e: Expr, outer: int) -> str:
     if isinstance(e, Num):
-        return str(e.value)
+        # a negative constant is a folded term; inside another it needs parens
+        return f"({e.value})" if e.value < 0 and outer else str(e.value)
     if isinstance(e, Var):
         return e.name
+    if isinstance(e, Bool):
+        # No boolean literals in the surface language; encode as a comparison.
+        return "0 == 0" if e.value else "0 != 0"
     if isinstance(e, Rank):
         return "rank"
     if isinstance(e, Nprocs):
@@ -606,6 +628,7 @@ def _render(e: Expr, outer: int) -> str:
         text = f"{e.op}{_render(e.operand, UNARY_PREC)}"
         return f"({text})" if outer > UNARY_PREC else text
     prec = PREC[e.op]
+    # Left-associative grammar: the right child needs parens at equal level.
     text = f"{_render(e.left, prec)} {e.op} {_render(e.right, prec + 1)}"
     return f"({text})" if outer > prec else text
 
@@ -657,42 +680,48 @@ def pretty_print(program: Program) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Concrete evaluation (used by the replayer and the full-interleaving oracle)
+# Evaluation (the solver, the oracle and replay)
 # ---------------------------------------------------------------------------
 
 
-#: Integer arithmetic and comparisons, shared with `symbolic`; each
-#: evaluator handles `&&` and `||` itself.
+#: Integer arithmetic and comparisons; `evaluate` handles `&&` and `||`.
 BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "==": operator.eq, "!=": operator.ne, "<": operator.lt,
               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
+_NO_INPUTS: Mapping[str, int] = MappingProxyType({})
 
-def eval_concrete(e: Expr, env: Mapping[str, int], rank: int, nprocs: int,
-                  inputs: Mapping[str, int]):
-    """Evaluate an expression to an int or bool given concrete bindings."""
-    if isinstance(e, Num):
+
+def evaluate(e: Expr, env: Mapping[str, int], rank: int = 0, nprocs: int = 0,
+             inputs: Mapping[str, int] = _NO_INPUTS):
+    """The int or bool value of an expression or a term.  A variable is
+    looked up in `env`, then in `inputs`, so a term's model can be `env`."""
+    kind = type(e)
+    if kind is Binary:
+        a = evaluate(e.left, env, rank, nprocs, inputs)
+        b = evaluate(e.right, env, rank, nprocs, inputs)
+        op = e.op
+        if op == "&&":
+            return bool(a and b)
+        if op == "||":
+            return bool(a or b)
+        try:
+            return BINARY_OPS[op](a, b)
+        except KeyError:
+            raise LangError(f"unknown operator {op!r}") from None
+    if kind is Num or kind is Bool:
         return e.value
-    if isinstance(e, Var):
+    if kind is Var:
         if e.name in env:
             return env[e.name]
         if e.name in inputs:
             return inputs[e.name]
         raise LangError(f"unbound variable {e.name!r}")
-    if isinstance(e, Rank):
-        return rank
-    if isinstance(e, Nprocs):
-        return nprocs
-    if isinstance(e, Unary):
-        v = eval_concrete(e.operand, env, rank, nprocs, inputs)
+    if kind is Unary:
+        v = evaluate(e.operand, env, rank, nprocs, inputs)
         return -v if e.op == "-" else not v
-    a = eval_concrete(e.left, env, rank, nprocs, inputs)
-    b = eval_concrete(e.right, env, rank, nprocs, inputs)
-    if e.op == "&&":
-        return bool(a and b)
-    if e.op == "||":
-        return bool(a or b)
-    try:
-        return BINARY_OPS[e.op](a, b)
-    except KeyError:
-        raise LangError(f"unknown operator {e.op!r}") from None
+    if kind is Rank:
+        return rank
+    if kind is Nprocs:
+        return nprocs
+    raise LangError(f"not an expression: {e!r}")

@@ -47,7 +47,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from . import engine, lang, ops, symbolic
+from . import engine, lang, ops
 from .solver import Model
 from .state import BarrierRelease, MatchEvent, StepEvent, Verdict
 
@@ -123,7 +123,7 @@ class ConcreteState:
         return self.compiled.ops[pc] if pc < len(self.compiled.ops) else None
 
     def eval(self, r: int, e: lang.Expr):
-        return lang.eval_concrete(e, self.envs[r], r, self.nprocs, self.inputs)
+        return lang.evaluate(e, self.envs[r], r, self.nprocs, self.inputs)
 
     def canonical(self):
         return canonical_key(self.cursors, self.envs, self.compiled, self.nprocs)
@@ -371,7 +371,7 @@ def engine_terminal_canonical(record: engine.PathRecord, model: Model) -> tuple:
         raise OracleError("path record carries no final state")
     envs = []
     for p in s.procs:
-        envs.append({name: symbolic.evaluate(v, model) for name, v in p.env.items()})
+        envs.append({name: lang.evaluate(v, model) for name, v in p.env.items()})
     return canonical_key([p.pc_loc for p in s.procs], envs, s.compiled, s.nprocs)
 
 

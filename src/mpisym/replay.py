@@ -195,12 +195,12 @@ def loads(text: str) -> TestCase:
 
     if not sections["VERDICT"]:
         raise ReplayError("missing VERDICT section")
-    _, vline = sections["VERDICT"][0]
+    vline_no, vline = sections["VERDICT"][0]
     vparts = vline.split()
     fail_loc = None
     if vparts[0] == "assertfail":
         verdict = Verdict.ASSERT_FAIL
-        (loc,) = _fields(vparts[1:], ("loc",), 0)
+        (loc,) = _fields(vparts[1:], ("loc",), vline_no)
         fail_loc = int(loc)
     else:
         try:

@@ -36,10 +36,11 @@ from itertools import islice
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from . import lang, symbolic
-from .symbolic import BinaryOp, BoolConst, IntConst, SymRef, UnaryOp
+from .lang import Binary, Bool, Num, Unary, Var
 
 if TYPE_CHECKING:
-    from .symbolic import PathCondition, SymExpr
+    from .lang import Expr
+    from .symbolic import PathCondition
 
 Domains = Dict[str, Tuple[int, int]]  # declaration-ordered
 Model = Dict[str, int]
@@ -60,13 +61,13 @@ def domains_of(program: lang.Program) -> Domains:
     return out
 
 
-def _flatten(pc: PathCondition) -> List[SymExpr]:
+def _flatten(pc: PathCondition) -> List[Expr]:
     """Split top-level conjunctions so each conjunct is bucketed separately."""
-    out: List[SymExpr] = []
+    out: List[Expr] = []
     stack = list(pc)
     while stack:
         c = stack.pop()
-        if isinstance(c, BinaryOp) and c.op == "&&":
+        if isinstance(c, Binary) and c.op == "&&":
             stack.append(c.left)
             stack.append(c.right)
         else:
@@ -78,15 +79,15 @@ def _flatten(pc: PathCondition) -> List[SymExpr]:
 # -- interval pre-pass -------------------------------------------------------
 
 
-def _interval(e: SymExpr, domains: Domains) -> Tuple[int, int]:
-    if isinstance(e, IntConst):
+def _interval(e: Expr, domains: Domains) -> Tuple[int, int]:
+    if isinstance(e, Num):
         return (e.value, e.value)
-    if isinstance(e, SymRef):
+    if isinstance(e, Var):
         return domains[e.name]
-    if isinstance(e, UnaryOp) and e.op == "-":
+    if isinstance(e, Unary) and e.op == "-":
         lo, hi = _interval(e.operand, domains)
         return (-hi, -lo)
-    if isinstance(e, BinaryOp):
+    if isinstance(e, Binary):
         a1, b1 = _interval(e.left, domains)
         a2, b2 = _interval(e.right, domains)
         if e.op == "+":
@@ -99,14 +100,14 @@ def _interval(e: SymExpr, domains: Domains) -> Tuple[int, int]:
     raise SolverError(f"not an integer expression: {e!r}")
 
 
-def _tribool(e: SymExpr, domains: Domains) -> Optional[bool]:
+def _tribool(e: Expr, domains: Domains) -> Optional[bool]:
     """Definite truth value over the whole domain box, or None if mixed."""
-    if isinstance(e, BoolConst):
+    if isinstance(e, Bool):
         return e.value
-    if isinstance(e, UnaryOp) and e.op == "!":
+    if isinstance(e, Unary) and e.op == "!":
         v = _tribool(e.operand, domains)
         return None if v is None else not v
-    if isinstance(e, BinaryOp):
+    if isinstance(e, Binary):
         if e.op == "&&":
             a = _tribool(e.left, domains)
             b = _tribool(e.right, domains)
@@ -168,7 +169,7 @@ def _tribool(e: SymExpr, domains: Domains) -> Optional[bool]:
 
 
 if TYPE_CHECKING:
-    Conjuncts = List[Tuple[SymExpr, frozenset]]  # each with its free variables
+    Conjuncts = List[Tuple[Expr, frozenset]]  # each with its free variables
 
 
 def _prepare(pc: PathCondition, domains: Domains) -> Optional[Conjuncts]:
@@ -178,7 +179,7 @@ def _prepare(pc: PathCondition, domains: Domains) -> Optional[Conjuncts]:
     conjuncts = {c: symbolic.free_syms(c) for c in _flatten(pc)}
     for c, names in conjuncts.items():
         # checked here because `negate` below rejects integer terms
-        if symbolic.sort_of(c) != "bool":
+        if lang.sort_of(c) != "bool":
             raise SolverError(f"not a boolean expression: {c!r}")
         for name in names:
             if name not in domains:
@@ -223,7 +224,7 @@ def _models(conjuncts: Conjuncts, names: List[str],
     ascending lexicographic order of `names`.  Each conjunct is checked as
     soon as its last variable is bound."""
     index = {name: i for i, name in enumerate(names)}
-    buckets: List[List[SymExpr]] = [[] for _ in names]
+    buckets: List[List[Expr]] = [[] for _ in names]
     for c, syms in conjuncts:
         buckets[max(index[n] for n in syms)].append(c)
     assignment: Model = {}
@@ -236,7 +237,7 @@ def _models(conjuncts: Conjuncts, names: List[str],
         lo, hi = domains[name]
         for v in range(lo, hi + 1):
             assignment[name] = v
-            if all(symbolic.evaluate(c, assignment) for c in buckets[i]):
+            if all(lang.evaluate(c, assignment) for c in buckets[i]):
                 yield from descend(i + 1)
         del assignment[name]
 
@@ -271,12 +272,12 @@ def get_model(pc: PathCondition, domains: Domains) -> Model:
     return m
 
 
-def check_entailed_constant(pc: PathCondition, e: SymExpr,
+def check_entailed_constant(pc: PathCondition, e: Expr,
                             domains: Domains) -> Optional[int]:
     """Return v when every model of pc gives `e` the value v, else None."""
-    if symbolic.sort_of(e) != "int":
+    if lang.sort_of(e) != "int":
         raise SolverError("entailment check needs an integer-sorted expression")
-    if isinstance(e, IntConst):
+    if isinstance(e, Num):
         return e.value
     for name in symbolic.free_syms(e):
         if name not in domains:
@@ -284,8 +285,8 @@ def check_entailed_constant(pc: PathCondition, e: SymExpr,
     m = _solve(pc, domains)
     if m is None:
         raise SolverError("entailment check on an unsatisfiable path condition")
-    v = symbolic.evaluate(e, m)
-    if _solve(pc + (BinaryOp("!=", e, IntConst(v)),), domains) is None:
+    v = lang.evaluate(e, m)
+    if _solve(pc + (Binary("!=", e, Num(v)),), domains) is None:
         return v
     return None
 

@@ -5,12 +5,13 @@ copy, so worklist items can be explored in any order.  Forking costs the
 same at any path depth because forks share structure, and everything they
 share is immutable: the compiled program, the path-condition tuple, the
 cells of the schedule trace (`Trace`) and the per-process states
-(`ProcState`, whose environment is a read-only view).  A fork owns only
-its `procs` list, its barrier set and its trace head.  A write replaces:
-`update` and `bind` put a new ProcState into the writing state's list, and
+(`ProcState`, whose environment is a read-only view) and the frozenset of
+ranks a barrier still waits for.  A fork owns only its `procs` list and
+its trace head.  A write replaces: `update` and `bind` put a new ProcState
+into the writing state's list, the engine assigns a new barrier set, and
 appending to a trace adds a cell that only the appending state points to.
-An in-place write to a shared ProcState or its environment raises instead
-of leaking into another fork.
+An in-place write to a shared ProcState, its environment or the barrier
+set raises instead of leaking into another fork.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import lang, ops, symbolic
 
 if TYPE_CHECKING:
-    from .symbolic import SymExpr
+    from .lang import Expr
 
 
 class EngineError(Exception):
@@ -50,7 +51,7 @@ class Verdict(enum.Enum):
 @dataclass(frozen=True)
 class WaitSend:
     dest: int
-    payload: SymExpr  # evaluated when the send was issued
+    payload: Expr  # evaluated when the send was issued
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ class ProcState(NamedTuple):
 
     rank: int
     pc_loc: int
-    env: Mapping[str, SymExpr]
+    env: Mapping[str, Expr]
     status: Status
     blocked_on: object  # a Wait* while INACTIVE, otherwise None
 
@@ -192,7 +193,7 @@ class ProcState(NamedTuple):
                 self.status, self.blocked_on)
 
 
-_EMPTY_ENV: Mapping[str, SymExpr] = MappingProxyType({})
+_EMPTY_ENV: Mapping[str, Expr] = MappingProxyType({})
 _KEEP = object()
 _new_proc = tuple.__new__  # skips NamedTuple's Python-level __new__ on hot writes
 
@@ -211,7 +212,7 @@ class GlobalState:
                                        for r in range(nprocs)]
         self.pc: symbolic.PathCondition = ()
         self.next_proc_candidate: Optional[int] = None
-        self.barrier_pending: Set[int] = set()
+        self.barrier_pending: FrozenSet[int] = frozenset()
         self.barrier_epochs = 0
         self.trace = Trace()
         self.verdict = Verdict.RUNNING
@@ -230,7 +231,7 @@ class GlobalState:
     def snapshot(self):
         """Structural fingerprint used by tests to detect cross-fork leaks."""
         return (tuple(p.snapshot() for p in self.procs), self.pc,
-                self.next_proc_candidate, frozenset(self.barrier_pending),
+                self.next_proc_candidate, self.barrier_pending,
                 self.barrier_epochs, self.trace.as_tuple(), self.verdict,
                 self.fail_loc, self.error)
 
@@ -252,7 +253,7 @@ def fork(s: GlobalState) -> GlobalState:
     t.procs = s.procs.copy()
     t.pc = s.pc
     t.next_proc_candidate = s.next_proc_candidate
-    t.barrier_pending = set(s.barrier_pending)
+    t.barrier_pending = s.barrier_pending
     t.barrier_epochs = s.barrier_epochs
     t.trace = s.trace.copy()
     t.verdict = s.verdict
@@ -274,7 +275,7 @@ def update(s: GlobalState, r: int, pc_loc=_KEEP, status=_KEEP, blocked_on=_KEEP)
     return s
 
 
-def bind(s: GlobalState, r: int, var: str, value: SymExpr) -> GlobalState:
+def bind(s: GlobalState, r: int, var: str, value: Expr) -> GlobalState:
     """Set variable `var` of rank r in s to `value`."""
     p = s.procs[r]
     env = p.env.copy()
@@ -284,33 +285,32 @@ def bind(s: GlobalState, r: int, var: str, value: SymExpr) -> GlobalState:
     return s
 
 
-def eval_expr(s: GlobalState, rank: int, e: lang.Expr) -> SymExpr:
+def eval_expr(s: GlobalState, rank: int, e: Expr) -> Expr:
     """Symbolic evaluation of a surface expression in a process context.
 
-    Constant-folds whenever every leaf is concrete; symbolic-input
-    references stay symbolic."""
-    proc = s.procs[rank]
+    Constant-folds whenever every leaf is concrete; a `Num` and a
+    symbolic-input `Var` are terms as they are."""
     if isinstance(e, lang.Num):
-        return symbolic.IntConst(e.value)
+        return e
     if isinstance(e, lang.Var):
-        v = proc.env.get(e.name)
+        v = s.procs[rank].env.get(e.name)
         if v is not None:
             return v
         if e.name in s.compiled.domains:
-            return symbolic.SymRef(e.name)
+            return e
         raise EngineError(f"unbound variable {e.name!r} (validation should reject this)")
     if isinstance(e, lang.Rank):
-        return symbolic.IntConst(rank)
+        return lang.Num(rank)
     if isinstance(e, lang.Nprocs):
-        return symbolic.IntConst(s.nprocs)
+        return lang.Num(s.nprocs)
     if isinstance(e, lang.Unary):
         return symbolic.unary(e.op, eval_expr(s, rank, e.operand))
     return symbolic.binary(e.op, eval_expr(s, rank, e.left), eval_expr(s, rank, e.right))
 
 
-def assume(s: GlobalState, cond: SymExpr) -> GlobalState:
+def assume(s: GlobalState, cond: Expr) -> GlobalState:
     """Append a boolean constraint to the path condition (no solver call)."""
-    if symbolic.sort_of(cond) != "bool":
+    if lang.sort_of(cond) != "bool":
         raise EngineError("assume needs a boolean-sorted expression")
     s.pc = s.pc + (cond,)
     return s

@@ -47,9 +47,9 @@ def test_c1_motivating_example(corpus_entries):
         elapsed = time.perf_counter() - started
 
         assert len(rep.records) == 3
-        x = symbolic.SymRef("X")
-        is97 = symbolic.binary("==", x, symbolic.IntConst(97))
-        not97 = symbolic.binary("!=", x, symbolic.IntConst(97))
+        x = lang.Var("X")
+        is97 = symbolic.binary("==", x, lang.Num(97))
+        not97 = symbolic.binary("!=", x, lang.Num(97))
 
         first, second, third = rep.records
         assert first.verdict is Verdict.TERMINATED

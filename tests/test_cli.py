@@ -184,6 +184,13 @@ def test_corpus_has_no_strategy_option(capsys):
     assert "unrecognized arguments: --strategy" in err
 
 
+@pytest.mark.parametrize("option", [["--strategy", "bfs"], ["--max-depth", "1"]])
+def test_compare_has_no_search_order_or_depth_option(capsys, fig1_path, option):
+    code, _, err = run(capsys, "compare", str(fig1_path), *option)
+    assert code == 1
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
 def test_corpus_empty_dir(capsys, tmp_path):
     code, _, err = run(capsys, "corpus", "--dir", str(tmp_path))
     assert code == 1

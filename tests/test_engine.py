@@ -115,7 +115,7 @@ def test_se_step_send_blocks_and_sets_candidate():
     s = se_step(s, 0)[0]  # branch
     t = se_step(s, 0)[0]  # send
     assert t.procs[0].status is Status.INACTIVE
-    assert t.procs[0].blocked_on == WaitSend(1, symbolic.IntConst(7))
+    assert t.procs[0].blocked_on == WaitSend(1, lang.Num(7))
     assert t.next_proc_candidate == 1
 
 
@@ -148,9 +148,9 @@ def test_se_step_symbolic_branch_forks():
     s = init_state(p, 1)
     succs = se_step(s, 0)
     assert len(succs) == 2
-    x = symbolic.SymRef("X")
-    assert succs[0].pc == (symbolic.binary("==", x, symbolic.IntConst(97)),)
-    assert succs[1].pc == (symbolic.binary("!=", x, symbolic.IntConst(97)),)
+    x = lang.Var("X")
+    assert succs[0].pc == (symbolic.binary("==", x, lang.Num(97)),)
+    assert succs[1].pc == (symbolic.binary("!=", x, lang.Num(97)),)
 
 
 def test_se_step_infeasible_branch_not_explored():
@@ -270,9 +270,9 @@ def test_search_fig1_three_paths(corpus_entries):
     rep = search(e.program(), 3)
     assert len(rep.records) == 3
     domains = solver.domains_of(e.program())
-    x = symbolic.SymRef("X")
-    is97 = symbolic.binary("==", x, symbolic.IntConst(97))
-    not97 = symbolic.binary("!=", x, symbolic.IntConst(97))
+    x = lang.Var("X")
+    is97 = symbolic.binary("==", x, lang.Num(97))
+    not97 = symbolic.binary("!=", x, lang.Num(97))
 
     def entails(pc, cond):
         return not solver.is_sat(pc + (symbolic.negate(cond),), domains)

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from mpisym import lang
+from mpisym import lang, symbolic
 from mpisym.lang import (Assign, Barrier, Binary, If, Num, ParseError, Recv,
                          Send, parse_program, pretty_print, validate)
 
@@ -197,9 +197,116 @@ def test_round_trip_keeps_operator_structure():
 def test_eval_concrete_matches_python():
     p = parse_program("program { x = (3 + 4) * 2 - 1; }")
     expr = p.body[0].expr
-    assert lang.eval_concrete(expr, {}, 0, 1, {}) == 13
-    assert lang.eval_concrete(lang.RANK, {}, 2, 4, {}) == 2
-    assert lang.eval_concrete(lang.NPROCS, {}, 2, 4, {}) == 4
+    assert lang.evaluate(expr, {}, 0, 1, {}) == 13
+    assert lang.evaluate(lang.RANK, {}, 2, 4, {}) == 2
+    assert lang.evaluate(lang.NPROCS, {}, 2, 4, {}) == 4
+
+
+REFERENCE_OPS = {
+    "+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+    "==": lambda a, b: a == b, "!=": lambda a, b: a != b, "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b, ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
+    "&&": lambda a, b: bool(a and b), "||": lambda a, b: bool(a or b),
+}
+
+
+def reference_evaluate(e, env, rank, nprocs, inputs):
+    """A plain recursive walk over the expression nodes, kept as the
+    reference for `lang.evaluate`."""
+    if isinstance(e, (lang.Num, lang.Bool)):
+        return e.value
+    if isinstance(e, lang.Var):
+        return env[e.name] if e.name in env else inputs[e.name]
+    if isinstance(e, lang.Rank):
+        return rank
+    if isinstance(e, lang.Nprocs):
+        return nprocs
+    if isinstance(e, lang.Unary):
+        v = reference_evaluate(e.operand, env, rank, nprocs, inputs)
+        return -v if e.op == "-" else not v
+    return REFERENCE_OPS[e.op](reference_evaluate(e.left, env, rank, nprocs, inputs),
+                               reference_evaluate(e.right, env, rank, nprocs, inputs))
+
+
+def random_expr(rng, sort, depth, leaf, unary, binary):
+    """A well-sorted expression of the given depth bound, with integer
+    leaves from `leaf(rng)` and inner nodes from `unary` and `binary`."""
+    def sub(sort):
+        return random_expr(rng, sort, max(depth - 1, 0), leaf, unary, binary)
+
+    if sort == "int":
+        if depth == 0 or rng.random() < 0.3:
+            return leaf(rng)
+        if rng.random() < 0.2:
+            return unary("-", sub("int"))
+        return binary(rng.choice("+-*"), sub("int"), sub("int"))
+    roll = rng.random()
+    if depth > 0 and roll < 0.2:
+        return unary("!", sub("bool"))
+    if depth > 0 and roll < 0.5:
+        return binary(rng.choice(("&&", "||")), sub("bool"), sub("bool"))
+    return binary(rng.choice(("==", "!=", "<", "<=", ">", ">=")), sub("int"), sub("int"))
+
+
+def random_surface(rng, sort, depth):
+    """A surface expression over rank, nprocs, the locals x, y and the
+    inputs X, Y, built from the parser's nodes as they are."""
+    def leaf(rng):
+        return rng.choice((Num(rng.randint(0, 9)), lang.RANK, lang.NPROCS,
+                           lang.Var(rng.choice("xyXY"))))
+    return random_expr(rng, sort, depth, leaf, lang.Unary, Binary)
+
+
+def random_term(rng, sort, depth):
+    """A folded term over the inputs X, Y, built by `symbolic`'s
+    constructors, so it may hold negative constants or be a `Bool`."""
+    def leaf(rng):
+        return Num(rng.randint(-9, 9)) if rng.random() < 0.6 else lang.Var(rng.choice("XY"))
+    return random_expr(rng, sort, depth, leaf, symbolic.unary, symbolic.binary)
+
+
+def typed(value):
+    return type(value), value
+
+
+def test_evaluate_agrees_with_reference_walk(rng):
+    for _ in range(1500):
+        sort = rng.choice(("int", "bool"))
+        e = random_surface(rng, sort, rng.randint(0, 4))
+        assert lang.sort_of(e) == sort, e
+        env = {"x": rng.randint(-5, 5), "y": rng.randint(-5, 5)}
+        inputs = {"X": rng.randint(0, 9), "Y": rng.randint(0, 9), "x": 99}
+        rank, nprocs = rng.randint(0, 3), rng.randint(1, 4)
+        assert typed(lang.evaluate(e, env, rank, nprocs, inputs)) == \
+            typed(reference_evaluate(e, env, rank, nprocs, inputs)), e
+    seen = set()
+    for _ in range(1500):
+        sort = rng.choice(("int", "bool"))
+        t = random_term(rng, sort, rng.randint(0, 4))
+        assert lang.sort_of(t) == sort, t
+        seen.add(type(t))
+        if isinstance(t, Num) and t.value < 0:
+            seen.add("negative")
+        model = {"X": rng.randint(-9, 9), "Y": rng.randint(-9, 9)}
+        assert typed(lang.evaluate(t, model)) == typed(reference_evaluate(t, {}, 0, 0, model)), t
+    assert seen >= {Num, lang.Bool, lang.Var, lang.Unary, Binary, "negative"}
+
+
+def test_term_source_round_trips_through_the_parser(rng):
+    """A term's source, parsed inside a program, is a well-sorted expression
+    with the term's value under every model."""
+    for _ in range(600):
+        sort = rng.choice(("int", "bool"))
+        t = random_term(rng, sort, rng.randint(0, 4))
+        stmt = f"x = {lang.expr_source(t)};" if sort == "int" else \
+            f"assert ({lang.expr_source(t)});"
+        p = parse_program("symbolic sym X : int[0..20]; sym Y : int[0..20]; program { "
+                          + stmt + " }")
+        assert validate(p, 1) == [], stmt
+        parsed = p.body[0].expr if sort == "int" else p.body[0].cond
+        for _ in range(3):
+            model = {"X": rng.randint(0, 20), "Y": rng.randint(0, 20)}
+            assert lang.evaluate(parsed, model) == lang.evaluate(t, model), stmt
 
 
 # -- lexer ----------------------------------------------------------------------
@@ -317,6 +424,14 @@ def test_parse_error_text_and_location(source, message):
     with pytest.raises(ParseError) as err:
         parse_program(source)
     assert str(err.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts integer literals of any length")
+def test_overlong_integer_literal_is_a_located_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_program("program {\n  x = " + "1" * 5000 + ";\n}")
+    assert str(err.value) == "2:7: integer literal too long"
 
 
 def test_unicode_decimal_digits_are_numbers():

@@ -361,6 +361,16 @@ def test_malformed_trace_line_messages(line, error, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("verdict,message", [
+    ("assertfail lc=3", "line 9: expected field 'loc'"),
+    ("assertfail", "line 9: malformed event"),
+])
+def test_malformed_verdict_line_messages(verdict, message):
+    with pytest.raises(ReplayError) as err:
+        loads(TRACE_HEAD + "VERDICT\n" + verdict + "\n")
+    assert str(err.value) == message
+
+
 def test_trace_lines_with_other_spacing_still_load():
     tc = loads(TRACE_HEAD + "  step   rank=1\tloc=2  \nmatch\tsender=1 receiver=0 wildcard=maybe\n"
                "step rank=0 loc=0\nVERDICT\nterminated\n")

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from mpisym import symbolic
+from mpisym import lang, symbolic
+from mpisym.lang import Num, Var
 from mpisym.solver import (SolverError, check_entailed_constant, get_model,
                            is_sat, enumerate_models)
-from mpisym.symbolic import IntConst, SymRef, binary
+from mpisym.symbolic import binary
 
 
-X, Y, Z = SymRef("X"), SymRef("Y"), SymRef("Z")
+X, Y, Z = Var("X"), Var("Y"), Var("Z")
 
 
 def _hits(pc, domains):
@@ -18,7 +19,7 @@ def _hits(pc, domains):
     names = list(domains)
     for values in itertools.product(*(range(lo, hi + 1) for lo, hi in domains.values())):
         model = dict(zip(names, values))
-        if all(symbolic.evaluate(c, model) for c in pc):
+        if all(lang.evaluate(c, model) for c in pc):
             yield model
 
 
@@ -34,14 +35,14 @@ def first_hit(pc, domains):
 
 def test_is_sat_simple():
     d = {"X": (0, 255)}
-    assert is_sat((binary("==", X, IntConst(97)),), d)
-    assert not is_sat((binary("==", X, IntConst(97)),
-                       binary("!=", X, IntConst(97))), d)
+    assert is_sat((binary("==", X, Num(97)),), d)
+    assert not is_sat((binary("==", X, Num(97)),
+                       binary("!=", X, Num(97))), d)
 
 
 def test_is_sat_two_variable_arithmetic():
     d = {"X": (0, 255), "Y": (0, 255)}
-    pc = (binary("==", binary("+", X, Y), IntConst(5)), binary(">", X, Y))
+    pc = (binary("==", binary("+", X, Y), Num(5)), binary(">", X, Y))
     assert is_sat(pc, d)
     # expected witnesses computed by enumeration: (3,2), (4,1), (5,0)
     assert brute_force(pc, d) == [{"X": 3, "Y": 2}, {"X": 4, "Y": 1}, {"X": 5, "Y": 0}]
@@ -51,8 +52,8 @@ def test_is_sat_two_variable_arithmetic():
 def test_get_model_is_lexicographically_smallest():
     d = {"X": (0, 255)}
     assert get_model((), d) == {"X": 0}
-    assert get_model((binary("==", X, IntConst(97)),), d) == {"X": 97}
-    pc = (binary("!=", X, IntConst(0)), binary("<", X, IntConst(5)))
+    assert get_model((binary("==", X, Num(97)),), d) == {"X": 97}
+    pc = (binary("!=", X, Num(0)), binary("<", X, Num(5)))
     assert get_model(pc, d) == {"X": 1}
     assert brute_force(pc, d)[0] == {"X": 1}
 
@@ -60,14 +61,14 @@ def test_get_model_is_lexicographically_smallest():
 def test_get_model_unsat_raises():
     d = {"X": (0, 3)}
     with pytest.raises(SolverError):
-        get_model((binary(">", X, IntConst(3)),), d)
+        get_model((binary(">", X, Num(3)),), d)
 
 
 def test_undeclared_symbol_raises():
     d = {"Y": (0, 3)}
-    c = binary("==", X, IntConst(1))
+    c = binary("==", X, Num(1))
     # also when the query is refuted before any search
-    for pc in ((c,), (c, symbolic.negate(c)), (c, c), (binary("<", Y, IntConst(0)), c)):
+    for pc in ((c,), (c, symbolic.negate(c)), (c, c), (binary("<", Y, Num(0)), c)):
         with pytest.raises(SolverError):
             is_sat(pc, d)
         with pytest.raises(SolverError):
@@ -77,25 +78,25 @@ def test_undeclared_symbol_raises():
 def test_domain_bounds_respected():
     # out-of-domain values are not models even when arithmetic would allow them
     d = {"X": (10, 20)}
-    assert not is_sat((binary("<", X, IntConst(10)),), d)
+    assert not is_sat((binary("<", X, Num(10)),), d)
     assert get_model((), d) == {"X": 10}
 
 
 def test_entailed_constant():
     d = {"X": (0, 255)}
-    pc = (binary("==", X, IntConst(3)),)
-    assert check_entailed_constant(pc, binary("+", X, IntConst(1)), d) == 4
+    pc = (binary("==", X, Num(3)),)
+    assert check_entailed_constant(pc, binary("+", X, Num(1)), d) == 4
     assert check_entailed_constant((), X, d) is None
-    pc2 = (binary("<", X, IntConst(2)), binary(">", X, IntConst(0)))
+    pc2 = (binary("<", X, Num(2)), binary(">", X, Num(0)))
     assert check_entailed_constant(pc2, X, d) == 1  # single model by enumeration
-    assert check_entailed_constant((), IntConst(9), d) == 9
+    assert check_entailed_constant((), Num(9), d) == 9
     with pytest.raises(SolverError):
-        check_entailed_constant((binary(">", X, IntConst(300)),), X, d)
+        check_entailed_constant((binary(">", X, Num(300)),), X, d)
 
 
 def test_enumerate_models_ascending():
     d = {"X": (0, 5), "Y": (0, 1)}
-    models = enumerate_models((binary(">", X, IntConst(3)),), d, 3)
+    models = enumerate_models((binary(">", X, Num(3)),), d, 3)
     assert models == [{"X": 4, "Y": 0}, {"X": 4, "Y": 1}, {"X": 5, "Y": 0}]
     assert enumerate_models((), {}, 2) == [{}]
 
@@ -104,10 +105,10 @@ def test_components_interleaved_in_declaration_order():
     # X and Z are linked, Y stands alone and W is unused, so the groups
     # interleave in declaration order.
     d = {"W": (-2, 1), "X": (0, 9), "Y": (0, 9), "Z": (0, 9)}
-    pc = (binary("==", binary("+", X, Z), IntConst(7)),
-          binary(">=", Y, IntConst(4)),
+    pc = (binary("==", binary("+", X, Z), Num(7)),
+          binary(">=", Y, Num(4)),
           binary(">", X, Z),
-          binary("!=", Y, IntConst(5)))
+          binary("!=", Y, Num(5)))
     assert get_model(pc, d) == first_hit(pc, d) == {"W": -2, "X": 4, "Y": 4, "Z": 3}
     models = enumerate_models(pc, d, 7)
     assert models == brute_force(pc, d)[:7]
@@ -117,8 +118,8 @@ def test_components_interleaved_in_declaration_order():
 
 def test_repeated_conjuncts_answer_like_the_deduplicated_query():
     d = {"X": (0, 31), "Y": (0, 31)}
-    a = binary(">", X, binary("+", Y, IntConst(7)))
-    b = binary("<", Y, IntConst(3))
+    a = binary(">", X, binary("+", Y, Num(7)))
+    b = binary("<", Y, Num(3))
     never = binary(">", Y, X)
     for pc, repeated in (((a, b), (a, b, a, binary("&&", b, a))),
                          ((a, never), (a, never, a, never))):
@@ -131,9 +132,9 @@ def test_repeated_conjuncts_answer_like_the_deduplicated_query():
 
 def test_conjunct_with_its_negation_is_unsat():
     d = {"X": (0, 255), "Y": (0, 255)}
-    either = binary("||", binary("==", X, IntConst(3)), binary("<", Y, X))
+    either = binary("||", binary("==", X, Num(3)), binary("<", Y, X))
     for c in (binary(">", X, Y), either, symbolic.negate(either)):
-        pc = (binary("<", Y, IntConst(200)), c, binary(">", X, IntConst(1)),
+        pc = (binary("<", Y, Num(200)), c, binary(">", X, Num(1)),
               symbolic.negate(c))
         assert not is_sat(pc, d)
         assert enumerate_models(pc, d, 3) == []
@@ -145,19 +146,19 @@ def test_conflict_in_one_component_skips_the_others_box(monkeypatch):
     """Z > 40 and Z < 30 conflict; the X x Y box (4M points) must not be
     enumerated to find that out."""
     d = {"X": (0, 2047), "Y": (0, 2047), "Z": (0, 63)}
-    pc = (binary(">", X, binary("+", Y, IntConst(7))), binary(">", Z, IntConst(40)),
-          binary(">", X, Y), binary("<", Z, IntConst(30)))
-    evaluate = symbolic.evaluate
+    pc = (binary(">", X, binary("+", Y, Num(7))), binary(">", Z, Num(40)),
+          binary(">", X, Y), binary("<", Z, Num(30)))
+    evaluate = lang.evaluate
     calls = 0
 
-    def counted(e, model):
+    def counted(e, model, *rest):
         nonlocal calls
         calls += 1
         if calls > 500_000:
             raise AssertionError("solver enumerated the X x Y box")
-        return evaluate(e, model)
+        return evaluate(e, model, *rest)
 
-    monkeypatch.setattr(symbolic, "evaluate", counted)
+    monkeypatch.setattr(lang, "evaluate", counted)
     assert not is_sat(pc, d)
     assert calls > 0
 
@@ -202,9 +203,9 @@ def random_condition(rng: random.Random, names, depth=0):
     def term():
         roll = rng.random()
         if roll < 0.45:
-            return SymRef(rng.choice(names))
+            return Var(rng.choice(names))
         if roll < 0.8:
-            return IntConst(rng.randint(-4, 70))
+            return Num(rng.randint(-4, 70))
         op = rng.choice(("+", "-", "*"))
         return binary(op, term(), term())
 
@@ -214,8 +215,8 @@ def random_condition(rng: random.Random, names, depth=0):
                       random_condition(rng, names, depth + 1))
     cmp_op = rng.choice(("==", "!=", "<", "<=", ">", ">="))
     cond = binary(cmp_op, term(), term())
-    if isinstance(cond, symbolic.BoolConst):
-        return binary("==", SymRef(names[0]), IntConst(rng.randint(0, 3)))
+    if isinstance(cond, lang.Bool):
+        return binary("==", Var(names[0]), Num(rng.randint(0, 3)))
     if rng.random() < 0.15:
         return symbolic.negate(cond)
     return cond

@@ -88,26 +88,28 @@ def test_fork_independence_under_random_mutation(rng):
         # process states are shared between forks: writing one in place
         # raises instead of leaking into s
         with pytest.raises(TypeError):
-            t.procs[0].env["zz"] = symbolic.IntConst(1)
+            t.procs[0].env["zz"] = lang.Num(1)
         with pytest.raises(AttributeError):
             t.procs[-1].pc_loc = 0
+        with pytest.raises(AttributeError):
+            t.barrier_pending.add(0)
         mutation = rng.randrange(5)
         if mutation == 0:
-            bind(t, 0, "zz", symbolic.IntConst(1))
+            bind(t, 0, "zz", lang.Num(1))
         elif mutation == 1:
             t.trace.append(MatchEvent(0, 1, False))
         elif mutation == 2:
-            t.barrier_pending.add(0)
+            t.barrier_pending = t.barrier_pending | {0}
         elif mutation == 3:
             update(t, len(t.procs) - 1, pc_loc=0, status=Status.ACTIVE)
         else:
-            assume(t, symbolic.BoolConst(True))
+            assume(t, lang.Bool(True))
         assert s.snapshot() == before
 
 
 def test_fork_at_branch_differs_only_in_pc(fig1):
     s = init_state(fig1, 3)
-    cond = symbolic.binary("==", symbolic.SymRef("X"), symbolic.IntConst(97))
+    cond = symbolic.binary("==", lang.Var("X"), lang.Num(97))
     a = assume(fork(s), cond)
     b = assume(fork(s), symbolic.negate(cond))
     assert a.pc == (cond,)
@@ -117,22 +119,24 @@ def test_fork_at_branch_differs_only_in_pc(fig1):
 
 def test_eval_expr_concrete_fold(fig1):
     s = init_state(fig1, 3)
-    bind(s, 0, "x", symbolic.IntConst(5))
+    bind(s, 0, "x", lang.Num(5))
     e = lang.Binary("+", lang.Var("x"), lang.Num(2))
-    assert eval_expr(s, 0, e) == symbolic.IntConst(7)
+    assert eval_expr(s, 0, e) == lang.Num(7)
 
 
 def test_eval_expr_symbolic_comparison(fig1):
     s = init_state(fig1, 3)
     e = lang.Binary("==", lang.Var("X"), lang.Num(97))
-    assert eval_expr(s, 1, e) == symbolic.BinaryOp(
-        "==", symbolic.SymRef("X"), symbolic.IntConst(97))
+    assert eval_expr(s, 1, e) == lang.Binary(
+        "==", lang.Var("X"), lang.Num(97))
+    # a constant and an input reference are terms as they are, not copies
+    assert eval_expr(s, 1, e.left) is e.left and eval_expr(s, 1, e.right) is e.right
 
 
 def test_eval_expr_builtins(fig1):
     s = init_state(fig1, 3)
-    assert eval_expr(s, 2, lang.RANK) == symbolic.IntConst(2)
-    assert eval_expr(s, 2, lang.NPROCS) == symbolic.IntConst(3)
+    assert eval_expr(s, 2, lang.RANK) == lang.Num(2)
+    assert eval_expr(s, 2, lang.NPROCS) == lang.Num(3)
 
 
 def test_eval_expr_unbound_is_engine_bug(fig1):
@@ -143,7 +147,7 @@ def test_eval_expr_unbound_is_engine_bug(fig1):
 
 def test_assume_appends(fig1):
     s = init_state(fig1, 3)
-    c = symbolic.binary("==", symbolic.SymRef("X"), symbolic.IntConst(97))
+    c = symbolic.binary("==", lang.Var("X"), lang.Num(97))
     assume(s, c)
     assert s.pc == (c,)
     # contradictory conjuncts are recorded verbatim; deciding them is the
@@ -151,7 +155,7 @@ def test_assume_appends(fig1):
     assume(s, symbolic.negate(c))
     assert s.pc == (c, symbolic.negate(c))
     with pytest.raises(EngineError):
-        assume(s, symbolic.IntConst(1))
+        assume(s, lang.Num(1))
 
 
 def test_advance_to_exit():
@@ -175,7 +179,7 @@ def test_match_transfer_binds_and_advances(fig1):
     t = branches[0]
     before_len = len(t.trace)
     t = engine.expand(t)[0]  # r1 recv from 0: matches the blocked send
-    assert t.procs[1].env["x"] == symbolic.IntConst(0)
+    assert t.procs[1].env["x"] == lang.Num(0)
     assert t.procs[0].status is Status.EXITED  # advanced past its last stmt
     assert t.procs[1].status is Status.ACTIVE
     events = t.trace[before_len:]
