@@ -17,6 +17,12 @@ hides the deadlocks the other senders lead to.
 
 A state with no runnable process and no wildcard pair, in which some
 process has not exited, is a deadlock.
+
+Each state carries the smallest model of its path condition, so a branch
+side whose guard holds on it, every terminal's witness model and half of
+each rank entailment need no search (`solver`, stage 4); each still counts
+as one solver query.  A state whose model is unknown, after a public
+`assume` that the model fails, pays one full search on its next query.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 from . import lang, ops, solver, symbolic
 from .solver import Model
 from .state import (BranchChoice, BarrierRelease, EngineError, GlobalState,
-                    StepEvent, Status, Verdict, WaitBarrier, WaitRecv,
+                    StepEvent, Status, Trace, Verdict, WaitBarrier, WaitRecv,
                     WaitRecvAny, WaitSend, advance, assume, bind, eval_expr,
                     fork, init_state, match_transfer, update)
 
@@ -89,11 +95,16 @@ class PathRecord:
     verdict: Verdict
     pc: symbolic.PathCondition
     model: Model
-    trace: Tuple
     steps: int
+    final_state: GlobalState  # the terminal state, which holds the trace
     fail_loc: Optional[int] = None
     error: Optional[str] = None
-    final_state: Optional[GlobalState] = None  # kept for differential checks
+
+    @property
+    def trace(self) -> Trace:
+        """The schedule trace, read-only: a copy of the terminal state's
+        head that shares every cell, so appending to it changes nothing."""
+        return self.final_state.trace.copy()
 
 
 @dataclass
@@ -197,10 +208,19 @@ def classify(s: GlobalState, decision=None) -> Verdict:
 # -- per-statement symbolic execution ----------------------------------------
 
 
-def _sat(s: GlobalState, extra: lang.Expr, stats: Optional[SolverStats]) -> bool:
+def _model_with(s: GlobalState, guard: lang.Expr,
+                stats: Optional[SolverStats]) -> Optional[Model]:
+    """The smallest model of `s.pc` and `guard`, or None when there is none:
+    one query.  When `guard` holds on the carried model, that model is the
+    answer; otherwise only the components `guard` touches are searched."""
     if stats is not None:
         stats.queries += 1
-    return solver.is_sat(s.pc + (extra,), s.compiled.domains)
+    if s.model is not None and solver.holds(guard, s.model):
+        return s.model
+    try:
+        return solver.get_model(s.pc + (guard,), s.compiled.domains, s.model)
+    except solver.Unsatisfiable:
+        return None
 
 
 def _resolve_rank(s: GlobalState, rank: int, e: lang.Expr,
@@ -213,7 +233,7 @@ def _resolve_rank(s: GlobalState, rank: int, e: lang.Expr,
     else:
         if stats is not None:
             stats.queries += 1
-        value = solver.check_entailed_constant(s.pc, v, s.compiled.domains)
+        value = solver.check_entailed_constant(s.pc, v, s.compiled.domains, s.model)
         if value is None:
             return None, f"rank expression {lang.expr_source(v)} is not constant under the path condition"
     if not 0 <= value < s.nprocs:
@@ -265,10 +285,11 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
         succs = []
         for taken in (True, False):  # true side explored first under DFS
             guard = cond if taken else symbolic.negate(cond)
-            if _sat(s, guard, stats):
+            model = _model_with(s, guard, stats)
+            if model is not None:
                 t = stepped()
                 t.trace.append(BranchChoice(loc, taken))
-                assume(t, guard)
+                assume(t, guard, model)
                 _jump(t, p, op.true_target if taken else op.false_target)
                 succs.append(t)
         if not succs:
@@ -349,20 +370,19 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
                 t.fail_loc = loc
             return [t]
         succs = []
-        if _sat(s, cond, stats):
-            t = stepped()
-            t.trace.append(BranchChoice(loc, True))
-            assume(t, cond)
-            advance(t, (p,))
-            succs.append(t)
-        neg = symbolic.negate(cond)
-        if _sat(s, neg, stats):
-            t = stepped()
-            t.trace.append(BranchChoice(loc, False))
-            assume(t, neg)
-            t.verdict = Verdict.ASSERT_FAIL
-            t.fail_loc = loc
-            succs.append(t)
+        for holds in (True, False):
+            guard = cond if holds else symbolic.negate(cond)
+            model = _model_with(s, guard, stats)
+            if model is not None:
+                t = stepped()
+                t.trace.append(BranchChoice(loc, holds))
+                assume(t, guard, model)
+                if holds:
+                    advance(t, (p,))
+                else:
+                    t.verdict = Verdict.ASSERT_FAIL
+                    t.fail_loc = loc
+                succs.append(t)
         if not succs:
             raise EngineError("assertion with no satisfiable direction")
         return succs
@@ -428,6 +448,7 @@ def search(program: lang.Program, nprocs: int,
             if not lo <= v <= hi:
                 raise EngineError(f"pinned value {name}={v} outside [{lo}, {hi}]")
             assume(s0, lang.Binary("==", lang.Var(name), lang.Num(v)))
+        s0.model = {name: pin_model[name] for name in domains}  # the only model
 
     stats = SolverStats()
     t_start = time.perf_counter()
@@ -449,11 +470,11 @@ def search(program: lang.Program, nprocs: int,
         if verdict is not Verdict.RUNNING:
             s.verdict = verdict
             stats.queries += 1
-            model = solver.get_model(s.pc, domains)
+            if s.model is None:
+                s.model = solver.get_model(s.pc, domains)
             records.append(PathRecord(
-                index=len(records), verdict=verdict, pc=s.pc, model=model,
-                trace=s.trace.as_tuple(), steps=s.depth, fail_loc=s.fail_loc,
-                error=s.error, final_state=s))
+                index=len(records), verdict=verdict, pc=s.pc, model=s.model,
+                steps=s.depth, final_state=s, fail_loc=s.fail_loc, error=s.error))
             continue
         if strategy.max_depth is not None and s.depth >= strategy.max_depth:
             truncated = True

@@ -253,10 +253,27 @@ def tokenize(text: str):
 # ---------------------------------------------------------------------------
 
 
+#: Deepest syntax tree the parser accepts.  A statement in a block is one
+#: level below the statement holding the block, an expression one below its
+#: statement, an operand one below its operator or parentheses: so
+#: ``x = (1 + 2);`` is four levels deep.  Every walker over the tree
+#: recurses once or twice per level, and the parser ten times per pair of
+#: parentheses, so all stay far from the interpreter's recursion limit.
+MAX_DEPTH = 64
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0  # levels above the construct being parsed
+        self.height = 0  # levels of the expression parsed last
+
+    def descend(self, tok: Token):
+        """Enter one level below the current one, at `tok`."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", tok.line, tok.col)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -336,8 +353,10 @@ class _Parser:
     def block(self):
         self.expect("{")
         stmts = []
+        self.descend(self.peek())
         while not self.at("}"):
             self.stmt(stmts)
+        self.depth -= 1
         self.next()
         return stmts
 
@@ -417,7 +436,16 @@ class _Parser:
     # Expressions, lowest precedence first: || && (== !=) (< <= > >=) (+ -) (*)
 
     def expr(self) -> Expr:
-        return self._binary(0)
+        """An expression one level below the current statement.  Operator
+        chains nest without recursing, so their depth is checked once the
+        expression's height is known."""
+        tok = self.peek()
+        self.descend(tok)
+        e = self._binary(0)
+        if self.depth + self.height - 1 > MAX_DEPTH:
+            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", tok.line, tok.col)
+        self.depth -= 1
+        return e
 
     _LEVELS = (("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="), ("+", "-"), ("*",))
 
@@ -426,24 +454,29 @@ class _Parser:
             return self._unary()
         ops = self._LEVELS[level]
         e = self._binary(level + 1)
+        height = self.height
         while self.peek().kind in ops:
             op = self.next().kind
             rhs = self._binary(level + 1)
             e = Binary(op, e, rhs)
+            height = 1 + max(height, self.height)
+        self.height = height
         return e
 
     def _unary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "-":
+        if tok.kind in ("-", "!"):
             self.next()
-            return Unary("-", self._unary())
-        if tok.kind == "!":
-            self.next()
-            return Unary("!", self._unary())
+            self.descend(tok)
+            e = Unary(tok.kind, self._unary())
+            self.depth -= 1
+            self.height += 1
+            return e
         return self._primary()
 
     def _primary(self) -> Expr:
         tok = self.peek()
+        self.height = 1
         if tok.kind == "int":
             self.next()
             return Num(tok.value)
@@ -458,7 +491,10 @@ class _Parser:
             return Var(tok.value)
         if tok.kind == "(":
             self.next()
-            e = self.expr()
+            self.descend(tok)
+            e = self._binary(0)
+            self.depth -= 1
+            self.height += 1
             self.expect(")")
             return e
         self.error(f"expected an expression, found {tok.value!r}")

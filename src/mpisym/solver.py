@@ -1,7 +1,8 @@
 """Satisfiability of path conditions over bounded integer domains.
 
 Each symbolic input ranges over a declared inclusive interval.  Deciding a
-path condition runs in three stages:
+path condition runs in three stages, and a fourth, after the argument for
+smallest models, lets the engine skip most searches:
 
 1. Pre-pass.  Top-level conjunctions are flattened and repeated conjuncts
    dropped.  A conjunct present together with its `symbolic.negate` refutes
@@ -26,6 +27,21 @@ earlier inputs of its own group.  `enumerate_models` runs the generator
 over all inputs at once, without splitting.  The smallest model keeps
 generated test cases and golden files stable.
 
+4. Carried model.  Each engine state carries the smallest model of its
+   path condition, so most queries need no full search.  On a guard `g`
+   that holds on the carried model, that model is the smallest model of
+   `pc ∧ g` too: every model of `pc ∧ g` is a model of `pc`, and none is
+   smaller than the smallest one.  Otherwise `get_model(pc + (g,), d,
+   known)` re-solves only the components of the new query that share a
+   variable with `g`.  Every other component is one of `pc`'s, unchanged
+   (the pre-pass decides each conjunct on its own), and keeps its values
+   from `known`: because components share no variables, the smallest model
+   is the smallest model of each component, by the argument above.  A rank
+   entailment evaluates `e` on the carried model to `v` and searches only
+   the components of `e` for a model of `pc ∧ e != v`.  `holds` is the
+   check on the carried model; it rejects an integer term as `_prepare`
+   does.
+
 Arithmetic is exact (Python integers); only the declared domains are
 bounded, so no overflow behavior exists to model.
 """
@@ -48,6 +64,10 @@ Model = Dict[str, int]
 
 class SolverError(Exception):
     pass
+
+
+class Unsatisfiable(SolverError):
+    """The query has no model."""
 
 
 def domains_of(program: lang.Program) -> Domains:
@@ -244,17 +264,38 @@ def _models(conjuncts: Conjuncts, names: List[str],
     return descend(0)
 
 
-def _solve(pc: PathCondition, domains: Domains) -> Optional[Model]:
+def _solve(pc: PathCondition, domains: Domains,
+           known: Optional[Model] = None) -> Optional[Model]:
+    """The smallest model of `pc`, or None when it has none.  `known`, when
+    given, is the smallest model of `pc[:-1]`: only the components that
+    share a variable with `pc[-1]` are searched, and every other input
+    keeps its value from `known`."""
     conjuncts = _prepare(pc, domains)
     if conjuncts is None:
         return None
-    model = {name: lo for name, (lo, _) in domains.items()}
+    if known is None:
+        model = {name: lo for name, (lo, _) in domains.items()}
+        touched = None
+    else:
+        model = dict(known)
+        touched = symbolic.free_syms(pc[-1])
     for names, group in _components(conjuncts, domains):
+        if touched is not None and touched.isdisjoint(names):
+            continue
         m = next(_models(group, names, domains), None)
         if m is None:
             return None
         model.update(m)
     return model
+
+
+def holds(cond: Expr, model: Model) -> bool:
+    """True when the boolean term `cond` is true under `model`, which
+    assigns every input it mentions.  No search; an integer term is
+    rejected as every query rejects it."""
+    if lang.sort_of(cond) != "bool":
+        raise SolverError(f"not a boolean expression: {cond!r}")
+    return lang.evaluate(cond, model)
 
 
 def is_sat(pc: PathCondition, domains: Domains) -> bool:
@@ -263,18 +304,25 @@ def is_sat(pc: PathCondition, domains: Domains) -> bool:
     return _solve(pc, domains) is not None
 
 
-def get_model(pc: PathCondition, domains: Domains) -> Model:
+def get_model(pc: PathCondition, domains: Domains,
+              known: Optional[Model] = None) -> Model:
     """The lexicographically smallest satisfying assignment under
-    declaration order; every declared input is assigned."""
-    m = _solve(pc, domains)
+    declaration order; every declared input is assigned.  Raises
+    Unsatisfiable when there is none.  `known`, when given, is the smallest
+    model of `pc[:-1]`, and then only the components that share a variable
+    with `pc[-1]` are searched."""
+    m = _solve(pc, domains, known)
     if m is None:
-        raise SolverError("get_model called on an unsatisfiable path condition")
+        raise Unsatisfiable("get_model called on an unsatisfiable path condition")
     return m
 
 
-def check_entailed_constant(pc: PathCondition, e: Expr,
-                            domains: Domains) -> Optional[int]:
-    """Return v when every model of pc gives `e` the value v, else None."""
+def check_entailed_constant(pc: PathCondition, e: Expr, domains: Domains,
+                            model: Optional[Model] = None) -> Optional[int]:
+    """Return v when every model of pc gives `e` the value v, else None.
+    `model`, when given, is the smallest model of `pc`; it saves the search
+    for one.  Either way only the components that share a variable with `e`
+    are searched for a model giving `e` another value."""
     if lang.sort_of(e) != "int":
         raise SolverError("entailment check needs an integer-sorted expression")
     if isinstance(e, Num):
@@ -282,11 +330,12 @@ def check_entailed_constant(pc: PathCondition, e: Expr,
     for name in symbolic.free_syms(e):
         if name not in domains:
             raise SolverError(f"undeclared symbolic input {name!r}")
-    m = _solve(pc, domains)
-    if m is None:
-        raise SolverError("entailment check on an unsatisfiable path condition")
-    v = lang.evaluate(e, m)
-    if _solve(pc + (Binary("!=", e, Num(v)),), domains) is None:
+    if model is None:
+        model = _solve(pc, domains)
+        if model is None:
+            raise Unsatisfiable("entailment check on an unsatisfiable path condition")
+    v = lang.evaluate(e, model)
+    if _solve(pc + (Binary("!=", e, Num(v)),), domains, model) is None:
         return v
     return None
 

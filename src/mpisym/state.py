@@ -12,6 +12,10 @@ into the writing state's list, the engine assigns a new barrier set, and
 appending to a trace adds a cell that only the appending state points to.
 An in-place write to a shared ProcState, its environment or the barrier
 set raises instead of leaking into another fork.
+
+A state also carries `model`, the smallest model of its path condition,
+or None while it is unknown; the initial one sets every input to the low
+end of its domain.  Forks share the dict and nothing mutates it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from . import lang, ops, symbolic
 
 if TYPE_CHECKING:
     from .lang import Expr
+    from .solver import Model
 
 
 class EngineError(Exception):
@@ -199,7 +204,7 @@ _new_proc = tuple.__new__  # skips NamedTuple's Python-level __new__ on hot writ
 
 
 class GlobalState:
-    __slots__ = ("compiled", "nprocs", "procs", "pc", "next_proc_candidate",
+    __slots__ = ("compiled", "nprocs", "procs", "pc", "model", "next_proc_candidate",
                  "barrier_pending", "barrier_epochs", "trace", "verdict",
                  "fail_loc", "error", "depth")
 
@@ -211,6 +216,7 @@ class GlobalState:
         self.procs: List[ProcState] = [ProcState(r, start, _EMPTY_ENV, status, None)
                                        for r in range(nprocs)]
         self.pc: symbolic.PathCondition = ()
+        self.model: Optional[Model] = {name: lo for name, (lo, _) in compiled.domains.items()}
         self.next_proc_candidate: Optional[int] = None
         self.barrier_pending: FrozenSet[int] = frozenset()
         self.barrier_epochs = 0
@@ -233,7 +239,8 @@ class GlobalState:
         return (tuple(p.snapshot() for p in self.procs), self.pc,
                 self.next_proc_candidate, self.barrier_pending,
                 self.barrier_epochs, self.trace.as_tuple(), self.verdict,
-                self.fail_loc, self.error)
+                self.fail_loc, self.error,
+                None if self.model is None else tuple(self.model.items()))
 
 
 def init_state(program: lang.Program, nprocs: int) -> GlobalState:
@@ -252,6 +259,7 @@ def fork(s: GlobalState) -> GlobalState:
     t.nprocs = s.nprocs
     t.procs = s.procs.copy()
     t.pc = s.pc
+    t.model = s.model
     t.next_proc_candidate = s.next_proc_candidate
     t.barrier_pending = s.barrier_pending
     t.barrier_epochs = s.barrier_epochs
@@ -308,11 +316,19 @@ def eval_expr(s: GlobalState, rank: int, e: Expr) -> Expr:
     return symbolic.binary(e.op, eval_expr(s, rank, e.left), eval_expr(s, rank, e.right))
 
 
-def assume(s: GlobalState, cond: Expr) -> GlobalState:
-    """Append a boolean constraint to the path condition (no solver call)."""
+def assume(s: GlobalState, cond: Expr, model: Optional[Model] = None) -> GlobalState:
+    """Append a boolean constraint to the path condition (no solver call).
+
+    `model`, when given, is the smallest model of the new path condition.
+    Otherwise the carried model stays when `cond` holds on it, since it is
+    then still the smallest, and becomes unknown (None) when not."""
     if lang.sort_of(cond) != "bool":
         raise EngineError("assume needs a boolean-sorted expression")
     s.pc = s.pc + (cond,)
+    if model is not None:
+        s.model = model
+    elif s.model is not None and not lang.evaluate(cond, s.model):
+        s.model = None
     return s
 
 

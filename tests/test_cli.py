@@ -1,8 +1,9 @@
+import re
 import shutil
 
 import pytest
 
-from mpisym import cli, corpus, report
+from mpisym import cli, corpus, lang, report
 
 
 @pytest.fixture()
@@ -266,3 +267,40 @@ def test_non_decimal_digit_is_a_located_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 1
     assert err == "mpisym: error: 2:8: unexpected character '²'\n"
+
+
+def _nested_parens(n):  # levels: the statement, n pairs, the leaf
+    return "x = " + "(" * n + "X" + ")" * n + ";\nassert (x >= 0);"
+
+
+def _nested_ifs(n):  # levels: n if statements, then the body's leaf
+    return "if (X > 0) { " * n + "x = 1;" + " }" * n
+
+
+def _chain(n):  # levels: the statement, then n terms of a left-nested chain
+    return "x = " + " + ".join(["X"] * n) + ";\nassert (x < 5);"
+
+
+@pytest.mark.parametrize("shape, at_limit", [
+    (_nested_parens, lang.MAX_DEPTH - 2),
+    (_nested_ifs, lang.MAX_DEPTH - 2),
+    (_chain, lang.MAX_DEPTH - 1),
+])
+def test_nesting_limit(capsys, tmp_path, shape, at_limit):
+    """At the depth limit a program runs through analyze and compare; one
+    level past it, and far past it, is a parse error with a position."""
+    def source(n):
+        return f"symbolic\nsym X : int[0..1];\nprogram (nprocs = 2) {{\n{shape(n)}\n}}\n"
+
+    path = tmp_path / "deep.mpisym"
+    path.write_text(source(at_limit))
+    for command in ("analyze", "compare"):
+        code, out, err = run(capsys, command, str(path))
+        assert code in (0, 2), (command, err)
+        assert out and not err
+    for n in (at_limit + 1, 1000):
+        path.write_text(source(n))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1 and not out
+        assert re.search(rf"\d+:\d+: nested deeper than {lang.MAX_DEPTH} levels$",
+                         err.strip()), err

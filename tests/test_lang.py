@@ -475,3 +475,33 @@ def test_reimport_releases_the_previous_modules():
         for k in ours():
             del sys.modules[k]
         sys.modules.update(saved)
+
+
+def test_nesting_limit_counts_every_level():
+    """`x = (1 + 2);` is four levels deep: statement, parentheses, operator,
+    operands.  Unary operators and blocks of any statement count too."""
+    limit = lang.MAX_DEPTH
+
+    def depth_ok(text):
+        try:
+            lang.parse_program(text)
+        except ParseError as exc:
+            assert exc.message == f"nested deeper than {limit} levels"
+            assert exc.line == 1 and exc.col > 0
+            return False
+        return True
+
+    def padded(k, inner):  # k enclosing repeat blocks, each one level
+        return "program { " + "repeat 1 { " * k + inner + " }" * k + " }"
+
+    assert depth_ok(padded(limit - 4, "x = (1 + 2);"))
+    assert not depth_ok(padded(limit - 3, "x = (1 + 2);"))
+    shapes = (
+        (lambda n: "program { x = " + "-" * n + "1; }", limit - 2),
+        (lambda n: "program { x = " + "!" * n + "(1 < 2); }", limit - 4),
+        (lambda n: padded(n, ""), limit - 1),  # an empty block is a level too
+    )
+    for shape, at_limit in shapes:
+        assert depth_ok(shape(at_limit))
+        assert not depth_ok(shape(at_limit + 1))
+        assert not depth_ok(shape(5000))

@@ -120,9 +120,9 @@ def test_replay_uses_no_solver(corpus_entries, monkeypatch):
 
     p, rep = search_records(corpus_entries["assert-payload"])
     cases = [make_testcase(rec, p, 2) for rec in rep.records]
-    monkeypatch.setattr(solver, "is_sat", boom)
-    monkeypatch.setattr(solver, "get_model", boom)
-    monkeypatch.setattr(solver, "check_entailed_constant", boom)
+    for name in ("is_sat", "get_model", "check_entailed_constant",
+                 "enumerate_models", "holds", "_solve", "_models"):
+        monkeypatch.setattr(solver, name, boom)
     for tc in cases:
         assert replay_testcase(p, tc).ok
 

@@ -1,20 +1,29 @@
 import itertools
+import operator
 import random
 
 import pytest
 
 from mpisym import lang, symbolic
-from mpisym.lang import Num, Var
-from mpisym.solver import (SolverError, check_entailed_constant, get_model,
-                           is_sat, enumerate_models)
+from mpisym.lang import Bool, Num, Unary, Var
+from mpisym.solver import (SolverError, Unsatisfiable, check_entailed_constant,
+                           enumerate_models, get_model, holds, is_sat)
 from mpisym.symbolic import binary
+
+try:
+    import numpy as np
+except ImportError:  # the Python walk then answers every case
+    np = None
 
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 
 
-def _hits(pc, domains):
-    """Independent oracle: walk the full product domain in ascending
+# -- independent oracles --------------------------------------------------------
+
+
+def _python_hits(pc, domains):
+    """Reference oracle: walk the full product domain in ascending
     lexicographic order and yield every model of pc."""
     names = list(domains)
     for values in itertools.product(*(range(lo, hi + 1) for lo, hi in domains.values())):
@@ -23,14 +32,86 @@ def _hits(pc, domains):
             yield model
 
 
+#: Largest magnitude an intermediate value may reach on the int64 path.
+INT64_SAFE = 2 ** 62
+
+_ARRAY_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "&&": operator.and_, "||": operator.or_,
+}
+
+
+def max_magnitude(e, domains) -> int:
+    """An upper bound on the magnitude of every integer value that `e` and
+    its sub-terms take over the domain box (exact Python arithmetic)."""
+    if isinstance(e, Bool):
+        return 0
+    if isinstance(e, Num):
+        return abs(e.value)
+    if isinstance(e, Var):
+        return max(abs(bound) for bound in domains[e.name])
+    if isinstance(e, Unary):
+        return max_magnitude(e.operand, domains)
+    a = max_magnitude(e.left, domains)
+    b = max_magnitude(e.right, domains)
+    if e.op == "*":
+        return max(a, b, a * b)
+    if e.op in ("+", "-"):
+        return a + b
+    return max(a, b)  # comparison or connective: its operands' values
+
+
+def array_evaluate(e, grid):
+    """The value of `e` at every point of the box at once; `grid` maps each
+    input to its coordinate array.  Independent of `lang.evaluate`."""
+    if isinstance(e, (Num, Bool)):
+        return e.value
+    if isinstance(e, Var):
+        return grid[e.name]
+    if isinstance(e, Unary):
+        v = array_evaluate(e.operand, grid)
+        return -v if e.op == "-" else np.logical_not(v)
+    return _ARRAY_OPS[e.op](array_evaluate(e.left, grid), array_evaluate(e.right, grid))
+
+
+def _numpy_hits(pc, domains, limit):
+    """Up to `limit` models of pc, smallest first: evaluate every conjunct
+    over an `ij` meshgrid of the box, whose C order is ascending
+    lexicographic order, and take the hits with `flatnonzero`."""
+    names = list(domains)
+    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in domains.values()]
+    grid = dict(zip(names, np.meshgrid(*axes, indexing="ij", sparse=True)))
+    shape = tuple(len(a) for a in axes)
+    mask = np.ones(shape, dtype=bool)
+    for c in pc:
+        mask &= array_evaluate(c, grid)
+    hits = np.flatnonzero(mask)[:limit]
+    lows = [lo for lo, _ in domains.values()]
+    return [{name: lo + int(i) for name, lo, i in zip(names, lows, point)}
+            for point in zip(*np.unravel_index(hits, shape))]
+
+
+def numpy_applies(pc, domains) -> bool:
+    """The numpy oracle answers only when it exists, the box has a
+    dimension and no intermediate value can leave int64."""
+    return (np is not None and bool(domains)
+            and all(max_magnitude(c, domains) <= INT64_SAFE for c in pc))
+
+
 def brute_force(pc, domains):
     """Every model of pc, smallest first."""
-    return list(_hits(pc, domains))
+    if numpy_applies(pc, domains):
+        return _numpy_hits(pc, domains, None)
+    return list(_python_hits(pc, domains))
 
 
 def first_hit(pc, domains):
-    """The smallest model of pc, or None; stops at the first hit."""
-    return next(_hits(pc, domains), None)
+    """The smallest model of pc, or None."""
+    if numpy_applies(pc, domains):
+        return next(iter(_numpy_hits(pc, domains, 1)), None)
+    return next(_python_hits(pc, domains), None)
 
 
 def test_is_sat_simple():
@@ -189,6 +270,46 @@ def test_agreement_on_shared_conjunct_pool(rng):
         assert enumerate_models(pc, domains, 4) == expected[:4], (pc, domains)
 
 
+def test_known_model_answers_like_a_full_search(rng):
+    """Given the smallest model of pc, a query on pc and one more conjunct
+    searches only the components that conjunct touches; the answers are
+    those of the oracle, and so are the rank entailments."""
+    scopes = (("X",), ("Y",), ("Z",), ("X", "Z"), ("X", "Y"))
+    checked = 0
+    for case in range(300):
+        domains = {}
+        for n in ("X", "Y", "Z"):
+            lo = rng.randint(-4, 8)
+            domains[n] = (lo, lo + rng.randint(0, 9))
+        pc = tuple(random_condition(rng, rng.choice(scopes)) for _ in range(rng.randint(0, 3)))
+        known = first_hit(pc, domains)
+        if known is None:
+            continue
+        guard = random_condition(rng, rng.choice(scopes))
+        expected = first_hit(pc + (guard,), domains)
+        if expected is None:
+            with pytest.raises(Unsatisfiable):
+                get_model(pc + (guard,), domains, known)
+        else:
+            assert get_model(pc + (guard,), domains, known) == expected, (pc, guard)
+            assert holds(guard, expected)
+        e = binary("+", Var(rng.choice("XYZ")), Num(rng.randint(0, 3)))
+        values = {lang.evaluate(e, m) for m in brute_force(pc, domains)}
+        want = values.pop() if len(values) == 1 else None
+        assert check_entailed_constant(pc, e, domains, known) == want, (pc, e)
+        assert check_entailed_constant(pc, e, domains) == want, (pc, e)
+        checked += 1
+    assert checked > 150
+
+
+def test_holds_rejects_an_integer_term():
+    assert holds(binary(">", X, Num(2)), {"X": 3})
+    with pytest.raises(SolverError):
+        holds(binary("+", X, Num(1)), {"X": 3})
+    with pytest.raises(Unsatisfiable):
+        check_entailed_constant((binary(">", X, Num(300)),), X, {"X": (0, 255)})
+
+
 def test_monotone_under_strengthening(rng):
     d = {"X": (0, 63), "Y": (0, 63)}
     for _ in range(100):
@@ -243,3 +364,30 @@ def test_brute_force_agreement_1000_cases(rng):
             assert model == expected, (pc, domains)  # smallest model
         agree += 1
     assert agree == 1000
+
+
+def test_oracle_takes_the_python_walk_past_int64():
+    d = {"X": (-3, 3)}
+    big = binary("*", binary("*", X, Num(2 ** 40)), Num(2 ** 40))
+    pc = (binary(">", big, Num(2 ** 81)),)
+    assert not numpy_applies(pc, d)
+    assert first_hit(pc, d) == {"X": 3} and brute_force(pc, d) == [{"X": 3}]
+
+
+def test_numpy_oracle_matches_the_python_walk(rng):
+    """The numpy oracle itself, pinned against the Python walk on the
+    agreement tests' case shape, with smaller domains."""
+    if np is None:
+        pytest.skip("numpy is not installed, so no oracle answer comes from it")
+    for case in range(300):
+        nvars = rng.randint(1, 3)
+        names = ("X", "Y", "Z")[:nvars]
+        domains = {}
+        for n in names:
+            lo = rng.randint(-8, 32)
+            domains[n] = (lo, lo + rng.randint(0, 15))
+        pc = tuple(random_condition(rng, names) for _ in range(rng.randint(1, 4)))
+        assert numpy_applies(pc, domains)
+        expected = list(_python_hits(pc, domains))
+        assert _numpy_hits(pc, domains, None) == expected, (pc, domains)
+        assert _numpy_hits(pc, domains, 1) == expected[:1], (pc, domains)

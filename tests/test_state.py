@@ -2,7 +2,7 @@ import pytest
 
 from mpisym import engine, lang, report, symbolic
 from mpisym.state import (BarrierRelease, EngineError, MatchEvent, Status,
-                          StepEvent, Verdict, WaitBarrier, WaitSend, advance,
+                          StepEvent, Trace, Verdict, WaitBarrier, WaitSend, advance,
                           assume, bind, eval_expr, fork, init_state,
                           match_transfer, update)
 from randprog import random_program
@@ -333,7 +333,10 @@ def test_deep_path_has_no_recursion_limit():
     rep = engine.search(program, 8)
     [rec] = rep.records
     assert rec.verdict is Verdict.TERMINATED
-    assert isinstance(rec.trace, tuple) and len(rec.trace) > 20000
+    assert isinstance(rec.trace, Trace) and len(rec.trace) > 20000
+    n = len(rec.trace)
+    rec.trace.append(StepEvent(0, 0))  # the record's trace is a read-only view
+    assert len(rec.trace) == n
     final = rec.final_state
     assert final.trace == list(rec.trace) and final.trace == rec.trace
     assert final.trace == fork(final).trace
