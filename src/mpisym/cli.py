@@ -123,7 +123,11 @@ def _parse_set(pairs, program) -> dict:
         name = name.strip()
         if name not in domains:
             raise lang.LangError(f"--set names undeclared input {name!r}")
-        model[name] = int(value_text)
+        value = int(value_text)
+        lo, hi = domains[name]
+        if not lo <= value <= hi:
+            raise lang.LangError(f"--set {name}={value} outside its domain [{lo}, {hi}]")
+        model[name] = value
     missing = [n for n in domains if n not in model]
     if missing:
         raise lang.LangError(f"--set must assign every input; missing {missing}")
@@ -162,6 +166,9 @@ def cmd_compare(args) -> int:
         if findings:
             sys.stderr.write(report.render_validation(findings))
             return EXIT_USAGE
+        if args.enumerate_models < 1:
+            raise ValueError("--enumerate-models must be positive")
+        engine.SearchStrategy(max_states=args.max_states)  # rejects --max-states < 1
         if args.set:
             models = [_parse_set(args.set, program)]
         else:

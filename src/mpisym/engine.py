@@ -269,34 +269,43 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
         t.trace.append(StepEvent(p, loc))
         return t
 
-    if isinstance(op, ops.OpAssign):
+    if isinstance(op, lang.Assign):
         t = stepped()
         bind(t, p, op.var, eval_expr(t, p, op.expr))
         advance(t, (p,))
         return [t]
 
     if isinstance(op, ops.OpBranch):
+        # One rule for `if` and `assert`: a side whose target is None fails
+        # the assertion.  Only a symbolic condition asks the solver, once
+        # per side; the true side is explored first under DFS.
         cond = eval_expr(s, p, op.cond)
-        if isinstance(cond, lang.Bool):
-            t = stepped()
-            t.trace.append(BranchChoice(loc, cond.value))
-            _jump(t, p, op.true_target if cond.value else op.false_target)
-            return [t]
+        concrete = isinstance(cond, lang.Bool)
         succs = []
-        for taken in (True, False):  # true side explored first under DFS
-            guard = cond if taken else symbolic.negate(cond)
-            model = _model_with(s, guard, stats)
-            if model is not None:
-                t = stepped()
-                t.trace.append(BranchChoice(loc, taken))
+        for taken in (cond.value,) if concrete else (True, False):
+            if not concrete:
+                guard = cond if taken else symbolic.negate(cond)
+                model = _model_with(s, guard, stats)
+                if model is None:
+                    continue
+            t = stepped()
+            t.trace.append(BranchChoice(loc, taken))
+            if not concrete:
                 assume(t, guard, model)
-                _jump(t, p, op.true_target if taken else op.false_target)
-                succs.append(t)
+            target = op.true_target if taken else op.false_target
+            if target is None:
+                t.verdict = Verdict.ASSERT_FAIL
+                t.fail_loc = loc
+            elif target < t.compiled.end:
+                update(t, p, pc_loc=target)
+            else:  # a target past the end of the body exits the process
+                update(t, p, pc_loc=target, status=Status.EXITED, blocked_on=None)
+            succs.append(t)
         if not succs:
-            raise EngineError("both branch directions unsatisfiable on a live path")
+            raise EngineError("no side of a guarded step is satisfiable on a live path")
         return succs
 
-    if isinstance(op, ops.OpSend):
+    if isinstance(op, lang.Send):
         dest, err = _resolve_rank(s, p, op.dest, stats)
         if err is not None:
             return [_error_terminal(s, p, loc, err)]
@@ -312,7 +321,7 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
             t.next_proc_candidate = dest
         return [t]
 
-    if isinstance(op, ops.OpRecv):
+    if isinstance(op, lang.Recv):
         if op.src is None:
             t = stepped()
             update(t, p, status=Status.INACTIVE, blocked_on=WaitRecvAny(op.var))
@@ -329,7 +338,7 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
             t.next_proc_candidate = src
         return [t]
 
-    if isinstance(op, ops.OpBarrier):
+    if isinstance(op, lang.Barrier):
         t = stepped()
         if not t.barrier_pending:
             # Open an epoch over every rank; exited members never arrive,
@@ -358,50 +367,12 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
                 advance(t, sorted(participants))
         return [t]
 
-    if isinstance(op, ops.OpAssert):
-        cond = eval_expr(s, p, op.cond)
-        if isinstance(cond, lang.Bool):
-            t = stepped()
-            t.trace.append(BranchChoice(loc, cond.value))
-            if cond.value:
-                advance(t, (p,))
-            else:
-                t.verdict = Verdict.ASSERT_FAIL
-                t.fail_loc = loc
-            return [t]
-        succs = []
-        for holds in (True, False):
-            guard = cond if holds else symbolic.negate(cond)
-            model = _model_with(s, guard, stats)
-            if model is not None:
-                t = stepped()
-                t.trace.append(BranchChoice(loc, holds))
-                assume(t, guard, model)
-                if holds:
-                    advance(t, (p,))
-                else:
-                    t.verdict = Verdict.ASSERT_FAIL
-                    t.fail_loc = loc
-                succs.append(t)
-        if not succs:
-            raise EngineError("assertion with no satisfiable direction")
-        return succs
-
-    if isinstance(op, ops.OpExit):
+    if isinstance(op, lang.Exit):
         t = stepped()
         update(t, p, pc_loc=t.compiled.end, status=Status.EXITED, blocked_on=None)
         return [t]
 
     raise EngineError(f"cannot execute {op!r}")
-
-
-def _jump(s: GlobalState, p: int, target: int):
-    """Move rank p's cursor to a branch target; a target past the end of
-    the body exits the process."""
-    if target >= s.compiled.end:
-        update(s, p, pc_loc=target, status=Status.EXITED, blocked_on=None)
-    else:
-        update(s, p, pc_loc=target)
 
 
 def expand(s: GlobalState, stats: Optional[SolverStats] = None,

@@ -1,5 +1,13 @@
 """Lowering of structured bodies to a flat statement table.
 
+The table holds the parser's own statements: every `lang.Assign`,
+`lang.Send`, `lang.Recv`, `lang.Barrier` and `lang.Exit` is entered as it
+is.  Only the two guarded statements change shape, into an `OpBranch`:
+`if (c)` branches to its then-block or its else-block, and `assert (c)`
+at entry `i` is `OpBranch(c, i + 1, None)`, a branch whose false side
+fails the assertion where it stands.  Each interpreter thus has one rule
+for a guarded step.
+
 A process cursor is then a single integer index; `end` (== len(ops)) means
 the process ran off the end of its body.  Branch joins become jump entries
 that are resolved away at lowering time, so a cursor never rests on one:
@@ -15,47 +23,10 @@ from . import lang
 
 
 @dataclass(frozen=True)
-class OpAssign:
-    var: str
-    expr: lang.Expr
-    line: int
-
-
-@dataclass(frozen=True)
 class OpBranch:
     cond: lang.Expr
     true_target: int
-    false_target: int
-    line: int
-
-
-@dataclass(frozen=True)
-class OpSend:
-    payload: lang.Expr
-    dest: lang.Expr
-    line: int
-
-
-@dataclass(frozen=True)
-class OpRecv:
-    var: str
-    src: Optional[lang.Expr]  # None receives from any sender
-    line: int
-
-
-@dataclass(frozen=True)
-class OpBarrier:
-    line: int
-
-
-@dataclass(frozen=True)
-class OpAssert:
-    cond: lang.Expr
-    line: int
-
-
-@dataclass(frozen=True)
-class OpExit:
+    false_target: Optional[int]  # None: an assertion, which fails here
     line: int
 
 
@@ -84,19 +55,7 @@ class CompiledProgram:
 
 def _lower_block(stmts, out: list):
     for st in stmts:
-        if isinstance(st, lang.Assign):
-            out.append(OpAssign(st.var, st.expr, st.line))
-        elif isinstance(st, lang.Send):
-            out.append(OpSend(st.payload, st.dest, st.line))
-        elif isinstance(st, lang.Recv):
-            out.append(OpRecv(st.var, st.src, st.line))
-        elif isinstance(st, lang.Barrier):
-            out.append(OpBarrier(st.line))
-        elif isinstance(st, lang.Assert):
-            out.append(OpAssert(st.cond, st.line))
-        elif isinstance(st, lang.Exit):
-            out.append(OpExit(st.line))
-        elif isinstance(st, lang.If):
+        if isinstance(st, lang.If):
             branch_at = len(out)
             out.append(None)  # patched below
             _lower_block(st.then_body, out)
@@ -107,8 +66,10 @@ def _lower_block(stmts, out: list):
             join = len(out)
             out[branch_at] = OpBranch(st.cond, branch_at + 1, else_start, st.line)
             out[jump_at] = _Jump(join)
-        else:  # pragma: no cover - parser produces no other nodes
-            raise lang.LangError(f"cannot lower {st!r}")
+        elif isinstance(st, lang.Assert):
+            out.append(OpBranch(st.cond, len(out) + 1, None, st.line))
+        else:
+            out.append(st)  # Assign, Send, Recv, Barrier, Exit: as parsed
 
 
 def _resolve(ops, i: int) -> int:
@@ -128,8 +89,9 @@ def _lower(program: lang.Program) -> CompiledProgram:
     ops = []
     for op in raw:
         if isinstance(op, OpBranch):
+            false_target = None if op.false_target is None else _resolve(raw, op.false_target)
             ops.append(OpBranch(op.cond, _resolve(raw, op.true_target),
-                                _resolve(raw, op.false_target), op.line))
+                                false_target, op.line))
         else:
             ops.append(op)
     next_of = tuple(_resolve(raw, i + 1) for i in range(len(ops)))

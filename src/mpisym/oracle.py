@@ -87,7 +87,7 @@ class Local:
 
 GlobalAction = object
 
-_LOCAL_OPS = (ops.OpAssign, ops.OpBranch, ops.OpAssert, ops.OpExit)
+_LOCAL_OPS = (lang.Assign, ops.OpBranch, lang.Exit)
 
 
 # -- concrete states ----------------------------------------------------------
@@ -135,7 +135,7 @@ def canonical_key(cursors, envs, compiled: ops.CompiledProgram, nprocs: int):
     are deliberately excluded."""
     at_barrier = frozenset(
         r for r in range(nprocs)
-        if cursors[r] < compiled.end and isinstance(compiled.op_at(cursors[r]), ops.OpBarrier))
+        if cursors[r] < compiled.end and isinstance(compiled.op_at(cursors[r]), lang.Barrier))
     pending = frozenset(range(nprocs)) - at_barrier if at_barrier else frozenset()
     return (
         tuple(cursors),
@@ -161,14 +161,14 @@ def enabled(s: ConcreteState) -> List[GlobalAction]:
     for i, op in enumerate(current):
         if isinstance(op, _LOCAL_OPS):
             locals_.append(Local(i))
-        elif isinstance(op, ops.OpBarrier):
+        elif isinstance(op, lang.Barrier):
             barriers += 1
-        elif isinstance(op, ops.OpSend):
+        elif isinstance(op, lang.Send):
             j = s.eval(i, op.dest)
             if not 0 <= j < n or j == i:
                 raise OracleError(f"send destination {j} invalid at rank {i}")
             partner = current[j]
-            if isinstance(partner, ops.OpRecv):
+            if isinstance(partner, lang.Recv):
                 if partner.src is None:
                     stars.append(SRStar(i, j))
                 elif s.eval(j, partner.src) == i:
@@ -187,19 +187,16 @@ def step(s: ConcreteState, action: GlobalAction) -> Optional[bool]:
         op = s.current_op(r)
         if isinstance(op, ops.OpBranch):
             taken = bool(s.eval(r, op.cond))
-            cursors[r] = op.true_target if taken else op.false_target
+            target = op.true_target if taken else op.false_target
+            if target is None:  # a failed assertion moves no cursor
+                s.fail_loc = cursors[r]
+            else:
+                cursors[r] = target
             return taken
-        elif isinstance(op, ops.OpAssign):
+        elif isinstance(op, lang.Assign):
             s.envs[r] = {**s.envs[r], op.var: s.eval(r, op.expr)}
             cursors[r] = next_of[cursors[r]]
-        elif isinstance(op, ops.OpAssert):
-            holds = bool(s.eval(r, op.cond))
-            if holds:
-                cursors[r] = next_of[cursors[r]]
-            else:
-                s.fail_loc = cursors[r]
-            return holds
-        elif isinstance(op, ops.OpExit):
+        elif isinstance(op, lang.Exit):
             cursors[r] = s.compiled.end
         else:
             raise OracleError(f"Local({r}) not enabled")
@@ -207,13 +204,13 @@ def step(s: ConcreteState, action: GlobalAction) -> Optional[bool]:
         i, j = action.sender, action.receiver
         send_op = s.current_op(i)
         recv_op = s.current_op(j)
-        if not isinstance(send_op, ops.OpSend) or not isinstance(recv_op, ops.OpRecv):
+        if not isinstance(send_op, lang.Send) or not isinstance(recv_op, lang.Recv):
             raise OracleError(f"{action!r} not enabled")
         s.envs[j] = {**s.envs[j], recv_op.var: s.eval(i, send_op.payload)}
         cursors[i] = next_of[cursors[i]]
         cursors[j] = next_of[cursors[j]]
     elif isinstance(action, B):
-        if not all(isinstance(s.current_op(r), ops.OpBarrier) for r in range(s.nprocs)):
+        if not all(isinstance(s.current_op(r), lang.Barrier) for r in range(s.nprocs)):
             raise OracleError("barrier applied while some process is elsewhere")
         for r in range(s.nprocs):
             cursors[r] = next_of[cursors[r]]

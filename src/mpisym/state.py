@@ -367,7 +367,7 @@ def match_transfer(s: GlobalState, sender: int, receiver: int) -> GlobalState:
         payload = sp.blocked_on.payload
     else:
         op = s.compiled.op_at(sp.pc_loc)
-        if not isinstance(op, ops.OpSend):
+        if not isinstance(op, lang.Send):
             raise EngineError("sender is not at a send")
         payload = eval_expr(s, sender, op.payload)
 
@@ -381,7 +381,7 @@ def match_transfer(s: GlobalState, sender: int, receiver: int) -> GlobalState:
         wildcard = True
     else:
         op = s.compiled.op_at(rp.pc_loc)
-        if not isinstance(op, ops.OpRecv):
+        if not isinstance(op, lang.Recv):
             raise EngineError("receiver is not at a receive")
         var = op.var
         wildcard = op.src is None

@@ -14,7 +14,6 @@ from mpisym import engine, lang, oracle, replay, solver, symbolic
 from mpisym.engine import ForkedWildcard, RunProc
 from mpisym.state import (BarrierRelease, MatchEvent, Status, StepEvent,
                           Verdict, init_state)
-from mpisym import ops as ops_mod
 from randprog import pipeline_source, random_program
 from test_solver import first_hit, random_condition
 
@@ -266,7 +265,7 @@ def test_c8_scheduler_properties(seed):
             arrivals = {r: 0 for r in range(nprocs)}
             for ev in trace:
                 if isinstance(ev, StepEvent) and ev.loc < compiled.end \
-                        and isinstance(compiled.op_at(ev.loc), ops_mod.OpBarrier):
+                        and isinstance(compiled.op_at(ev.loc), lang.Barrier):
                     arrivals[ev.rank] += 1
                 elif isinstance(ev, BarrierRelease):
                     assert all(count == 1 for count in arrivals.values()), arrivals

@@ -126,6 +126,24 @@ def test_compare_bad_set_value(capsys, fig1_path):
     code, _, err = run(capsys, "compare", str(fig1_path), "--set", "Y=1")
     assert code == 1
     assert "undeclared" in err
+    for value in ("256", "99999", "-1"):  # X is declared int[0..255]
+        code, out, err = run(capsys, "compare", str(fig1_path), "--set", f"X={value}")
+        assert code == 1
+        assert out == ""
+        assert err == f"mpisym: error: --set X={value} outside its domain [0, 255]\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--enumerate-models", "0"], "--enumerate-models must be positive"),
+    (["--enumerate-models", "-3"], "--enumerate-models must be positive"),
+    (["--set", "X=1", "--enumerate-models", "0"], "--enumerate-models must be positive"),
+    (["--max-states", "0"], "max_states must be positive"),
+])
+def test_compare_rejects_nonpositive_counts(capsys, fig1_path, argv, message):
+    code, out, err = run(capsys, "compare", str(fig1_path), *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"mpisym: error: {message}\n"
 
 
 def test_compare_oracle_bound_exit(capsys, tmp_path):

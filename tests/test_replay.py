@@ -82,17 +82,15 @@ def test_replay_reproduces_every_corpus_path(corpus_entries):
 
 
 def test_replay_mutated_input_diverges_at_branch(corpus_entries):
-    p, rep = search_records(corpus_entries["fig1-motivating"])
-    deadlock = rep.by_verdict(Verdict.DEADLOCK)[0]
-    tc = make_testcase(deadlock, p, 3)
-    mutated = replay.TestCase(
-        program_hash=tc.program_hash, nprocs=tc.nprocs,
-        model=(("X", 0),), trace=tc.trace, verdict=tc.verdict,
-        fail_loc=tc.fail_loc)
-    result = replay_testcase(p, mutated)
-    assert not result.ok
-    assert result.divergences
-    assert "branch" in result.divergences[0].expected
+    """A changed input turns a recorded guard the other way; the divergence
+    names an `if` a branch and an `assert` an assertion."""
+    for name, verdict, what in (("fig1-motivating", Verdict.DEADLOCK, "branch at loc"),
+                                ("assert-payload", Verdict.ASSERT_FAIL, "assertion at loc")):
+        p, tc = corpus_case(corpus_entries, name, verdict)
+        result = replay_testcase(p, with_trace(tc, tc.trace, model=(("X", 0),)))
+        assert not result.ok
+        assert result.divergences
+        assert result.divergences[0].expected.startswith(what)
 
 
 def test_replay_hash_mismatch(corpus_entries):
@@ -364,6 +362,12 @@ def test_malformed_trace_line_messages(line, error, message):
 @pytest.mark.parametrize("verdict,message", [
     ("assertfail lc=3", "line 9: expected field 'loc'"),
     ("assertfail", "line 9: malformed event"),
+    ("assertfail loc=3 loc=4", "line 9: malformed event"),
+    ("running", "line 9: unknown verdict 'running'"),
+    ("error", "line 9: unknown verdict 'error'"),
+    ("deadlock extra", "line 9: unknown verdict 'deadlock extra'"),
+    ("terminated loc=3", "line 9: unknown verdict 'terminated loc=3'"),
+    ("Deadlock", "line 9: unknown verdict 'Deadlock'"),
 ])
 def test_malformed_verdict_line_messages(verdict, message):
     with pytest.raises(ReplayError) as err:

@@ -304,7 +304,7 @@ def test_step_replaces_only_involved_processes(rng):
                     kinds.add("release")
                 assert _replaced(s, t) == _involved(s, events), events
             stack.extend(succs)
-    assert {"OpAssign", "OpBranch", "OpSend", "OpRecv", "OpBarrier", "release"} <= kinds
+    assert {"Assign", "OpBranch", "Send", "Recv", "Barrier", "release"} <= kinds
 
 
 def test_wildcard_fork_replaces_only_the_pair(fig1):
