@@ -7,7 +7,7 @@ explorer), corpus (run the bundled expectations table).
 
 Exit codes: 0 clean, 1 usage/analysis error, 2 deadlock or assertion
 failure found (analyze) / expectation mismatch (corpus, compare FAIL),
-3 explorer state bound exceeded (compare).
+3 engine or explorer state bound exceeded (compare).
 
 `main` may be called many times in one process: the parser is built once,
 the 64 most recent program texts keep their parsed programs, and a program
@@ -134,28 +134,20 @@ def _parse_set(pairs, program) -> dict:
     return model
 
 
-def _candidate_models(program, nprocs, count: int):
+def _candidate_models(program, nprocs, count: int, strategy: engine.SearchStrategy):
     """Models to compare under: the witness model of each engine path (they
     cover every explored branch shape), topped up lexicographically."""
     domains = solver.domains_of(program)
-    result = engine.search(program, nprocs)
-    models = []
-    seen = set()
+    result = engine.search(program, nprocs, strategy)
+    if result.truncated:
+        raise oracle.BoundExceeded(f"engine state bound {strategy.max_states} exceeded")
+    models = {}
     for rec in result.records:
-        key = tuple(sorted(rec.model.items()))
-        if key not in seen:
-            seen.add(key)
-            models.append(rec.model)
-        if len(models) >= count:
-            return models
-    for extra in solver.enumerate_models((), domains, count):
-        key = tuple(sorted(extra.items()))
-        if key not in seen:
-            seen.add(key)
-            models.append(extra)
-        if len(models) >= count:
-            break
-    return models
+        models.setdefault(tuple(sorted(rec.model.items())), rec.model)
+    if len(models) < count:
+        for extra in solver.enumerate_models((), domains, count):
+            models.setdefault(tuple(sorted(extra.items())), extra)
+    return list(models.values())[:count]
 
 
 def cmd_compare(args) -> int:
@@ -168,19 +160,12 @@ def cmd_compare(args) -> int:
             return EXIT_USAGE
         if args.enumerate_models < 1:
             raise ValueError("--enumerate-models must be positive")
-        engine.SearchStrategy(max_states=args.max_states)  # rejects --max-states < 1
+        strategy = engine.SearchStrategy(max_states=args.max_states)  # rejects < 1
         if args.set:
             models = [_parse_set(args.set, program)]
         else:
-            models = _candidate_models(program, nprocs, args.enumerate_models)
-    except engine.ValidationFailure as exc:
-        sys.stderr.write(report.render_validation(exc.findings))
-        return EXIT_USAGE
-    except (lang.LangError, solver.SolverError, ValueError) as exc:
-        return _fail(str(exc))
-
-    all_hold = True
-    try:
+            models = _candidate_models(program, nprocs, args.enumerate_models, strategy)
+        all_hold = True
         for model in models:
             verdict = oracle.check_theorem(program, nprocs, model,
                                            state_bound=args.oracle_bound,
@@ -190,7 +175,7 @@ def cmd_compare(args) -> int:
     except oracle.BoundExceeded as exc:
         print(f"mpisym: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except oracle.OracleError as exc:
+    except (lang.LangError, solver.SolverError, oracle.OracleError, ValueError) as exc:
         return _fail(str(exc))
     return EXIT_OK if all_hold else EXIT_FOUND
 
@@ -242,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay = sub.add_parser("replay", help="re-execute a recorded test case")
     p_replay.add_argument("program")
     p_replay.add_argument("testcase")
-    p_replay.add_argument("-v", "--verbose", action="count", default=0)
     p_replay.set_defaults(func=cmd_replay)
 
     p_compare = sub.add_parser(
@@ -261,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="corpus directory (defaults to the bundled one)")
     p_corpus.add_argument("--max-states", type=int, default=None)
     p_corpus.add_argument("--max-depth", type=int, default=None)
-    p_corpus.add_argument("-v", "--verbose", action="count", default=0)
     p_corpus.set_defaults(func=cmd_corpus, strategy="dfs")
     return parser
 

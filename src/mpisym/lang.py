@@ -1,5 +1,8 @@
 """The analyzed mini message-passing language: AST, parser, validator,
-pretty-printer, and the one expression evaluator.
+pretty-printer, and the one expression evaluator, which walks an
+expression over an algebra: ints here (`INTS`), folded terms for the
+engine (`symbolic.TERMS`) or input intervals for the solver's pre-pass
+(`solver.INTERVALS`).
 
 A source file declares bounded symbolic inputs and one rank-dispatched
 process body:
@@ -716,46 +719,48 @@ def pretty_print(program: Program) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (the solver, the oracle and replay)
+# Evaluation: one walker over an algebra
 # ---------------------------------------------------------------------------
 
 
-#: Integer arithmetic and comparisons; `evaluate` handles `&&` and `||`.
+#: What `evaluate` computes over.  `leaf(node, inputs)` is the value of a
+#: constant (`Num`, `Bool`) or of a `Var` naming an input; with no leaf rule
+#: (None) that is the constant's own value or the input's in `inputs`.
+#: `unary` and `binary` map each operator to the function of its operands'
+#: values.
+Algebra = collections.namedtuple("Algebra", "leaf unary binary")
+
+#: Integer arithmetic and comparisons, which fold the same way on terms.
 BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "==": operator.eq, "!=": operator.ne, "<": operator.lt,
               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
+#: Plain values: an int, or a bool for a condition (the oracle and replay).
+INTS = Algebra(None, {"-": operator.neg, "!": operator.not_},
+               {**BINARY_OPS, "&&": operator.and_, "||": operator.or_})
+
 _NO_INPUTS: Mapping[str, int] = MappingProxyType({})
 
 
-def evaluate(e: Expr, env: Mapping[str, int], rank: int = 0, nprocs: int = 0,
-             inputs: Mapping[str, int] = _NO_INPUTS):
-    """The int or bool value of an expression or a term.  A variable is
-    looked up in `env`, then in `inputs`, so a term's model can be `env`."""
+def evaluate(e: Expr, env: Mapping, rank=0, nprocs=0, inputs: Mapping = _NO_INPUTS,
+             algebra: Algebra = INTS):
+    """The value of an expression or a term in `algebra`, of which `rank`
+    and `nprocs` are values.  A variable is looked up in `env`, then in
+    `inputs`, so a term's model can be `env`."""
     kind = type(e)
     if kind is Binary:
-        a = evaluate(e.left, env, rank, nprocs, inputs)
-        b = evaluate(e.right, env, rank, nprocs, inputs)
-        op = e.op
-        if op == "&&":
-            return bool(a and b)
-        if op == "||":
-            return bool(a or b)
-        try:
-            return BINARY_OPS[op](a, b)
-        except KeyError:
-            raise LangError(f"unknown operator {op!r}") from None
-    if kind is Num or kind is Bool:
-        return e.value
+        return algebra.binary[e.op](evaluate(e.left, env, rank, nprocs, inputs, algebra),
+                                    evaluate(e.right, env, rank, nprocs, inputs, algebra))
     if kind is Var:
         if e.name in env:
             return env[e.name]
-        if e.name in inputs:
-            return inputs[e.name]
-        raise LangError(f"unbound variable {e.name!r}")
+        if e.name not in inputs:
+            raise LangError(f"unbound variable {e.name!r}")
+        return inputs[e.name] if algebra.leaf is None else algebra.leaf(e, inputs)
+    if kind is Num or kind is Bool:
+        return e.value if algebra.leaf is None else algebra.leaf(e, inputs)
     if kind is Unary:
-        v = evaluate(e.operand, env, rank, nprocs, inputs)
-        return -v if e.op == "-" else not v
+        return algebra.unary[e.op](evaluate(e.operand, env, rank, nprocs, inputs, algebra))
     if kind is Rank:
         return rank
     if kind is Nprocs:

@@ -7,8 +7,9 @@ smallest models, lets the engine skip most searches:
 1. Pre-pass.  Top-level conjunctions are flattened and repeated conjuncts
    dropped.  A conjunct present together with its `symbolic.negate` refutes
    the query at once.  An interval pass then evaluates every conjunct over
-   the input intervals, discarding trivially-true conjuncts and refuting
-   trivially-false ones.
+   the input intervals (`lang.evaluate` over `INTERVALS`), discarding
+   conjuncts that hold on the whole domain box and refuting the query on
+   one that holds nowhere in it.
 2. Components.  The remaining conjuncts are split into groups that share
    no variables (constraint independence, as in KLEE), and each group is
    solved on its own variables only.  A conflict in one group is then found
@@ -52,7 +53,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from . import lang, symbolic
-from .lang import Binary, Bool, Num, Unary, Var
+from .lang import Binary, Num, Var
 
 if TYPE_CHECKING:
     from .lang import Expr
@@ -99,90 +100,43 @@ def _flatten(pc: PathCondition) -> List[Expr]:
 # -- interval pre-pass -------------------------------------------------------
 
 
-def _interval(e: Expr, domains: Domains) -> Tuple[int, int]:
-    if isinstance(e, Num):
-        return (e.value, e.value)
-    if isinstance(e, Var):
-        return domains[e.name]
-    if isinstance(e, Unary) and e.op == "-":
-        lo, hi = _interval(e.operand, domains)
-        return (-hi, -lo)
-    if isinstance(e, Binary):
-        a1, b1 = _interval(e.left, domains)
-        a2, b2 = _interval(e.right, domains)
-        if e.op == "+":
-            return (a1 + a2, b1 + b2)
-        if e.op == "-":
-            return (a1 - b2, b1 - a2)
-        if e.op == "*":
-            corners = (a1 * a2, a1 * b2, b1 * a2, b1 * b2)
-            return (min(corners), max(corners))
-    raise SolverError(f"not an integer expression: {e!r}")
+def _times(a, b):
+    corners = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(corners), max(corners))
 
 
-def _tribool(e: Expr, domains: Domains) -> Optional[bool]:
-    """Definite truth value over the whole domain box, or None if mixed."""
-    if isinstance(e, Bool):
-        return e.value
-    if isinstance(e, Unary) and e.op == "!":
-        v = _tribool(e.operand, domains)
-        return None if v is None else not v
-    if isinstance(e, Binary):
-        if e.op == "&&":
-            a = _tribool(e.left, domains)
-            b = _tribool(e.right, domains)
-            if a is False or b is False:
-                return False
-            if a is True and b is True:
-                return True
-            return None
-        if e.op == "||":
-            a = _tribool(e.left, domains)
-            b = _tribool(e.right, domains)
-            if a is True or b is True:
-                return True
-            if a is False and b is False:
-                return False
-            return None
-        lo1, hi1 = _interval(e.left, domains)
-        lo2, hi2 = _interval(e.right, domains)
-        if e.op == "==":
-            if lo1 == hi1 == lo2 == hi2:
-                return True
-            if hi1 < lo2 or hi2 < lo1:
-                return False
-            return None
-        if e.op == "!=":
-            if lo1 == hi1 == lo2 == hi2:
-                return False
-            if hi1 < lo2 or hi2 < lo1:
-                return True
-            return None
-        if e.op == "<":
-            if hi1 < lo2:
-                return True
-            if lo1 >= hi2:
-                return False
-            return None
-        if e.op == "<=":
-            if hi1 <= lo2:
-                return True
-            if lo1 > hi2:
-                return False
-            return None
-        if e.op == ">":
-            if lo1 > hi2:
-                return True
-            if hi1 <= lo2:
-                return False
-            return None
-        if e.op == ">=":
-            if lo1 >= hi2:
-                return True
-            if hi1 < lo2:
-                return False
-            return None
-    raise SolverError(f"not a boolean expression: {e!r}")
+# A comparison holds on the whole box when it holds for the pair of values
+# least favourable to it, and somewhere in it when for the most favourable.
+def _lt(a, b):
+    return (a[1] < b[0], a[0] < b[1])
+
+
+def _le(a, b):
+    return (a[1] <= b[0], a[0] <= b[1])
+
+
+def _eq(a, b):
+    return (a[0] == a[1] == b[0] == b[1], a[0] <= b[1] and b[0] <= a[1])
+
+
+def _not(a):
+    return (not a[1], not a[0])
+
+
+#: Bounds over the domain box: `evaluate(e, {}, 0, 0, domains, INTERVALS)`
+#: is `(lo, hi)` for an integer term, and for a boolean one `(True, True)`
+#: when it holds at every point, `(False, False)` at none, and
+#: `(False, True)` when neither is known.
+INTERVALS = lang.Algebra(
+    lambda e, domains: domains[e.name] if type(e) is Var else (e.value, e.value),
+    {"-": lambda a: (-a[1], -a[0]), "!": _not},
+    {"+": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+     "-": lambda a, b: (a[0] - b[1], a[1] - b[0]),
+     "*": _times,
+     "<": _lt, "<=": _le, ">": lambda a, b: _lt(b, a), ">=": lambda a, b: _le(b, a),
+     "==": _eq, "!=": lambda a, b: _not(_eq(a, b)),
+     "&&": lambda a, b: (a[0] and b[0], a[1] and b[1]),
+     "||": lambda a, b: (a[0] or b[0], a[1] or b[1])})
 
 
 # -- pre-pass, components, backtracking ---------------------------------------
@@ -208,10 +162,10 @@ def _prepare(pc: PathCondition, domains: Domains) -> Optional[Conjuncts]:
         return None
     undecided = []
     for c, names in conjuncts.items():
-        v = _tribool(c, domains)
-        if v is False:
+        always, sometimes = lang.evaluate(c, {}, 0, 0, domains, INTERVALS)
+        if not sometimes:
             return None
-        if v is None:
+        if not always:
             undecided.append((c, names))
     return undecided
 

@@ -16,11 +16,16 @@ set raises instead of leaking into another fork.
 A state also carries `model`, the smallest model of its path condition,
 or None while it is unknown; the initial one sets every input to the low
 end of its domain.  Forks share the dict and nothing mutates it.
+
+A process's environment binds its locals to terms, and `eval_expr` turns
+an expression into its term with the one evaluator, `lang.evaluate`, over
+`symbolic.TERMS`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Tuple
@@ -199,6 +204,7 @@ class ProcState(NamedTuple):
 
 
 _EMPTY_ENV: Mapping[str, Expr] = MappingProxyType({})
+_num = functools.lru_cache(maxsize=None)(lang.Num)  # rank and nprocs as terms
 _KEEP = object()
 _new_proc = tuple.__new__  # skips NamedTuple's Python-level __new__ on hot writes
 
@@ -294,26 +300,13 @@ def bind(s: GlobalState, r: int, var: str, value: Expr) -> GlobalState:
 
 
 def eval_expr(s: GlobalState, rank: int, e: Expr) -> Expr:
-    """Symbolic evaluation of a surface expression in a process context.
-
-    Constant-folds whenever every leaf is concrete; a `Num` and a
-    symbolic-input `Var` are terms as they are."""
-    if isinstance(e, lang.Num):
-        return e
-    if isinstance(e, lang.Var):
-        v = s.procs[rank].env.get(e.name)
-        if v is not None:
-            return v
-        if e.name in s.compiled.domains:
-            return e
-        raise EngineError(f"unbound variable {e.name!r} (validation should reject this)")
-    if isinstance(e, lang.Rank):
-        return lang.Num(rank)
-    if isinstance(e, lang.Nprocs):
-        return lang.Num(s.nprocs)
-    if isinstance(e, lang.Unary):
-        return symbolic.unary(e.op, eval_expr(s, rank, e.operand))
-    return symbolic.binary(e.op, eval_expr(s, rank, e.left), eval_expr(s, rank, e.right))
+    """The folded term of a surface expression in a process context
+    (`lang.evaluate` over `symbolic.TERMS`)."""
+    try:
+        return lang.evaluate(e, s.procs[rank].env, _num(rank), _num(s.nprocs),
+                             s.compiled.domains, symbolic.TERMS)
+    except lang.LangError as exc:
+        raise EngineError(f"{exc} (validation should reject this)") from None
 
 
 def assume(s: GlobalState, cond: Expr, model: Optional[Model] = None) -> GlobalState:

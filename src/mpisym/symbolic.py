@@ -5,15 +5,17 @@ leaves are constants (`Num`, or `Bool`, which only folding makes) and
 `Var`s, each naming a declared symbolic input.  The constructors here
 constant-fold, so a term with no input leaves is always a single constant
 node.  `lang.sort_of`, `lang.expr_source` and `lang.evaluate` serve terms
-as they serve surface expressions.  A path condition is an append-only
+as they serve surface expressions, and `lang.evaluate` over `TERMS` turns
+a surface expression into its term.  A path condition is an append-only
 conjunction of boolean-sorted terms.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Mapping, Tuple
 
-from .lang import (ARITH_OPS, BINARY_OPS, Binary, Bool, Num, Unary, Var,
+from .lang import (ARITH_OPS, BINARY_OPS, Algebra, Binary, Bool, Num, Unary, Var,
                    evaluate, expr_source, sort_of)
 
 if TYPE_CHECKING:
@@ -51,6 +53,10 @@ def unary(op: str, operand: Expr) -> Expr:
 
 
 def binary(op: str, left: Expr, right: Expr) -> Expr:
+    if isinstance(left, Num) and isinstance(right, Num) and op in BINARY_OPS:
+        # a Num is int-sorted, so the sort checks below cannot fail here
+        v = BINARY_OPS[op](left.value, right.value)
+        return Bool(v) if op in CMP_OPS else Num(v)
     if op in ARITH_OPS or op in CMP_OPS:
         want = "int"
     elif op in LOGIC_OPS:
@@ -70,11 +76,6 @@ def binary(op: str, left: Expr, right: Expr) -> Expr:
             if op == "&&":
                 return left if right.value else FALSE
             return TRUE if right.value else left
-        return Binary(op, left, right)
-
-    if isinstance(left, Num) and isinstance(right, Num):
-        v = BINARY_OPS[op](left.value, right.value)
-        return Bool(v) if op in CMP_OPS else Num(v)
     return Binary(op, left, right)
 
 
@@ -99,6 +100,13 @@ def free_syms(e: Expr) -> frozenset:
     if isinstance(e, Binary):
         return free_syms(e.left) | free_syms(e.right)
     return frozenset()
+
+
+#: Folded terms: `evaluate(e, env, Num(rank), Num(nprocs), inputs, TERMS)` is
+#: the term of `e`, where `env` binds locals to terms and `inputs` holds the
+#: names of the declared inputs.  A constant or an input is the node it is.
+TERMS = Algebra(lambda e, inputs: e, {op: partial(unary, op) for op in ("-", "!")},
+                {op: partial(binary, op) for op in ARITH_OPS + CMP_OPS + LOGIC_OPS})
 
 
 def pc_holds(pc: PathCondition, model: Mapping[str, int]) -> bool:

@@ -16,12 +16,15 @@ def random_program_source(rng: random.Random, max_procs: int = 4,
     """A small rank-dispatched program: at most `max_comm` communication
     statements, at most one symbolic byte, always passes validation.
     `weights` biases the send/recv/recv-any/barrier mix; `trailing_barrier`
-    appends a program-level barrier every rank executes."""
+    appends a program-level barrier every rank executes.  Some statements
+    are assertions over the input and the locals a rank has assigned, which
+    fail for some values and hold for others."""
     nprocs = rng.randint(2, max_procs)
     width = rng.randint(2, max_width) if rng.random() < 0.8 else 0
     comm_budget = rng.randint(1, max_comm)
 
     counters = [0] * nprocs
+    assigned: List[List[str]] = [[] for _ in range(nprocs)]  # outside any `if`
 
     def fresh(r: int) -> str:
         counters[r] += 1
@@ -40,9 +43,18 @@ def random_program_source(rng: random.Random, max_procs: int = 4,
             return f"recv {fresh(r)} from any;"
         return "barrier;"
 
+    def assertion(r: int) -> str:
+        names = (["X"] if width else []) + assigned[r]
+        cond = f"{rng.choice(names)} {rng.choice(('!=', '<', '>=', '=='))} {rng.randint(0, 9)}"
+        if rng.random() < 0.3:
+            cond += f" {rng.choice(('&&', '||'))} {rng.choice(names)} != {rng.randint(0, 9)}"
+        return f"assert ({cond});"
+
     bodies: List[List[str]] = [[] for _ in range(nprocs)]
     for _ in range(comm_budget):
         r = rng.randrange(nprocs)
+        if (width or assigned[r]) and rng.random() < 0.2:
+            bodies[r].append(assertion(r))
         stmt = comm_stmt(r)
         roll = rng.random()
         if width and roll < 0.35:
@@ -56,7 +68,10 @@ def random_program_source(rng: random.Random, max_procs: int = 4,
         else:
             if roll > 0.75:
                 bodies[r].append(f"{fresh(r)} = {rng.randint(0, 5)};")
+                assigned[r].append(f"v{r}_{counters[r]}")
             bodies[r].append(stmt)
+            if stmt.startswith("recv "):
+                assigned[r].append(stmt.split()[1])
 
     lines = []
     if width:

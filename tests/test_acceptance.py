@@ -137,6 +137,18 @@ def test_c4_theorem_differential(corpus_entries, seed):
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
 
 
+def test_c4_random_programs_reach_failed_assertions(seed):
+    """C4's random programs (the same seeded stream) hold assertions that
+    fail on some paths, so the differential check covers `assertfail`."""
+    rng = random.Random(seed + 4)
+    programs_with_failures = 0
+    for _ in range(100):
+        program = random_program(rng, max_procs=4, max_comm=6, max_width=8)
+        rep = engine.search(program, program.nprocs_default)
+        programs_with_failures += bool(rep.by_verdict(Verdict.ASSERT_FAIL))
+    assert programs_with_failures >= 5
+
+
 def test_c5_reduction_growth_shape():
     with criterion(5, "on-the-fly reduction growth shape"):
         engine_states = {}

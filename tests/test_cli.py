@@ -166,6 +166,21 @@ def test_compare_set_engine_bound_exit(capsys, tmp_path):
     assert "THEOREM-CHECK PASS" in out
 
 
+SIX_COINS = ("symbolic\n" + "".join(f"sym {c} : int[0..1];\n" for c in "ABCDEF")
+             + "program {\n" + "".join(f"  if ({c} == 1) {{ x = 1; }}\n" for c in "ABCDEF")
+             + "}\n")
+
+
+def test_compare_max_states_bounds_the_candidate_search(capsys, tmp_path):
+    """The search that picks the models (64 paths here) obeys `--max-states`."""
+    path = tmp_path / "coins.mpisym"
+    path.write_text(SIX_COINS)
+    code, out, err = run(capsys, "compare", str(path), "--max-states", "40")
+    assert (code, out, err) == (3, "", "mpisym: engine state bound 40 exceeded\n")
+    code, out, _ = run(capsys, "compare", str(path), "--max-states", "200")
+    assert code == 0 and out.count("THEOREM-CHECK PASS") == 4
+
+
 def test_compare_oracle_bound_boundary(capsys, tmp_path, corpus_entries):
     """The oracle stops at the first state past the bound: fig6 has 122."""
     path = tmp_path / "fig6.mpisym"
@@ -201,6 +216,15 @@ def test_corpus_has_no_strategy_option(capsys):
     code, _, err = run(capsys, "corpus", "--strategy", "bfs")
     assert code == 1
     assert "unrecognized arguments: --strategy" in err
+
+
+def test_replay_and_corpus_have_no_verbose_option(capsys, fig1_path, tmp_path):
+    run(capsys, "analyze", str(fig1_path), "--out", str(tmp_path / "cases"))
+    case = sorted((tmp_path / "cases").glob("*.testcase"))[0]
+    for argv in (["replay", str(fig1_path), str(case), "-v"], ["corpus", "-v"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "unrecognized arguments: -v" in err
 
 
 @pytest.mark.parametrize("option", [["--strategy", "bfs"], ["--max-depth", "1"]])

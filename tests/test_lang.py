@@ -292,6 +292,24 @@ def test_evaluate_agrees_with_reference_walk(rng):
     assert seen >= {Num, lang.Bool, lang.Var, lang.Unary, Binary, "negative"}
 
 
+def test_terms_commute_with_ints(rng):
+    """Evaluating a surface expression over `symbolic.TERMS`, with locals
+    bound to terms, and then the term on a model, gives the value the
+    reference walk gives the expression on the concrete locals."""
+    inputs = {"X": (-9, 9), "Y": (-9, 9)}
+    for _ in range(1500):
+        sort = rng.choice(("int", "bool"))
+        e = random_surface(rng, sort, rng.randint(0, 4))
+        env = {name: random_term(rng, "int", rng.randint(0, 2)) for name in "xy"}
+        rank, nprocs = rng.randint(0, 3), rng.randint(1, 4)
+        term = lang.evaluate(e, env, Num(rank), Num(nprocs), inputs, symbolic.TERMS)
+        assert lang.sort_of(term) == sort, (e, env)
+        model = {"X": rng.randint(-9, 9), "Y": rng.randint(-9, 9)}
+        concrete = {name: lang.evaluate(t, model) for name, t in env.items()}
+        assert typed(lang.evaluate(term, model)) == \
+            typed(reference_evaluate(e, concrete, rank, nprocs, model)), (e, env, model)
+
+
 def test_term_source_round_trips_through_the_parser(rng):
     """A term's source, parsed inside a program, is a well-sorted expression
     with the term's value under every model."""

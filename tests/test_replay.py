@@ -135,7 +135,7 @@ def test_error_paths_are_not_replayable():
 
 
 def test_random_program_paths_replay(rng):
-    checked = 0
+    checked = failed_assertions = 0
     for _ in range(100):
         p = random_program(rng)
         rep = engine.search(p, p.nprocs_default)
@@ -147,7 +147,9 @@ def test_random_program_paths_replay(rng):
             assert result.ok, (lang.pretty_print(p), rec.index,
                                [str(d) for d in result.divergences])
             checked += 1
+            failed_assertions += rec.verdict is Verdict.ASSERT_FAIL
     assert checked > 100
+    assert failed_assertions > 0
 
 
 # -- engine-specific checks on edited traces -------------------------------------

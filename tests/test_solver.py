@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from mpisym import lang, symbolic
+from mpisym import lang, solver, symbolic
 from mpisym.lang import Bool, Num, Unary, Var
 from mpisym.solver import (SolverError, Unsatisfiable, check_entailed_constant,
                            enumerate_models, get_model, holds, is_sat)
 from mpisym.symbolic import binary
+from test_lang import random_term
 
 try:
     import numpy as np
@@ -308,6 +309,53 @@ def test_holds_rejects_an_integer_term():
         holds(binary("+", X, Num(1)), {"X": 3})
     with pytest.raises(Unsatisfiable):
         check_entailed_constant((binary(">", X, Num(300)),), X, {"X": (0, 255)})
+
+
+def interval(e, domains):
+    return lang.evaluate(e, {}, 0, 0, domains, solver.INTERVALS)
+
+
+def test_interval_pass_is_sound_on_small_boxes(rng):
+    """Every point of a box of at most 4 x 4 points gives a term a value
+    inside its interval; a boolean's interval (holds everywhere, holds
+    somewhere) bounds its truth value the same way."""
+    decided = set()
+    for _ in range(1500):
+        sort = rng.choice(("int", "bool"))
+        t = random_term(rng, sort, rng.randint(0, 4))
+        domains = {}
+        for name in "XY":
+            lo = rng.randint(-6, 6)
+            domains[name] = (lo, lo + rng.randint(0, 3))
+        lo, hi = interval(t, domains)
+        assert lo <= hi, (t, domains)
+        for x, y in itertools.product(range(domains["X"][0], domains["X"][1] + 1),
+                                      range(domains["Y"][0], domains["Y"][1] + 1)):
+            value = lang.evaluate(t, {"X": x, "Y": y})
+            assert lo <= value <= hi, (t, domains, x, y)
+        if sort == "bool":
+            decided.add((lo, hi))
+    assert decided == {(False, False), (False, True), (True, True)}
+
+
+def test_interval_pass_decides_each_comparison_both_ways():
+    low, high, four = Var("L"), Var("H"), Var("F")
+    d = {"L": (0, 3), "H": (3, 8), "F": (4, 4)}
+    always = [binary("<", low, four), binary("<=", low, high), binary(">", high, Num(2)),
+              binary(">=", high, low), binary("==", four, Num(4)), binary("!=", low, four)]
+    never = [binary("<", four, low), binary("<=", four, low), binary(">", low, four),
+             binary(">=", low, four), binary("==", low, four), binary("!=", four, Num(4))]
+    for c in always:
+        assert interval(c, d) == (True, True), c
+        assert interval(symbolic.negate(c), d) == (False, False), c
+    for c in never:
+        assert interval(c, d) == (False, False), c
+    assert interval(binary("<", low, high), d) == (False, True)  # they touch at 3
+    assert interval(binary("==", low, high), d) == (False, True)
+    assert interval(binary("*", Num(-2), binary("-", low, high)), d) == (0, 16)
+    # queries through the pre-pass: a conjunct true on the whole box, one false on it
+    assert get_model((binary("<", low, Num(4)),), d) == {"L": 0, "H": 3, "F": 4}
+    assert not is_sat((binary("<=", binary("+", low, four), Num(3)),), d)
 
 
 def test_monotone_under_strengthening(rng):

@@ -15,6 +15,9 @@ def test_concrete_folding():
     assert binary("*", Num(-3), Num(4)) == Num(-12)
     assert binary("==", Num(97), Num(97)) == Bool(True)
     assert unary("-", Num(9)) == Num(-9)
+    for op in ("+", "-", "*", "==", "!=", "<", "<=", ">", ">="):
+        value = evaluate(Binary(op, Num(6), Num(-2)), {})
+        assert binary(op, Num(6), Num(-2)) == (Num(value) if op in "+-*" else Bool(value))
 
 
 def test_symbolic_trees_stay_symbolic():
@@ -43,6 +46,8 @@ def test_sort_discipline():
         binary("+", Bool(True), Num(1))
     with pytest.raises(SymbolicError):
         binary("&&", Num(1), Num(2))
+    with pytest.raises(SymbolicError):
+        binary("^", Num(1), Num(2))
     with pytest.raises(SymbolicError):
         unary("!", Num(1))
     with pytest.raises(SymbolicError):
