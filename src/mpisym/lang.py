@@ -1,8 +1,8 @@
 """The analyzed mini message-passing language: AST, parser, validator,
 pretty-printer, and the one expression evaluator, which walks an
 expression over an algebra: ints here (`INTS`), folded terms for the
-engine (`symbolic.TERMS`) or input intervals for the solver's pre-pass
-(`solver.INTERVALS`).
+engine (`symbolic.TERMS`), and for the solver input intervals
+(`solver.INTERVALS`) or Python syntax trees to compile (`solver.PYTHON`).
 
 A source file declares bounded symbolic inputs and one rank-dispatched
 process body:

@@ -16,7 +16,8 @@ smallest models, lets the engine skip most searches:
    without enumerating the domains of the others.
 3. Backtracking.  One generator assigns a group's variables in declaration
    order, ascending, checking each conjunct as soon as its variables are
-   bound, so it yields models in ascending lexicographic order.
+   bound, so it yields models in ascending lexicographic order.  A
+   variable's bucket of conjuncts is one function, compiled once (`PYTHON`).
 
 Query answers take the first model of every group; a declared input that
 no remaining conjunct mentions gets the low end of its domain.  This is the
@@ -49,8 +50,10 @@ bounded, so no overflow behavior exists to model.
 
 from __future__ import annotations
 
+import ast
+import functools
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import lang, symbolic
 from .lang import Binary, Num, Var
@@ -139,6 +142,38 @@ INTERVALS = lang.Algebra(
      "||": lambda a, b: (a[0] or b[0], a[1] or b[1])})
 
 
+# -- compiled bucket checks ----------------------------------------------------
+
+
+_AT = {"lineno": 1, "col_offset": 0}  # `compile` needs a location on every node
+#: Python syntax: `evaluate(c, {}, 0, 0, names, PYTHON)` is the `ast` expression of
+#: `evaluate(c, a)` for a term `c` over the inputs `names` and a model `a`.  An input
+#: is `a[name]`, its name a string constant, so it cannot clash with a Python name.
+PYTHON = lang.Algebra(
+    lambda e, _: (ast.Subscript(ast.Name("a", ast.Load(), **_AT), ast.Constant(e.name, **_AT),
+                                ast.Load(), **_AT)
+                  if type(e) is Var else ast.Constant(e.value, **_AT)),
+    {op: lambda x, k=k: ast.UnaryOp(k(), x, **_AT) for op, k in (("-", ast.USub), ("!", ast.Not))},
+    {**{op: lambda x, y, k=k: ast.BinOp(x, k(), y, **_AT)
+        for op, k in (("+", ast.Add), ("-", ast.Sub), ("*", ast.Mult))},
+     **{op: lambda x, y, k=k: ast.Compare(x, [k()], [y], **_AT)
+        for op, k in (("==", ast.Eq), ("!=", ast.NotEq), ("<", ast.Lt), ("<=", ast.LtE),
+                      (">", ast.Gt), (">=", ast.GtE))},
+     **{op: lambda x, y, k=k: ast.BoolOp(k(), [x, y], **_AT)
+        for op, k in (("&&", ast.And), ("||", ast.Or))}})
+
+
+@functools.lru_cache(maxsize=1024)
+def _check(bucket: Tuple[Expr, ...]) -> Callable[[Model], bool]:
+    """`lambda a: all(lang.evaluate(c, a) for c in bucket)`, compiled from syntax, not text."""
+    names = frozenset().union(*map(symbolic.free_syms, bucket))
+    terms = [lang.evaluate(c, {}, 0, 0, names, PYTHON) for c in bucket or (symbolic.TRUE,)]
+    body = ast.BoolOp(ast.And(), terms, **_AT) if len(terms) > 1 else terms[0]
+    args = ast.arguments([], [ast.arg("a", **_AT)], None, [], [], None, [])  # of `lambda a:`
+    code = compile(ast.Expression(ast.Lambda(args, body, **_AT)), "<bucket>", "eval")
+    return eval(code, {"__builtins__": {}})  # a code object, not text
+
+
 # -- pre-pass, components, backtracking ---------------------------------------
 
 
@@ -201,17 +236,18 @@ def _models(conjuncts: Conjuncts, names: List[str],
     buckets: List[List[Expr]] = [[] for _ in names]
     for c, syms in conjuncts:
         buckets[max(index[n] for n in syms)].append(c)
+    checks = [_check(tuple(bucket)) for bucket in buckets]
     assignment: Model = {}
 
     def descend(i: int) -> Iterator[Model]:
         if i == len(names):
             yield dict(assignment)
             return
-        name = names[i]
+        name, check = names[i], checks[i]
         lo, hi = domains[name]
         for v in range(lo, hi + 1):
             assignment[name] = v
-            if all(lang.evaluate(c, assignment) for c in buckets[i]):
+            if check(assignment):
                 yield from descend(i + 1)
         del assignment[name]
 

@@ -1,9 +1,13 @@
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mpisym import cli, corpus, lang, report
+from mpisym import cli, corpus, lang, report, solver
 
 
 @pytest.fixture()
@@ -346,3 +350,57 @@ def test_nesting_limit(capsys, tmp_path, shape, at_limit):
         assert code == 1 and not out
         assert re.search(rf"\d+:\d+: nested deeper than {lang.MAX_DEPTH} levels$",
                          err.strip()), err
+
+
+_DEEP_SOURCE = """symbolic
+sym X : int[0..3];
+sym Y : int[0..3];
+
+program (nprocs = 2) {{
+  acc = 0;
+  repeat {count} {{ {step} }}
+  if (acc > 5 + Y) {{ recv v from any; }} else {{ barrier; }}
+}}
+"""
+
+
+@pytest.mark.parametrize("count, step, report_lines", [
+    # `300*X > 5 + Y` as a left-nested sum 300 terms deep
+    (300, "acc = acc + X;", ["paths=2 terminated=1 deadlock=1",
+                             "path 1: deadlock steps=606 model={X=1, Y=0}",
+                             "path 2: terminated steps=606 model={X=0, Y=0}",
+                             "states created: 912", "solver queries: 8"]),
+    # `X - (X - (... - (X - 0)))`, 250 deep, which is 0 at every point; as
+    # Python source it would need more nested parentheses than the
+    # tokenizer takes
+    (250, "acc = X - acc;", ["paths=1 terminated=1",
+                             "path 1: terminated steps=506 model={X=0, Y=0}",
+                             "states created: 507", "solver queries: 5"]),
+])
+def test_deep_terms_are_decided_by_the_box_walk(capsys, tmp_path, monkeypatch,
+                                                count, step, report_lines):
+    """The interval pre-pass cannot decide the branch, so the box walk
+    compiles a bucket check from a term hundreds of levels deep."""
+    compile_check = solver._check
+    compiled = []
+    monkeypatch.setattr(solver, "_check",
+                        lambda bucket: compiled.append(bucket) or compile_check(bucket))
+    path = tmp_path / "deep.mpisym"
+    path.write_text(_DEEP_SOURCE.format(count=count, step=step))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, err) == (2 if "deadlock" in report_lines[0] else 0, "")
+    assert out.splitlines()[:-1] == report_lines  # all but `wall time:`
+    assert any(bucket for bucket in compiled)
+
+
+def test_python_dash_m_runs_the_command_line():
+    """`python -m mpisym`, in a child process, with this package first on
+    its path."""
+    package_root = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    program = corpus.bundled_dir() / "fig1-motivating.mpisym"
+    done = subprocess.run([sys.executable, "-m", "mpisym", "analyze", str(program),
+                           "--nprocs", "3"], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 2, done.stderr
+    assert done.stdout.splitlines()[0] == "paths=3 terminated=2 deadlock=1"

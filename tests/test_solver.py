@@ -226,23 +226,107 @@ def test_conjunct_with_its_negation_is_unsat():
 
 def test_conflict_in_one_component_skips_the_others_box(monkeypatch):
     """Z > 40 and Z < 30 conflict; the X x Y box (4M points) must not be
-    enumerated to find that out."""
+    enumerated to find that out.  The walk tests each point with one call
+    of a compiled bucket check, so those calls are counted."""
     d = {"X": (0, 2047), "Y": (0, 2047), "Z": (0, 63)}
     pc = (binary(">", X, binary("+", Y, Num(7))), binary(">", Z, Num(40)),
           binary(">", X, Y), binary("<", Z, Num(30)))
-    evaluate = lang.evaluate
+    compile_check = solver._check
     calls = 0
 
-    def counted(e, model, *rest):
-        nonlocal calls
-        calls += 1
-        if calls > 500_000:
-            raise AssertionError("solver enumerated the X x Y box")
-        return evaluate(e, model, *rest)
+    def counted(bucket):
+        check = compile_check(bucket)
 
-    monkeypatch.setattr(lang, "evaluate", counted)
+        def counting(model):
+            nonlocal calls
+            calls += 1
+            if calls > 500_000:
+                raise AssertionError("solver enumerated the X x Y box")
+            return check(model)
+        return counting
+
+    monkeypatch.setattr(solver, "_check", counted)
     assert not is_sat(pc, d)
     assert calls > 0
+
+
+#: Input names that are Python keywords, builtins, the compiled check's own
+#: parameter, a dunder and a non-ASCII word; the lexer accepts each.
+AWKWARD_NAMES = ("a", "lambda", "None", "True", "__builtins__", "größe")
+
+
+def any_term(rng, names, sort, depth):
+    """A well-sorted expression built from the raw nodes, unfolded, so that
+    it may hold `Bool` leaves, `!!c` and `--x`."""
+    def sub(sort):
+        return any_term(rng, names, sort, depth - 1)
+
+    roll = rng.random()
+    if sort == "int":
+        if depth == 0 or roll < 0.3:
+            return Var(rng.choice(names)) if rng.random() < 0.5 else Num(rng.randint(-9, 9))
+        if roll < 0.45:
+            return Unary("-", sub("int"))
+        return lang.Binary(rng.choice("+-*"), sub("int"), sub("int"))
+    if depth == 0 or roll < 0.1:
+        return Bool(rng.random() < 0.5)
+    if roll < 0.3:
+        return Unary("!", sub("bool"))
+    if roll < 0.55:
+        return lang.Binary(rng.choice(("&&", "||")), sub("bool"), sub("bool"))
+    return lang.Binary(rng.choice(("==", "!=", "<", "<=", ">", ">=")), sub("int"), sub("int"))
+
+
+def test_compiled_check_agrees_with_evaluate(rng):
+    """A compiled bucket check is `all(lang.evaluate(c, m) for c in bucket)`
+    at every point of small boxes, for raw and folded terms over every
+    operator, under input names Python reserves or uses itself."""
+    seen = set()
+    for case in range(400):
+        names = rng.sample(AWKWARD_NAMES + ("X", "Y"), rng.randint(1, 3))
+        domains = {}
+        for n in names:
+            lo = rng.randint(-4, 3)
+            domains[n] = (lo, lo + rng.randint(0, 3))
+        bucket = []
+        for _ in range(rng.randint(0, 3)):
+            t = any_term(rng, names, "bool", rng.randint(0, 4))
+            if case % 2:  # folded, with the renaming random_term cannot do
+                t = lang.evaluate(t, {}, 0, 0, domains, symbolic.TERMS)
+            bucket.append(t)
+        check = solver._check(tuple(bucket))
+        for values in itertools.product(*(range(lo, hi + 1) for lo, hi in domains.values())):
+            model = dict(zip(names, values))
+            expected = all(lang.evaluate(c, model) for c in bucket)
+            assert check(model) is expected, (bucket, model)
+        for c in bucket:
+            stack = [c]
+            while stack:
+                e = stack.pop()
+                seen.add(e.op if isinstance(e, (Unary, lang.Binary)) else type(e))
+                if isinstance(e, Num) and e.value < 0:
+                    seen.add("negative")
+                if isinstance(e, Unary) and isinstance(e.operand, Unary):
+                    seen.add("nested " + e.op)
+                stack.extend((e.operand,) if isinstance(e, Unary) else
+                             (e.left, e.right) if isinstance(e, lang.Binary) else ())
+    assert seen >= {"+", "-", "*", "==", "!=", "<", "<=", ">", ">=", "&&", "||", "!",
+                    Num, Bool, Var, "negative", "nested !", "nested -"}
+
+
+def test_awkward_input_names_solve_like_the_brute_force_walk(rng):
+    """Declared through the parser and solved end to end: keyword-like,
+    builtin and non-ASCII input names reach the compiled check as keys."""
+    decls = " ".join(f"sym {n} : int[0..4];" for n in AWKWARD_NAMES)
+    program = lang.parse_program(f"symbolic {decls} program {{ }}")
+    domains = solver.domains_of(program)
+    for _ in range(100):
+        names = rng.sample(AWKWARD_NAMES, 3)
+        pc = tuple(any_term(rng, names, "bool", rng.randint(1, 3)) for _ in range(2))
+        expected = first_hit(pc, domains)
+        assert is_sat(pc, domains) == (expected is not None), pc
+        if expected is not None:
+            assert get_model(pc, domains) == expected, pc
 
 
 def test_agreement_on_shared_conjunct_pool(rng):
