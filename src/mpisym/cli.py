@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import engine, lang, oracle, replay, report, solver
+from . import engine, lang, ops, oracle, replay, report, solver
 from .state import Verdict
 
 EXIT_OK = 0
@@ -55,7 +55,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--nprocs", type=int, default=None,
                         help="process count (defaults to the program header)")
     parser.add_argument("--max-states", type=int, default=None)
-    parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
 def cmd_analyze(args) -> int:
@@ -114,7 +113,7 @@ def cmd_replay(args) -> int:
 
 
 def _parse_set(pairs, program) -> dict:
-    domains = solver.domains_of(program)
+    domains = ops.lower(program).domains
     model = {}
     for pair in pairs:
         if "=" not in pair:
@@ -137,7 +136,7 @@ def _parse_set(pairs, program) -> dict:
 def _candidate_models(program, nprocs, count: int, strategy: engine.SearchStrategy):
     """Models to compare under: the witness model of each engine path (they
     cover every explored branch shape), topped up lexicographically."""
-    domains = solver.domains_of(program)
+    domains = ops.lower(program).domains
     result = engine.search(program, nprocs, strategy)
     if result.truncated:
         raise oracle.BoundExceeded(f"engine state bound {strategy.max_states} exceeded")
@@ -158,8 +157,10 @@ def cmd_compare(args) -> int:
         if findings:
             sys.stderr.write(report.render_validation(findings))
             return EXIT_USAGE
-        if args.enumerate_models < 1:
-            raise ValueError("--enumerate-models must be positive")
+        for flag, value in (("--enumerate-models", args.enumerate_models),
+                            ("--oracle-bound", args.oracle_bound)):
+            if value < 1:
+                raise ValueError(f"{flag} must be positive")
         strategy = engine.SearchStrategy(max_states=args.max_states)  # rejects < 1
         if args.set:
             models = [_parse_set(args.set, program)]
@@ -218,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="explore all paths of a program")
     _add_common(p_analyze)
+    p_analyze.add_argument("-v", "--verbose", action="count", default=0)
     p_analyze.add_argument("--strategy", choices=("dfs", "bfs"), default="dfs")
     p_analyze.add_argument("--max-depth", type=int, default=None)
     p_analyze.add_argument("--out", default=None,

@@ -1,10 +1,11 @@
 """Worklist symbolic execution with on-the-fly scheduling and lazy
 wildcard matching.
 
-One process is symbolically executed at a time: the scheduler keeps running
-the designated next process (set when a communication blocked) or the
-smallest-ranked active process, and switches only at unmatched
-communication points.  From any state the expansion therefore yields the
+One process is symbolically executed at a time: `scheduler`, the one
+scheduling decision, keeps running the designated next process (set when a
+communication blocked) or the smallest-ranked active process, and switches
+only at unmatched communication points.  `search` asks it once per state
+and `expand` acts on its answer, so from any state the expansion yields the
 successors of exactly one process, never the cross-product of all of them.
 
 Wildcard receives are matched lazily.  A Recv(any) puts its process to
@@ -30,14 +31,14 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import lang, ops, solver, symbolic
 from .solver import Model
 from .state import (BranchChoice, BarrierRelease, EngineError, GlobalState,
-                    StepEvent, Status, Trace, Verdict, WaitBarrier, WaitRecv,
-                    WaitRecvAny, WaitSend, advance, assume, bind, eval_expr,
-                    fork, init_state, match_transfer, update)
+                    StepEvent, Status, Trace, Verdict, advance, assume, bind,
+                    eval_expr, fork, init_state, match_transfer, update,
+                    waiting_in)
 
 
 class ValidationFailure(Exception):
@@ -68,25 +69,9 @@ class SolverStats:
     queries: int = 0
 
 
-@dataclass(frozen=True)
-class RunProc:
-    rank: int
-    from_candidate: bool = False
-
-
-@dataclass(frozen=True)
-class ForkedWildcard:
-    successors: Tuple[GlobalState, ...]
-    pairs: Tuple[Tuple[int, int], ...]  # (receiver, sender) per successor
-
-
-@dataclass(frozen=True)
-class Deadlocked:
-    pass
-
-
-if TYPE_CHECKING:  # annotation-only, like lang.Expr
-    ScheduleOutcome = Union[RunProc, ForkedWildcard, Deadlocked]
+#: What happens next in a state: the rank to run, the (receiver, sender)
+#: wildcard pairs to fork over, or the state's terminal verdict.
+Schedule = Union[int, List[Tuple[int, int]], Verdict]
 
 
 @dataclass
@@ -130,79 +115,46 @@ class AnalysisReport:
 # -- scheduling ---------------------------------------------------------------
 
 
-def _decision(s: GlobalState):
-    """Pure scheduling decision; mutation is applied by expand().
+def scheduler(s: GlobalState) -> Schedule:
+    """Decide what happens next in a state, without changing it.
 
-    The first active rank in rank order runs.  When none is active, one
-    pass collects the wildcard pairs: every receiver asleep on a wildcard
-    with every sender blocked on it, receiver-ascending, then
-    sender-ascending."""
+    A state that ended keeps its verdict.  Otherwise the designated next
+    process runs when it is active, else the first active rank.  When none
+    is active, one pass collects the wildcard pairs: every receiver asleep
+    on a wildcard with every sender asleep on it, receiver-ascending, then
+    sender-ascending.  With no pair either, the state is terminated when
+    every rank exited and deadlocked when some rank sleeps.
+    """
+    if s.verdict is not Verdict.RUNNING:
+        return s.verdict
     procs = s.procs
     cand = s.next_proc_candidate
     if cand is not None and procs[cand].status is Status.ACTIVE:
-        return ("run", cand, True)
+        return cand
     for p in procs:
         if p.status is Status.ACTIVE:
-            return ("run", p.rank, False)
+            return p.rank
+    op_at = s.compiled.op_at
     receivers = []
     senders = {}
-    inactive = False
+    asleep = False
     for p in procs:
         if p.status is Status.INACTIVE:
-            inactive = True
-            wait = p.blocked_on
-            if isinstance(wait, WaitSend):
-                senders.setdefault(wait.dest, []).append(p.rank)
-            elif isinstance(wait, WaitRecvAny):
+            asleep = True
+            op = op_at(p.pc_loc)
+            if type(op) is lang.Send:
+                senders.setdefault(p.blocked_on, []).append(p.rank)
+            elif type(op) is lang.Recv and op.src is None:
                 receivers.append(p.rank)
     pairs = [(r, q) for r in receivers for q in senders.get(r, ())]
     if pairs:
-        return ("wildcard", pairs)
-    return ("deadlock",) if inactive else ("terminated",)
+        return pairs
+    return Verdict.DEADLOCK if asleep else Verdict.TERMINATED
 
 
-def _wildcard_successors(s: GlobalState, pairs) -> List[GlobalState]:
-    succs = []
-    for receiver, sender in pairs:
-        t = fork(s)
-        t.depth += 1
-        match_transfer(t, sender, receiver)
-        succs.append(t)
-    return succs
-
-
-def scheduler(s: GlobalState, decision=None) -> ScheduleOutcome:
-    """Pick what happens next in a running state.
-
-    Either a single process to execute, a fan-out of one successor per
-    pending wildcard match (only possible once nothing is runnable), or a
-    deadlock report.  The state itself is not modified.  `decision`, when
-    given, is `_decision(s)`, as in `classify` and `expand`.
-    """
-    if s.verdict is not Verdict.RUNNING:
-        raise EngineError("scheduler called on a non-running state")
-    d = decision or _decision(s)
-    if d[0] == "run":
-        return RunProc(d[1], d[2])
-    if d[0] == "wildcard":
-        pairs = d[1]
-        return ForkedWildcard(tuple(_wildcard_successors(s, pairs)), tuple(pairs))
-    if d[0] == "terminated":
-        raise EngineError("scheduler called on a terminated state")
-    return Deadlocked()
-
-
-def classify(s: GlobalState, decision=None) -> Verdict:
-    """Verdict of a state: Terminated when everything exited, Deadlock when
-    the scheduler has nothing to do, otherwise whatever the state carries."""
-    if s.verdict is not Verdict.RUNNING:
-        return s.verdict
-    kind = (decision or _decision(s))[0]
-    if kind == "terminated":
-        return Verdict.TERMINATED
-    if kind == "deadlock":
-        return Verdict.DEADLOCK
-    return Verdict.RUNNING
+def classify(s: GlobalState) -> Verdict:
+    """The verdict `scheduler` gives a state, or RUNNING while it goes on."""
+    return v if isinstance(v := scheduler(s), Verdict) else Verdict.RUNNING
 
 
 # -- per-statement symbolic execution ----------------------------------------
@@ -310,61 +262,45 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
         if err is not None:
             return [_error_terminal(s, p, loc, err)]
         t = stepped()
-        q = t.procs[dest]
-        if isinstance(q.blocked_on, WaitRecv) and q.blocked_on.src == p:
+        if waiting_in(t, dest, lang.Recv, p):
             match_transfer(t, p, dest)
         else:
             # A sleeping wildcard receiver does NOT match here; the sender
             # blocks so the scheduler can later fork over all candidates.
-            update(t, p, status=Status.INACTIVE,
-                   blocked_on=WaitSend(dest, eval_expr(t, p, op.payload)))
+            update(t, p, status=Status.INACTIVE, blocked_on=dest)
             t.next_proc_candidate = dest
         return [t]
 
     if isinstance(op, lang.Recv):
         if op.src is None:
             t = stepped()
-            update(t, p, status=Status.INACTIVE, blocked_on=WaitRecvAny(op.var))
+            update(t, p, status=Status.INACTIVE)
             return [t]
         src, err = _resolve_rank(s, p, op.src, stats)
         if err is not None:
             return [_error_terminal(s, p, loc, err)]
         t = stepped()
-        q = t.procs[src]
-        if isinstance(q.blocked_on, WaitSend) and q.blocked_on.dest == p:
+        if waiting_in(t, src, lang.Send, p):
             match_transfer(t, src, p)
         else:
-            update(t, p, status=Status.INACTIVE, blocked_on=WaitRecv(src, op.var))
+            update(t, p, status=Status.INACTIVE, blocked_on=src)
             t.next_proc_candidate = src
         return [t]
 
     if isinstance(op, lang.Barrier):
+        # The barrier releases when every other rank is asleep at one; a
+        # rank that exited never arrives, which (correctly) wedges it.
+        # Ranks mostly arrive in rank order, so the scan starts at the top.
         t = stepped()
-        if not t.barrier_pending:
-            # Open an epoch over every rank; exited members never arrive,
-            # which (correctly) wedges the barrier.
-            members = frozenset(range(t.nprocs)) - {p}
-            if members:
-                t.barrier_pending = members
-                update(t, p, status=Status.INACTIVE, blocked_on=WaitBarrier())
-            else:
-                t.trace.append(BarrierRelease(t.barrier_epochs))
-                t.barrier_epochs += 1
-                advance(t, (p,))
+        if all(q.rank == p or waiting_in(t, q.rank, lang.Barrier, None)
+               for q in reversed(t.procs)):
+            for r in range(t.nprocs):
+                update(t, r, status=Status.ACTIVE)
+            t.trace.append(BarrierRelease(t.barrier_epochs))
+            t.barrier_epochs += 1
+            advance(t, range(t.nprocs))
         else:
-            if p not in t.barrier_pending:
-                raise EngineError(f"process {p} at a barrier it is not pending on")
-            t.barrier_pending = t.barrier_pending - {p}
-            if t.barrier_pending:
-                update(t, p, status=Status.INACTIVE, blocked_on=WaitBarrier())
-            else:
-                participants = [q.rank for q in t.procs
-                                if isinstance(q.blocked_on, WaitBarrier)] + [p]
-                for r in participants:
-                    update(t, r, status=Status.ACTIVE, blocked_on=None)
-                t.trace.append(BarrierRelease(t.barrier_epochs))
-                t.barrier_epochs += 1
-                advance(t, sorted(participants))
+            update(t, p, status=Status.INACTIVE)
         return [t]
 
     if isinstance(op, lang.Exit):
@@ -376,20 +312,26 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
 
 
 def expand(s: GlobalState, stats: Optional[SolverStats] = None,
-           decision=None) -> List[GlobalState]:
-    """One exploration step: schedule, then execute.  Successors are in
-    exploration-priority order (the first element is explored first under
-    DFS)."""
-    outcome = scheduler(s, decision)
-    if isinstance(outcome, RunProc):
-        if outcome.from_candidate:
+           what: Optional[Schedule] = None) -> List[GlobalState]:
+    """One exploration step: run the scheduled rank, or fork one successor
+    per wildcard pair.  `what`, when given, is `scheduler(s)`.  Successors
+    are in exploration-priority order (the first element is explored first
+    under DFS)."""
+    if what is None:
+        what = scheduler(s)
+    if type(what) is int:
+        if s.next_proc_candidate == what:
             s.next_proc_candidate = None
-        return se_step(s, outcome.rank, stats)
-    if isinstance(outcome, ForkedWildcard):
-        return list(outcome.successors)
-    s.verdict = Verdict.DEADLOCK
-    s.depth += 1
-    return [s]
+        return se_step(s, what, stats)
+    if isinstance(what, Verdict):
+        raise EngineError(f"expand called on a {what.value} state")
+    succs = []
+    for receiver, sender in what:
+        t = fork(s)
+        t.depth += 1
+        match_transfer(t, sender, receiver)
+        succs.append(t)
+    return succs
 
 
 # -- the search loop ----------------------------------------------------------
@@ -436,15 +378,14 @@ def search(program: lang.Program, nprocs: int,
 
     while worklist:
         s = pop()
-        decision = _decision(s) if s.verdict is Verdict.RUNNING else None
-        verdict = classify(s, decision)
-        if verdict is not Verdict.RUNNING:
-            s.verdict = verdict
+        what = scheduler(s)
+        if isinstance(what, Verdict):  # terminal: record it
+            s.verdict = what
             stats.queries += 1
             if s.model is None:
                 s.model = solver.get_model(s.pc, domains)
             records.append(PathRecord(
-                index=len(records), verdict=verdict, pc=s.pc, model=s.model,
+                index=len(records), verdict=what, pc=s.pc, model=s.model,
                 steps=s.depth, final_state=s, fail_loc=s.fail_loc, error=s.error))
             continue
         if strategy.max_depth is not None and s.depth >= strategy.max_depth:
@@ -453,7 +394,7 @@ def search(program: lang.Program, nprocs: int,
         if strategy.max_states is not None and states_created >= strategy.max_states:
             truncated = True
             continue
-        succs = expand(s, stats, decision)
+        succs = expand(s, stats, what)
         states_created += len(succs)
         if strategy.order == "dfs":
             worklist.extend(reversed(succs))

@@ -248,12 +248,16 @@ def _terminal_tag(s: ConcreteState) -> str:
 
 
 def make_initial(program: lang.Program, nprocs: int, model: Model) -> ConcreteState:
+    compiled = ops.lower(program)
+    for name in model:
+        if name not in compiled.domains:
+            raise OracleError(f"model assigns undeclared input {name!r}")
     for d in program.decls:
         if d.name not in model:
             raise OracleError(f"model does not assign {d.name!r}")
         if not d.lo <= model[d.name] <= d.hi:
             raise OracleError(f"model value {d.name}={model[d.name]} outside domain")
-    return ConcreteState(ops.lower(program), nprocs, dict(model))
+    return ConcreteState(compiled, nprocs, dict(model))
 
 
 def _state_graph(program: lang.Program, nprocs: int, model: Model, state_bound: int):

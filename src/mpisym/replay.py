@@ -178,12 +178,15 @@ def loads(text: str) -> TestCase:
             raise ReplayError(f"line {i}: content before INPUT section")
         sections[current].append((i, text_line))
 
-    model = []
+    model = {}
     for i, entry in sections["INPUT"]:
         if "=" not in entry:
             raise ReplayError(f"line {i}: malformed input binding")
         name, value = entry.split("=", 1)
-        model.append((name.strip(), int(value)))
+        name = name.strip()
+        if name in model:
+            raise ReplayError(f"line {i}: input {name!r} bound twice")
+        model[name] = int(value)
 
     trace = []
     events = {}  # trace line -> its event, shared by the lines equal to it
@@ -207,7 +210,7 @@ def loads(text: str) -> TestCase:
     else:  # a test case never ends running or in an analysis error
         raise ReplayError(f"line {vline_no}: unknown verdict {vline!r}")
 
-    return TestCase(program_hash=phash, nprocs=nprocs, model=tuple(model),
+    return TestCase(program_hash=phash, nprocs=nprocs, model=tuple(model.items()),
                     trace=tuple(trace), verdict=verdict, fail_loc=fail_loc)
 
 
@@ -248,10 +251,11 @@ class ReplayResult:
         return not self.divergences and self.verdict is self.expected
 
 
-def _posted_on(s: oracle.ConcreteState, posted, q: int, call: type, peer: Optional[int]) -> bool:
-    """Whether rank q is posted on a `call` (lang.Send or lang.Recv) naming
-    rank peer; peer None stands for a wildcard receive."""
-    return posted.get(q, -1) == peer and isinstance(s.current_op(q), call)
+def _posted_on(s: oracle.ConcreteState, posted, r: int, call: type, peer: Optional[int]) -> bool:
+    """`state.waiting_in` asked of the posted map: whether rank r is posted
+    in a `call` (lang.Send or lang.Recv) naming rank `peer`; peer None
+    stands for a wildcard receive."""
+    return posted.get(r, -1) == peer and isinstance(s.current_op(r), call)
 
 
 def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:

@@ -74,17 +74,6 @@ class Unsatisfiable(SolverError):
     """The query has no model."""
 
 
-def domains_of(program: lang.Program) -> Domains:
-    out: Domains = {}
-    for d in program.decls:
-        if d.lo > d.hi:
-            raise SolverError(f"empty domain for {d.name!r}")
-        if d.hi - d.lo + 1 > lang.MAX_DOMAIN_WIDTH:
-            raise SolverError(f"domain of {d.name!r} wider than {lang.MAX_DOMAIN_WIDTH}")
-        out[d.name] = (d.lo, d.hi)
-    return out
-
-
 def _flatten(pc: PathCondition) -> List[Expr]:
     """Split top-level conjunctions so each conjunct is bucketed separately."""
     out: List[Expr] = []

@@ -5,13 +5,18 @@ copy, so worklist items can be explored in any order.  Forking costs the
 same at any path depth because forks share structure, and everything they
 share is immutable: the compiled program, the path-condition tuple, the
 cells of the schedule trace (`Trace`) and the per-process states
-(`ProcState`, whose environment is a read-only view) and the frozenset of
-ranks a barrier still waits for.  A fork owns only its `procs` list and
-its trace head.  A write replaces: `update` and `bind` put a new ProcState
-into the writing state's list, the engine assigns a new barrier set, and
-appending to a trace adds a cell that only the appending state points to.
-An in-place write to a shared ProcState, its environment or the barrier
-set raises instead of leaking into another fork.
+(`ProcState`, whose environment is a read-only view).  A fork owns only
+its `procs` list and its trace head.  A write replaces: `update` and `bind`
+put a new ProcState into the writing state's list, and appending to a trace
+adds a cell that only the appending state points to.  An in-place write to
+a shared ProcState or its environment raises instead of leaking into
+another fork.
+
+A rank that is asleep (INACTIVE) rests on the send, receive or barrier it
+is waiting in, so the statement at its cursor says which call it is;
+`blocked_on` adds only the peer that a send or a named receive names, and
+is None everywhere else.  `waiting_in` asks the one question the rules
+need of that record.
 
 A state also carries `model`, the smallest model of its path condition,
 or None while it is unknown; the initial one sets every input to the low
@@ -28,7 +33,7 @@ import enum
 import functools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from . import lang, ops, symbolic
 
@@ -53,31 +58,6 @@ class Verdict(enum.Enum):
     DEADLOCK = "deadlock"
     ASSERT_FAIL = "assertfail"
     ERROR = "error"
-
-
-# Reasons a process is asleep; stored only while status == INACTIVE.
-
-
-@dataclass(frozen=True)
-class WaitSend:
-    dest: int
-    payload: Expr  # evaluated when the send was issued
-
-
-@dataclass(frozen=True)
-class WaitRecv:
-    src: int
-    var: str
-
-
-@dataclass(frozen=True)
-class WaitRecvAny:
-    var: str
-
-
-@dataclass(frozen=True)
-class WaitBarrier:
-    pass
 
 
 # Schedule trace events.  Replay consumes these in order, so the engine
@@ -196,7 +176,7 @@ class ProcState(NamedTuple):
     pc_loc: int
     env: Mapping[str, Expr]
     status: Status
-    blocked_on: object  # a Wait* while INACTIVE, otherwise None
+    blocked_on: Optional[int]  # the peer of a sleeping send or named receive
 
     def snapshot(self):
         return (self.rank, self.pc_loc, tuple(sorted(self.env.items(), key=lambda kv: kv[0])),
@@ -211,8 +191,7 @@ _new_proc = tuple.__new__  # skips NamedTuple's Python-level __new__ on hot writ
 
 class GlobalState:
     __slots__ = ("compiled", "nprocs", "procs", "pc", "model", "next_proc_candidate",
-                 "barrier_pending", "barrier_epochs", "trace", "verdict",
-                 "fail_loc", "error", "depth")
+                 "barrier_epochs", "trace", "verdict", "fail_loc", "error", "depth")
 
     def __init__(self, compiled: ops.CompiledProgram, nprocs: int):
         self.compiled = compiled
@@ -224,7 +203,6 @@ class GlobalState:
         self.pc: symbolic.PathCondition = ()
         self.model: Optional[Model] = {name: lo for name, (lo, _) in compiled.domains.items()}
         self.next_proc_candidate: Optional[int] = None
-        self.barrier_pending: FrozenSet[int] = frozenset()
         self.barrier_epochs = 0
         self.trace = Trace()
         self.verdict = Verdict.RUNNING
@@ -243,8 +221,8 @@ class GlobalState:
     def snapshot(self):
         """Structural fingerprint used by tests to detect cross-fork leaks."""
         return (tuple(p.snapshot() for p in self.procs), self.pc,
-                self.next_proc_candidate, self.barrier_pending,
-                self.barrier_epochs, self.trace.as_tuple(), self.verdict,
+                self.next_proc_candidate, self.barrier_epochs,
+                self.trace.as_tuple(), self.verdict,
                 self.fail_loc, self.error,
                 None if self.model is None else tuple(self.model.items()))
 
@@ -267,7 +245,6 @@ def fork(s: GlobalState) -> GlobalState:
     t.pc = s.pc
     t.model = s.model
     t.next_proc_candidate = s.next_proc_candidate
-    t.barrier_pending = s.barrier_pending
     t.barrier_epochs = s.barrier_epochs
     t.trace = s.trace.copy()
     t.verdict = s.verdict
@@ -342,46 +319,41 @@ def advance(s: GlobalState, ranks: Iterable[int]) -> GlobalState:
     return s
 
 
+def waiting_in(s: GlobalState, r: int, call: type, peer: Optional[int]) -> bool:
+    """Whether rank r is asleep in a `call` (lang.Send, lang.Recv or
+    lang.Barrier) naming rank `peer`; peer None stands for a wildcard
+    receive or a barrier."""
+    p = s.procs[r]
+    return (p.status is Status.INACTIVE and p.blocked_on == peer
+            and isinstance(s.compiled.op_at(p.pc_loc), call))
+
+
 def match_transfer(s: GlobalState, sender: int, receiver: int) -> GlobalState:
     """Synchronize a send with a receive: the receiver binds the sender's
     payload, both processes wake and advance, and a MatchEvent is recorded.
 
-    Either side may be blocked or currently executing its statement; the
-    pairing must be consistent (mismatches are engine bugs).
+    Either side may be asleep or currently executing its statement; the
+    pairing must be consistent (mismatches are engine bugs).  The payload
+    is evaluated here: a sleeping sender's environment cannot change.
     """
     if sender == receiver:
         raise EngineError("a process cannot match with itself")
     sp = s.procs[sender]
     rp = s.procs[receiver]
+    send = s.compiled.op_at(sp.pc_loc)
+    recv = s.compiled.op_at(rp.pc_loc)
+    if not isinstance(send, lang.Send):
+        raise EngineError("sender is not at a send")
+    if not isinstance(recv, lang.Recv):
+        raise EngineError("receiver is not at a receive")
+    if sp.blocked_on not in (None, receiver):
+        raise EngineError("sender is blocked on a different destination")
+    if rp.blocked_on not in (None, sender):
+        raise EngineError("receiver expects a different source")
 
-    if isinstance(sp.blocked_on, WaitSend):
-        if sp.blocked_on.dest != receiver:
-            raise EngineError("sender is blocked on a different destination")
-        payload = sp.blocked_on.payload
-    else:
-        op = s.compiled.op_at(sp.pc_loc)
-        if not isinstance(op, lang.Send):
-            raise EngineError("sender is not at a send")
-        payload = eval_expr(s, sender, op.payload)
-
-    wildcard = False
-    if isinstance(rp.blocked_on, WaitRecv):
-        if rp.blocked_on.src != sender:
-            raise EngineError("receiver expects a different source")
-        var = rp.blocked_on.var
-    elif isinstance(rp.blocked_on, WaitRecvAny):
-        var = rp.blocked_on.var
-        wildcard = True
-    else:
-        op = s.compiled.op_at(rp.pc_loc)
-        if not isinstance(op, lang.Recv):
-            raise EngineError("receiver is not at a receive")
-        var = op.var
-        wildcard = op.src is None
-
-    bind(s, receiver, var, payload)
+    bind(s, receiver, recv.var, eval_expr(s, sender, send.payload))
     update(s, sender, status=Status.ACTIVE, blocked_on=None)
     update(s, receiver, status=Status.ACTIVE, blocked_on=None)
-    s.trace.append(MatchEvent(sender, receiver, wildcard))
+    s.trace.append(MatchEvent(sender, receiver, recv.src is None))
     advance(s, (sender, receiver))
     return s

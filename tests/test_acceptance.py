@@ -10,8 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from mpisym import engine, lang, oracle, replay, solver, symbolic
-from mpisym.engine import ForkedWildcard, RunProc
+from mpisym import engine, lang, oracle, ops, replay, solver, symbolic
 from mpisym.state import (BarrierRelease, MatchEvent, Status, StepEvent,
                           Verdict, init_state)
 from randprog import pipeline_source, random_program
@@ -40,7 +39,7 @@ def test_c1_motivating_example(corpus_entries):
     with criterion(1, "motivating-example reproduction"):
         e = corpus_entries["fig1-motivating"]
         program = e.program()
-        domains = solver.domains_of(program)
+        domains = ops.lower(program).domains
         started = time.perf_counter()
         rep = engine.search(program, 3)
         elapsed = time.perf_counter() - started
@@ -102,7 +101,7 @@ def test_c4_theorem_differential(corpus_entries, seed):
 
         for e in corpus_entries.values():
             program = e.program()
-            domains = solver.domains_of(program)
+            domains = ops.lower(program).domains
             models = []
             rep = engine.search(program, e.nprocs)
             seen = set()
@@ -230,16 +229,16 @@ def _states_with_outcomes(rng, want_wildcard, want_run, want_release):
         stack = [init_state(program, nprocs)]
         while stack:
             s = stack.pop()
-            if s.verdict is not Verdict.RUNNING or engine.classify(s) is not Verdict.RUNNING:
+            what = engine.scheduler(s)
+            if isinstance(what, Verdict):
                 for ev in s.trace:
                     if isinstance(ev, BarrierRelease):
                         release_traces.append((tuple(s.trace), s.compiled, nprocs))
                         break
                 continue
-            outcome = engine.scheduler(s)
-            if isinstance(outcome, ForkedWildcard):
+            if isinstance(what, list):
                 wildcard_states.append(fork(s))
-            elif isinstance(outcome, RunProc) and len(run_states) < want_run * 3:
+            elif len(run_states) < want_run * 3:
                 run_states.append(fork(s))
             stack.extend(reversed(engine.expand(s)))
     return wildcard_states, run_states, release_traces
@@ -255,21 +254,23 @@ def test_c8_scheduler_properties(seed):
         assert len(wildcard_states) >= 200
         for s in wildcard_states:
             assert s.ranks_with_status(Status.ACTIVE) == []
-            outcome = engine.scheduler(s)
-            assert isinstance(outcome, ForkedWildcard)
-            for succ, (receiver, sender) in zip(outcome.successors, outcome.pairs):
+            pairs = engine.scheduler(s)
+            assert isinstance(pairs, list) and pairs
+            succs = engine.expand(s)
+            assert len(succs) == len(pairs)
+            for succ, (receiver, sender) in zip(succs, pairs):
                 assert succ.trace[len(s.trace):] == [MatchEvent(sender, receiver, True)]
 
         # one process per expansion: every successor steps the same rank
         assert len(run_states) >= 200
         for s in run_states[:400]:
-            outcome = engine.scheduler(s)
+            rank = engine.scheduler(s)
             succs = engine.expand(s)
             new_events = [tuple(t.trace[len(s.trace):]) for t in succs]
             for events in new_events:
                 assert events, "expansion recorded no step"
                 assert isinstance(events[0], StepEvent)
-                assert events[0].rank == outcome.rank
+                assert events[0].rank == rank
 
         # barrier atomicity: exactly one barrier arrival per rank per release
         assert len(release_traces) >= 200

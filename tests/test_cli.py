@@ -142,6 +142,8 @@ def test_compare_bad_set_value(capsys, fig1_path):
     (["--enumerate-models", "-3"], "--enumerate-models must be positive"),
     (["--set", "X=1", "--enumerate-models", "0"], "--enumerate-models must be positive"),
     (["--max-states", "0"], "max_states must be positive"),
+    (["--oracle-bound", "0"], "--oracle-bound must be positive"),
+    (["--oracle-bound", "-3"], "--oracle-bound must be positive"),
 ])
 def test_compare_rejects_nonpositive_counts(capsys, fig1_path, argv, message):
     code, out, err = run(capsys, "compare", str(fig1_path), *argv)
@@ -231,6 +233,12 @@ def test_replay_and_corpus_have_no_verbose_option(capsys, fig1_path, tmp_path):
         assert "unrecognized arguments: -v" in err
 
 
+def test_compare_has_no_verbose_option(capsys, fig1_path):
+    code, out, err = run(capsys, "compare", str(fig1_path), "--set", "X=0", "-v")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: -v" in err
+
+
 @pytest.mark.parametrize("option", [["--strategy", "bfs"], ["--max-depth", "1"]])
 def test_compare_has_no_search_order_or_depth_option(capsys, fig1_path, option):
     code, _, err = run(capsys, "compare", str(fig1_path), *option)
@@ -280,6 +288,22 @@ def test_replay_input_outside_domain_exits_one(capsys, fig1_path, tmp_path):
     assert "outside" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("extra,message", [
+    ("Z=7", "test case input: model assigns undeclared input 'Z'"),
+    ("X=97", "input 'X' bound twice"),
+])
+def test_replay_input_undeclared_or_repeated_exits_one(capsys, fig1_path, tmp_path,
+                                                       extra, message):
+    out_dir = tmp_path / "cases"
+    run(capsys, "analyze", str(fig1_path), "--out", str(out_dir))
+    case = sorted(out_dir.glob("*.testcase"))[0]
+    edited = tmp_path / "edited.testcase"
+    edited.write_text(case.read_text().replace("INPUT\n", f"INPUT\n{extra}\n"))
+    code, out, err = run(capsys, "replay", str(fig1_path), str(edited))
+    assert (code, out) == (1, "")
+    assert err.startswith("mpisym: error: ") and err.endswith(f"{message}\n")
+
+
 def test_main_reentrant_with_shared_parser(capsys, fig1_path):
     """The process-wide parser gives the outputs of a fresh one whatever
     ran before: `--set` (append) and `-v` (count) never carry over."""
@@ -288,7 +312,7 @@ def test_main_reentrant_with_shared_parser(capsys, fig1_path):
         ["compare", str(fig1_path), "--enumerate-models", "2"],
         ["analyze", str(fig1_path), "-v", "-v"],
         ["analyze", str(fig1_path), "--nprocs", "4"],
-        ["compare", str(fig1_path), "--set", "X=0", "--nprocs", "3", "-v"],
+        ["compare", str(fig1_path), "--set", "X=0", "--nprocs", "3"],
         ["analyze", str(fig1_path)],
         ["compare", str(fig1_path), "--set", "X=97", "--set", "X=0"],
     ]
@@ -304,7 +328,8 @@ def test_main_reentrant_with_shared_parser(capsys, fig1_path):
         fresh.append(outcome(argv))
     assert shared == fresh
     args = cli.build_parser().parse_args(["compare", str(fig1_path)])
-    assert args.set == [] and args.verbose == 0 and args.nprocs is None
+    assert args.set == [] and args.nprocs is None
+    assert cli.build_parser().parse_args(["analyze", str(fig1_path)]).verbose == 0
 
 
 def test_non_decimal_digit_is_a_located_parse_error(capsys, tmp_path):

@@ -1,11 +1,10 @@
 import pytest
 
-from mpisym import engine, lang, solver, symbolic
-from mpisym.engine import (Deadlocked, ForkedWildcard, RunProc,
-                           SearchStrategy, ValidationFailure, classify,
+from mpisym import engine, lang, ops, solver, symbolic
+from mpisym.engine import (SearchStrategy, ValidationFailure, classify,
                            expand, scheduler, se_step, search)
-from mpisym.state import (MatchEvent, Status, StepEvent, Verdict,
-                          WaitRecvAny, WaitSend, init_state)
+from mpisym.state import (MatchEvent, Status, StepEvent, Verdict, init_state,
+                          waiting_in)
 from randprog import random_program
 
 
@@ -53,14 +52,13 @@ program (nprocs = 3) {
 
 def test_scheduler_smallest_active():
     s = init_state(program("program (nprocs = 3) { x = rank; }"), 3)
-    out = scheduler(s)
-    assert out == RunProc(0, False)
+    assert scheduler(s) == 0
 
 
 def test_scheduler_prefers_candidate():
     s = init_state(program("program (nprocs = 3) { x = rank; }"), 3)
     s.next_proc_candidate = 1
-    assert scheduler(s) == RunProc(1, True)
+    assert scheduler(s) == 1
     # expand consumes the candidate
     succs = expand(s)
     assert s.next_proc_candidate is None
@@ -75,6 +73,16 @@ def test_scheduler_skips_non_active_candidate():
     assert classify(s) is Verdict.DEADLOCK
 
 
+def test_scheduler_keeps_non_active_candidate():
+    p = program("program (nprocs = 3) { if (rank == 0) { recv a from 1; } x = 1; }")
+    s = init_state(p, 3)
+    s = se_step(se_step(s, 0)[0], 0)[0]  # rank 0 sleeps on rank 1
+    s.next_proc_candidate = 0
+    assert scheduler(s) == 1
+    expand(s)
+    assert s.next_proc_candidate == 0  # only running the candidate clears it
+
+
 def test_scheduler_wildcard_fork_fig1():
     p = program(FIG1)
     s = init_state(p, 3)
@@ -84,11 +92,11 @@ def test_scheduler_wildcard_fork_fig1():
     wild = succs[1]  # false side: X == 'a', wildcard receive
     wild, succs = run_until_blocked(wild)
     assert succs is not None
-    out = scheduler(wild)
-    assert isinstance(out, ForkedWildcard)
-    assert out.pairs == ((1, 0), (1, 2))
-    assert len(out.successors) == 2
-    for t, (receiver, sender) in zip(out.successors, out.pairs):
+    pairs = scheduler(wild)
+    assert pairs == [(1, 0), (1, 2)]
+    succs = expand(wild, what=pairs)
+    assert len(succs) == 2
+    for t, (receiver, sender) in zip(succs, pairs):
         assert t.trace[-1] == MatchEvent(sender, receiver, True)
 
 
@@ -97,13 +105,18 @@ def test_scheduler_deadlock_on_exited_partner():
     s = init_state(p, 2)
     s, _ = run_until_blocked(s)
     assert classify(s) is Verdict.DEADLOCK
-    assert isinstance(scheduler(s), Deadlocked)
+    assert scheduler(s) is Verdict.DEADLOCK
 
 
-def test_scheduler_requires_running_state():
+def test_scheduler_returns_verdict_expand_raises():
     s = init_state(program("program {}"), 1)
+    assert scheduler(s) is Verdict.TERMINATED
     with pytest.raises(engine.EngineError):
-        scheduler(s)
+        expand(s)
+    s.verdict = Verdict.ASSERT_FAIL
+    assert scheduler(s) is Verdict.ASSERT_FAIL
+    with pytest.raises(engine.EngineError):
+        expand(s)
 
 
 # -- se_step --------------------------------------------------------------------
@@ -115,7 +128,8 @@ def test_se_step_send_blocks_and_sets_candidate():
     s = se_step(s, 0)[0]  # branch
     t = se_step(s, 0)[0]  # send
     assert t.procs[0].status is Status.INACTIVE
-    assert t.procs[0].blocked_on == WaitSend(1, lang.Num(7))
+    assert t.procs[0].blocked_on == 1
+    assert waiting_in(t, 0, lang.Send, 1)
     assert t.next_proc_candidate == 1
 
 
@@ -139,7 +153,9 @@ def test_se_step_recv_any_always_blocks():
     s = init_state(p, 2)
     s = se_step(s, 0)[0]
     t = se_step(s, 0)[0]
-    assert t.procs[0].blocked_on == WaitRecvAny("m")
+    assert t.procs[0].status is Status.INACTIVE
+    assert t.procs[0].blocked_on is None
+    assert waiting_in(t, 0, lang.Recv, None)
     assert t.next_proc_candidate is None
 
 
@@ -174,11 +190,11 @@ def test_se_step_barrier_counts_all_ranks():
     p = program("program (nprocs = 3) { barrier; }")
     s = init_state(p, 3)
     s = se_step(s, 0)[0]
-    assert s.barrier_pending == {1, 2}
+    assert [p.status for p in s.procs] == [Status.INACTIVE, Status.ACTIVE, Status.ACTIVE]
     s = se_step(s, 1)[0]
-    assert s.barrier_pending == {2}
+    assert [p.status for p in s.procs] == [Status.INACTIVE, Status.INACTIVE, Status.ACTIVE]
+    assert all(waiting_in(s, r, lang.Barrier, None) for r in (0, 1))
     t = se_step(s, 2)[0]
-    assert t.barrier_pending == set()
     assert t.all_exited()
     from mpisym.state import BarrierRelease
     assert BarrierRelease(0) in t.trace
@@ -269,7 +285,7 @@ def test_search_fig1_three_paths(corpus_entries):
     e = corpus_entries["fig1-motivating"]
     rep = search(e.program(), 3)
     assert len(rep.records) == 3
-    domains = solver.domains_of(e.program())
+    domains = ops.lower(e.program()).domains
     x = lang.Var("X")
     is97 = symbolic.binary("==", x, lang.Num(97))
     not97 = symbolic.binary("!=", x, lang.Num(97))
@@ -369,19 +385,61 @@ def test_every_model_satisfies_its_path_condition(corpus_entries, rng):
 
 def test_sat_only_worklist(corpus_entries, rng, monkeypatch):
     """Every state the engine ever expands has a satisfiable PC."""
-    import mpisym.engine as engine_mod
-    original = engine_mod.classify
+    original = engine.scheduler
     checked = []
 
-    def checking_classify(s, *decision):
+    def checking_scheduler(s):
         assert solver.is_sat(s.pc, s.compiled.domains)
         checked.append(1)
-        return original(s, *decision)
+        return original(s)
 
-    monkeypatch.setattr(engine_mod, "classify", checking_classify)
+    monkeypatch.setattr(engine, "scheduler", checking_scheduler)
     e = corpus_entries["fig1-motivating"]
     search(e.program(), 3)
     for _ in range(15):
         p = random_program(rng)
         search(p, p.nprocs_default)
     assert checked
+
+
+# -- the wait record at every corpus deadlock -------------------------------------
+
+# Per corpus program: the witness model of its one deadlock, and each rank's
+# wait record there, as (call, peer, line) of the statement at its cursor
+# with `blocked_on` as the peer, or None for a rank that exited.
+DEADLOCK_WAITS = {
+    "head-to-head": ({"X": 5}, [("send", 1, 7), ("send", 0, 11)]),
+    "rr-deadlock": ({"X": 0}, [("send", 1, 8), ("send", 2, 13), ("send", 0, 21)]),
+    "waitall-deadlock": ({"X": 0}, [("recv", 1, 8), None, ("send", 0, 16)]),
+    "barrier-deadlock": ({"X": 0}, [None, ("barrier", None, 13), ("barrier", None, 13)]),
+    "recv-any-deadlock": ({"X": 7}, [None, None, ("send", 0, 17)]),
+    "collect-misorder": ({"X": 0}, [("barrier", None, 8), ("recv", 0, 12)]),
+    "cond-bcast": ({"X": 0}, [None, ("recv", 0, 12), ("recv", 0, 12)]),
+    "fig1-motivating": ({"X": 97}, [("send", 1, 9), ("recv", 2, 17), None]),
+    "fig4b-eager": ({}, [("recv", 2, 6), ("send", 0, 9), None]),
+    "fig6-multi-wildcard": ({}, [("send", 1, 6), ("recv", 3, 10), None, None]),
+}
+
+
+def wait_records(s):
+    rows = []
+    for p in s.procs:
+        if p.status is Status.EXITED:
+            rows.append(None)
+            continue
+        assert p.status is Status.INACTIVE
+        op = s.compiled.op_at(p.pc_loc)
+        call = type(op).__name__.lower()
+        assert waiting_in(s, p.rank, type(op), p.blocked_on)
+        rows.append((call, p.blocked_on, op.line))
+    return rows
+
+
+def test_wait_record_at_every_corpus_deadlock(corpus_entries):
+    seen = {}
+    for name, e in corpus_entries.items():
+        deadlocks = search(e.program(), e.nprocs).by_verdict(Verdict.DEADLOCK)
+        if deadlocks:
+            [rec] = deadlocks
+            seen[name] = (rec.model, wait_records(rec.final_state))
+    assert seen == DEADLOCK_WAITS

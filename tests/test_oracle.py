@@ -1,6 +1,6 @@
 import pytest
 
-from mpisym import lang, oracle
+from mpisym import lang, ops, oracle
 from mpisym.oracle import (B, Local, OracleError, SR, SRStar, apply,
                            check_theorem, deadlock_path_lengths, enabled,
                            explore_full, make_initial)
@@ -361,7 +361,7 @@ def test_check_theorem_all_corpus(corpus_entries):
     from mpisym import solver
     for e in corpus_entries.values():
         p = e.program()
-        domains = solver.domains_of(p)
+        domains = ops.lower(p).domains
         models = solver.enumerate_models((), domains, 2)
         # always include the interesting region boundary when there is input
         if "X" in domains:

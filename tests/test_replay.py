@@ -302,6 +302,16 @@ def test_replay_input_outside_domain_is_an_error(corpus_entries):
         replay_testcase(p, with_trace(tc, tc.trace, model=()))
 
 
+def test_replay_input_undeclared_or_repeated_is_an_error(corpus_entries):
+    p, tc = corpus_case(corpus_entries, "fig1-motivating", Verdict.TERMINATED)
+    with pytest.raises(ReplayError) as err:
+        replay_testcase(p, with_trace(tc, tc.trace, model=tc.model + (("Z", 7),)))
+    assert str(err.value) == "test case input: model assigns undeclared input 'Z'"
+    with pytest.raises(ReplayError) as err:
+        loads(TRACE_HEAD.replace("X=1\n", "X=1\nX=97\n") + "VERDICT\nterminated\n")
+    assert str(err.value) == "line 6: input 'X' bound twice"
+
+
 def test_replay_event_after_assertion_failure_diverges(corpus_entries):
     p, tc = corpus_case(corpus_entries, "assert-payload", Verdict.ASSERT_FAIL)
     assert replay_testcase(p, tc).verdict is Verdict.ASSERT_FAIL

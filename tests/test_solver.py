@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mpisym import lang, solver, symbolic
+from mpisym import lang, ops, solver, symbolic
 from mpisym.lang import Bool, Num, Unary, Var
 from mpisym.solver import (SolverError, Unsatisfiable, check_entailed_constant,
                            enumerate_models, get_model, holds, is_sat)
@@ -319,7 +319,7 @@ def test_awkward_input_names_solve_like_the_brute_force_walk(rng):
     builtin and non-ASCII input names reach the compiled check as keys."""
     decls = " ".join(f"sym {n} : int[0..4];" for n in AWKWARD_NAMES)
     program = lang.parse_program(f"symbolic {decls} program {{ }}")
-    domains = solver.domains_of(program)
+    domains = ops.lower(program).domains
     for _ in range(100):
         names = rng.sample(AWKWARD_NAMES, 3)
         pc = tuple(any_term(rng, names, "bool", rng.randint(1, 3)) for _ in range(2))

@@ -2,9 +2,9 @@ import pytest
 
 from mpisym import engine, lang, report, symbolic
 from mpisym.state import (BarrierRelease, EngineError, MatchEvent, Status,
-                          StepEvent, Trace, Verdict, WaitBarrier, WaitSend, advance,
-                          assume, bind, eval_expr, fork, init_state,
-                          match_transfer, update)
+                          StepEvent, Trace, Verdict, advance, assume, bind,
+                          eval_expr, fork, init_state, match_transfer, update,
+                          waiting_in)
 from randprog import random_program
 
 FIG1 = """\
@@ -43,7 +43,7 @@ def test_init_state(fig1):
     assert [p.pc_loc for p in s.procs] == [0, 0, 0]
     assert s.pc == ()
     assert s.trace == []
-    assert s.barrier_pending == set()
+    assert all(p.blocked_on is None for p in s.procs)
     assert s.next_proc_candidate is None
 
 
@@ -91,15 +91,13 @@ def test_fork_independence_under_random_mutation(rng):
             t.procs[0].env["zz"] = lang.Num(1)
         with pytest.raises(AttributeError):
             t.procs[-1].pc_loc = 0
-        with pytest.raises(AttributeError):
-            t.barrier_pending.add(0)
         mutation = rng.randrange(5)
         if mutation == 0:
             bind(t, 0, "zz", lang.Num(1))
         elif mutation == 1:
             t.trace.append(MatchEvent(0, 1, False))
         elif mutation == 2:
-            t.barrier_pending = t.barrier_pending | {0}
+            update(t, 0, status=Status.INACTIVE, blocked_on=1)
         elif mutation == 3:
             update(t, len(t.procs) - 1, pc_loc=0, status=Status.ACTIVE)
         else:
@@ -171,7 +169,7 @@ def test_match_transfer_binds_and_advances(fig1):
     s = engine.expand(s)[0]  # r0 branch
     s = engine.expand(s)[0]  # r0 assign
     s = engine.expand(s)[0]  # r0 send -> blocked
-    assert isinstance(s.procs[0].blocked_on, WaitSend)
+    assert s.procs[0].blocked_on == 1 and waiting_in(s, 0, lang.Send, 1)
     assert s.next_proc_candidate == 1
     s = engine.expand(s)[0]  # r1 outer branch
     s = engine.expand(s)[0]  # r1 rank==1 branch
@@ -212,7 +210,12 @@ def test_partition_invariant_random_walks(rng):
             for t in succs:
                 for proc in t.procs:
                     assert proc.status in (Status.ACTIVE, Status.INACTIVE, Status.EXITED)
-                    assert (proc.blocked_on is not None) == (proc.status is Status.INACTIVE)
+                    op = t.compiled.op_at(proc.pc_loc) if proc.pc_loc < t.compiled.end else None
+                    if proc.status is Status.INACTIVE:
+                        assert isinstance(op, (lang.Send, lang.Recv, lang.Barrier))
+                    named = isinstance(op, lang.Send) or isinstance(op, lang.Recv) and op.src is not None
+                    assert (proc.blocked_on is not None) == (proc.status is Status.INACTIVE and named)
+                    assert proc.blocked_on != proc.rank
             s = succs[rng.randrange(len(succs))]
 
 
@@ -265,7 +268,7 @@ def _involved(s, events):
         elif isinstance(ev, MatchEvent):
             ranks |= {ev.sender, ev.receiver}
         elif isinstance(ev, BarrierRelease):
-            ranks |= {p.rank for p in s.procs if isinstance(p.blocked_on, WaitBarrier)}
+            ranks |= {p.rank for p in s.procs if waiting_in(s, p.rank, lang.Barrier, None)}
     return ranks
 
 
@@ -293,9 +296,9 @@ def test_step_replaces_only_involved_processes(rng):
             s = stack.pop()
             if engine.classify(s) is not Verdict.RUNNING:
                 continue
-            outcome = engine.scheduler(s)
-            if isinstance(outcome, engine.RunProc):
-                op = s.compiled.op_at(s.procs[outcome.rank].pc_loc)
+            what = engine.scheduler(s)
+            if type(what) is int:
+                op = s.compiled.op_at(s.procs[what].pc_loc)
                 kinds.add(type(op).__name__)
             succs = engine.expand(fork(s))
             for t in succs:
@@ -312,11 +315,11 @@ def test_step_replaces_only_involved_processes(rng):
 def test_wildcard_fork_replaces_only_the_pair(fig1):
     s = init_state(fig1, 3)
     while True:
-        outcome = engine.scheduler(s)
-        if isinstance(outcome, engine.ForkedWildcard):
+        pairs = engine.scheduler(s)
+        if isinstance(pairs, list):
             break
         s = engine.expand(s)[-1]  # the X == 'a' side reaches the wildcard
-    for t, (receiver, sender) in zip(outcome.successors, outcome.pairs):
+    for t, (receiver, sender) in zip(engine.expand(s), pairs):
         assert _replaced(s, t) == {receiver, sender}
         assert t.trace.head[1] is s.trace.head
 
@@ -342,7 +345,7 @@ def test_deep_path_has_no_recursion_limit():
     final = rec.final_state
     assert final.trace == list(rec.trace) and final.trace == rec.trace
     assert final.trace == fork(final).trace
-    assert final.snapshot()[5] == rec.trace
+    assert final.snapshot()[4] == rec.trace
     assert final.trace[len(final.trace) - 1:] == [rec.trace[-1]]
     assert repr(final.trace).startswith("Trace([")
     text = report.render(rep, detail=2)
