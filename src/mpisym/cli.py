@@ -5,9 +5,12 @@ test case per path), replay (re-execute a recorded test case), compare
 (differential check of the reduced engine against the full-interleaving
 explorer), corpus (run the bundled expectations table).
 
-Exit codes: 0 clean, 1 usage/analysis error, 2 deadlock or assertion
-failure found (analyze) / expectation mismatch (corpus, compare FAIL),
-3 engine or explorer state bound exceeded (compare).
+Exit codes:
+  0  clean
+  1  usage, parse, validation or analysis error; replay divergence
+  2  deadlock or assertion failure found (analyze), compare FAIL, corpus mismatch
+  3  engine or explorer state bound exceeded (compare)
+  4  internal error: one line `mpisym: internal error: <Type>: <message>`
 
 `main` may be called many times in one process: the parser is built once,
 the 64 most recent program texts keep their parsed programs, and a program
@@ -29,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FOUND = 2
 EXIT_BOUND = 3
+EXIT_INTERNAL = 4
 
 
 def _fail(message: str) -> int:
@@ -261,6 +265,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except lang.ParseError as exc:
         return _fail(str(exc))
+    except Exception as exc:  # RecursionError, EngineError, SolverError, ...
+        message = " ".join(str(exc).splitlines())
+        print(f"mpisym: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,18 +27,21 @@ reachable global-action path lengths must coincide between the engine and
 this oracle.  ``explore_full`` and ``deadlock_path_lengths`` share one
 breadth-first walk of the deduplicated state graph, ``_state_graph``.
 
-State identity in that walk is the triple (cursors, per-rank environment
-ids, ``fail_loc``).  An environment id interns the sorted items of one
-rank's dict; a successor reuses its parent's id for every dict that ``step``
-did not replace, so only the one or two written dicts are sorted again.
-Exit flags and barrier waiting are functions of the cursors and are left
-out.  ``fail_loc`` is in: a failed assertion moves no cursor, and its state
-is a terminal of its own.  States are numbered 0, 1, 2, ... as they are
-discovered, edges are lists of these ids, and ``deadlock_path_lengths``
-propagates each state's path lengths as an integer bitset (bit n: some path
-of n actions reaches the state), turned into a set only for deadlocked
-terminals.  The full ``canonical_key``, the form the engine's terminals are
-compared in, is computed for terminal states only.
+That walk runs over interned keys, not states.  A key is (local ids,
+``fail_loc``): a local id interns one rank's (rank, cursor, sorted
+environment items), and ``fail_loc`` is in because a failed assertion moves
+no cursor.  Exit flags and barrier waiting follow from the cursors.  With
+the inputs and the process count pinned, what a rank does next depends on
+its local id alone, so ``_move``, and ``step`` for a Local successor, run
+once per local id.  ``_compose``, the composition rule ``enabled`` uses
+too, turns the moves into actions: a Local edge costs one tuple, and only
+the rare SR, SRStar and B edges, and terminals, build a ``ConcreteState``.
+States are numbered 0, 1, 2, ... as they are discovered, edges are lists
+of these ids, and ``deadlock_path_lengths`` propagates each state's path
+lengths as an integer bitset (bit n: some path of n actions reaches the
+state), turned into a set only for deadlocked terminals.  The full
+``canonical_key``, the form the engine's terminals are compared in, is
+computed for terminal states only.
 """
 
 from __future__ import annotations
@@ -148,33 +151,47 @@ def canonical_key(cursors, envs, compiled: ops.CompiledProgram, nprocs: int):
 # -- transition relation -------------------------------------------------------
 
 
+def _move(s: ConcreteState, r: int) -> tuple:
+    """What rank r does next in s, which depends on its cursor and environment
+    alone: (Local, None), (B, None) at a barrier, (lang.Send, destination),
+    (lang.Recv, source or None for any), or (None, None) once it has exited."""
+    op = s.current_op(r)
+    if isinstance(op, _LOCAL_OPS):
+        return Local, None
+    if isinstance(op, lang.Barrier):
+        return B, None
+    if isinstance(op, lang.Send):
+        j = s.eval(r, op.dest)
+        if not 0 <= j < s.nprocs or j == r:
+            raise OracleError(f"send destination {j} invalid at rank {r}")
+        return lang.Send, j
+    if isinstance(op, lang.Recv):
+        return lang.Recv, None if op.src is None else s.eval(r, op.src)
+    return None, None
+
+
+def _compose(moves) -> Tuple[List[GlobalAction], List[int]]:
+    """The composition rule over every rank's move: the enabled B, then SR
+    by sender, then SRStar by sender, and the ranks with an enabled Local."""
+    joint, stars, locals_, barriers = [], [], [], 0
+    for i, (kind, peer) in enumerate(moves):
+        if kind is Local:
+            locals_.append(i)
+        elif kind is B:
+            barriers += 1
+        elif kind is lang.Send and moves[peer] == (lang.Recv, None):
+            stars.append(SRStar(i, peer))
+        elif kind is lang.Send and moves[peer] == (lang.Recv, i):
+            joint.append(SR(i, peer))
+    head = [B()] if barriers == len(moves) > 0 else []
+    return head + joint + stars, locals_
+
+
 def enabled(s: ConcreteState) -> List[GlobalAction]:
     """Every composition-rule-enabled action in s, deterministically ordered:
     B, then SR by sender, then SRStar by sender, then Local by rank."""
-    if s.fail_loc is not None:
-        return []
-    n = s.nprocs
-    table = s.compiled.ops
-    current = [table[pc] if pc < len(table) else None for pc in s.cursors]
-    pairs, stars, locals_ = [], [], []
-    barriers = 0
-    for i, op in enumerate(current):
-        if isinstance(op, _LOCAL_OPS):
-            locals_.append(Local(i))
-        elif isinstance(op, lang.Barrier):
-            barriers += 1
-        elif isinstance(op, lang.Send):
-            j = s.eval(i, op.dest)
-            if not 0 <= j < n or j == i:
-                raise OracleError(f"send destination {j} invalid at rank {i}")
-            partner = current[j]
-            if isinstance(partner, lang.Recv):
-                if partner.src is None:
-                    stars.append(SRStar(i, j))
-                elif s.eval(j, partner.src) == i:
-                    pairs.append(SR(i, j))
-    head = [B()] if barriers == n > 0 else []
-    return head + pairs + stars + locals_
+    joint, locals_ = _compose([_move(s, r) for r in range(s.nprocs if s.fail_loc is None else 0)])
+    return joint + [Local(r) for r in locals_]
 
 
 def step(s: ConcreteState, action: GlobalAction) -> Optional[bool]:
@@ -240,11 +257,7 @@ class OracleResult:
 
 
 def _terminal_tag(s: ConcreteState) -> str:
-    if s.fail_loc is not None:
-        return "assertfail"
-    if s.all_exited():
-        return "terminated"
-    return "deadlock"
+    return "assertfail" if s.fail_loc is not None else "terminated" if s.all_exited() else "deadlock"
 
 
 def make_initial(program: lang.Program, nprocs: int, model: Model) -> ConcreteState:
@@ -262,38 +275,61 @@ def make_initial(program: lang.Program, nprocs: int, model: Model) -> ConcreteSt
 
 def _state_graph(program: lang.Program, nprocs: int, model: Model, state_bound: int):
     """Breadth-first walk of the deduplicated state graph.  Yields every
-    reachable state once, as (id, state, depth, successor ids).  Ids number
-    the states 0, 1, 2, ... in discovery order, which is also the order they
-    are yielded in; depth is the length of a shortest path from the initial
-    state."""
-    env_ids: Dict[tuple, int] = {}
-
-    def env_id(env: Dict[str, int]) -> int:
-        return env_ids.setdefault(tuple(sorted(env.items())), len(env_ids))
-
+    reachable state once, as (id, state, depth, successor ids), where the
+    state is built for terminals only (None otherwise).  Ids number the
+    states 0, 1, 2, ... in discovery order, the order they are yielded in;
+    depth is the length of a shortest path from the initial state."""
     init = make_initial(program, nprocs, model)
-    envs0 = tuple(env_id(env) for env in init.envs)
-    ids = {(tuple(init.cursors), envs0, None): 0}
-    queue = deque([(0, init, 0, envs0)])
+    local_ids: Dict[tuple, int] = {}  # (rank, cursor, sorted env items) -> local id
+    local_of: List[tuple] = []  # local id -> (cursor, env)
+    moves: List[Optional[tuple]] = []  # local id -> _move, a Local's with its successor
+
+    def local_id(r: int, cursor: int, env: Dict[str, int]) -> int:
+        k = local_ids.setdefault((r, cursor, tuple(sorted(env.items()))), len(local_of))
+        if k == len(local_of):
+            local_of.append((cursor, env))
+            moves.append(None)
+        return k
+
+    def key_of(t: ConcreteState) -> tuple:
+        return tuple(map(local_id, range(nprocs), t.cursors, t.envs)), t.fail_loc
+
+    def state(key) -> ConcreteState:
+        s = init.copy()
+        s.cursors, s.envs = map(list, zip(*(local_of[k] for k in key[0])))
+        s.fail_loc = key[1]
+        return s
+
+    start = key_of(init)
+    ids = {start: 0}
+    queue = deque([(0, start, 0)])
     while queue:
-        sid, s, depth, envs = queue.popleft()
+        sid, key, depth = queue.popleft()
         if sid >= state_bound:
             raise BoundExceeded(f"oracle state bound {state_bound} exceeded")
+        lids, fail_loc = key
+        s, known = None, [moves[k] for k in lids] if fail_loc is None else []
+        for r, move in enumerate(known):
+            if move is None:
+                s = s or state(key)
+                move = _move(s, r)
+                if move[0] is Local:  # with its successor (local id, fail_loc)
+                    t = key_of(apply(s, Local(r)))
+                    move = (Local, (t[0][r], t[1]))
+                known[r] = moves[lids[r]] = move
+        joint, locals_ = _compose(known)
+        succs = [key_of(apply(s or state(key), a)) for a in joint]
+        for r in locals_:
+            k, fail = known[r][1]
+            succs.append((lids[:r] + (k,) + lids[r + 1:], fail))
         targets = []
-        for a in enabled(s):
-            t = apply(s, a)
-            # equal envs have equal ids, and step replaces only the dicts it
-            # writes: every other rank keeps its parent's env id
-            tenvs = envs if t.envs == s.envs else tuple(
-                k if env is penv else env_id(env)
-                for env, penv, k in zip(t.envs, s.envs, envs))
-            key = (tuple(t.cursors), tenvs, t.fail_loc)
-            tid = ids.get(key)
+        for succ in succs:
+            tid = ids.get(succ)
             if tid is None:
-                tid = ids[key] = len(ids)
-                queue.append((tid, t, depth + 1, tenvs))
+                tid = ids[succ] = len(ids)
+                queue.append((tid, succ, depth + 1))
             targets.append(tid)
-        yield sid, s, depth, targets
+        yield sid, None if targets else state(key), depth, targets
 
 
 def explore_full(program: lang.Program, nprocs: int, model: Model,
@@ -370,9 +406,7 @@ def engine_terminal_canonical(record: engine.PathRecord, model: Model) -> tuple:
     s = record.final_state
     if s is None:
         raise OracleError("path record carries no final state")
-    envs = []
-    for p in s.procs:
-        envs.append({name: lang.evaluate(v, model) for name, v in p.env.items()})
+    envs = [{name: lang.evaluate(v, model) for name, v in p.env.items()} for p in s.procs]
     return canonical_key([p.pc_loc for p in s.procs], envs, s.compiled, s.nprocs)
 
 
@@ -417,12 +451,10 @@ def check_theorem(program: lang.Program, nprocs: int, model: Model, state_bound:
     if bool(engine_deadlocks) != bool(oracle_deadlocks):
         side = "engine" if engine_deadlocks else "oracle"
         issues.append(f"deadlock reachable only on the {side} side")
-    only_eng = set(engine_deadlocks) - set(oracle_deadlocks)
-    only_orc = set(oracle_deadlocks) - set(engine_deadlocks)
-    for key in sorted(only_eng):
-        issues.append(f"deadlocked terminal only reached by the engine: cursors={key[0]}")
-    for key in sorted(only_orc):
-        issues.append(f"deadlocked terminal only reached by the oracle: cursors={key[0]}")
+    for side, ours, theirs in (("engine", engine_deadlocks, oracle_deadlocks),
+                               ("oracle", oracle_deadlocks, engine_deadlocks)):
+        for key in sorted(set(ours) - set(theirs)):
+            issues.append(f"deadlocked terminal only reached by the {side}: cursors={key[0]}")
     for key in sorted(set(engine_deadlocks) & set(oracle_deadlocks)):
         if engine_deadlocks[key] != oracle_deadlocks[key]:
             issues.append(

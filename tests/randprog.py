@@ -12,14 +12,15 @@ from mpisym import lang
 def random_program_source(rng: random.Random, max_procs: int = 4,
                           max_comm: int = 6, max_width: int = 8,
                           weights=(4, 3, 2, 1),
-                          trailing_barrier: bool = False) -> str:
-    """A small rank-dispatched program: at most `max_comm` communication
-    statements, at most one symbolic byte, always passes validation.
+                          trailing_barrier: bool = False, min_procs: int = 2) -> str:
+    """A small rank-dispatched program: `min_procs` to `max_procs` ranks, at
+    most `max_comm` communication statements, at most one symbolic byte,
+    always passes validation.
     `weights` biases the send/recv/recv-any/barrier mix; `trailing_barrier`
     appends a program-level barrier every rank executes.  Some statements
     are assertions over the input and the locals a rank has assigned, which
     fail for some values and hold for others."""
-    nprocs = rng.randint(2, max_procs)
+    nprocs = rng.randint(min_procs, max_procs)
     width = rng.randint(2, max_width) if rng.random() < 0.8 else 0
     comm_budget = rng.randint(1, max_comm)
 

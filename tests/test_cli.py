@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mpisym import cli, corpus, lang, report, solver
+from mpisym.state import EngineError
 
 
 @pytest.fixture()
@@ -429,3 +430,51 @@ def test_python_dash_m_runs_the_command_line():
                           env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 2, done.stderr
     assert done.stdout.splitlines()[0] == "paths=3 terminated=2 deadlock=1"
+
+
+_LONG_CHAIN = """\
+symbolic
+sym X : int[0..3];
+
+program (nprocs = 2) {
+  acc = 0;
+  repeat 1200 { acc = acc + X; }
+  if (acc > 5) { barrier; }
+}
+"""
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["compare", "--set", "X=1"]])
+def test_recursion_error_is_one_line_exit_four(capsys, tmp_path, argv):
+    """A sum 1,200 terms deep overflows the recursive term walkers: that is
+    an internal error, reported in one line, not a traceback."""
+    path = tmp_path / "long.mpisym"
+    path.write_text(_LONG_CHAIN)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == cli.EXIT_INTERNAL == 4
+    (line,) = err.splitlines()
+    assert line.startswith("mpisym: internal error: RecursionError: maximum recursion depth")
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("exc", [EngineError("bad state\nsecond line"),
+                                 solver.SolverError("no domain"), KeyError("k")])
+def test_uncaught_exception_is_one_line_exit_four(capsys, fig1_path, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli.engine, "search", broken)
+    code, _, err = run(capsys, "analyze", str(fig1_path), "--nprocs", "3")
+    assert code == 4
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"mpisym: internal error: {type(exc).__name__}: ")
+
+
+def test_handled_errors_keep_their_exit_codes(capsys, fig1_path, monkeypatch):
+    """compare still reports a solver error as a usage error, exit 1."""
+    def broken(*args, **kwargs):
+        raise solver.SolverError("no domain")
+
+    monkeypatch.setattr(cli.engine, "search", broken)
+    code, _, err = run(capsys, "compare", str(fig1_path), "--nprocs", "3")
+    assert (code, err) == (1, "mpisym: error: no domain\n")

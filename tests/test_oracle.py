@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from mpisym import lang, ops, oracle
@@ -242,6 +244,9 @@ program (nprocs = 3) {
 """
 
 
+WIDE_PROGRAMS = 12
+
+
 def test_search_matches_all_paths_reference(corpus_entries, rng):
     # REBIND overwrites a variable, so a changed env keeps its size
     cases = [("rebind", program(REBIND), 3, {})]
@@ -249,8 +254,10 @@ def test_search_matches_all_paths_reference(corpus_entries, rng):
         p = e.program()
         for pick in (lambda d: d.lo, lambda d: d.hi):
             cases.append((e.name, p, e.nprocs, {d.name: pick(d) for d in p.decls}))
-    for _ in range(40):
-        p = random_program(rng)
+    # the default size, then the size of the benchmark's oracle-differential
+    # programs: 4-5 ranks and up to 8 communication statements
+    for shape in [{}] * 40 + [dict(min_procs=4, max_procs=5, max_comm=8)] * WIDE_PROGRAMS:
+        p = random_program(rng, **shape)
         cases.append((lang.pretty_print(p), p, p.nprocs_default,
                       {d.name: rng.randint(d.lo, d.hi) for d in p.decls}))
 
@@ -271,6 +278,126 @@ def test_model_must_cover_declared_inputs(corpus_entries):
     e = corpus_entries["fig1-motivating"]
     with pytest.raises(OracleError):
         make_initial(e.program(), 3, {})
+
+
+def referee_state_graph(program, nprocs, model, state_bound):
+    """Referee for the oracle's walk over interned keys: the plain
+    breadth-first walk, in which every edge applies its action to a copied
+    state and diffs the environments.  Yields (id, state, depth, successor
+    ids) for every state."""
+    env_ids = {}
+
+    def env_id(env):
+        return env_ids.setdefault(tuple(sorted(env.items())), len(env_ids))
+
+    init = make_initial(program, nprocs, model)
+    envs0 = tuple(env_id(env) for env in init.envs)
+    ids = {(tuple(init.cursors), envs0, None): 0}
+    queue = deque([(0, init, 0, envs0)])
+    while queue:
+        sid, s, depth, envs = queue.popleft()
+        if sid >= state_bound:
+            raise oracle.BoundExceeded(f"oracle state bound {state_bound} exceeded")
+        targets = []
+        for a in enabled(s):
+            t = apply(s, a)
+            # equal envs have equal ids, and step replaces only the dicts it
+            # writes: every other rank keeps its parent's env id
+            tenvs = envs if t.envs == s.envs else tuple(
+                k if env is penv else env_id(env)
+                for env, penv, k in zip(t.envs, s.envs, envs))
+            key = (tuple(t.cursors), tenvs, t.fail_loc)
+            tid = ids.get(key)
+            if tid is None:
+                tid = ids[key] = len(ids)
+                queue.append((tid, t, depth + 1, tenvs))
+            targets.append(tid)
+        yield sid, s, depth, targets
+
+
+def walk_summary(graph):
+    """(id, depth, successor ids) of every state in walk order, with the
+    canonical form and tag of each terminal, and the error that ended it."""
+    out = []
+    try:
+        for sid, s, depth, targets in graph:
+            out.append((sid, depth, targets,
+                        None if targets else (s.canonical(), oracle._terminal_tag(s))))
+    except OracleError as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def test_state_graph_matches_referee(corpus_entries, rng):
+    """The walk over interned keys discovers the same states in the same
+    order as the per-edge walk, with the same edges and terminals, and
+    stops at the same state under a bound or on a send to no valid rank
+    (which validation cannot see when the destination is not a literal)."""
+    cases = [(program(REBIND), 3, {}), (program(MEMO_NEEDS_ENV), 3, {})]
+    for bad in ("x = rank; if (rank == 0) { recv y from any; } else { send x to rank + 1; }",
+                "if (rank == 2) { send 1 to rank; } else { send 1 to 2 - rank; recv z from any; }"):
+        cases.append((program(f"program (nprocs = 3) {{ {bad} }}"), 3, {}))
+    for e in corpus_entries.values():
+        p = e.program()
+        for pick in (lambda d: d.lo, lambda d: d.hi):
+            cases.append((p, e.nprocs, {d.name: pick(d) for d in p.decls}))
+    for _ in range(100):
+        p = random_program(rng)
+        cases.append((p, p.nprocs_default, {d.name: rng.randint(d.lo, d.hi) for d in p.decls}))
+
+    terminals, errors = 0, []
+    for p, nprocs, model in cases:
+        want = walk_summary(referee_state_graph(p, nprocs, model, 200_000))
+        assert walk_summary(oracle._state_graph(p, nprocs, model, 200_000)) == want, \
+            lang.pretty_print(p)
+        terminals += sum(1 for row in want if isinstance(row, tuple) and row[3] is not None)
+        errors += [row for row in want if isinstance(row, str)]
+        bound = max(1, len(want) // 2)
+        assert (walk_summary(oracle._state_graph(p, nprocs, model, bound))
+                == walk_summary(referee_state_graph(p, nprocs, model, bound)))
+    assert terminals > len(cases)
+    assert errors == ["OracleError: send destination 3 invalid at rank 2",
+                      "OracleError: send destination 1 invalid at rank 1"]
+
+
+#: Rank 0 reaches the same cursor, after its wildcard receive, with x = 1
+#: or x = 2; the branch it takes there and the destination of its send
+#: both depend on x.  Ranks 1 and 2 each send to 0 and wait for its answer,
+#: so whichever sender rank 0 does not match stays stuck in its send.
+MEMO_NEEDS_ENV = """\
+program (nprocs = 3) {
+  if (rank == 0) {
+    recv x from any;
+    if (x == 1) {
+      y = 10;
+    } else {
+      y = 20;
+    }
+    send y to x;
+  } else {
+    send rank to 0;
+    recv y from 0;
+  }
+}
+"""
+
+
+def test_move_memo_is_keyed_on_the_environment():
+    p = program(MEMO_NEEDS_ENV)
+    terms, states = all_paths_reference(p, 3, {})
+    deadlocks = {k: frozenset(lens) for k, (tag, lens) in terms.items() if tag == "deadlock"}
+    # one deadlock per stuck sender: rank 2 stays in its send when rank 0
+    # took rank 1's message (and answered 10), rank 1 in the other order
+    table = ops.lower(p)
+    end = table.end
+    stuck = next(i for i, op in enumerate(table.ops) if isinstance(op, lang.Send) and op.line == 11)
+    assert sorted((key[0], key[1][0]) for key in deadlocks) == [
+        ((end, stuck, end), (("x", 2), ("y", 20))),
+        ((end, end, stuck), (("x", 1), ("y", 10)))]
+    assert deadlock_path_lengths(p, 3, {}) == (deadlocks, states)
+    full = explore_full(p, 3, {})
+    assert full.terminals == {k: (tag, min(lens)) for k, (tag, lens) in terms.items()}
+    assert full.visited == states
 
 
 TWO_PAIRS = """\
