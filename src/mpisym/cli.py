@@ -76,17 +76,20 @@ def cmd_analyze(args) -> int:
 
     if args.out is not None:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         stem = Path(args.program).stem
         written = 0
-        for rec in result.records:
-            if rec.verdict is Verdict.ERROR:
-                print(f"mpisym: path {rec.index + 1} is an analysis error; "
-                      "no test case written", file=sys.stderr)
-                continue
-            target = out_dir / f"{stem}.path{rec.index + 1:03d}.testcase"
-            replay.save_testcase(rec, program, nprocs, target)
-            written += 1
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for rec in result.records:
+                if rec.verdict is Verdict.ERROR:
+                    print(f"mpisym: path {rec.index + 1} is an analysis error; "
+                          "no test case written", file=sys.stderr)
+                    continue
+                target = out_dir / f"{stem}.path{rec.index + 1:03d}.testcase"
+                replay.save_testcase(rec, program, nprocs, target)
+                written += 1
+        except OSError as exc:
+            return _fail(f"cannot write test cases to {out_dir}: {exc.strerror}")
         print(f"wrote {written} test case(s) to {out_dir}")
 
     counts = result.counts
@@ -188,13 +191,14 @@ def cmd_compare(args) -> int:
 def cmd_corpus(args) -> int:
     directory = Path(args.dir) if args.dir is not None else None
     try:
+        strategy = _strategy(args)
         entries = corpus_mod.load_corpus(directory)
-    except corpus_mod.CorpusError as exc:
+    except (corpus_mod.CorpusError, ValueError) as exc:
         return _fail(str(exc))
 
     mismatches = 0
     for e in entries:
-        result = engine.search(e.program(), e.nprocs, _strategy(args))
+        result = engine.search(e.program(), e.nprocs, strategy)
         got_deadlock = bool(result.counts.get("deadlock", 0))
         got_assert = bool(result.counts.get("assertfail", 0))
         ok = (got_deadlock == e.deadlock_reachable

@@ -44,6 +44,13 @@ def _parse_flag(token: str, name: str, line_no: int) -> bool:
     raise CorpusError(f"manifest line {line_no}: {name} must be yes/no, got {token!r}")
 
 
+def _read(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise CorpusError(f"{path} is not UTF-8 text") from None
+
+
 def load_corpus(directory: Optional[Path] = None) -> List[CorpusEntry]:
     """Load and validate every entry; raises CorpusError on a corrupt bundle."""
     root = Path(directory) if directory is not None else bundled_dir()
@@ -51,7 +58,7 @@ def load_corpus(directory: Optional[Path] = None) -> List[CorpusEntry]:
     if not manifest.is_file():
         raise CorpusError(f"no manifest in {root}")
     entries: List[CorpusEntry] = []
-    for line_no, raw in enumerate(manifest.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(_read(manifest).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -64,11 +71,13 @@ def load_corpus(directory: Optional[Path] = None) -> List[CorpusEntry]:
         try:
             nprocs = int(nprocs_text)
         except ValueError:
-            raise CorpusError(f"manifest line {line_no}: bad nprocs {nprocs_text!r}") from None
+            nprocs = 0
+        if nprocs < 1:
+            raise CorpusError(f"manifest line {line_no}: bad nprocs {nprocs_text!r}")
         source_path = root / f"{name}.mpisym"
         if not source_path.is_file():
             raise CorpusError(f"missing corpus source {source_path.name}")
-        source = source_path.read_text(encoding="utf-8")
+        source = _read(source_path)
         entry = CorpusEntry(
             name=name,
             source=source,

@@ -257,34 +257,27 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
             raise EngineError("no side of a guarded step is satisfiable on a live path")
         return succs
 
-    if isinstance(op, lang.Send):
-        dest, err = _resolve_rank(s, p, op.dest, stats)
-        if err is not None:
-            return [_error_terminal(s, p, loc, err)]
+    if isinstance(op, lang.Recv) and op.src is None:
         t = stepped()
-        if waiting_in(t, dest, lang.Recv, p):
-            match_transfer(t, p, dest)
-        else:
-            # A sleeping wildcard receiver does NOT match here; the sender
-            # blocks so the scheduler can later fork over all candidates.
-            update(t, p, status=Status.INACTIVE, blocked_on=dest)
-            t.next_proc_candidate = dest
+        update(t, p, status=Status.INACTIVE)
         return [t]
 
-    if isinstance(op, lang.Recv):
-        if op.src is None:
-            t = stepped()
-            update(t, p, status=Status.INACTIVE)
-            return [t]
-        src, err = _resolve_rank(s, p, op.src, stats)
+    if isinstance(op, (lang.Send, lang.Recv)):
+        # One rendezvous rule for both roles: match when the peer already
+        # waits in the other call naming p, otherwise sleep on the peer.
+        sending = isinstance(op, lang.Send)
+        peer, err = _resolve_rank(s, p, op.dest if sending else op.src, stats)
         if err is not None:
             return [_error_terminal(s, p, loc, err)]
+        snd, rcv = (p, peer) if sending else (peer, p)
         t = stepped()
-        if waiting_in(t, src, lang.Send, p):
-            match_transfer(t, src, p)
+        if waiting_in(t, peer, lang.Recv if sending else lang.Send, p):
+            match_transfer(t, snd, rcv)
         else:
-            update(t, p, status=Status.INACTIVE, blocked_on=src)
-            t.next_proc_candidate = src
+            # A sleeping wildcard receiver does NOT match a send; the sender
+            # blocks so the scheduler can later fork over all candidates.
+            update(t, p, status=Status.INACTIVE, blocked_on=peer)
+            t.next_proc_candidate = peer
         return [t]
 
     if isinstance(op, lang.Barrier):

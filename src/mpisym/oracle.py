@@ -24,8 +24,8 @@ instead of mutating it.
 ``check_theorem`` is the differential test: for a pinned model, the set of
 deadlocked terminal states (canonicalized) and, per terminal, the set of
 reachable global-action path lengths must coincide between the engine and
-this oracle.  ``explore_full`` and ``deadlock_path_lengths`` share one
-breadth-first walk of the deduplicated state graph, ``_state_graph``.
+this oracle.  ``explore_full`` and ``deadlock_path_lengths`` read one walk
+of the deduplicated state graph, ``_terminals``.
 
 That walk runs over interned keys, not states.  A key is (local ids,
 ``fail_loc``): a local id interns one rank's (rank, cursor, sorted
@@ -36,17 +36,17 @@ its local id alone, so ``_move``, and ``step`` for a Local successor, run
 once per local id.  ``_compose``, the composition rule ``enabled`` uses
 too, turns the moves into actions: a Local edge costs one tuple, and only
 the rare SR, SRStar and B edges, and terminals, build a ``ConcreteState``.
-States are numbered 0, 1, 2, ... as they are discovered, edges are lists
-of these ids, and ``deadlock_path_lengths`` propagates each state's path
-lengths as an integer bitset (bit n: some path of n actions reaches the
-state), turned into a set only for deadlocked terminals.  The full
-``canonical_key``, the form the engine's terminals are compared in, is
-computed for terminal states only.
+The walk visits states in order of their cursor sum, which every action
+raises except a failed assertion, and carries each state's path lengths as
+an integer bitset (bit n: some path of n actions reaches the state), ORed
+into every successor as it goes: a state is reached only after all of its
+predecessors.  A terminal's bitset is its set of path lengths, and its
+lowest bit its shortest.  The ``canonical_key``, the form the engine's
+terminals are compared in, is computed for terminal states only.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -129,23 +129,14 @@ class ConcreteState:
         return lang.evaluate(e, self.envs[r], r, self.nprocs, self.inputs)
 
     def canonical(self):
-        return canonical_key(self.cursors, self.envs, self.compiled, self.nprocs)
+        return canonical_key(self.cursors, self.envs)
 
 
-def canonical_key(cursors, envs, compiled: ops.CompiledProgram, nprocs: int):
-    """Identity of a state for the theorem comparison: cursors, concrete
-    environments, exit flags, and the derived barrier-waiting set.  Traces
-    are deliberately excluded."""
-    at_barrier = frozenset(
-        r for r in range(nprocs)
-        if cursors[r] < compiled.end and isinstance(compiled.op_at(cursors[r]), lang.Barrier))
-    pending = frozenset(range(nprocs)) - at_barrier if at_barrier else frozenset()
-    return (
-        tuple(cursors),
-        tuple(tuple(sorted(env.items())) for env in envs),
-        tuple(cursors[r] >= compiled.end for r in range(nprocs)),
-        pending,
-    )
+def canonical_key(cursors, envs):
+    """Identity of a state for the theorem comparison: cursors and concrete
+    environments.  Exit flags and barrier waiting follow from the cursors,
+    and traces are deliberately excluded."""
+    return tuple(cursors), tuple(tuple(sorted(env.items())) for env in envs)
 
 
 # -- transition relation -------------------------------------------------------
@@ -273,12 +264,10 @@ def make_initial(program: lang.Program, nprocs: int, model: Model) -> ConcreteSt
     return ConcreteState(compiled, nprocs, dict(model))
 
 
-def _state_graph(program: lang.Program, nprocs: int, model: Model, state_bound: int):
-    """Breadth-first walk of the deduplicated state graph.  Yields every
-    reachable state once, as (id, state, depth, successor ids), where the
-    state is built for terminals only (None otherwise).  Ids number the
-    states 0, 1, 2, ... in discovery order, the order they are yielded in;
-    depth is the length of a shortest path from the initial state."""
+def _terminals(program: lang.Program, nprocs: int, model: Model, state_bound: int):
+    """One walk of the deduplicated state graph in cursor-sum order; a failed
+    assertion's state joins the bucket being walked.  Returns the terminal
+    states, each with its path-length bitset, and the state count."""
     init = make_initial(program, nprocs, model)
     local_ids: Dict[tuple, int] = {}  # (rank, cursor, sorted env items) -> local id
     local_of: List[tuple] = []  # local id -> (cursor, env)
@@ -302,83 +291,67 @@ def _state_graph(program: lang.Program, nprocs: int, model: Model, state_bound: 
 
     start = key_of(init)
     ids = {start: 0}
-    queue = deque([(0, start, 0)])
-    while queue:
-        sid, key, depth = queue.popleft()
-        if sid >= state_bound:
-            raise BoundExceeded(f"oracle state bound {state_bound} exceeded")
-        lids, fail_loc = key
-        s, known = None, [moves[k] for k in lids] if fail_loc is None else []
-        for r, move in enumerate(known):
-            if move is None:
-                s = s or state(key)
-                move = _move(s, r)
-                if move[0] is Local:  # with its successor (local id, fail_loc)
-                    t = key_of(apply(s, Local(r)))
-                    move = (Local, (t[0][r], t[1]))
-                known[r] = moves[lids[r]] = move
-        joint, locals_ = _compose(known)
-        succs = [key_of(apply(s or state(key), a)) for a in joint]
-        for r in locals_:
-            k, fail = known[r][1]
-            succs.append((lids[:r] + (k,) + lids[r + 1:], fail))
-        targets = []
-        for succ in succs:
-            tid = ids.get(succ)
-            if tid is None:
-                tid = ids[succ] = len(ids)
-                queue.append((tid, succ, depth + 1))
-            targets.append(tid)
-        yield sid, None if targets else state(key), depth, targets
+    bits = [1]  # id -> path-length bitset; the empty path reaches the initial state
+    buckets: List[List[tuple]] = [[] for _ in range(nprocs * init.compiled.end + 1)]
+    buckets[sum(init.cursors)].append((0, start))
+    terminals = []
+    for level, bucket in enumerate(buckets):
+        for sid, key in bucket:
+            lids, fail_loc = key
+            s, known = None, [moves[k] for k in lids] if fail_loc is None else []
+            for r, move in enumerate(known):
+                if move is None:
+                    s = s or state(key)
+                    move = _move(s, r)
+                    if move[0] is Local:  # with its successor (local id, fail_loc, level rise)
+                        t = apply(s, Local(r))
+                        move = (Local, (local_id(r, t.cursors[r], t.envs[r]), t.fail_loc,
+                                        t.cursors[r] - s.cursors[r]))
+                    known[r] = moves[lids[r]] = move
+            joint, locals_ = _compose(known)
+            if not joint and not locals_:
+                terminals.append((s or state(key), bits[sid]))
+                continue
+            succs = []
+            for a in joint:
+                t = apply(s or state(key), a)
+                succs.append((key_of(t), sum(t.cursors)))
+            for r in locals_:
+                k, fail, rise = known[r][1]
+                succs.append(((lids[:r] + (k,) + lids[r + 1:], fail), level + rise))
+            shifted = bits[sid] << 1
+            for succ, succ_level in succs:
+                tid = ids.get(succ)
+                if tid is None:
+                    tid = ids[succ] = len(bits)
+                    if tid >= state_bound:
+                        raise BoundExceeded(f"oracle state bound {state_bound} exceeded")
+                    bits.append(shifted)
+                    buckets[succ_level].append((tid, succ))
+                else:
+                    bits[tid] |= shifted
+        bucket.clear()
+    return terminals, len(bits)
 
 
 def explore_full(program: lang.Program, nprocs: int, model: Model,
                  state_bound: int = 200_000) -> OracleResult:
-    """Exhaustive BFS over all interleavings with state dedup."""
-    terminals: Dict[tuple, Tuple[str, int]] = {}
-    visited = 0
-    for _, s, depth, targets in _state_graph(program, nprocs, model, state_bound):
-        visited += 1
-        if not targets:
-            terminals[s.canonical()] = (_terminal_tag(s), depth)
-    return OracleResult(terminals=terminals, visited=visited)
+    """Exhaustive walk over all interleavings with state dedup: every
+    terminal's tag and shortest path length (its bitset's lowest bit)."""
+    terminals, visited = _terminals(program, nprocs, model, state_bound)
+    shortest = {s.canonical(): (_terminal_tag(s), (bits & -bits).bit_length() - 1)
+                for s, bits in terminals}
+    return OracleResult(terminals=shortest, visited=visited)
 
 
 def deadlock_path_lengths(program: lang.Program, nprocs: int, model: Model,
                           state_bound: int = 200_000) -> Tuple[Dict[tuple, FrozenSet[int]], int]:
     """For every deadlocked terminal, the set of path lengths (in global
-    actions) over ALL executions reaching it, plus the visited-state count.
-
-    The state graph is acyclic (the language has no loops, and a failed
-    assertion leads to a new, terminal state), so each state's lengths are
-    propagated as a bitset in topological order.
-    """
-    edges: List[List[int]] = []
-    deadlocks: List[Tuple[int, tuple]] = []
-    for sid, s, _, targets in _state_graph(program, nprocs, model, state_bound):
-        edges.append(targets)
-        if not targets and _terminal_tag(s) == "deadlock":
-            deadlocks.append((sid, s.canonical()))
-
-    indeg = [0] * len(edges)
-    for targets in edges:
-        for t in targets:
-            indeg[t] += 1
-    lengths = [0] * len(edges)
-    lengths[0] = 1  # the initial state, reached by the empty path
-    ready = [0]
-    while ready:
-        k = ready.pop()
-        shifted = lengths[k] << 1
-        for t in edges[k]:
-            lengths[t] |= shifted
-            indeg[t] -= 1
-            if not indeg[t]:
-                ready.append(t)
-
-    out = {key: frozenset(n for n in range(lengths[sid].bit_length()) if lengths[sid] >> n & 1)
-           for sid, key in deadlocks}
-    return out, len(edges)
+    actions) over ALL executions reaching it, plus the visited-state count."""
+    terminals, visited = _terminals(program, nprocs, model, state_bound)
+    out = {s.canonical(): frozenset(n for n in range(bits.bit_length()) if bits >> n & 1)
+           for s, bits in terminals if _terminal_tag(s) == "deadlock"}
+    return out, visited
 
 
 # -- engine-side correspondence --------------------------------------------------
@@ -403,11 +376,9 @@ def global_action_count(trace, compiled: ops.CompiledProgram) -> int:
 def engine_terminal_canonical(record: engine.PathRecord, model: Model) -> tuple:
     """Canonicalize an engine terminal state under the pinned model, making
     it comparable with oracle terminals."""
-    s = record.final_state
-    if s is None:
-        raise OracleError("path record carries no final state")
-    envs = [{name: lang.evaluate(v, model) for name, v in p.env.items()} for p in s.procs]
-    return canonical_key([p.pc_loc for p in s.procs], envs, s.compiled, s.nprocs)
+    procs = record.final_state.procs
+    envs = [{name: lang.evaluate(v, model) for name, v in p.env.items()} for p in procs]
+    return canonical_key([p.pc_loc for p in procs], envs)
 
 
 @dataclass

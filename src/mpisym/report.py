@@ -65,7 +65,7 @@ def render(report: engine.AnalysisReport, detail: int = 0) -> str:
     if report.truncated:
         lines.append("truncated: state or depth bound exhausted")
     for rec in report.records:
-        compiled = rec.final_state.compiled if rec.final_state is not None else None
+        compiled = rec.final_state.compiled
         lines.append(_path_line(rec, compiled))
         bad = rec.verdict in (Verdict.DEADLOCK, Verdict.ASSERT_FAIL, Verdict.ERROR)
         if detail >= 2 or (detail >= 1 and bad):

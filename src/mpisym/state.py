@@ -212,9 +212,6 @@ class GlobalState:
 
     # -- structure ---------------------------------------------------------
 
-    def ranks_with_status(self, status: Status) -> List[int]:
-        return [p.rank for p in self.procs if p.status is status]
-
     def all_exited(self) -> bool:
         return all(p.status is Status.EXITED for p in self.procs)
 

@@ -253,7 +253,7 @@ def test_c8_scheduler_properties(seed):
         # wildcard forks happen only when nothing is runnable
         assert len(wildcard_states) >= 200
         for s in wildcard_states:
-            assert s.ranks_with_status(Status.ACTIVE) == []
+            assert [p.rank for p in s.procs if p.status is Status.ACTIVE] == []
             pairs = engine.scheduler(s)
             assert isinstance(pairs, list) and pairs
             succs = engine.expand(s)

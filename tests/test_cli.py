@@ -153,6 +153,42 @@ def test_compare_rejects_nonpositive_counts(capsys, fig1_path, argv, message):
     assert err == f"mpisym: error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--max-states", "0"], "max_states must be positive"),
+    (["--max-depth", "-1"], "max_depth must be positive"),
+])
+def test_corpus_rejects_nonpositive_counts(capsys, argv, message):
+    code, out, err = run(capsys, "corpus", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"mpisym: error: {message}\n"
+
+
+@pytest.mark.parametrize("manifest, source, message", [
+    (b"bad 0 no no\n", b"program (nprocs = 2) { x = 1; }\n", "manifest line 1: bad nprocs '0'"),
+    (b"bad 2 no no caf\xe9\n", b"program (nprocs = 2) { x = 1; }\n",
+     "{dir}/manifest is not UTF-8 text"),
+    (b"bad 2 no no\n", b"program (nprocs = 2) { x = 1; }\xff\n",
+     "{dir}/bad.mpisym is not UTF-8 text"),
+], ids=["zero-nprocs", "manifest-not-utf8", "source-not-utf8"])
+def test_corpus_rejects_corrupt_bundle(capsys, tmp_path, manifest, source, message):
+    (tmp_path / "manifest").write_bytes(manifest)
+    (tmp_path / "bad.mpisym").write_bytes(source)
+    code, out, err = run(capsys, "corpus", "--dir", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"mpisym: error: {message.format(dir=tmp_path)}\n"
+
+
+@pytest.mark.parametrize("out, reason", [("taken", "File exists"),
+                                         ("taken/cases", "Not a directory")])
+def test_analyze_out_not_a_directory(capsys, fig1_path, tmp_path, out, reason):
+    (tmp_path / "taken").write_text("")
+    code, _, err = run(capsys, "analyze", str(fig1_path), "--out", str(tmp_path / out))
+    assert code == 1
+    assert err == f"mpisym: error: cannot write test cases to {tmp_path / out}: {reason}\n"
+
+
 def test_compare_oracle_bound_exit(capsys, tmp_path):
     path = tmp_path / "wide.mpisym"
     path.write_text("program (nprocs = 4) { barrier; barrier; }")

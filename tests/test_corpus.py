@@ -59,3 +59,19 @@ def test_invalid_program_is_corrupt(tmp_path):
     with pytest.raises(CorpusError) as err:
         load_corpus(tmp_path)
     assert "validation" in str(err.value)
+
+
+@pytest.mark.parametrize("manifest, source, message", [
+    (b"bad 0 no no\n", b"program (nprocs = 2) { x = 1; }\n", "manifest line 1: bad nprocs '0'"),
+    (b"bad -2 no no\n", b"program (nprocs = 2) { x = 1; }\n", "manifest line 1: bad nprocs '-2'"),
+    (b"bad 2 no no caf\xe9\n", b"program (nprocs = 2) { x = 1; }\n",
+     "{dir}/manifest is not UTF-8 text"),
+    (b"bad 2 no no\n", b"program (nprocs = 2) { x = 1; }\xff\n",
+     "{dir}/bad.mpisym is not UTF-8 text"),
+], ids=["zero-nprocs", "negative-nprocs", "manifest-not-utf8", "source-not-utf8"])
+def test_corrupt_bundle_is_a_corpus_error(tmp_path, manifest, source, message):
+    (tmp_path / "manifest").write_bytes(manifest)
+    (tmp_path / "bad.mpisym").write_bytes(source)
+    with pytest.raises(CorpusError) as err:
+        load_corpus(tmp_path)
+    assert str(err.value) == message.format(dir=tmp_path)

@@ -315,28 +315,48 @@ def referee_state_graph(program, nprocs, model, state_bound):
         yield sid, s, depth, targets
 
 
-def walk_summary(graph):
-    """(id, depth, successor ids) of every state in walk order, with the
-    canonical form and tag of each terminal, and the error that ended it."""
-    out = []
-    try:
-        for sid, s, depth, targets in graph:
-            out.append((sid, depth, targets,
-                        None if targets else (s.canonical(), oracle._terminal_tag(s))))
-    except OracleError as exc:
-        out.append(f"{type(exc).__name__}: {exc}")
-    return out
+def referee_summary(program, nprocs, model):
+    """What the referee's walk decides whatever order it visits states in:
+    the state count, every terminal as (canonical key, tag, BFS depth), and
+    the deadlock path-length sets, propagated over the referee's edges in
+    topological order (Kahn) as bitsets."""
+    edges, terminals, deadlocks = [], [], []
+    for sid, s, depth, targets in referee_state_graph(program, nprocs, model, 200_000):
+        edges.append(targets)
+        if not targets:
+            tag = oracle._terminal_tag(s)
+            terminals.append((s.canonical(), tag, depth))
+            if tag == "deadlock":
+                deadlocks.append((sid, s.canonical()))
+    indeg = [0] * len(edges)
+    for targets in edges:
+        for t in targets:
+            indeg[t] += 1
+    lengths = [0] * len(edges)
+    lengths[0] = 1
+    ready = [0]
+    while ready:
+        k = ready.pop()
+        for t in edges[k]:
+            lengths[t] |= lengths[k] << 1
+            indeg[t] -= 1
+            if not indeg[t]:
+                ready.append(t)
+    lengths_of = {key: frozenset(n for n in range(lengths[sid].bit_length())
+                                 if lengths[sid] >> n & 1)
+                  for sid, key in deadlocks}
+    return len(edges), terminals, lengths_of
 
 
 def test_state_graph_matches_referee(corpus_entries, rng):
-    """The walk over interned keys discovers the same states in the same
-    order as the per-edge walk, with the same edges and terminals, and
-    stops at the same state under a bound or on a send to no valid rank
-    (which validation cannot see when the destination is not a literal)."""
-    cases = [(program(REBIND), 3, {}), (program(MEMO_NEEDS_ENV), 3, {})]
-    for bad in ("x = rank; if (rank == 0) { recv y from any; } else { send x to rank + 1; }",
-                "if (rank == 2) { send 1 to rank; } else { send 1 to 2 - rank; recv z from any; }"):
-        cases.append((program(f"program (nprocs = 3) {{ {bad} }}"), 3, {}))
+    """The one walk in cursor-sum order agrees with the breadth-first
+    per-edge referee on everything the visiting order does not decide: the
+    state count, the terminals with their shortest depths, the deadlock
+    path-length sets and where the bound falls.  A send to no valid rank
+    (which validation cannot see when the destination is not a literal)
+    raises at the first state that holds one, ranks checked in rank order."""
+    cases = [(program(REBIND), 3, {}), (program(MEMO_NEEDS_ENV), 3, {}),
+             (program(TWO_LENGTHS), 3, {})]
     for e in corpus_entries.values():
         p = e.program()
         for pick in (lambda d: d.lo, lambda d: d.hi):
@@ -345,19 +365,61 @@ def test_state_graph_matches_referee(corpus_entries, rng):
         p = random_program(rng)
         cases.append((p, p.nprocs_default, {d.name: rng.randint(d.lo, d.hi) for d in p.decls}))
 
-    terminals, errors = 0, []
+    terminals, several_lengths = 0, 0
     for p, nprocs, model in cases:
-        want = walk_summary(referee_state_graph(p, nprocs, model, 200_000))
-        assert walk_summary(oracle._state_graph(p, nprocs, model, 200_000)) == want, \
+        count, want, lengths = referee_summary(p, nprocs, model)
+        full = explore_full(p, nprocs, model)
+        assert full.visited == count, lang.pretty_print(p)
+        assert full.terminals == {key: (tag, depth) for key, tag, depth in want}, \
             lang.pretty_print(p)
-        terminals += sum(1 for row in want if isinstance(row, tuple) and row[3] is not None)
-        errors += [row for row in want if isinstance(row, str)]
-        bound = max(1, len(want) // 2)
-        assert (walk_summary(oracle._state_graph(p, nprocs, model, bound))
-                == walk_summary(referee_state_graph(p, nprocs, model, bound)))
+        assert deadlock_path_lengths(p, nprocs, model) == (lengths, count), lang.pretty_print(p)
+        terminals += len(want)
+        several_lengths += sum(len(lens) > 1 for lens in lengths.values())
+        for bound in {count, count - 1, count // 2} - {0}:
+            if count > bound:
+                with pytest.raises(oracle.BoundExceeded):
+                    oracle._terminals(p, nprocs, model, bound)
+            else:
+                assert oracle._terminals(p, nprocs, model, bound)[1] == count
     assert terminals > len(cases)
-    assert errors == ["OracleError: send destination 3 invalid at rank 2",
-                      "OracleError: send destination 1 invalid at rank 1"]
+    assert several_lengths
+
+    errors = []
+    for bad in ("x = rank; if (rank == 0) { recv y from any; } else { send x to rank + 1; }",
+                "if (rank == 2) { send 1 to rank; } else { send 1 to 2 - rank; recv z from any; }",
+                "send 1 to 1 + rank * rank - rank;"):
+        p = program(f"program (nprocs = 3) {{ {bad} }}")
+        with pytest.raises(OracleError):
+            referee_summary(p, 3, {})
+        with pytest.raises(OracleError) as exc:
+            oracle._terminals(p, 3, {}, 200_000)
+        errors.append(str(exc.value))
+    # rank 2's send sits at a lower cursor than rank 1's in the second
+    # program; in the third, ranks 1 and 2 both send to no valid rank
+    assert errors == ["send destination 3 invalid at rank 2",
+                      "send destination 2 invalid at rank 2",
+                      "send destination 1 invalid at rank 1"]
+
+
+#: Both wildcard orders reach one deadlock (rank 0 waits for a second
+#: message from rank 1), by paths of 8 and of 9 actions: rank 0 assigns
+#: once more when rank 1's message comes first.
+TWO_LENGTHS = """\
+program (nprocs = 3) {
+  if (rank == 0) {
+    recv x from any;
+    if (x == 1) {
+      x = 0;
+    }
+    x = 0;
+    recv x from any;
+    x = 0;
+    recv q from 1;
+  } else {
+    send rank to 0;
+  }
+}
+"""
 
 
 #: Rank 0 reaches the same cursor, after its wildcard receive, with x = 1
