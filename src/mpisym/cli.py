@@ -46,6 +46,8 @@ def _load_program(path_text: str):
         source = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise lang.LangError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError:
+        raise lang.LangError(f"{path} is not UTF-8 text") from None
     return lang.parse_program(source)
 
 

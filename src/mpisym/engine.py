@@ -37,8 +37,8 @@ from . import lang, ops, solver, symbolic
 from .solver import Model
 from .state import (BranchChoice, BarrierRelease, EngineError, GlobalState,
                     StepEvent, Status, Trace, Verdict, advance, assume, bind,
-                    eval_expr, fork, init_state, match_transfer, update,
-                    waiting_in)
+                    eval_expr, fork, init_state, match_transfer, new_tuple,
+                    update, waiting_in)
 
 
 class ValidationFailure(Exception):
@@ -198,7 +198,7 @@ def _resolve_rank(s: GlobalState, rank: int, e: lang.Expr,
 def _error_terminal(s: GlobalState, p: int, loc: int, message: str) -> GlobalState:
     t = fork(s)
     t.depth += 1
-    t.trace.append(StepEvent(p, loc))
+    t.trace.append(new_tuple(StepEvent, (p, loc)))
     t.verdict = Verdict.ERROR
     t.error = f"L{t.compiled.line_of(loc)}: {message}"
     return t
@@ -218,7 +218,7 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
     def stepped() -> GlobalState:
         t = fork(s)
         t.depth += 1
-        t.trace.append(StepEvent(p, loc))
+        t.trace.append(new_tuple(StepEvent, (p, loc)))
         return t
 
     if isinstance(op, lang.Assign):
@@ -241,7 +241,7 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
                 if model is None:
                     continue
             t = stepped()
-            t.trace.append(BranchChoice(loc, taken))
+            t.trace.append(new_tuple(BranchChoice, (loc, taken)))
             if not concrete:
                 assume(t, guard, model)
             target = op.true_target if taken else op.false_target
@@ -289,7 +289,7 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
                for q in reversed(t.procs)):
             for r in range(t.nprocs):
                 update(t, r, status=Status.ACTIVE)
-            t.trace.append(BarrierRelease(t.barrier_epochs))
+            t.trace.append(new_tuple(BarrierRelease, (t.barrier_epochs,)))
             t.barrier_epochs += 1
             advance(t, range(t.nprocs))
         else:

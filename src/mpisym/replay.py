@@ -33,20 +33,23 @@ File format (one event per line, LF, UTF-8)::
     terminated | deadlock | assertfail loc=<op index>
 
 Replaying many cases of one program in one process prepares the program
-once (its hash, findings and lowered form are kept on it, ``lang.derived``),
-and ``loads`` parses each distinct line of a trace once.  Nothing here is
-user-settable.
+once (its hash, findings and lowered form are kept on it, ``lang.derived``).
+``loads`` builds each distinct trace line's event once, from the groups of
+one compiled pattern; only a line the pattern rejects is split into fields,
+to say what is wrong with it.  Nothing here is user-settable.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import engine, lang, oracle, ops
 from .state import (BarrierRelease, BranchChoice, MatchEvent, StepEvent,
-                    Verdict)
+                    Verdict, new_tuple)
 
 FORMAT_HEADER = "mpisym-testcase v1"
 
@@ -106,15 +109,16 @@ def dumps(tc: TestCase) -> str:
         lines.append(f"{name}={value}")
     lines.append("TRACE")
     for ev in tc.trace:
-        if isinstance(ev, StepEvent):
-            lines.append(f"step rank={ev.rank} loc={ev.loc}")
-        elif isinstance(ev, MatchEvent):
-            lines.append(f"match sender={ev.sender} receiver={ev.receiver} "
-                         f"wildcard={_yn(ev.wildcard)}")
-        elif isinstance(ev, BranchChoice):
-            lines.append(f"branch loc={ev.loc} taken={_yn(ev.taken)}")
-        elif isinstance(ev, BarrierRelease):
-            lines.append(f"release epoch={ev.epoch}")
+        kind = type(ev)
+        if kind is StepEvent:
+            lines.append("step rank=%s loc=%s" % ev)
+        elif kind is MatchEvent:
+            lines.append("match sender=%s receiver=%s wildcard=%s"
+                         % (ev.sender, ev.receiver, _yn(ev.wildcard)))
+        elif kind is BranchChoice:
+            lines.append("branch loc=%s taken=%s" % (ev.loc, _yn(ev.taken)))
+        elif kind is BarrierRelease:
+            lines.append("release epoch=%s" % ev)
         else:
             raise ReplayError(f"unknown trace event {ev!r}")
     lines.append("VERDICT")
@@ -136,22 +140,28 @@ def _fields(parts: List[str], expect: Tuple[str, ...], line_no: int) -> List[str
     return values
 
 
-#: Per event kind: its field names, and the event made from the field texts.
-_EVENTS = {
-    "step": (("rank", "loc"), lambda r, loc: StepEvent(int(r), int(loc))),
-    "match": (("sender", "receiver", "wildcard"),
-              lambda snd, rcv, wc: MatchEvent(int(snd), int(rcv), wc == "yes")),
-    "branch": (("loc", "taken"), lambda loc, taken: BranchChoice(int(loc), taken == "yes")),
-    "release": (("epoch",), lambda epoch: BarrierRelease(int(epoch))),
-}
+#: Each event kind by its name in the text, which writes its fields in order.
+_KINDS = {"step": StepEvent, "match": MatchEvent, "branch": BranchChoice,
+          "release": BarrierRelease}
+
+#: Any stripped trace line: one group per field, numbered across the kinds,
+#: so the last group that took part (2, 5, 7 or 8) names the kind, and
+#: `_EVENT_OF` makes the event from the match.
+_TRACE_LINE = re.compile("|".join(name + "".join(rf"\s+{key}=(\S*)" for key in kind._fields)
+                                  for name, kind in _KINDS.items()))
+_EVENT_OF = {2: lambda m: new_tuple(StepEvent, (int(m[1]), int(m[2]))),
+             5: lambda m: new_tuple(MatchEvent, (int(m[3]), int(m[4]), m[5] == "yes")),
+             7: lambda m: new_tuple(BranchChoice, (int(m[6]), m[7] == "yes")),
+             8: lambda m: new_tuple(BarrierRelease, (int(m[8]),))}
 
 
-def _event(entry: str, line_no: int):
-    kind, *parts = entry.split()
-    if kind not in _EVENTS:
-        raise ReplayError(f"line {line_no}: unknown event {kind!r}")
-    keys, make = _EVENTS[kind]
-    return make(*_fields(parts, keys, line_no))
+def _malformed(entry: str, line_no: int) -> ReplayError:
+    """What is wrong with a trace line that `_TRACE_LINE` rejects."""
+    name, *parts = entry.split()
+    if name not in _KINDS:
+        return ReplayError(f"line {line_no}: unknown event {name!r}")
+    _fields(parts, _KINDS[name]._fields, line_no)  # raises on every line the pattern rejects
+    return ReplayError(f"line {line_no}: malformed event")
 
 
 def loads(text: str) -> TestCase:
@@ -162,21 +172,27 @@ def loads(text: str) -> TestCase:
     if len(lines) < 3 or not lines[1].startswith("program-hash ") \
             or not lines[2].startswith("nprocs "):
         raise ReplayError("missing program-hash/nprocs header")
-    phash = lines[1].split(None, 1)[1].strip()
-    nprocs = int(lines[2].split(None, 1)[1])
+    phash = lines[1][len("program-hash "):].strip()
+    if not phash:
+        raise ReplayError("line 2: empty program-hash")
+    nprocs_text = lines[2][len("nprocs "):].strip()
+    try:
+        nprocs = int(nprocs_text)
+    except ValueError:
+        raise ReplayError(f"line 3: bad nprocs {nprocs_text!r}") from None
 
     sections = {"INPUT": [], "TRACE": [], "VERDICT": []}
-    current = None
+    current = None  # the list of the section being read
     for i, raw in enumerate(lines[3:], start=4):
         text_line = raw.strip()
         if not text_line:
             continue
         if text_line in sections:
-            current = text_line
+            current = sections[text_line]
             continue
         if current is None:
             raise ReplayError(f"line {i}: content before INPUT section")
-        sections[current].append((i, text_line))
+        current.append((i, text_line))
 
     model = {}
     for i, entry in sections["INPUT"]:
@@ -190,10 +206,14 @@ def loads(text: str) -> TestCase:
 
     trace = []
     events = {}  # trace line -> its event, shared by the lines equal to it
+    match = _TRACE_LINE.fullmatch
     for i, entry in sections["TRACE"]:
         ev = events.get(entry)
         if ev is None:
-            ev = events[entry] = _event(entry, i)
+            m = match(entry)
+            if m is None:
+                raise _malformed(entry, i)
+            ev = events[entry] = _EVENT_OF[m.lastindex](m)
         trace.append(ev)
 
     if not sections["VERDICT"]:
@@ -223,8 +243,11 @@ def save_testcase(record: engine.PathRecord, program: lang.Program,
 
 
 def load_testcase(path) -> TestCase:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ReplayError(f"{path} is not UTF-8 text") from None
+    return loads(text)
 
 
 # -- concrete replay ------------------------------------------------------------
@@ -276,23 +299,24 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
         ev = events[i]
         i += 1
         nxt = events[i] if i < count else None
-        if isinstance(ev, StepEvent):
-            r = ev.rank
+        kind = type(ev)
+        if kind is StepEvent:
+            r, loc = ev
             if not 0 <= r < n:
                 return Divergence(i, "a valid rank", f"rank {r}")
             if r in posted or cursors[r] >= end:
                 return Divergence(i, f"rank {r} runnable",
                                   "blocked" if r in posted else "exited")
-            if cursors[r] != ev.loc:
-                return Divergence(i, f"rank {r} at loc {ev.loc}", f"loc {cursors[r]}")
-            op = op_at(ev.loc)
+            if cursors[r] != loc:
+                return Divergence(i, f"rank {r} at loc {loc}", f"loc {cursors[r]}")
+            op = op_at(loc)
             if isinstance(op, ops.OpBranch):
-                if not isinstance(nxt, BranchChoice) or nxt.loc != ev.loc:
+                if not isinstance(nxt, BranchChoice) or nxt.loc != loc:
                     return Divergence(i, "a branch-choice event", repr(nxt))
                 i += 1
                 if oracle.step(s, local[r]) != nxt.taken:
                     what = "branch" if op.false_target is not None else "assertion"
-                    return Divergence(i, f"{what} at loc {ev.loc} taken={_yn(nxt.taken)}",
+                    return Divergence(i, f"{what} at loc {loc} taken={_yn(nxt.taken)}",
                                       f"condition evaluated to {_yn(not nxt.taken)}")
                 if s.fail_loc is not None and i < count:
                     return Divergence(i + 1, "end of trace after the assertion failure",
@@ -332,12 +356,12 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
                     del posted[peer]
                 else:
                     posted[r] = peer
-        elif isinstance(ev, MatchEvent):
-            snd, rcv = ev.sender, ev.receiver
+        elif kind is MatchEvent:
+            snd, rcv, wildcard = ev
             for q in (snd, rcv):
                 if not 0 <= q < n:
                     return Divergence(i, "a valid rank", f"rank {q}")
-            if not ev.wildcard:
+            if not wildcard:
                 return Divergence(i, "a step before any source-specific match",
                                   f"standalone {ev}")
             if not (_posted_on(s, posted, snd, lang.Send, rcv)

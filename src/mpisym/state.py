@@ -29,9 +29,9 @@ an expression into its term with the one evaluator, `lang.evaluate`, over
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -63,32 +63,26 @@ class Verdict(enum.Enum):
 # Schedule trace events.  Replay consumes these in order, so the engine
 # must append them in a fixed discipline: a StepEvent precedes any
 # BranchChoice/MatchEvent/BarrierRelease it causes; wildcard matches are
-# standalone MatchEvents with wildcard=True.
+# standalone MatchEvents with wildcard=True.  Every field is an int except
+# `wildcard` and `taken`, which are bools.
 
 
-@dataclass(frozen=True)
-class StepEvent:
-    rank: int
-    loc: int
+def _event_kind(name: str, fields: str) -> type:
+    """An immutable named tuple that equals only an event of its own kind
+    (`StepEvent(3, 1) != BranchChoice(3, True)`, and no event equals a plain
+    tuple); equal events hash equal."""
+    kind = collections.namedtuple(name, fields, module=__name__)
+    kind.__eq__ = lambda a, b: type(a) is type(b) and tuple.__eq__(a, b)
+    kind.__ne__ = lambda a, b: type(a) is not type(b) or tuple.__ne__(a, b)
+    kind.__hash__ = tuple.__hash__
+    return kind
 
 
-@dataclass(frozen=True)
-class MatchEvent:
-    sender: int
-    receiver: int
-    wildcard: bool
-
-
-@dataclass(frozen=True)
-class BarrierRelease:
-    epoch: int
-
-
-@dataclass(frozen=True)
-class BranchChoice:
-    loc: int
-    taken: bool
-
+StepEvent = _event_kind("StepEvent", "rank loc")
+MatchEvent = _event_kind("MatchEvent", "sender receiver wildcard")
+BarrierRelease = _event_kind("BarrierRelease", "epoch")
+BranchChoice = _event_kind("BranchChoice", "loc taken")
+new_tuple = tuple.__new__  # `new_tuple(Kind, fields)` skips a named tuple's Python-level __new__
 
 TraceEvent = object
 
@@ -186,7 +180,6 @@ class ProcState(NamedTuple):
 _EMPTY_ENV: Mapping[str, Expr] = MappingProxyType({})
 _num = functools.lru_cache(maxsize=None)(lang.Num)  # rank and nprocs as terms
 _KEEP = object()
-_new_proc = tuple.__new__  # skips NamedTuple's Python-level __new__ on hot writes
 
 
 class GlobalState:
@@ -254,7 +247,7 @@ def fork(s: GlobalState) -> GlobalState:
 def update(s: GlobalState, r: int, pc_loc=_KEEP, status=_KEEP, blocked_on=_KEEP) -> GlobalState:
     """Replace rank r's ProcState in s by one with the given fields changed."""
     p = s.procs[r]
-    s.procs[r] = _new_proc(ProcState, (
+    s.procs[r] = new_tuple(ProcState, (
         p.rank,
         p.pc_loc if pc_loc is _KEEP else pc_loc,
         p.env,
@@ -268,7 +261,7 @@ def bind(s: GlobalState, r: int, var: str, value: Expr) -> GlobalState:
     p = s.procs[r]
     env = p.env.copy()
     env[var] = value
-    s.procs[r] = _new_proc(ProcState, (p.rank, p.pc_loc, MappingProxyType(env),
+    s.procs[r] = new_tuple(ProcState, (p.rank, p.pc_loc, MappingProxyType(env),
                                        p.status, p.blocked_on))
     return s
 
@@ -351,6 +344,6 @@ def match_transfer(s: GlobalState, sender: int, receiver: int) -> GlobalState:
     bind(s, receiver, recv.var, eval_expr(s, sender, send.payload))
     update(s, sender, status=Status.ACTIVE, blocked_on=None)
     update(s, receiver, status=Status.ACTIVE, blocked_on=None)
-    s.trace.append(MatchEvent(sender, receiver, recv.src is None))
+    s.trace.append(new_tuple(MatchEvent, (sender, receiver, recv.src is None)))
     advance(s, (sender, receiver))
     return s

@@ -341,6 +341,44 @@ def test_replay_input_undeclared_or_repeated_exits_one(capsys, fig1_path, tmp_pa
     assert err.startswith("mpisym: error: ") and err.endswith(f"{message}\n")
 
 
+@pytest.mark.parametrize("line_no,header,message", [
+    (2, "program-hash ", "line 2: empty program-hash"),
+    (3, "nprocs ", "line 3: bad nprocs ''"),
+    (3, "nprocs x", "line 3: bad nprocs 'x'"),
+])
+def test_replay_malformed_header_exits_one(capsys, fig1_path, tmp_path, line_no, header,
+                                           message):
+    out_dir = tmp_path / "cases"
+    run(capsys, "analyze", str(fig1_path), "--out", str(out_dir))
+    lines = sorted(out_dir.glob("*.testcase"))[0].read_text().split("\n")
+    lines[line_no - 1] = header
+    edited = tmp_path / "edited.testcase"
+    edited.write_text("\n".join(lines))
+    code, out, err = run(capsys, "replay", str(fig1_path), str(edited))
+    assert (code, out, err) == (1, "", f"mpisym: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["compare"], ["replay", "{case}"]])
+def test_program_not_utf8_exits_one(capsys, fig1_path, tmp_path, argv):
+    out_dir = tmp_path / "cases"
+    run(capsys, "analyze", str(fig1_path), "--out", str(out_dir))
+    case = sorted(out_dir.glob("*.testcase"))[0]
+    bad = tmp_path / "bad.mpisym"
+    bad.write_bytes(fig1_path.read_bytes() + b"\xff")
+    code, out, err = run(capsys, argv[0], str(bad),
+                         *[a.format(case=case) for a in argv[1:]])
+    assert (code, out, err) == (1, "", f"mpisym: error: {bad} is not UTF-8 text\n")
+
+
+def test_testcase_not_utf8_exits_one(capsys, fig1_path, tmp_path):
+    out_dir = tmp_path / "cases"
+    run(capsys, "analyze", str(fig1_path), "--out", str(out_dir))
+    bad = tmp_path / "bad.testcase"
+    bad.write_bytes(sorted(out_dir.glob("*.testcase"))[0].read_bytes() + b"\xff")
+    code, out, err = run(capsys, "replay", str(fig1_path), str(bad))
+    assert (code, out, err) == (1, "", f"mpisym: error: {bad} is not UTF-8 text\n")
+
+
 def test_main_reentrant_with_shared_parser(capsys, fig1_path):
     """The process-wide parser gives the outputs of a fresh one whatever
     ran before: `--set` (append) and `-v` (count) never carry over."""

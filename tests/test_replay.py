@@ -392,3 +392,182 @@ def test_trace_lines_with_other_spacing_still_load():
                "step rank=0 loc=0\nVERDICT\nterminated\n")
     assert tc.trace == (StepEvent(0, 0), StepEvent(1, 2), MatchEvent(1, 0, False),
                         StepEvent(0, 0))
+
+
+@pytest.mark.parametrize("line_no,header,message", [
+    (2, "program-hash ", "line 2: empty program-hash"),
+    (2, "program-hash \t ", "line 2: empty program-hash"),
+    (3, "nprocs ", "line 3: bad nprocs ''"),
+    (3, "nprocs x", "line 3: bad nprocs 'x'"),
+    (3, "nprocs 1.5", "line 3: bad nprocs '1.5'"),
+])
+def test_malformed_header_messages(line_no, header, message):
+    lines = (TRACE_HEAD + "VERDICT\nterminated\n").split("\n")
+    lines[line_no - 1] = header
+    with pytest.raises(ReplayError) as err:
+        loads("\n".join(lines))
+    assert str(err.value) == message
+
+
+def test_testcase_not_utf8_is_a_replay_error(tmp_path):
+    path = tmp_path / "bad.testcase"
+    path.write_bytes(TRACE_HEAD.encode() + b"\xff")
+    with pytest.raises(ReplayError) as err:
+        load_testcase(path)
+    assert str(err.value) == f"{path} is not UTF-8 text"
+
+
+# -- the loader against the line parser it replaced ----------------------------------
+
+
+def _reference_fields(parts, expect, line_no):
+    values = []
+    if len(parts) != len(expect):
+        raise ReplayError(f"line {line_no}: malformed event")
+    for part, key in zip(parts, expect):
+        if not part.startswith(key + "="):
+            raise ReplayError(f"line {line_no}: expected field {key!r}")
+        values.append(part[len(key) + 1:])
+    return values
+
+
+_REFERENCE_EVENTS = {
+    "step": (("rank", "loc"), lambda r, loc: StepEvent(int(r), int(loc))),
+    "match": (("sender", "receiver", "wildcard"),
+              lambda snd, rcv, wc: MatchEvent(int(snd), int(rcv), wc == "yes")),
+    "branch": (("loc", "taken"), lambda loc, taken: BranchChoice(int(loc), taken == "yes")),
+    "release": (("epoch",), lambda epoch: BarrierRelease(int(epoch))),
+}
+
+
+def reference_loads(text):
+    """The line-by-line parser `loads` replaced (split each line, check each
+    field's name, one event per line); the referee for the one pattern."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != replay.FORMAT_HEADER:
+        raise ReplayError(f"not a test case file (expected {replay.FORMAT_HEADER!r})")
+    if len(lines) < 3 or not lines[1].startswith("program-hash ") \
+            or not lines[2].startswith("nprocs "):
+        raise ReplayError("missing program-hash/nprocs header")
+    phash = lines[1].split(None, 1)[1].strip()
+    nprocs = int(lines[2].split(None, 1)[1])
+    sections = {"INPUT": [], "TRACE": [], "VERDICT": []}
+    current = None
+    for i, raw in enumerate(lines[3:], start=4):
+        text_line = raw.strip()
+        if not text_line:
+            continue
+        if text_line in sections:
+            current = text_line
+            continue
+        if current is None:
+            raise ReplayError(f"line {i}: content before INPUT section")
+        sections[current].append((i, text_line))
+    model = {}
+    for i, entry in sections["INPUT"]:
+        if "=" not in entry:
+            raise ReplayError(f"line {i}: malformed input binding")
+        name, value = entry.split("=", 1)
+        name = name.strip()
+        if name in model:
+            raise ReplayError(f"line {i}: input {name!r} bound twice")
+        model[name] = int(value)
+    trace = []
+    for i, entry in sections["TRACE"]:
+        kind, *parts = entry.split()
+        if kind not in _REFERENCE_EVENTS:
+            raise ReplayError(f"line {i}: unknown event {kind!r}")
+        keys, make = _REFERENCE_EVENTS[kind]
+        trace.append(make(*_reference_fields(parts, keys, i)))
+    if not sections["VERDICT"]:
+        raise ReplayError("missing VERDICT section")
+    vline_no, vline = sections["VERDICT"][0]
+    kind, *rest = vline.split()
+    fail_loc = None
+    if kind == "assertfail":
+        verdict = Verdict.ASSERT_FAIL
+        (loc,) = _reference_fields(rest, ("loc",), vline_no)
+        fail_loc = int(loc)
+    elif kind in ("terminated", "deadlock") and not rest:
+        verdict = Verdict(kind)
+    else:
+        raise ReplayError(f"line {vline_no}: unknown verdict {vline!r}")
+    return replay.TestCase(program_hash=phash, nprocs=nprocs, model=tuple(model.items()),
+                           trace=tuple(trace), verdict=verdict, fail_loc=fail_loc)
+
+
+def corpus_testcase_texts(corpus_entries):
+    for entry in corpus_entries.values():
+        p, rep = search_records(entry)
+        for rec in rep.records:
+            yield dumps(make_testcase(rec, p, entry.nprocs))
+
+
+def _mutate_field(rng, line):
+    words = line.split(" ")
+    j = rng.randrange(1, len(words)) if len(words) > 1 else 0
+    key, eq, value = words[j].partition("=")
+    choice = rng.randrange(7)
+    if choice == 0:  # a renamed field
+        words[j] = key[:-1] + eq + value
+    elif choice == 1:  # a missing field
+        del words[j]
+    elif choice == 2:  # an extra field
+        words.insert(rng.randrange(1, len(words) + 1), "extra=1")
+    elif choice == 3:  # an unknown or miscased kind
+        words[0] = rng.choice(("jump", "STEP", "steps", "stepx"))
+    elif choice == 4:
+        words[j] = f"{key}=maybe" if key in ("wildcard", "taken") else f"{key}=yes"
+    else:
+        words[j] = f"{key}={rng.choice(('x', '', '1.5', '+1', '1_0', '-0', '=1', '٣'))}"
+    return " ".join(words)
+
+
+def _mutate(rng, text):
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(3, len(lines))
+        choice = rng.randrange(8)
+        if choice == 0:  # tabs, runs of spaces and other whitespace
+            lines[i] = lines[i].replace(" ", rng.choice(("\t", "   ", " \t ", "\x0c")))
+        elif choice == 1:
+            lines[i] = rng.choice((" ", "\t", "  ")) + lines[i] + rng.choice(("", " ", "\t"))
+        elif choice == 2:  # blank lines
+            lines.insert(i, rng.choice(("", "  ", "\t")))
+        elif choice == 3:  # a repeated section header
+            lines.insert(i, rng.choice(("INPUT", "TRACE", "VERDICT")))
+        elif choice == 4:  # a missing section header
+            headers = [k for k in range(3, len(lines))
+                       if lines[k] in ("INPUT", "TRACE", "VERDICT")]
+            del lines[rng.choice(headers)]
+        elif choice == 5:  # a line moved
+            lines.insert(rng.randrange(3, len(lines)), lines.pop(i))
+        else:
+            lines[i] = _mutate_field(rng, lines[i])
+    return "\n".join(lines)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ReplayError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_loads_agrees_with_the_line_parser_on_mutated_testcases(corpus_entries, rng):
+    texts = list(corpus_testcase_texts(corpus_entries))
+    errors = 0
+    for _ in range(3000):
+        text = _mutate(rng, rng.choice(texts))
+        want = _outcome(reference_loads, text)
+        assert _outcome(loads, text) == want, text
+        errors += isinstance(want, tuple)
+    assert 1000 < errors < 2900  # both outcomes are well represented
+
+
+def test_dumps_of_loads_is_the_same_text(corpus_entries):
+    from pathlib import Path
+    golden = (Path(__file__).parent / "golden" / "fig1_deadlock.testcase").read_text()
+    for text in [golden, *corpus_testcase_texts(corpus_entries)]:
+        assert dumps(loads(text)) == text
+        assert loads(text) == reference_loads(text)

@@ -1,10 +1,10 @@
 import pytest
 
 from mpisym import engine, lang, report, symbolic
-from mpisym.state import (BarrierRelease, EngineError, MatchEvent, Status,
-                          StepEvent, Trace, Verdict, advance, assume, bind,
-                          eval_expr, fork, init_state, match_transfer, update,
-                          waiting_in)
+from mpisym.state import (BarrierRelease, BranchChoice, EngineError, MatchEvent,
+                          Status, StepEvent, Trace, Verdict, advance, assume, bind,
+                          eval_expr, fork, init_state, match_transfer, new_tuple,
+                          update, waiting_in)
 from randprog import random_program
 
 FIG1 = """\
@@ -252,6 +252,34 @@ def test_fork_shares_trace_cells(fig1):
     assert t.trace.head[1] is s.trace.head
     assert len(s.trace) == n and t.trace[-1] == MatchEvent(0, 1, False)
     assert t.trace[:n] == list(s.trace) and t.trace != s.trace
+
+
+EVENTS = [(StepEvent(0, 3), "StepEvent(rank=0, loc=3)"),
+          (MatchEvent(2, 1, True), "MatchEvent(sender=2, receiver=1, wildcard=True)"),
+          (BranchChoice(4, False), "BranchChoice(loc=4, taken=False)"),
+          (BarrierRelease(7), "BarrierRelease(epoch=7)")]
+
+
+@pytest.mark.parametrize("event,text", EVENTS)
+def test_event_is_an_immutable_value_of_its_kind(event, text):
+    assert repr(event) == text
+    twin = new_tuple(type(event), tuple(event))  # as the engine and the loader build it
+    assert twin == event and not twin != event and hash(twin) == hash(event)
+    assert event != tuple(event) and tuple(event) != event and not event == tuple(event)
+    for other, _ in EVENTS:
+        if type(other) is not type(event):
+            assert event != other and not event == other
+    with pytest.raises(AttributeError):
+        setattr(event, event._fields[0], 5)
+    with pytest.raises(AttributeError):
+        event.extra = 1
+
+
+def test_events_of_different_kinds_with_equal_fields_differ():
+    assert StepEvent(3, 1) != BranchChoice(3, True)
+    assert not StepEvent(3, 1) == BranchChoice(3, True)
+    assert BarrierRelease(1) != (1,) and (1,) != BarrierRelease(1)
+    assert len({StepEvent(3, 1), BranchChoice(3, True), (3, 1), StepEvent(3, 1)}) == 3
 
 
 def _replaced(s, t):
