@@ -90,7 +90,10 @@ def load_corpus(directory: Optional[Path] = None) -> List[CorpusEntry]:
             program = entry.program()
         except lang.ParseError as exc:
             raise CorpusError(f"corpus entry {name!r} does not parse: {exc}") from exc
-        findings = lang.validate(program, nprocs)
+        try:
+            findings = lang.validate(program, nprocs)
+        except lang.LangError as exc:
+            raise CorpusError(f"manifest line {line_no}: {exc}") from None
         if findings:
             raise CorpusError(f"corpus entry {name!r} fails validation: "
                               f"{findings[0].message}")

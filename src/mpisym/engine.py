@@ -36,9 +36,9 @@ from typing import Dict, List, Optional, Tuple, Union
 from . import lang, ops, solver, symbolic
 from .solver import Model
 from .state import (BranchChoice, BarrierRelease, EngineError, GlobalState,
-                    StepEvent, Status, Trace, Verdict, advance, assume, bind,
+                    StepEvent, Status, Trace, Verdict, advance, assume,
                     eval_expr, fork, init_state, match_transfer, new_tuple,
-                    update, waiting_in)
+                    waiting_in)
 
 
 class ValidationFailure(Exception):
@@ -195,18 +195,12 @@ def _resolve_rank(s: GlobalState, rank: int, e: lang.Expr,
     return value, None
 
 
-def _error_terminal(s: GlobalState, p: int, loc: int, message: str) -> GlobalState:
-    t = fork(s)
-    t.depth += 1
-    t.trace.append(new_tuple(StepEvent, (p, loc)))
-    t.verdict = Verdict.ERROR
-    t.error = f"L{t.compiled.line_of(loc)}: {message}"
-    return t
-
-
 def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List[GlobalState]:
-    """Execute exactly one statement of process p, returning 1 or 2
-    successor states.  The input state is never modified."""
+    """Execute exactly one statement of process p in s, writing into s, and
+    return s followed by at most one more successor.  That second successor
+    exists only when both sides of a symbolic branch are feasible: it is
+    the false side, a `fork` of s made once the step is recorded and before
+    either side is written."""
     proc = s.procs[p]
     if proc.status is not Status.ACTIVE:
         raise EngineError(f"se_step on non-active process {p}")
@@ -214,102 +208,100 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
         raise EngineError("se_step on a non-running state")
     loc = proc.pc_loc
     op = s.compiled.op_at(loc)
-
-    def stepped() -> GlobalState:
-        t = fork(s)
-        t.depth += 1
-        t.trace.append(new_tuple(StepEvent, (p, loc)))
-        return t
+    s.depth += 1
+    s.trace.append(new_tuple(StepEvent, (p, loc)))
 
     if isinstance(op, lang.Assign):
-        t = stepped()
-        bind(t, p, op.var, eval_expr(t, p, op.expr))
-        advance(t, (p,))
-        return [t]
+        proc.env[op.var] = eval_expr(s, p, op.expr)
+        advance(s, (p,))
+        return [s]
 
     if isinstance(op, ops.OpBranch):
         # One rule for `if` and `assert`: a side whose target is None fails
         # the assertion.  Only a symbolic condition asks the solver, once
-        # per side; the true side is explored first under DFS.
+        # per side and before either side is written; the true side is
+        # explored first under DFS.
         cond = eval_expr(s, p, op.cond)
-        concrete = isinstance(cond, lang.Bool)
-        succs = []
-        for taken in (cond.value,) if concrete else (True, False):
-            if not concrete:
+        if isinstance(cond, lang.Bool):
+            sides = [(cond.value, None, None)]
+        else:
+            sides = []
+            for taken in (True, False):
                 guard = cond if taken else symbolic.negate(cond)
                 model = _model_with(s, guard, stats)
-                if model is None:
-                    continue
-            t = stepped()
+                if model is not None:
+                    sides.append((taken, guard, model))
+            if not sides:
+                raise EngineError("no side of a guarded step is satisfiable on a live path")
+        succs = [s] if len(sides) == 1 else [s, fork(s)]
+        for t, (taken, guard, model) in zip(succs, sides):
             t.trace.append(new_tuple(BranchChoice, (loc, taken)))
-            if not concrete:
+            if guard is not None:
                 assume(t, guard, model)
             target = op.true_target if taken else op.false_target
             if target is None:
                 t.verdict = Verdict.ASSERT_FAIL
                 t.fail_loc = loc
-            elif target < t.compiled.end:
-                update(t, p, pc_loc=target)
-            else:  # a target past the end of the body exits the process
-                update(t, p, pc_loc=target, status=Status.EXITED, blocked_on=None)
-            succs.append(t)
-        if not succs:
-            raise EngineError("no side of a guarded step is satisfiable on a live path")
+            else:
+                t.procs[p].pc_loc = target
+                if target >= t.compiled.end:  # past the end of the body: the process exits
+                    t.procs[p].status = Status.EXITED
         return succs
 
     if isinstance(op, lang.Recv) and op.src is None:
-        t = stepped()
-        update(t, p, status=Status.INACTIVE)
-        return [t]
+        proc.status = Status.INACTIVE
+        return [s]
 
     if isinstance(op, (lang.Send, lang.Recv)):
         # One rendezvous rule for both roles: match when the peer already
         # waits in the other call naming p, otherwise sleep on the peer.
         sending = isinstance(op, lang.Send)
         peer, err = _resolve_rank(s, p, op.dest if sending else op.src, stats)
-        if err is not None:
-            return [_error_terminal(s, p, loc, err)]
         snd, rcv = (p, peer) if sending else (peer, p)
-        t = stepped()
-        if waiting_in(t, peer, lang.Recv if sending else lang.Send, p):
-            match_transfer(t, snd, rcv)
+        if err is not None:
+            s.verdict = Verdict.ERROR
+            s.error = f"L{s.compiled.line_of(loc)}: {err}"
+        elif waiting_in(s, peer, lang.Recv if sending else lang.Send, p):
+            match_transfer(s, snd, rcv)
         else:
             # A sleeping wildcard receiver does NOT match a send; the sender
             # blocks so the scheduler can later fork over all candidates.
-            update(t, p, status=Status.INACTIVE, blocked_on=peer)
-            t.next_proc_candidate = peer
-        return [t]
+            proc.status = Status.INACTIVE
+            proc.blocked_on = peer
+            s.next_proc_candidate = peer
+        return [s]
 
     if isinstance(op, lang.Barrier):
         # The barrier releases when every other rank is asleep at one; a
         # rank that exited never arrives, which (correctly) wedges it.
         # Ranks mostly arrive in rank order, so the scan starts at the top.
-        t = stepped()
-        if all(q.rank == p or waiting_in(t, q.rank, lang.Barrier, None)
-               for q in reversed(t.procs)):
-            for r in range(t.nprocs):
-                update(t, r, status=Status.ACTIVE)
-            t.trace.append(new_tuple(BarrierRelease, (t.barrier_epochs,)))
-            t.barrier_epochs += 1
-            advance(t, range(t.nprocs))
+        if all(q.rank == p or waiting_in(s, q.rank, lang.Barrier, None)
+               for q in reversed(s.procs)):
+            for q in s.procs:
+                q.status = Status.ACTIVE
+            s.trace.append(new_tuple(BarrierRelease, (s.barrier_epochs,)))
+            s.barrier_epochs += 1
+            advance(s, range(s.nprocs))
         else:
-            update(t, p, status=Status.INACTIVE)
-        return [t]
+            proc.status = Status.INACTIVE
+        return [s]
 
     if isinstance(op, lang.Exit):
-        t = stepped()
-        update(t, p, pc_loc=t.compiled.end, status=Status.EXITED, blocked_on=None)
-        return [t]
+        proc.pc_loc = s.compiled.end
+        proc.status = Status.EXITED
+        return [s]
 
     raise EngineError(f"cannot execute {op!r}")
 
 
 def expand(s: GlobalState, stats: Optional[SolverStats] = None,
            what: Optional[Schedule] = None) -> List[GlobalState]:
-    """One exploration step: run the scheduled rank, or fork one successor
-    per wildcard pair.  `what`, when given, is `scheduler(s)`.  Successors
-    are in exploration-priority order (the first element is explored first
-    under DFS)."""
+    """One exploration step in s: run the scheduled rank (`se_step`), or
+    match one wildcard pair per successor.  `what`, when given, is
+    `scheduler(s)`.  Like `se_step`, it writes into s and returns it first;
+    each pair after the first matches in a `fork` of s made before s is
+    written.  Successors are in exploration-priority order (the first
+    element is explored first under DFS)."""
     if what is None:
         what = scheduler(s)
     if type(what) is int:
@@ -318,12 +310,10 @@ def expand(s: GlobalState, stats: Optional[SolverStats] = None,
         return se_step(s, what, stats)
     if isinstance(what, Verdict):
         raise EngineError(f"expand called on a {what.value} state")
-    succs = []
-    for receiver, sender in what:
-        t = fork(s)
+    succs = [s] + [fork(s) for _ in what[1:]]
+    for t, (receiver, sender) in zip(succs, what):
         t.depth += 1
         match_transfer(t, sender, receiver)
-        succs.append(t)
     return succs
 
 

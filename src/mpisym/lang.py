@@ -519,6 +519,8 @@ def parse_program(text: str) -> Program:
 
 #: Upper bound on symbolic-input interval width accepted by the solver.
 MAX_DOMAIN_WIDTH = 1 << 16
+#: Upper bound on the process count, checked before anything is allocated per rank.
+MAX_NPROCS = 1024
 
 
 @dataclass(frozen=True)
@@ -619,6 +621,8 @@ def validate(program: Program, nprocs: int):
     safe to execute under `nprocs` processes (computed once per count)."""
     if nprocs < 1:
         raise LangError("nprocs must be positive")
+    if nprocs > MAX_NPROCS:
+        raise LangError(f"nprocs {nprocs} exceeds the limit of {MAX_NPROCS}")
     return list(derived(program, _findings, nprocs))
 
 

@@ -35,8 +35,8 @@ File format (one event per line, LF, UTF-8)::
 Replaying many cases of one program in one process prepares the program
 once (its hash, findings and lowered form are kept on it, ``lang.derived``).
 ``loads`` builds each distinct trace line's event once, from the groups of
-one compiled pattern; only a line the pattern rejects is split into fields,
-to say what is wrong with it.  Nothing here is user-settable.
+one compiled pattern; only a line it cannot read is split into fields, to
+say what is wrong with it.  Nothing here is user-settable.
 """
 
 from __future__ import annotations
@@ -155,12 +155,24 @@ _EVENT_OF = {2: lambda m: new_tuple(StepEvent, (int(m[1]), int(m[2]))),
              8: lambda m: new_tuple(BarrierRelease, (int(m[8]),))}
 
 
+def _int(text: str, what: str, line_no: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ReplayError(f"line {line_no}: {what} {text!r} is not an integer") from None
+
+
 def _malformed(entry: str, line_no: int) -> ReplayError:
-    """What is wrong with a trace line that `_TRACE_LINE` rejects."""
+    """What is wrong with a trace line that `_TRACE_LINE` rejects, or whose
+    event `_EVENT_OF` cannot make because a field is not an integer."""
     name, *parts = entry.split()
     if name not in _KINDS:
         return ReplayError(f"line {line_no}: unknown event {name!r}")
-    _fields(parts, _KINDS[name]._fields, line_no)  # raises on every line the pattern rejects
+    keys = _KINDS[name]._fields
+    values = _fields(parts, keys, line_no)  # raises on every line the pattern rejects
+    for key, value in zip(keys, values):
+        if key not in ("wildcard", "taken"):
+            _int(value, key, line_no)
     return ReplayError(f"line {line_no}: malformed event")
 
 
@@ -202,7 +214,7 @@ def loads(text: str) -> TestCase:
         name = name.strip()
         if name in model:
             raise ReplayError(f"line {i}: input {name!r} bound twice")
-        model[name] = int(value)
+        model[name] = _int(value, f"input {name}", i)
 
     trace = []
     events = {}  # trace line -> its event, shared by the lines equal to it
@@ -213,7 +225,10 @@ def loads(text: str) -> TestCase:
             m = match(entry)
             if m is None:
                 raise _malformed(entry, i)
-            ev = events[entry] = _EVENT_OF[m.lastindex](m)
+            try:
+                ev = events[entry] = _EVENT_OF[m.lastindex](m)
+            except ValueError:
+                raise _malformed(entry, i) from None
         trace.append(ev)
 
     if not sections["VERDICT"]:
@@ -224,7 +239,7 @@ def loads(text: str) -> TestCase:
     if kind == "assertfail":
         verdict = Verdict.ASSERT_FAIL
         (loc,) = _fields(rest, ("loc",), vline_no)
-        fail_loc = int(loc)
+        fail_loc = _int(loc, "loc", vline_no)
     elif kind in ("terminated", "deadlock") and not rest:
         verdict = Verdict(kind)
     else:  # a test case never ends running or in an analysis error
@@ -245,6 +260,8 @@ def save_testcase(record: engine.PathRecord, program: lang.Program,
 def load_testcase(path) -> TestCase:
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ReplayError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise ReplayError(f"{path} is not UTF-8 text") from None
     return loads(text)

@@ -1,16 +1,13 @@
 """Per-process and global execution state for the symbolic engine.
 
-A GlobalState is a self-contained value: forking yields an independent
-copy, so worklist items can be explored in any order.  Forking costs the
-same at any path depth because forks share structure, and everything they
-share is immutable: the compiled program, the path-condition tuple, the
-cells of the schedule trace (`Trace`) and the per-process states
-(`ProcState`, whose environment is a read-only view).  A fork owns only
-its `procs` list and its trace head.  A write replaces: `update` and `bind`
-put a new ProcState into the writing state's list, and appending to a trace
-adds a cell that only the appending state points to.  An in-place write to
-a shared ProcState or its environment raises instead of leaking into
-another fork.
+A GlobalState is owned by whoever holds it: `se_step` and `expand` write
+into the state they are given and return it as the first successor.  Only a
+second successor is a copy, made with `fork` before the two successors
+differ.  A fork copies the process records (`ProcState`) and their
+environments, and shares the rest: the compiled program, the path-condition
+tuple, the model and the cells of the schedule trace (`Trace`), none of
+which is ever written in place.  So a fork costs the same at any path
+depth, and a write into one state never shows in another.
 
 A rank that is asleep (INACTIVE) rests on the send, receive or barrier it
 is waiting in, so the statement at its cursor says which call it is;
@@ -32,8 +29,8 @@ from __future__ import annotations
 import collections
 import enum
 import functools
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from . import lang, ops, symbolic
 
@@ -162,24 +159,25 @@ class Trace:
         return f"Trace({self._window(0, self.n)!r})"
 
 
-class ProcState(NamedTuple):
-    """One process: an immutable value that forks share until one of them
-    replaces it through `update` or `bind`.  `env` is a read-only view."""
+@dataclass(slots=True)
+class ProcState:
+    """One process: a record that its state owns and writes in place."""
 
     rank: int
     pc_loc: int
-    env: Mapping[str, Expr]
+    env: Dict[str, Expr]
     status: Status
     blocked_on: Optional[int]  # the peer of a sleeping send or named receive
+
+    def copy(self) -> "ProcState":
+        return ProcState(self.rank, self.pc_loc, self.env.copy(), self.status, self.blocked_on)
 
     def snapshot(self):
         return (self.rank, self.pc_loc, tuple(sorted(self.env.items(), key=lambda kv: kv[0])),
                 self.status, self.blocked_on)
 
 
-_EMPTY_ENV: Mapping[str, Expr] = MappingProxyType({})
 _num = functools.lru_cache(maxsize=None)(lang.Num)  # rank and nprocs as terms
-_KEEP = object()
 
 
 class GlobalState:
@@ -191,7 +189,7 @@ class GlobalState:
         self.nprocs = nprocs
         start = ops.entry_point(compiled)
         status = Status.EXITED if start >= compiled.end else Status.ACTIVE
-        self.procs: List[ProcState] = [ProcState(r, start, _EMPTY_ENV, status, None)
+        self.procs: List[ProcState] = [ProcState(r, start, {}, status, None)
                                        for r in range(nprocs)]
         self.pc: symbolic.PathCondition = ()
         self.model: Optional[Model] = {name: lo for name, (lo, _) in compiled.domains.items()}
@@ -226,44 +224,16 @@ def init_state(program: lang.Program, nprocs: int) -> GlobalState:
 
 
 def fork(s: GlobalState) -> GlobalState:
-    """Independent copy sharing every immutable part: the ProcStates and
-    the trace cells are not copied, so the cost does not grow with depth."""
+    """An independent copy, for a second successor: it copies the process
+    records and their environments, and shares the trace cells, the
+    path-condition tuple and the model, so the cost does not grow with
+    depth."""
     t = GlobalState.__new__(GlobalState)
-    t.compiled = s.compiled
-    t.nprocs = s.nprocs
-    t.procs = s.procs.copy()
-    t.pc = s.pc
-    t.model = s.model
-    t.next_proc_candidate = s.next_proc_candidate
-    t.barrier_epochs = s.barrier_epochs
+    for name in GlobalState.__slots__:  # the other fields are never written in place
+        setattr(t, name, getattr(s, name))
+    t.procs = [p.copy() for p in s.procs]
     t.trace = s.trace.copy()
-    t.verdict = s.verdict
-    t.fail_loc = s.fail_loc
-    t.error = s.error
-    t.depth = s.depth
     return t
-
-
-def update(s: GlobalState, r: int, pc_loc=_KEEP, status=_KEEP, blocked_on=_KEEP) -> GlobalState:
-    """Replace rank r's ProcState in s by one with the given fields changed."""
-    p = s.procs[r]
-    s.procs[r] = new_tuple(ProcState, (
-        p.rank,
-        p.pc_loc if pc_loc is _KEEP else pc_loc,
-        p.env,
-        p.status if status is _KEEP else status,
-        p.blocked_on if blocked_on is _KEEP else blocked_on))
-    return s
-
-
-def bind(s: GlobalState, r: int, var: str, value: Expr) -> GlobalState:
-    """Set variable `var` of rank r in s to `value`."""
-    p = s.procs[r]
-    env = p.env.copy()
-    env[var] = value
-    s.procs[r] = new_tuple(ProcState, (p.rank, p.pc_loc, MappingProxyType(env),
-                                       p.status, p.blocked_on))
-    return s
 
 
 def eval_expr(s: GlobalState, rank: int, e: Expr) -> Expr:
@@ -298,14 +268,12 @@ def advance(s: GlobalState, ranks: Iterable[int]) -> GlobalState:
     compiled = s.compiled
     end = compiled.end
     for r in ranks:
-        loc = s.procs[r].pc_loc
-        if loc >= end:
+        p = s.procs[r]
+        if p.pc_loc >= end:
             raise EngineError(f"advance past end of body (rank {r})")
-        nxt = compiled.next_of[loc]
-        if nxt >= end:
-            update(s, r, pc_loc=nxt, status=Status.EXITED, blocked_on=None)
-        else:
-            update(s, r, pc_loc=nxt)
+        p.pc_loc = compiled.next_of[p.pc_loc]
+        if p.pc_loc >= end:
+            p.status = Status.EXITED
     return s
 
 
@@ -341,9 +309,9 @@ def match_transfer(s: GlobalState, sender: int, receiver: int) -> GlobalState:
     if rp.blocked_on not in (None, sender):
         raise EngineError("receiver expects a different source")
 
-    bind(s, receiver, recv.var, eval_expr(s, sender, send.payload))
-    update(s, sender, status=Status.ACTIVE, blocked_on=None)
-    update(s, receiver, status=Status.ACTIVE, blocked_on=None)
+    rp.env[recv.var] = eval_expr(s, sender, send.payload)
+    sp.status = rp.status = Status.ACTIVE
+    sp.blocked_on = rp.blocked_on = None
     s.trace.append(new_tuple(MatchEvent, (sender, receiver, recv.src is None)))
     advance(s, (sender, receiver))
     return s

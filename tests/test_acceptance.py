@@ -256,17 +256,19 @@ def test_c8_scheduler_properties(seed):
             assert [p.rank for p in s.procs if p.status is Status.ACTIVE] == []
             pairs = engine.scheduler(s)
             assert isinstance(pairs, list) and pairs
+            n = len(s.trace)
             succs = engine.expand(s)
             assert len(succs) == len(pairs)
             for succ, (receiver, sender) in zip(succs, pairs):
-                assert succ.trace[len(s.trace):] == [MatchEvent(sender, receiver, True)]
+                assert succ.trace[n:] == [MatchEvent(sender, receiver, True)]
 
         # one process per expansion: every successor steps the same rank
         assert len(run_states) >= 200
         for s in run_states[:400]:
             rank = engine.scheduler(s)
+            n = len(s.trace)
             succs = engine.expand(s)
-            new_events = [tuple(t.trace[len(s.trace):]) for t in succs]
+            new_events = [tuple(t.trace[n:]) for t in succs]
             for events in new_events:
                 assert events, "expansion recorded no step"
                 assert isinstance(events[0], StepEvent)

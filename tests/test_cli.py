@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mpisym import cli, corpus, lang, report, solver
+from mpisym import cli, corpus, engine, lang, oracle, replay, report, solver, state
 from mpisym.state import EngineError
 
 
@@ -377,6 +377,44 @@ def test_testcase_not_utf8_exits_one(capsys, fig1_path, tmp_path):
     bad.write_bytes(sorted(out_dir.glob("*.testcase"))[0].read_bytes() + b"\xff")
     code, out, err = run(capsys, "replay", str(fig1_path), str(bad))
     assert (code, out, err) == (1, "", f"mpisym: error: {bad} is not UTF-8 text\n")
+
+
+@pytest.mark.parametrize("name, reason", [("nope.testcase", "No such file or directory"),
+                                          ("cases", "Is a directory")])
+def test_unreadable_testcase_exits_one(capsys, fig1_path, tmp_path, name, reason):
+    (tmp_path / "cases").mkdir()
+    path = tmp_path / name
+    code, out, err = run(capsys, "replay", str(fig1_path), str(path))
+    assert (code, out, err) == (1, "", f"mpisym: error: cannot read {path}: {reason}\n")
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["analyze", "{small}", "--nprocs", "1025"], ""),
+    (["compare", "{small}", "--nprocs", "1025"], ""),
+    (["analyze", "{big}"], ""),
+    (["replay", "{small}", "{case}"], ""),
+    (["corpus", "--dir", "{dir}"], "manifest line 1: "),
+], ids=["analyze-nprocs", "compare-nprocs", "program-header", "testcase-header", "manifest"])
+def test_process_count_above_the_limit_exits_one(capsys, tmp_path, monkeypatch, argv, where):
+    assert lang.MAX_NPROCS == 1024
+    small = tmp_path / "small.mpisym"
+    small.write_text("program (nprocs = 2) { x = 1; }\n")
+    (tmp_path / "big.mpisym").write_text("program (nprocs = 1025) { x = 1; }\n")
+    (tmp_path / "manifest").write_text("big 1025 no no\n")
+    case = tmp_path / "small.testcase"
+    phash = replay.program_hash(lang.parse_program(small.read_text()))
+    case.write_text(f"mpisym-testcase v1\nprogram-hash {phash}\nnprocs 1025\n"
+                    "INPUT\nTRACE\nVERDICT\nterminated\n")
+
+    def allocate(*args):
+        raise AssertionError("per-rank state allocated before the process count was checked")
+
+    for module, name in ((state, "init_state"), (engine, "init_state"), (oracle, "make_initial")):
+        monkeypatch.setattr(module, name, allocate)
+    code, out, err = run(capsys, *[a.format(small=small, big=tmp_path / "big.mpisym", case=case,
+                                            dir=tmp_path) for a in argv])
+    assert (code, out) == (1, "")
+    assert err == f"mpisym: error: {where}nprocs 1025 exceeds the limit of 1024\n"
 
 
 def test_main_reentrant_with_shared_parser(capsys, fig1_path):

@@ -3,7 +3,7 @@ import pytest
 from mpisym import engine, lang, ops, solver, symbolic
 from mpisym.engine import (SearchStrategy, ValidationFailure, classify,
                            expand, scheduler, se_step, search)
-from mpisym.state import (MatchEvent, Status, StepEvent, Verdict, init_state,
+from mpisym.state import (MatchEvent, Status, StepEvent, Verdict, fork, init_state,
                           waiting_in)
 from randprog import random_program
 
@@ -13,9 +13,10 @@ def program(text: str) -> lang.Program:
 
 
 def run_until_blocked(s):
-    """Expand while exactly one successor exists and the state is running."""
+    """Expand while exactly one successor exists and the state is running;
+    the state returned with the successors is left as it was."""
     while classify(s) is Verdict.RUNNING:
-        succs = expand(s)
+        succs = expand(fork(s))
         if len(succs) != 1:
             return s, succs
         s = succs[0]

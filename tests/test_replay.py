@@ -354,14 +354,14 @@ TRACE_HEAD = "mpisym-testcase v1\nprogram-hash abc\nnprocs 2\nINPUT\nX=1\nTRACE\
     ("step rank=1 loc=2 loc=3", ReplayError, "line 8: malformed event"),
     ("step rnk=1 loc=2", ReplayError, "line 8: expected field 'rank'"),
     ("step rank=1 pos=2", ReplayError, "line 8: expected field 'loc'"),
-    ("step rank=x loc=2", ValueError, "invalid literal for int() with base 10: 'x'"),
-    ("step rank= loc=2", ValueError, "invalid literal for int() with base 10: ''"),
+    ("step rank=x loc=2", ReplayError, "line 8: rank 'x' is not an integer"),
+    ("step rank= loc=2", ReplayError, "line 8: rank '' is not an integer"),
     ("match sender=1 receiver=0", ReplayError, "line 8: malformed event"),
     ("match sender=1 recv=0 wildcard=yes", ReplayError, "line 8: expected field 'receiver'"),
     ("branch loc=3 taken", ReplayError, "line 8: expected field 'taken'"),
     ("release", ReplayError, "line 8: malformed event"),
     ("release epoch=1 extra=2", ReplayError, "line 8: malformed event"),
-    ("release epoch=1.5", ValueError, "invalid literal for int() with base 10: '1.5'"),
+    ("release epoch=1.5", ReplayError, "line 8: epoch '1.5' is not an integer"),
     ("jump to=3", ReplayError, "line 8: unknown event 'jump'"),
     ("STEP rank=1 loc=2", ReplayError, "line 8: unknown event 'STEP'"),
 ])
@@ -431,6 +431,13 @@ def _reference_fields(parts, expect, line_no):
     return values
 
 
+def _reference_int(text, what, line_no):
+    try:
+        return int(text)
+    except ValueError:
+        raise ReplayError(f"line {line_no}: {what} {text!r} is not an integer") from None
+
+
 _REFERENCE_EVENTS = {
     "step": (("rank", "loc"), lambda r, loc: StepEvent(int(r), int(loc))),
     "match": (("sender", "receiver", "wildcard"),
@@ -471,14 +478,16 @@ def reference_loads(text):
         name = name.strip()
         if name in model:
             raise ReplayError(f"line {i}: input {name!r} bound twice")
-        model[name] = int(value)
+        model[name] = _reference_int(value, f"input {name}", i)
     trace = []
     for i, entry in sections["TRACE"]:
         kind, *parts = entry.split()
         if kind not in _REFERENCE_EVENTS:
             raise ReplayError(f"line {i}: unknown event {kind!r}")
         keys, make = _REFERENCE_EVENTS[kind]
-        trace.append(make(*_reference_fields(parts, keys, i)))
+        values = _reference_fields(parts, keys, i)
+        trace.append(make(*(value if key in ("wildcard", "taken") else _reference_int(value, key, i)
+                            for key, value in zip(keys, values))))
     if not sections["VERDICT"]:
         raise ReplayError("missing VERDICT section")
     vline_no, vline = sections["VERDICT"][0]
@@ -487,7 +496,7 @@ def reference_loads(text):
     if kind == "assertfail":
         verdict = Verdict.ASSERT_FAIL
         (loc,) = _reference_fields(rest, ("loc",), vline_no)
-        fail_loc = int(loc)
+        fail_loc = _reference_int(loc, "loc", vline_no)
     elif kind in ("terminated", "deadlock") and not rest:
         verdict = Verdict(kind)
     else:

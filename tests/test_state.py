@@ -2,9 +2,9 @@ import pytest
 
 from mpisym import engine, lang, report, symbolic
 from mpisym.state import (BarrierRelease, BranchChoice, EngineError, MatchEvent,
-                          Status, StepEvent, Trace, Verdict, advance, assume, bind,
+                          Status, StepEvent, Trace, Verdict, advance, assume,
                           eval_expr, fork, init_state, match_transfer, new_tuple,
-                          update, waiting_in)
+                          waiting_in)
 from randprog import random_program
 
 FIG1 = """\
@@ -85,23 +85,18 @@ def test_fork_independence_under_random_mutation(rng):
             s = engine.expand(s)[0]
         before = s.snapshot()
         t = fork(s)
-        # process states are shared between forks: writing one in place
-        # raises instead of leaking into s
-        with pytest.raises(TypeError):
-            t.procs[0].env["zz"] = lang.Num(1)
-        with pytest.raises(AttributeError):
-            t.procs[-1].pc_loc = 0
-        mutation = rng.randrange(5)
-        if mutation == 0:
-            bind(t, 0, "zz", lang.Num(1))
-        elif mutation == 1:
-            t.trace.append(MatchEvent(0, 1, False))
-        elif mutation == 2:
-            update(t, 0, status=Status.INACTIVE, blocked_on=1)
-        elif mutation == 3:
-            update(t, len(t.procs) - 1, pc_loc=0, status=Status.ACTIVE)
-        else:
-            assume(t, lang.Bool(True))
+        # the fork owns its process records and environments: writing them
+        # in place, and extending its trace and path condition, leaves s as
+        # it was
+        for proc in rng.sample(t.procs, rng.randint(1, len(t.procs))):
+            for name in list(proc.env)[:1] + ["zz"]:
+                proc.env[name] = lang.Num(rng.randrange(100))
+            proc.pc_loc = rng.randrange(t.compiled.end + 1)
+            proc.status = rng.choice(list(Status))
+            proc.blocked_on = rng.choice((None, 0, 1))
+        t.trace.append(MatchEvent(0, 1, False))
+        t.pc = t.pc + (lang.Bool(True),)
+        assert t.snapshot() != before
         assert s.snapshot() == before
 
 
@@ -117,7 +112,7 @@ def test_fork_at_branch_differs_only_in_pc(fig1):
 
 def test_eval_expr_concrete_fold(fig1):
     s = init_state(fig1, 3)
-    bind(s, 0, "x", lang.Num(5))
+    s.procs[0].env["x"] = lang.Num(5)
     e = lang.Binary("+", lang.Var("x"), lang.Num(2))
     assert eval_expr(s, 0, e) == lang.Num(7)
 
@@ -283,7 +278,7 @@ def test_events_of_different_kinds_with_equal_fields_differ():
 
 
 def _replaced(s, t):
-    return {r for r in range(s.nprocs) if t.procs[r] is not s.procs[r]}
+    return {r for r in range(s.nprocs) if t.procs[r].snapshot() != s.procs[r].snapshot()}
 
 
 def _involved(s, events):
@@ -347,12 +342,14 @@ def test_wildcard_fork_replaces_only_the_pair(fig1):
         if isinstance(pairs, list):
             break
         s = engine.expand(s)[-1]  # the X == 'a' side reaches the wildcard
-    for t, (receiver, sender) in zip(engine.expand(s), pairs):
+    for t, (receiver, sender) in zip(engine.expand(fork(s)), pairs):
         assert _replaced(s, t) == {receiver, sender}
         assert t.trace.head[1] is s.trace.head
 
 
-def test_deep_path_has_no_recursion_limit():
+def test_deep_path_has_no_recursion_limit(monkeypatch):
+    forks = []
+    monkeypatch.setattr(engine, "fork", lambda s: forks.append(s) or fork(s))
     program = lang.parse_program(
         "symbolic sym X : int[0..9];\n"
         "program (nprocs = 8) {\n"
@@ -366,6 +363,7 @@ def test_deep_path_has_no_recursion_limit():
     rep = engine.search(program, 8)
     [rec] = rep.records
     assert rec.verdict is Verdict.TERMINATED
+    assert forks == []  # no step along the one path has a second successor
     assert isinstance(rec.trace, Trace) and len(rec.trace) > 20000
     n = len(rec.trace)
     rec.trace.append(StepEvent(0, 0))  # the record's trace is a read-only view
@@ -379,3 +377,29 @@ def test_deep_path_has_no_recursion_limit():
     text = report.render(rep, detail=2)
     assert text.count(";") >= len(rec.trace) - 1
     del rep, rec, final  # freeing the chain must not recurse either
+
+
+def test_expand_writes_into_its_state_and_forks_only_further_successors(fig1, rng,
+                                                                         monkeypatch):
+    forks = []
+    monkeypatch.setattr(engine, "fork", lambda s: forks.append(s) or fork(s))
+    fanouts = set()
+    programs = [fig1] + [random_program(rng, weights=(4, 1, 4, 1), min_procs=3)
+                         for _ in range(60)]
+    for program in programs:  # fig1 has the wildcard receive with two senders
+        stack = [init_state(program, program.nprocs_default)]
+        while stack:
+            s = stack.pop()
+            if engine.classify(s) is not Verdict.RUNNING:
+                continue
+            what = engine.scheduler(s)
+            forks.clear()
+            succs = engine.expand(s)
+            assert succs[0] is s
+            assert len(forks) == len(succs) - 1
+            records = [p for t in succs for p in t.procs]
+            assert len({id(p) for p in records}) == len(records)
+            assert len({id(p.env) for p in records}) == len(records)
+            fanouts.add((type(what) is int, len(succs) > 1))
+            stack.extend(succs)
+    assert fanouts == {(True, False), (True, True), (False, False), (False, True)}
