@@ -131,7 +131,10 @@ def _parse_set(pairs, program) -> dict:
         name = name.strip()
         if name not in domains:
             raise lang.LangError(f"--set names undeclared input {name!r}")
-        value = int(value_text)
+        try:
+            value = int(value_text)
+        except ValueError:
+            raise lang.LangError(f"--set {name}: {value_text!r} is not an integer") from None
         lo, hi = domains[name]
         if not lo <= value <= hi:
             raise lang.LangError(f"--set {name}={value} outside its domain [{lo}, {hi}]")

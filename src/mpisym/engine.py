@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from . import lang, ops, solver, symbolic
 from .solver import Model
 from .state import (BranchChoice, BarrierRelease, EngineError, GlobalState,
-                    StepEvent, Status, Trace, Verdict, advance, assume,
+                    StepEvent, Status, TraceEvent, Verdict, advance, assume,
                     eval_expr, fork, init_state, match_transfer, new_tuple,
                     waiting_in)
 
@@ -86,10 +86,9 @@ class PathRecord:
     error: Optional[str] = None
 
     @property
-    def trace(self) -> Trace:
-        """The schedule trace, read-only: a copy of the terminal state's
-        head that shares every cell, so appending to it changes nothing."""
-        return self.final_state.trace.copy()
+    def trace(self) -> Tuple[TraceEvent, ...]:
+        """The schedule trace, oldest event first."""
+        return tuple(self.final_state.trace)
 
 
 @dataclass
@@ -326,9 +325,10 @@ def search(program: lang.Program, nprocs: int,
     """Explore every path of the program under `nprocs` processes.
 
     Each terminal state becomes one PathRecord carrying a witness model for
-    its path condition.  `pin_model` constrains every symbolic input to a
-    fixed value (used by the differential theorem check and the CLI's
-    --set); the search is then over match non-determinism only.
+    its path condition and its schedule trace as a tuple.  `pin_model` fixes
+    every symbolic input (the differential theorem check and the CLI's
+    --set), so the search is over match non-determinism only; a model that
+    `CompiledProgram.check_model` rejects raises EngineError.
     """
     strategy = strategy or SearchStrategy()
     findings = lang.validate(program, nprocs)
@@ -337,13 +337,9 @@ def search(program: lang.Program, nprocs: int,
     s0 = init_state(program, nprocs)
     domains = s0.compiled.domains
     if pin_model is not None:
-        for name, (lo, hi) in domains.items():
-            if name not in pin_model:
-                raise EngineError(f"pinned model does not assign {name!r}")
-            v = pin_model[name]
-            if not lo <= v <= hi:
-                raise EngineError(f"pinned value {name}={v} outside [{lo}, {hi}]")
-            assume(s0, lang.Binary("==", lang.Var(name), lang.Num(v)))
+        s0.compiled.check_model(pin_model, EngineError)
+        for name in domains:
+            assume(s0, lang.Binary("==", lang.Var(name), lang.Num(pin_model[name])))
         s0.model = {name: pin_model[name] for name in domains}  # the only model
 
     stats = SolverStats()

@@ -52,6 +52,19 @@ class CompiledProgram:
     def line_of(self, pc: int) -> int:
         return self.ops[pc].line if pc < len(self.ops) else 0
 
+    def check_model(self, model: Dict[str, int], error: type):
+        """Raise `error` unless `model` assigns every declared input, and
+        only those, a value in its domain: the one check of a pinned or
+        recorded model, which each caller reports with its own type."""
+        for name in model:
+            if name not in self.domains:
+                raise error(f"model assigns undeclared input {name!r}")
+        for name, (lo, hi) in self.domains.items():
+            if name not in model:
+                raise error(f"model does not assign {name!r}")
+            if not lo <= model[name] <= hi:
+                raise error(f"model value {name}={model[name]} outside [{lo}, {hi}]")
+
 
 def _lower_block(stmts, out: list):
     for st in stmts:

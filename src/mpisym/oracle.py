@@ -253,14 +253,7 @@ def _terminal_tag(s: ConcreteState) -> str:
 
 def make_initial(program: lang.Program, nprocs: int, model: Model) -> ConcreteState:
     compiled = ops.lower(program)
-    for name in model:
-        if name not in compiled.domains:
-            raise OracleError(f"model assigns undeclared input {name!r}")
-    for d in program.decls:
-        if d.name not in model:
-            raise OracleError(f"model does not assign {d.name!r}")
-        if not d.lo <= model[d.name] <= d.hi:
-            raise OracleError(f"model value {d.name}={model[d.name]} outside domain")
+    compiled.check_model(model, OracleError)
     return ConcreteState(compiled, nprocs, dict(model))
 
 

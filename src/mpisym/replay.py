@@ -76,7 +76,6 @@ class TestCase:
     trace: Tuple
     verdict: Verdict
     fail_loc: Optional[int] = None
-    version: int = 1
 
     def model_dict(self) -> Dict[str, int]:
         return dict(self.model)
@@ -90,7 +89,7 @@ def make_testcase(record: engine.PathRecord, program: lang.Program,
         program_hash=program_hash(program),
         nprocs=nprocs,
         model=tuple(record.model.items()),
-        trace=tuple(record.trace),
+        trace=record.trace,
         verdict=record.verdict,
         fail_loc=record.fail_loc,
     )

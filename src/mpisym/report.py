@@ -73,8 +73,9 @@ def render(report: engine.AnalysisReport, detail: int = 0) -> str:
             lines.append(f"  model: {model_text(rec.model)}")
             if rec.error:
                 lines.append(f"  error: {rec.error}")
-            tail = rec.trace if detail >= 2 else rec.trace[-TRACE_TAIL:]
-            omitted = len(rec.trace) - len(tail)
+            trace = rec.trace
+            tail = trace if detail >= 2 else trace[-TRACE_TAIL:]
+            omitted = len(trace) - len(tail)
             prefix = f"... {omitted} earlier; " if omitted else ""
             lines.append("  trace: " + prefix +
                          "; ".join(event_text(ev, compiled) for ev in tail))

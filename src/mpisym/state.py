@@ -30,7 +30,7 @@ import collections
 import enum
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from . import lang, ops, symbolic
 
@@ -89,11 +89,11 @@ class Trace:
     ``(event, parent)`` cells, newest first.
 
     A state owns only the head pointer and the length; a fork shares every
-    cell, so copying costs the same at any depth.  Reading behaves like a
-    list of events, oldest first: ``len``, iteration, indexing, slicing
-    (which returns a list) and ``==`` against a list, tuple or Trace.
-    Every walk is iterative, and the raw cells are never compared, hashed
-    or printed, because CPython recurses into nested tuples.
+    cell, so copying costs the same at any depth.  A live trace only
+    appends, copies, reports its length and iterates, oldest first; a
+    reader of a finished path takes ``tuple(trace)``.  The walk is
+    iterative, and the raw cells are never compared, hashed or printed,
+    because CPython recurses into nested tuples.
     """
 
     __slots__ = ("head", "n")
@@ -109,54 +109,18 @@ class Trace:
     def copy(self) -> "Trace":
         """A trace sharing every cell, which the copy can extend alone."""
         t = Trace.__new__(Trace)
-        t.head = self.head
-        t.n = self.n
+        t.head, t.n = self.head, self.n
         return t
-
-    def _window(self, start: int, stop: int) -> List[TraceEvent]:
-        """Events [start, stop), oldest first; walks n - start cells."""
-        cell = self.head
-        for _ in range(self.n - stop):
-            cell = cell[1]
-        out = []
-        for _ in range(stop - start):
-            event, cell = cell
-            out.append(event)
-        out.reverse()
-        return out
-
-    def as_tuple(self) -> Tuple[TraceEvent, ...]:
-        return tuple(self._window(0, self.n))
 
     def __len__(self) -> int:
         return self.n
 
     def __iter__(self):
-        return iter(self._window(0, self.n))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self.n)
-            if step == 1:
-                return self._window(start, max(start, stop))
-            return self._window(0, self.n)[index]
-        i = index + self.n if index < 0 else index
-        if not 0 <= i < self.n:
-            raise IndexError("trace index out of range")
-        return self._window(i, i + 1)[0]
-
-    def __eq__(self, other):
-        if isinstance(other, Trace):
-            return self.n == other.n and (self.head is other.head
-                                          or self._window(0, self.n) == other._window(0, other.n))
-        if isinstance(other, (list, tuple)):
-            return self.n == len(other) and self._window(0, self.n) == list(other)
-        return NotImplemented
-
-    __hash__ = None  # appending changes the value
-
-    def __repr__(self) -> str:
-        return f"Trace({self._window(0, self.n)!r})"
+        events, cell = [], self.head
+        while cell is not None:
+            event, cell = cell
+            events.append(event)
+        return reversed(events)
 
 
 @dataclass(slots=True)
@@ -210,7 +174,7 @@ class GlobalState:
         """Structural fingerprint used by tests to detect cross-fork leaks."""
         return (tuple(p.snapshot() for p in self.procs), self.pc,
                 self.next_proc_candidate, self.barrier_epochs,
-                self.trace.as_tuple(), self.verdict,
+                tuple(self.trace), self.verdict,
                 self.fail_loc, self.error,
                 None if self.model is None else tuple(self.model.items()))
 

@@ -260,7 +260,7 @@ def test_c8_scheduler_properties(seed):
             succs = engine.expand(s)
             assert len(succs) == len(pairs)
             for succ, (receiver, sender) in zip(succs, pairs):
-                assert succ.trace[n:] == [MatchEvent(sender, receiver, True)]
+                assert tuple(succ.trace)[n:] == (MatchEvent(sender, receiver, True),)
 
         # one process per expansion: every successor steps the same rank
         assert len(run_states) >= 200
@@ -268,7 +268,7 @@ def test_c8_scheduler_properties(seed):
             rank = engine.scheduler(s)
             n = len(s.trace)
             succs = engine.expand(s)
-            new_events = [tuple(t.trace[n:]) for t in succs]
+            new_events = [tuple(t.trace)[n:] for t in succs]
             for events in new_events:
                 assert events, "expansion recorded no step"
                 assert isinstance(events[0], StepEvent)

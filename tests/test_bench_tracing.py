@@ -1,13 +1,18 @@
-"""The traced bench run (`bench/run.py --trace 1`) rebinds the functions
-named in `bench/tracing.py`'s TARGETS; a renamed or removed one would
-break that run with an AttributeError, so each must still resolve."""
+"""The bench calls into mpisym by name: the traced run (`bench/run.py
+--trace 1`) rebinds the functions named in `bench/tracing.py`'s TARGETS,
+and the workload checkers in `bench/workloads/` call
+`mpisym.<module>.<name>`.  A renamed or removed one would break a bench
+run with an AttributeError, so each must still resolve."""
 
+import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import mpisym
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing():
@@ -24,3 +29,13 @@ def test_every_traced_target_is_a_callable_in_mpisym():
         module = getattr(mpisym, module_name, None)
         assert module is not None, f"{span}: mpisym has no module {module_name!r}"
         assert callable(getattr(module, attr, None)), f"{span}: {module_name}.{attr} is not callable"
+
+
+def test_every_name_a_workload_checker_calls_resolves():
+    called = set()
+    for path in sorted((BENCH / "workloads").glob("*.py")):
+        called |= set(re.findall(r"\bmpisym\.(\w+)\.(\w+)", path.read_text()))
+    assert called
+    for module_name, attr in sorted(called):
+        module = importlib.import_module(f"mpisym.{module_name}")
+        assert callable(getattr(module, attr, None)), f"mpisym.{module_name}.{attr} is not callable"

@@ -136,6 +136,11 @@ def test_compare_bad_set_value(capsys, fig1_path):
         assert code == 1
         assert out == ""
         assert err == f"mpisym: error: --set X={value} outside its domain [0, 255]\n"
+    for value in ("abc", "", "0x10"):
+        code, out, err = run(capsys, "compare", str(fig1_path), "--set", f"X={value}")
+        assert code == 1
+        assert out == ""
+        assert err == f"mpisym: error: --set X: {value!r} is not an integer\n"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -63,8 +63,9 @@ def test_scheduler_prefers_candidate():
     # expand consumes the candidate
     succs = expand(s)
     assert s.next_proc_candidate is None
-    assert isinstance(succs[0].trace[0], StepEvent)
-    assert succs[0].trace[0].rank == 1
+    first = tuple(succs[0].trace)[0]
+    assert isinstance(first, StepEvent)
+    assert first.rank == 1
 
 
 def test_scheduler_skips_non_active_candidate():
@@ -98,7 +99,7 @@ def test_scheduler_wildcard_fork_fig1():
     succs = expand(wild, what=pairs)
     assert len(succs) == 2
     for t, (receiver, sender) in zip(succs, pairs):
-        assert t.trace[-1] == MatchEvent(sender, receiver, True)
+        assert tuple(t.trace)[-1] == MatchEvent(sender, receiver, True)
 
 
 def test_scheduler_deadlock_on_exited_partner():

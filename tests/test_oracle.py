@@ -2,10 +2,11 @@ from collections import deque
 
 import pytest
 
-from mpisym import lang, ops, oracle
+from mpisym import engine, lang, ops, oracle
 from mpisym.oracle import (B, Local, OracleError, SR, SRStar, apply,
                            check_theorem, deadlock_path_lengths, enabled,
                            explore_full, make_initial)
+from mpisym.state import EngineError
 from randprog import random_program
 
 
@@ -278,6 +279,26 @@ def test_model_must_cover_declared_inputs(corpus_entries):
     e = corpus_entries["fig1-motivating"]
     with pytest.raises(OracleError):
         make_initial(e.program(), 3, {})
+
+
+@pytest.mark.parametrize("model,message", [
+    ({"X": 1, "Z": 2}, "model assigns undeclared input 'Z'"),
+    ({}, "model does not assign 'X'"),
+    ({"X": 999}, "model value X=999 outside [0, 255]"),
+])
+def test_pinned_model_faults_read_the_same_in_engine_and_oracle(corpus_entries, model, message):
+    """One check of a pinned model: `search` and `check_theorem` (whose
+    engine run checks first) raise EngineError, the oracle OracleError,
+    with the same words."""
+    p = corpus_entries["fig1-motivating"].program()
+    for run in (lambda: engine.search(p, 3, pin_model=model),
+                lambda: check_theorem(p, 3, model)):
+        with pytest.raises(EngineError) as exc:
+            run()
+        assert str(exc.value) == message
+    with pytest.raises(OracleError) as exc:
+        make_initial(p, 3, model)
+    assert str(exc.value) == message
 
 
 def referee_state_graph(program, nprocs, model, state_bound):

@@ -1,8 +1,8 @@
 import pytest
 
-from mpisym import engine, lang, report, symbolic
+from mpisym import engine, lang, replay, report, symbolic
 from mpisym.state import (BarrierRelease, BranchChoice, EngineError, MatchEvent,
-                          Status, StepEvent, Trace, Verdict, advance, assume,
+                          Status, StepEvent, Verdict, advance, assume,
                           eval_expr, fork, init_state, match_transfer, new_tuple,
                           waiting_in)
 from randprog import random_program
@@ -42,7 +42,7 @@ def test_init_state(fig1):
     assert [p.status for p in s.procs] == [Status.ACTIVE] * 3
     assert [p.pc_loc for p in s.procs] == [0, 0, 0]
     assert s.pc == ()
-    assert s.trace == []
+    assert tuple(s.trace) == ()
     assert all(p.blocked_on is None for p in s.procs)
     assert s.next_proc_candidate is None
 
@@ -175,7 +175,7 @@ def test_match_transfer_binds_and_advances(fig1):
     assert t.procs[1].env["x"] == lang.Num(0)
     assert t.procs[0].status is Status.EXITED  # advanced past its last stmt
     assert t.procs[1].status is Status.ACTIVE
-    events = t.trace[before_len:]
+    events = tuple(t.trace)[before_len:]
     assert MatchEvent(0, 1, False) in events
 
 
@@ -225,7 +225,7 @@ def test_trace_and_pc_are_prefix_monotone(rng):
             parent_pc = s.pc
             succs = engine.expand(s)
             for t in succs:
-                assert tuple(t.trace[:len(parent_trace)]) == parent_trace
+                assert tuple(t.trace)[:len(parent_trace)] == parent_trace
                 assert len(t.trace) > len(parent_trace) or t.verdict is Verdict.DEADLOCK
                 assert t.pc[:len(parent_pc)] == parent_pc
             s = succs[rng.randrange(len(succs))]
@@ -242,11 +242,12 @@ def test_fork_shares_trace_cells(fig1):
     t = fork(s)
     assert n > 5 and len(t.trace) == n
     assert t.trace.head is s.trace.head
-    assert t.trace == s.trace == list(s.trace)
+    assert tuple(t.trace) == tuple(s.trace)
     t.trace.append(MatchEvent(0, 1, False))
     assert t.trace.head[1] is s.trace.head
-    assert len(s.trace) == n and t.trace[-1] == MatchEvent(0, 1, False)
-    assert t.trace[:n] == list(s.trace) and t.trace != s.trace
+    events = tuple(t.trace)
+    assert len(s.trace) == n and events[-1] == MatchEvent(0, 1, False)
+    assert events[:n] == tuple(s.trace) and events != tuple(s.trace)
 
 
 EVENTS = [(StepEvent(0, 3), "StepEvent(rank=0, loc=3)"),
@@ -325,7 +326,7 @@ def test_step_replaces_only_involved_processes(rng):
                 kinds.add(type(op).__name__)
             succs = engine.expand(fork(s))
             for t in succs:
-                events = t.trace[len(s.trace):]
+                events = tuple(t.trace)[len(s.trace):]
                 if any(isinstance(ev, BarrierRelease) for ev in events):
                     kinds.add("release")
                 # a failed assertion ends the path where it stands
@@ -364,19 +365,18 @@ def test_deep_path_has_no_recursion_limit(monkeypatch):
     [rec] = rep.records
     assert rec.verdict is Verdict.TERMINATED
     assert forks == []  # no step along the one path has a second successor
-    assert isinstance(rec.trace, Trace) and len(rec.trace) > 20000
-    n = len(rec.trace)
-    rec.trace.append(StepEvent(0, 0))  # the record's trace is a read-only view
-    assert len(rec.trace) == n
+    trace = rec.trace
+    assert isinstance(trace, tuple) and len(trace) > 20000
     final = rec.final_state
-    assert final.trace == list(rec.trace) and final.trace == rec.trace
-    assert final.trace == fork(final).trace
-    assert final.snapshot()[4] == rec.trace
-    assert final.trace[len(final.trace) - 1:] == [rec.trace[-1]]
-    assert repr(final.trace).startswith("Trace([")
+    assert len(final.trace) == len(trace) and tuple(final.trace) == trace
+    assert tuple(fork(final).trace) == trace
+    assert final.snapshot()[4] == trace
+    assert isinstance(trace[0], StepEvent) and trace[0].rank == 0
     text = report.render(rep, detail=2)
-    assert text.count(";") >= len(rec.trace) - 1
-    del rep, rec, final  # freeing the chain must not recurse either
+    assert text.count(";") >= len(trace) - 1
+    tc = replay.loads(replay.dumps(replay.make_testcase(rec, program, 8)))
+    assert tc.trace == trace and replay.replay_testcase(program, tc).ok
+    del rep, rec, final, trace, tc  # freeing the chain must not recurse either
 
 
 def test_expand_writes_into_its_state_and_forks_only_further_successors(fig1, rng,
