@@ -131,6 +131,8 @@ def _parse_set(pairs, program) -> dict:
         name = name.strip()
         if name not in domains:
             raise lang.LangError(f"--set names undeclared input {name!r}")
+        if name in model:
+            raise lang.LangError(f"--set binds {name!r} twice")
         try:
             value = int(value_text)
         except ValueError:

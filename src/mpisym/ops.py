@@ -12,14 +12,19 @@ A process cursor is then a single integer index; `end` (== len(ops)) means
 the process ran off the end of its body.  Branch joins become jump entries
 that are resolved away at lowering time, so a cursor never rests on one:
 `next_of[i]` is the post-resolution successor of entry `i`.
+
+`closed` holds the `id()` of each operand that reads no local, only
+declared inputs.  No environment binds an input (validation rejects it), so
+its term depends on the rank alone; the table keeps it alive, so no other
+expression can share its id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
-from . import lang
+from . import lang, symbolic
 
 
 @dataclass(frozen=True)
@@ -28,6 +33,11 @@ class OpBranch:
     true_target: int
     false_target: Optional[int]  # None: an assertion, which fails here
     line: int
+
+
+#: The fields of each kind of statement in the table that hold an operand.
+_OPERANDS = {lang.Assign: ("expr",), OpBranch: ("cond",), lang.Send: ("payload", "dest"),
+             lang.Recv: ("src",)}
 
 
 @dataclass(frozen=True)
@@ -41,6 +51,7 @@ class CompiledProgram:
     ops: Tuple
     next_of: Tuple[int, ...]
     domains: Dict[str, Tuple[int, int]]
+    closed: FrozenSet[int]  # ids of the operands that read no local
 
     @property
     def end(self) -> int:
@@ -109,7 +120,10 @@ def _lower(program: lang.Program) -> CompiledProgram:
             ops.append(op)
     next_of = tuple(_resolve(raw, i + 1) for i in range(len(ops)))
     domains = {d.name: (d.lo, d.hi) for d in program.decls}
-    return CompiledProgram(program, tuple(ops), next_of, domains)
+    operands = [getattr(op, name) for op in ops for name in _OPERANDS.get(type(op), ())]
+    closed = frozenset(id(e) for e in operands
+                       if e is not None and symbolic.free_syms(e) <= domains.keys())
+    return CompiledProgram(program, tuple(ops), next_of, domains, closed)
 
 
 def entry_point(compiled: CompiledProgram) -> int:

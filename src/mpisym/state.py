@@ -21,7 +21,10 @@ end of its domain.  Forks share the dict and nothing mutates it.
 
 A process's environment binds its locals to terms, and `eval_expr` turns
 an expression into its term with the one evaluator, `lang.evaluate`, over
-`symbolic.TERMS`.
+`symbolic.TERMS`.  The term of an operand that reads no local
+(`CompiledProgram.closed`) depends on the rank alone, so it is built once
+per rank and kept in `terms`, the one table a fork shares and writes in
+place: every entry holds for every state of the search.
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ _num = functools.lru_cache(maxsize=None)(lang.Num)  # rank and nprocs as terms
 
 class GlobalState:
     __slots__ = ("compiled", "nprocs", "procs", "pc", "model", "next_proc_candidate",
-                 "barrier_epochs", "trace", "verdict", "fail_loc", "error", "depth")
+                 "barrier_epochs", "trace", "verdict", "fail_loc", "error", "depth", "terms")
 
     def __init__(self, compiled: ops.CompiledProgram, nprocs: int):
         self.compiled = compiled
@@ -164,11 +167,7 @@ class GlobalState:
         self.fail_loc: Optional[int] = None
         self.error: Optional[str] = None
         self.depth = 0
-
-    # -- structure ---------------------------------------------------------
-
-    def all_exited(self) -> bool:
-        return all(p.status is Status.EXITED for p in self.procs)
+        self.terms: Dict[tuple, Expr] = {}  # (closed operand id, rank) -> its term
 
     def snapshot(self):
         """Structural fingerprint used by tests to detect cross-fork leaks."""
@@ -190,10 +189,11 @@ def init_state(program: lang.Program, nprocs: int) -> GlobalState:
 def fork(s: GlobalState) -> GlobalState:
     """An independent copy, for a second successor: it copies the process
     records and their environments, and shares the trace cells, the
-    path-condition tuple and the model, so the cost does not grow with
-    depth."""
+    path-condition tuple, the model and the term table, so the cost does
+    not grow with depth.  The term table is written in place, but only
+    with terms that are the same in every state of the search."""
     t = GlobalState.__new__(GlobalState)
-    for name in GlobalState.__slots__:  # the other fields are never written in place
+    for name in GlobalState.__slots__:  # shared: `terms` only gains search-wide entries
         setattr(t, name, getattr(s, name))
     t.procs = [p.copy() for p in s.procs]
     t.trace = s.trace.copy()
@@ -202,12 +202,19 @@ def fork(s: GlobalState) -> GlobalState:
 
 def eval_expr(s: GlobalState, rank: int, e: Expr) -> Expr:
     """The folded term of a surface expression in a process context
-    (`lang.evaluate` over `symbolic.TERMS`)."""
-    try:
-        return lang.evaluate(e, s.procs[rank].env, _num(rank), _num(s.nprocs),
-                             s.compiled.domains, symbolic.TERMS)
-    except lang.LangError as exc:
-        raise EngineError(f"{exc} (validation should reject this)") from None
+    (`lang.evaluate` over `symbolic.TERMS`); an operand that reads no local
+    is evaluated once per rank and then read from `s.terms`."""
+    key = (id(e), rank)  # only closed operands, which stay alive, have entries
+    term = s.terms.get(key)
+    if term is None:
+        try:
+            term = lang.evaluate(e, s.procs[rank].env, _num(rank), _num(s.nprocs),
+                                 s.compiled.domains, symbolic.TERMS)
+        except lang.LangError as exc:
+            raise EngineError(f"{exc} (validation should reject this)") from None
+        if key[0] in s.compiled.closed:
+            s.terms[key] = term
+    return term
 
 
 def assume(s: GlobalState, cond: Expr, model: Optional[Model] = None) -> GlobalState:

@@ -141,6 +141,12 @@ def test_compare_bad_set_value(capsys, fig1_path):
         assert code == 1
         assert out == ""
         assert err == f"mpisym: error: --set X: {value!r} is not an integer\n"
+    for second in ("X=97", "X=1_0", " X = 9_7 "):  # a repeated name, whatever its value
+        code, out, err = run(capsys, "compare", str(fig1_path), "--set", "X=1_0", "--set", second)
+        assert (code, out) == (1, "")
+        assert err == "mpisym: error: --set binds 'X' twice\n"
+    code, out, _ = run(capsys, "compare", str(fig1_path), "--set", "X= 9_7 ")
+    assert code == 0 and "model={X=97}" in out  # the value keeps int()'s syntax
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from mpisym import engine, lang, ops, solver, symbolic
@@ -5,7 +8,7 @@ from mpisym.engine import (SearchStrategy, ValidationFailure, classify,
                            expand, scheduler, se_step, search)
 from mpisym.state import (MatchEvent, Status, StepEvent, Verdict, fork, init_state,
                           waiting_in)
-from randprog import random_program
+from randprog import pipeline_source, random_program, random_program_source
 
 
 def program(text: str) -> lang.Program:
@@ -197,7 +200,7 @@ def test_se_step_barrier_counts_all_ranks():
     assert [p.status for p in s.procs] == [Status.INACTIVE, Status.INACTIVE, Status.ACTIVE]
     assert all(waiting_in(s, r, lang.Barrier, None) for r in (0, 1))
     t = se_step(s, 2)[0]
-    assert t.all_exited()
+    assert all(p.status is Status.EXITED for p in t.procs)
     from mpisym.state import BarrierRelease
     assert BarrierRelease(0) in t.trace
 
@@ -445,3 +448,31 @@ def test_wait_record_at_every_corpus_deadlock(corpus_entries):
             [rec] = deadlocks
             seen[name] = (rec.model, wait_records(rec.final_state))
     assert seen == DEADLOCK_WAITS
+
+
+# -- the pinned search digest -----------------------------------------------------
+
+# sha256 over every search below; a change that alters any verdict, path
+# condition, model, step count, failure location, error text, trace, state
+# count, query count or truncation flag changes it.
+SEARCH_DIGEST = "b913f1c2c3e5832bb0e9257945001b6b5b361261f390fb843a973229d2092492"
+
+
+def test_search_digest_is_pinned(corpus_entries):
+    programs = [(e.program(), e.nprocs) for e in corpus_entries.values()]
+    rng = random.Random(18)
+    for _ in range(200):
+        p = lang.parse_program(random_program_source(rng))
+        programs.append((p, p.nprocs_default))
+    programs += [(lang.parse_program(pipeline_source(n)), n) for n in range(2, 7)]
+    h = hashlib.sha256()
+    for p, nprocs in programs:
+        for order in ("dfs", "bfs"):
+            for bound in ({}, {"max_states": 7}, {"max_depth": 9}):
+                rep = search(p, nprocs, SearchStrategy(order=order, **bound))
+                h.update(repr((rep.states_created, rep.solver_queries, rep.truncated)).encode())
+                for r in rep.records:
+                    h.update(repr((r.verdict, r.pc, r.model, r.steps, r.fail_loc,
+                                   r.error, r.trace)).encode())
+    assert len(programs) == 14 + 200 + 5
+    assert h.hexdigest() == SEARCH_DIGEST

@@ -1,6 +1,6 @@
 import pytest
 
-from mpisym import engine, lang, replay, report, symbolic
+from mpisym import engine, lang, ops, replay, report, symbolic
 from mpisym.state import (BarrierRelease, BranchChoice, EngineError, MatchEvent,
                           Status, StepEvent, Verdict, advance, assume,
                           eval_expr, fork, init_state, match_transfer, new_tuple,
@@ -50,7 +50,7 @@ def test_init_state(fig1):
 def test_init_state_empty_body_exits_immediately():
     s = init_state(lang.parse_program("program {}"), 1)
     assert s.procs[0].status is Status.EXITED
-    assert s.all_exited()
+    assert all(p.status is Status.EXITED for p in s.procs)
 
 
 def test_init_state_four_processes():
@@ -136,6 +136,83 @@ def test_eval_expr_unbound_is_engine_bug(fig1):
     s = init_state(fig1, 3)
     with pytest.raises(EngineError):
         eval_expr(s, 0, lang.Var("nope"))
+
+
+def table_operands(compiled):
+    """Every operand in the statement table, in table order."""
+    out = []
+    for op in compiled.ops:
+        if isinstance(op, ops.OpBranch):
+            out.append(op.cond)
+        elif isinstance(op, lang.Assign):
+            out.append(op.expr)
+        elif isinstance(op, lang.Send):
+            out += [op.payload, op.dest]
+        elif isinstance(op, lang.Recv) and op.src is not None:
+            out.append(op.src)
+    return out
+
+
+def test_closed_operands_of_fig1(fig1):
+    compiled = ops.lower(fig1)
+    operands = table_operands(compiled)
+    closed = [lang.expr_source(e) for e in operands if id(e) in compiled.closed]
+    assert closed == ["rank == 0", "0", "1", "rank == 1", "X != 97", "0", "2", "20", "1"]
+    assert [lang.expr_source(e) for e in operands if id(e) not in compiled.closed] == ["x", "x"]
+    assert compiled.closed == {id(e) for e in operands if lang.expr_source(e) != "x"}
+
+
+def test_eval_expr_serves_no_stored_term_to_a_temporary(fig1):
+    s = init_state(fig1, 3)
+    compiled = s.compiled
+    for e in table_operands(compiled):  # fill the table
+        if id(e) in compiled.closed:
+            for r in range(3):
+                eval_expr(s, r, e)
+    stored = dict(s.terms)
+    assert len(stored) == 9 * 3
+    seen = set()
+    for i in range(500):
+        s.procs[i % 3].env["x"] = lang.Num(i)
+        for e in (lang.Binary("+", lang.Var("X"), lang.Num(i)),
+                  lang.Binary("*", lang.RANK, lang.Num(i)),
+                  lang.Binary("-", lang.Var("x"), lang.Num(i % 7))):
+            seen.add(id(e))
+            want = lang.evaluate(e, s.procs[i % 3].env, lang.Num(i % 3), lang.Num(3),
+                                 compiled.domains, symbolic.TERMS)
+            assert eval_expr(s, i % 3, e) == want
+        del e
+    assert len(seen) < 3 * 500  # freed temporaries' ids were reused
+    assert s.terms == stored
+
+
+def test_eval_expr_rereads_an_operand_that_reads_a_local(fig1):
+    s = init_state(fig1, 3)
+    payload = next(op.payload for op in s.compiled.ops if isinstance(op, lang.Send))
+    s.procs[0].env["x"] = lang.Num(5)
+    assert eval_expr(s, 0, payload) == lang.Num(5)
+    s.procs[0].env["x"] = lang.Num(6)
+    assert eval_expr(s, 0, payload) == lang.Num(6)
+    assert s.terms == {}
+
+
+def test_eval_expr_builds_a_closed_operand_once_per_rank(fig1):
+    s = init_state(fig1, 3)
+    by_source = {lang.expr_source(e): e for e in table_operands(s.compiled)}
+    is_rank0, is_input = by_source["rank == 0"], by_source["X != 97"]
+    term = eval_expr(s, 1, is_input)
+    assert term == lang.Binary("!=", lang.Var("X"), lang.Num(97))
+    assert eval_expr(s, 1, is_input) is term
+    t = fork(s)
+    assert eval_expr(t, 1, is_input) is term
+    built_in_fork = eval_expr(t, 2, is_input)
+    assert eval_expr(s, 2, is_input) is built_in_fork  # the fork shares the table
+    assert eval_expr(s, 0, is_rank0) == lang.Bool(True)
+    assert eval_expr(s, 1, is_rank0) == lang.Bool(False)  # each rank its own term
+    rep = engine.search(fig1, 3)
+    a, b = (r.final_state for r in rep.records[:2])
+    assert a is not b
+    assert eval_expr(a, 0, is_input) is eval_expr(b, 0, is_input)
 
 
 def test_assume_appends(fig1):
