@@ -7,6 +7,8 @@ communication blocked) or the smallest-ranked active process, and switches
 only at unmatched communication points.  `search` asks it once per state
 and `expand` acts on its answer, so from any state the expansion yields the
 successors of exactly one process, never the cross-product of all of them.
+Under DFS a step's first successor stays in hand and only the others go on
+the worklist, which is the order the worklist alone would give.
 
 Wildcard receives are matched lazily.  A Recv(any) puts its process to
 sleep, a send targeting a sleeping wildcard receiver also blocks, and only
@@ -35,9 +37,9 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import lang, ops, solver, symbolic
 from .solver import Model
-from .state import (BranchChoice, BarrierRelease, EngineError, GlobalState,
-                    StepEvent, Status, TraceEvent, Verdict, advance, assume,
-                    eval_expr, fork, init_state, match_transfer, new_tuple,
+from .state import (ACTIVE, EXITED, INACTIVE, RUNNING, BranchChoice, BarrierRelease,
+                    EngineError, GlobalState, StepEvent, TraceEvent, Verdict, advance,
+                    assume, eval_expr, fork, init_state, match_transfer, new_tuple,
                     waiting_in)
 
 
@@ -124,21 +126,21 @@ def scheduler(s: GlobalState) -> Schedule:
     sender-ascending.  With no pair either, the state is terminated when
     every rank exited and deadlocked when some rank sleeps.
     """
-    if s.verdict is not Verdict.RUNNING:
+    if s.verdict is not RUNNING:
         return s.verdict
     procs = s.procs
     cand = s.next_proc_candidate
-    if cand is not None and procs[cand].status is Status.ACTIVE:
+    if cand is not None and procs[cand].status is ACTIVE:
         return cand
     for p in procs:
-        if p.status is Status.ACTIVE:
+        if p.status is ACTIVE:
             return p.rank
     op_at = s.compiled.op_at
     receivers = []
     senders = {}
     asleep = False
     for p in procs:
-        if p.status is Status.INACTIVE:
+        if p.status is INACTIVE:
             asleep = True
             op = op_at(p.pc_loc)
             if type(op) is lang.Send:
@@ -153,7 +155,7 @@ def scheduler(s: GlobalState) -> Schedule:
 
 def classify(s: GlobalState) -> Verdict:
     """The verdict `scheduler` gives a state, or RUNNING while it goes on."""
-    return v if isinstance(v := scheduler(s), Verdict) else Verdict.RUNNING
+    return v if type(v := scheduler(s)) is Verdict else RUNNING
 
 
 # -- per-statement symbolic execution ----------------------------------------
@@ -179,7 +181,7 @@ def _resolve_rank(s: GlobalState, rank: int, e: lang.Expr,
     """Concrete value of a destination/source expression, or an error string
     when the path condition does not pin it down."""
     v = eval_expr(s, rank, e)
-    if isinstance(v, lang.Num):
+    if type(v) is lang.Num:
         value = v.value
     else:
         if stats is not None:
@@ -201,27 +203,28 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
     the false side, a `fork` of s made once the step is recorded and before
     either side is written."""
     proc = s.procs[p]
-    if proc.status is not Status.ACTIVE:
+    if proc.status is not ACTIVE:
         raise EngineError(f"se_step on non-active process {p}")
-    if s.verdict is not Verdict.RUNNING:
+    if s.verdict is not RUNNING:
         raise EngineError("se_step on a non-running state")
     loc = proc.pc_loc
-    op = s.compiled.op_at(loc)
+    op = s.compiled.ops[loc]
+    kind = type(op)
     s.depth += 1
     s.trace.append(new_tuple(StepEvent, (p, loc)))
 
-    if isinstance(op, lang.Assign):
+    if kind is lang.Assign:
         proc.env[op.var] = eval_expr(s, p, op.expr)
         advance(s, (p,))
         return [s]
 
-    if isinstance(op, ops.OpBranch):
+    if kind is ops.OpBranch:
         # One rule for `if` and `assert`: a side whose target is None fails
         # the assertion.  Only a symbolic condition asks the solver, once
         # per side and before either side is written; the true side is
         # explored first under DFS.
         cond = eval_expr(s, p, op.cond)
-        if isinstance(cond, lang.Bool):
+        if type(cond) is lang.Bool:
             sides = [(cond.value, None, None)]
         else:
             sides = []
@@ -244,17 +247,17 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
             else:
                 t.procs[p].pc_loc = target
                 if target >= t.compiled.end:  # past the end of the body: the process exits
-                    t.procs[p].status = Status.EXITED
+                    t.procs[p].status = EXITED
         return succs
 
-    if isinstance(op, lang.Recv) and op.src is None:
-        proc.status = Status.INACTIVE
+    if kind is lang.Recv and op.src is None:
+        proc.status = INACTIVE
         return [s]
 
-    if isinstance(op, (lang.Send, lang.Recv)):
+    if kind is lang.Send or kind is lang.Recv:
         # One rendezvous rule for both roles: match when the peer already
         # waits in the other call naming p, otherwise sleep on the peer.
-        sending = isinstance(op, lang.Send)
+        sending = kind is lang.Send
         peer, err = _resolve_rank(s, p, op.dest if sending else op.src, stats)
         snd, rcv = (p, peer) if sending else (peer, p)
         if err is not None:
@@ -265,29 +268,29 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
         else:
             # A sleeping wildcard receiver does NOT match a send; the sender
             # blocks so the scheduler can later fork over all candidates.
-            proc.status = Status.INACTIVE
+            proc.status = INACTIVE
             proc.blocked_on = peer
             s.next_proc_candidate = peer
         return [s]
 
-    if isinstance(op, lang.Barrier):
+    if kind is lang.Barrier:
         # The barrier releases when every other rank is asleep at one; a
         # rank that exited never arrives, which (correctly) wedges it.
         # Ranks mostly arrive in rank order, so the scan starts at the top.
         if all(q.rank == p or waiting_in(s, q.rank, lang.Barrier, None)
                for q in reversed(s.procs)):
             for q in s.procs:
-                q.status = Status.ACTIVE
+                q.status = ACTIVE
             s.trace.append(new_tuple(BarrierRelease, (s.barrier_epochs,)))
             s.barrier_epochs += 1
             advance(s, range(s.nprocs))
         else:
-            proc.status = Status.INACTIVE
+            proc.status = INACTIVE
         return [s]
 
-    if isinstance(op, lang.Exit):
+    if kind is lang.Exit:
         proc.pc_loc = s.compiled.end
-        proc.status = Status.EXITED
+        proc.status = EXITED
         return [s]
 
     raise EngineError(f"cannot execute {op!r}")
@@ -307,7 +310,7 @@ def expand(s: GlobalState, stats: Optional[SolverStats] = None,
         if s.next_proc_candidate == what:
             s.next_proc_candidate = None
         return se_step(s, what, stats)
-    if isinstance(what, Verdict):
+    if type(what) is Verdict:
         raise EngineError(f"expand called on a {what.value} state")
     succs = [s] + [fork(s) for _ in what[1:]]
     for t, (receiver, sender) in zip(succs, what):
@@ -328,7 +331,8 @@ def search(program: lang.Program, nprocs: int,
     its path condition and its schedule trace as a tuple.  `pin_model` fixes
     every symbolic input (the differential theorem check and the CLI's
     --set), so the search is over match non-determinism only; a model that
-    `CompiledProgram.check_model` rejects raises EngineError.
+    `CompiledProgram.check_model` rejects raises EngineError.  Under DFS the
+    state just stepped is expanded next without a worklist round trip.
     """
     strategy = strategy or SearchStrategy()
     findings = lang.validate(program, nprocs)
@@ -348,17 +352,15 @@ def search(program: lang.Program, nprocs: int,
     states_created = 1
     truncated = False
 
-    if strategy.order == "dfs":
-        worklist = [s0]
-        pop = worklist.pop
-    else:
-        worklist = deque([s0])
-        pop = worklist.popleft
+    dfs = strategy.order == "dfs"
+    worklist = [] if dfs else deque()
+    pop = worklist.pop if dfs else worklist.popleft
+    max_depth, max_states = strategy.max_depth, strategy.max_states
 
-    while worklist:
-        s = pop()
+    s = s0
+    while True:
         what = scheduler(s)
-        if isinstance(what, Verdict):  # terminal: record it
+        if type(what) is Verdict:  # terminal: record it
             s.verdict = what
             stats.queries += 1
             if s.model is None:
@@ -366,19 +368,20 @@ def search(program: lang.Program, nprocs: int,
             records.append(PathRecord(
                 index=len(records), verdict=what, pc=s.pc, model=s.model,
                 steps=s.depth, final_state=s, fail_loc=s.fail_loc, error=s.error))
-            continue
-        if strategy.max_depth is not None and s.depth >= strategy.max_depth:
+        elif (max_depth is not None and s.depth >= max_depth
+              or max_states is not None and states_created >= max_states):
             truncated = True
-            continue
-        if strategy.max_states is not None and states_created >= strategy.max_states:
-            truncated = True
-            continue
-        succs = expand(s, stats, what)
-        states_created += len(succs)
-        if strategy.order == "dfs":
-            worklist.extend(reversed(succs))
         else:
+            succs = expand(s, stats, what)
+            states_created += len(succs)
+            if dfs:  # keep the first successor in hand: DFS would pop it next
+                worklist += succs[:0:-1]
+                s = succs[0]
+                continue
             worklist.extend(succs)
+        if not worklist:
+            break
+        s = pop()
 
     return AnalysisReport(records=records, states_created=states_created,
                           solver_queries=stats.queries,

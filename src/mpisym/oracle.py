@@ -190,10 +190,13 @@ def step(s: ConcreteState, action: GlobalAction) -> Optional[bool]:
     of a branch or assertion step, None for every other action."""
     cursors = s.cursors
     next_of = s.compiled.next_of
-    if isinstance(action, Local):
+    kind = type(action)
+    if kind is Local:
         r = action.rank
-        op = s.current_op(r)
-        if isinstance(op, ops.OpBranch):
+        table = s.compiled.ops
+        op = table[cursors[r]] if cursors[r] < len(table) else None
+        op_kind = type(op)
+        if op_kind is ops.OpBranch:
             taken = bool(s.eval(r, op.cond))
             target = op.true_target if taken else op.false_target
             if target is None:  # a failed assertion moves no cursor
@@ -201,24 +204,24 @@ def step(s: ConcreteState, action: GlobalAction) -> Optional[bool]:
             else:
                 cursors[r] = target
             return taken
-        elif isinstance(op, lang.Assign):
+        elif op_kind is lang.Assign:
             s.envs[r] = {**s.envs[r], op.var: s.eval(r, op.expr)}
             cursors[r] = next_of[cursors[r]]
-        elif isinstance(op, lang.Exit):
+        elif op_kind is lang.Exit:
             cursors[r] = s.compiled.end
         else:
             raise OracleError(f"Local({r}) not enabled")
-    elif isinstance(action, (SR, SRStar)):
+    elif kind is SR or kind is SRStar:
         i, j = action.sender, action.receiver
         send_op = s.current_op(i)
         recv_op = s.current_op(j)
-        if not isinstance(send_op, lang.Send) or not isinstance(recv_op, lang.Recv):
+        if type(send_op) is not lang.Send or type(recv_op) is not lang.Recv:
             raise OracleError(f"{action!r} not enabled")
         s.envs[j] = {**s.envs[j], recv_op.var: s.eval(i, send_op.payload)}
         cursors[i] = next_of[cursors[i]]
         cursors[j] = next_of[cursors[j]]
-    elif isinstance(action, B):
-        if not all(isinstance(s.current_op(r), lang.Barrier) for r in range(s.nprocs)):
+    elif kind is B:
+        if not all(type(s.current_op(r)) is lang.Barrier for r in range(s.nprocs)):
             raise OracleError("barrier applied while some process is elsewhere")
         for r in range(s.nprocs):
             cursors[r] = next_of[cursors[r]]

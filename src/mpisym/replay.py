@@ -303,7 +303,7 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
     n = s.nprocs
     cursors = s.cursors
     end = s.compiled.end
-    op_at = s.compiled.op_at
+    table = s.compiled.ops
     local = [oracle.Local(r) for r in range(n)]
     barrier = oracle.B()
     posted = {}  # posted rank -> the rank its call names (None: wildcard receive, barrier)
@@ -325,9 +325,10 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
                                   "blocked" if r in posted else "exited")
             if cursors[r] != loc:
                 return Divergence(i, f"rank {r} at loc {loc}", f"loc {cursors[r]}")
-            op = op_at(loc)
-            if isinstance(op, ops.OpBranch):
-                if not isinstance(nxt, BranchChoice) or nxt.loc != loc:
+            op = table[loc]
+            op_kind = type(op)
+            if op_kind is ops.OpBranch:
+                if type(nxt) is not BranchChoice or nxt.loc != loc:
                     return Divergence(i, "a branch-choice event", repr(nxt))
                 i += 1
                 if oracle.step(s, local[r]) != nxt.taken:
@@ -337,13 +338,13 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
                 if s.fail_loc is not None and i < count:
                     return Divergence(i + 1, "end of trace after the assertion failure",
                                       repr(events[i]))
-            elif isinstance(op, (lang.Assign, lang.Exit)):
+            elif op_kind is lang.Assign or op_kind is lang.Exit:
                 oracle.step(s, local[r])
-            elif isinstance(op, lang.Barrier):
+            elif op_kind is lang.Barrier:
                 posted[r] = None
                 arrivals += 1
                 if arrivals == n:
-                    if not isinstance(nxt, BarrierRelease):
+                    if type(nxt) is not BarrierRelease:
                         return Divergence(i, "a barrier-release event", repr(nxt))
                     if nxt.epoch != epoch:
                         return Divergence(i, f"barrier epoch {epoch}", f"epoch {nxt.epoch}")
@@ -352,16 +353,16 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
                     posted.clear()
                     arrivals = 0
                     epoch += 1
-            elif isinstance(op, lang.Recv) and op.src is None:
+            elif op_kind is lang.Recv and op.src is None:
                 posted[r] = None  # a wildcard receive waits for a wildcard match
             else:
-                sending = isinstance(op, lang.Send)
+                sending = op_kind is lang.Send
                 peer = s.eval(r, op.dest if sending else op.src)
                 if not 0 <= peer < n or peer == r:
                     return Divergence(i, f"a peer rank for rank {r}", f"rank {peer}")
                 snd, rcv = (r, peer) if sending else (peer, r)
                 if _posted_on(s, posted, peer, lang.Recv if sending else lang.Send, r):
-                    if not (isinstance(nxt, MatchEvent) and not nxt.wildcard
+                    if not (type(nxt) is MatchEvent and not nxt.wildcard
                             and nxt.sender == snd and nxt.receiver == rcv):
                         call = f"send to {peer}" if sending else f"receive from {peer}"
                         return Divergence(i, f"rank {r} blocking on {call}",

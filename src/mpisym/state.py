@@ -25,6 +25,12 @@ an expression into its term with the one evaluator, `lang.evaluate`, over
 (`CompiledProgram.closed`) depends on the rank alone, so it is built once
 per rank and kept in `terms`, the one table a fork shares and writes in
 place: every entry holds for every state of the search.
+
+The `Status` members and `Verdict.RUNNING` are also bound to module names
+(`ACTIVE`, `INACTIVE`, `EXITED`, `RUNNING`), and this module and the
+engine read them only through those names.  On Python 3.11 `EnumType`
+defines `__getattr__`, so `Status.ACTIVE` costs about 100 ns against 12 ns
+for a module name (timeit, 2-vCPU VM), paid a few times per engine state.
 """
 
 from __future__ import annotations
@@ -59,6 +65,9 @@ class Verdict(enum.Enum):
     ASSERT_FAIL = "assertfail"
     ERROR = "error"
 
+
+ACTIVE, INACTIVE, EXITED = Status
+RUNNING = Verdict.RUNNING
 
 # Schedule trace events.  Replay consumes these in order, so the engine
 # must append them in a fixed discipline: a StepEvent precedes any
@@ -155,7 +164,7 @@ class GlobalState:
         self.compiled = compiled
         self.nprocs = nprocs
         start = ops.entry_point(compiled)
-        status = Status.EXITED if start >= compiled.end else Status.ACTIVE
+        status = EXITED if start >= compiled.end else ACTIVE
         self.procs: List[ProcState] = [ProcState(r, start, {}, status, None)
                                        for r in range(nprocs)]
         self.pc: symbolic.PathCondition = ()
@@ -163,7 +172,7 @@ class GlobalState:
         self.next_proc_candidate: Optional[int] = None
         self.barrier_epochs = 0
         self.trace = Trace()
-        self.verdict = Verdict.RUNNING
+        self.verdict = RUNNING
         self.fail_loc: Optional[int] = None
         self.error: Optional[str] = None
         self.depth = 0
@@ -244,7 +253,7 @@ def advance(s: GlobalState, ranks: Iterable[int]) -> GlobalState:
             raise EngineError(f"advance past end of body (rank {r})")
         p.pc_loc = compiled.next_of[p.pc_loc]
         if p.pc_loc >= end:
-            p.status = Status.EXITED
+            p.status = EXITED
     return s
 
 
@@ -253,8 +262,8 @@ def waiting_in(s: GlobalState, r: int, call: type, peer: Optional[int]) -> bool:
     lang.Barrier) naming rank `peer`; peer None stands for a wildcard
     receive or a barrier."""
     p = s.procs[r]
-    return (p.status is Status.INACTIVE and p.blocked_on == peer
-            and isinstance(s.compiled.op_at(p.pc_loc), call))
+    return (p.status is INACTIVE and p.blocked_on == peer
+            and type(s.compiled.ops[p.pc_loc]) is call)
 
 
 def match_transfer(s: GlobalState, sender: int, receiver: int) -> GlobalState:
@@ -281,7 +290,7 @@ def match_transfer(s: GlobalState, sender: int, receiver: int) -> GlobalState:
         raise EngineError("receiver expects a different source")
 
     rp.env[recv.var] = eval_expr(s, sender, send.payload)
-    sp.status = rp.status = Status.ACTIVE
+    sp.status = rp.status = ACTIVE
     sp.blocked_on = rp.blocked_on = None
     s.trace.append(new_tuple(MatchEvent, (sender, receiver, recv.src is None)))
     advance(s, (sender, receiver))

@@ -1,9 +1,12 @@
+import ast
 import hashlib
 import random
+from collections import deque
+from pathlib import Path
 
 import pytest
 
-from mpisym import engine, lang, ops, solver, symbolic
+from mpisym import engine, lang, ops, solver, state, symbolic
 from mpisym.engine import (SearchStrategy, ValidationFailure, classify,
                            expand, scheduler, se_step, search)
 from mpisym.state import (MatchEvent, Status, StepEvent, Verdict, fork, init_state,
@@ -476,3 +479,115 @@ def test_search_digest_is_pinned(corpus_entries):
                                    r.error, r.trace)).encode())
     assert len(programs) == 14 + 200 + 5
     assert h.hexdigest() == SEARCH_DIGEST
+
+
+# -- the search loop against the plain worklist loop --------------------------------
+
+
+def reference_search(p, nprocs, strategy):
+    """The worklist loop `search` replaced: every successor is pushed and
+    popped again, and the bounds are checked on each popped state; the
+    referee for the loop that keeps a DFS state in hand."""
+    s0 = init_state(p, nprocs)
+    stats = engine.SolverStats()
+    records, states_created, truncated = [], 1, False
+    dfs = strategy.order == "dfs"
+    worklist = [s0] if dfs else deque([s0])
+    while worklist:
+        s = worklist.pop() if dfs else worklist.popleft()
+        what = scheduler(s)
+        if isinstance(what, Verdict):
+            stats.queries += 1
+            if s.model is None:
+                s.model = solver.get_model(s.pc, s.compiled.domains)
+            records.append((what, s.pc, s.model, s.depth, s.fail_loc, s.error, tuple(s.trace)))
+            continue
+        if strategy.max_depth is not None and s.depth >= strategy.max_depth:
+            truncated = True
+            continue
+        if strategy.max_states is not None and states_created >= strategy.max_states:
+            truncated = True
+            continue
+        succs = expand(s, stats, what)
+        states_created += len(succs)
+        worklist.extend(reversed(succs) if dfs else succs)
+    return (states_created, stats.queries, truncated), records
+
+
+def test_search_matches_worklist_reference_under_every_bound(corpus_entries):
+    programs = [(e.program(), e.nprocs) for e in corpus_entries.values()]
+    rng = random.Random(19)
+    for _ in range(40):
+        p = random_program(rng)
+        programs.append((p, p.nprocs_default))
+    programs += [(lang.parse_program(pipeline_source(n)), n) for n in range(2, 7)]
+    searches = 0
+    for p, nprocs in programs:
+        for order in ("dfs", "bfs"):
+            full = search(p, nprocs, SearchStrategy(order=order)).states_created
+            bounds = [{}] + [{"max_states": n} for n in range(1, min(full, 40) + 1)] \
+                + [{"max_depth": n} for n in range(1, 31)]
+            for bound in bounds:
+                strategy = SearchStrategy(order=order, **bound)
+                rep = search(p, nprocs, strategy)
+                got = [(r.verdict, r.pc, r.model, r.steps, r.fail_loc, r.error, r.trace)
+                       for r in rep.records]
+                want = reference_search(p, nprocs, strategy)
+                assert ((rep.states_created, rep.solver_queries, rep.truncated), got) == want, \
+                    (lang.pretty_print(p), order, bound)
+                searches += 1
+    assert searches == 5084
+
+
+# -- the traced layers stay separate calls -------------------------------------------
+
+
+def test_scheduler_and_se_step_called_once_per_state(corpus_entries, monkeypatch):
+    """The bench times `scheduler` and `se_step` by rebinding them in the
+    engine module; `search` must keep calling both through it, once per
+    state and once per scheduled rank."""
+    calls = {"scheduler": 0, "ranks": 0, "se_step": 0}
+    schedule, step = engine.scheduler, engine.se_step
+
+    def counting_scheduler(s):
+        calls["scheduler"] += 1
+        what = schedule(s)
+        calls["ranks"] += type(what) is int
+        return what
+
+    def counting_se_step(*args):
+        calls["se_step"] += 1
+        return step(*args)
+
+    monkeypatch.setattr(engine, "scheduler", counting_scheduler)
+    monkeypatch.setattr(engine, "se_step", counting_se_step)
+    for e in corpus_entries.values():
+        for order in ("dfs", "bfs"):
+            calls.update(scheduler=0, ranks=0, se_step=0)
+            rep = search(e.program(), e.nprocs, SearchStrategy(order=order))
+            assert calls["scheduler"] == rep.states_created, (e.name, order)
+            assert calls["se_step"] == calls["ranks"] > 0, (e.name, order)
+
+
+# -- no enum member lookup per state ----------------------------------------------
+
+
+def test_no_enum_member_lookup_in_engine_function_bodies():
+    """`engine.py` and `state.py` read the `Status` members and
+    `Verdict.RUNNING` through their module names: on Python 3.11 an Enum
+    member read through its class goes through `EnumType.__getattr__`."""
+    src = Path(engine.__file__).parent
+    found = []
+    for name in ("engine.py", "state.py"):
+        tree = ast.parse((src / name).read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                        and (node.value.id == "Status"
+                             or (node.value.id, node.attr) == ("Verdict", "RUNNING")):
+                    found.append(f"{name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert found == []
+    assert list(Status) == [state.ACTIVE, state.INACTIVE, state.EXITED]
+    assert state.RUNNING is Verdict.RUNNING
