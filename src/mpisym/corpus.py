@@ -26,7 +26,6 @@ class CorpusEntry:
     nprocs: int
     deadlock_reachable: bool
     assertfail_reachable: bool
-    notes: str
 
     def program(self) -> lang.Program:
         return lang.parse_program(self.source)
@@ -67,7 +66,6 @@ def load_corpus(directory: Optional[Path] = None) -> List[CorpusEntry]:
             raise CorpusError(f"manifest line {line_no}: expected "
                               "'name nprocs deadlock assertfail notes...'")
         name, nprocs_text, deadlock, assertfail = parts[:4]
-        notes = parts[4] if len(parts) == 5 else ""
         try:
             nprocs = int(nprocs_text)
         except ValueError:
@@ -84,7 +82,6 @@ def load_corpus(directory: Optional[Path] = None) -> List[CorpusEntry]:
             nprocs=nprocs,
             deadlock_reachable=_parse_flag(deadlock, "deadlock", line_no),
             assertfail_reachable=_parse_flag(assertfail, "assertfail", line_no),
-            notes=notes,
         )
         try:
             program = entry.program()

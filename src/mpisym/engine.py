@@ -24,8 +24,7 @@ process has not exited, is a deadlock.
 Each state carries the smallest model of its path condition, so a branch
 side whose guard holds on it, every terminal's witness model and half of
 each rank entailment need no search (`solver`, stage 4); each still counts
-as one solver query.  A state whose model is unknown, after a public
-`assume` that the model fails, pays one full search on its next query.
+as one solver query.
 """
 
 from __future__ import annotations
@@ -100,7 +99,6 @@ class AnalysisReport:
     solver_queries: int
     wall_time: float
     truncated: bool = False
-    nprocs: int = 0
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -135,14 +133,14 @@ def scheduler(s: GlobalState) -> Schedule:
     for p in procs:
         if p.status is ACTIVE:
             return p.rank
-    op_at = s.compiled.op_at
+    table = s.compiled.ops
     receivers = []
     senders = {}
     asleep = False
     for p in procs:
         if p.status is INACTIVE:
             asleep = True
-            op = op_at(p.pc_loc)
+            op = table[p.pc_loc]
             if type(op) is lang.Send:
                 senders.setdefault(p.blocked_on, []).append(p.rank)
             elif type(op) is lang.Recv and op.src is None:
@@ -168,7 +166,7 @@ def _model_with(s: GlobalState, guard: lang.Expr,
     answer; otherwise only the components `guard` touches are searched."""
     if stats is not None:
         stats.queries += 1
-    if s.model is not None and solver.holds(guard, s.model):
+    if solver.holds(guard, s.model):
         return s.model
     try:
         return solver.get_model(s.pc + (guard,), s.compiled.domains, s.model)
@@ -262,7 +260,7 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
         snd, rcv = (p, peer) if sending else (peer, p)
         if err is not None:
             s.verdict = Verdict.ERROR
-            s.error = f"L{s.compiled.line_of(loc)}: {err}"
+            s.error = f"L{op.line}: {err}"
         elif waiting_in(s, peer, lang.Recv if sending else lang.Send, p):
             match_transfer(s, snd, rcv)
         else:
@@ -339,11 +337,11 @@ def search(program: lang.Program, nprocs: int,
     if findings:
         raise ValidationFailure(findings)
     s0 = init_state(program, nprocs)
-    domains = s0.compiled.domains
     if pin_model is not None:
+        domains = s0.compiled.domains
         s0.compiled.check_model(pin_model, EngineError)
-        for name in domains:
-            assume(s0, lang.Binary("==", lang.Var(name), lang.Num(pin_model[name])))
+        s0.pc = tuple(lang.Binary("==", lang.Var(name), lang.Num(pin_model[name]))
+                      for name in domains)
         s0.model = {name: pin_model[name] for name in domains}  # the only model
 
     stats = SolverStats()
@@ -363,8 +361,6 @@ def search(program: lang.Program, nprocs: int,
         if type(what) is Verdict:  # terminal: record it
             s.verdict = what
             stats.queries += 1
-            if s.model is None:
-                s.model = solver.get_model(s.pc, domains)
             records.append(PathRecord(
                 index=len(records), verdict=what, pc=s.pc, model=s.model,
                 steps=s.depth, final_state=s, fail_loc=s.fail_loc, error=s.error))
@@ -386,4 +382,4 @@ def search(program: lang.Program, nprocs: int,
     return AnalysisReport(records=records, states_created=states_created,
                           solver_queries=stats.queries,
                           wall_time=time.perf_counter() - t_start,
-                          truncated=truncated, nprocs=nprocs)
+                          truncated=truncated)

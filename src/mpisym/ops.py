@@ -11,7 +11,9 @@ for a guarded step.
 A process cursor is then a single integer index; `end` (== len(ops)) means
 the process ran off the end of its body.  Branch joins become jump entries
 that are resolved away at lowering time, so a cursor never rests on one:
-`next_of[i]` is the post-resolution successor of entry `i`.
+`next_of[i]` is the post-resolution successor of entry `i`.  Entry 0 is the
+first statement or a leading `if`'s branch, never a jump, so every cursor
+starts at 0.
 
 `closed` holds the `id()` of each operand that reads no local, only
 declared inputs.  No environment binds an input (validation rejects it), so
@@ -47,7 +49,6 @@ class _Jump:
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    program: lang.Program
     ops: Tuple
     next_of: Tuple[int, ...]
     domains: Dict[str, Tuple[int, int]]
@@ -56,12 +57,6 @@ class CompiledProgram:
     @property
     def end(self) -> int:
         return len(self.ops)
-
-    def op_at(self, pc: int):
-        return self.ops[pc]
-
-    def line_of(self, pc: int) -> int:
-        return self.ops[pc].line if pc < len(self.ops) else 0
 
     def check_model(self, model: Dict[str, int], error: type):
         """Raise `error` unless `model` assigns every declared input, and
@@ -123,9 +118,4 @@ def _lower(program: lang.Program) -> CompiledProgram:
     operands = [getattr(op, name) for op in ops for name in _OPERANDS.get(type(op), ())]
     closed = frozenset(id(e) for e in operands
                        if e is not None and symbolic.free_syms(e) <= domains.keys())
-    return CompiledProgram(program, tuple(ops), next_of, domains, closed)
-
-
-def entry_point(compiled: CompiledProgram) -> int:
-    """First executable entry (the body may start with a resolved jump)."""
-    return _resolve(compiled.ops, 0)
+    return CompiledProgram(tuple(ops), next_of, domains, closed)

@@ -103,8 +103,7 @@ class ConcreteState:
         self.compiled = compiled
         self.nprocs = nprocs
         self.inputs = inputs
-        start = ops.entry_point(compiled)
-        self.cursors = [start] * nprocs
+        self.cursors = [0] * nprocs
         self.envs: List[Dict[str, int]] = [{} for _ in range(nprocs)]
         self.fail_loc: Optional[int] = None
 
@@ -363,8 +362,7 @@ def global_action_count(trace, compiled: ops.CompiledProgram) -> int:
         if isinstance(ev, (MatchEvent, BarrierRelease)):
             n += 1
         elif isinstance(ev, StepEvent):
-            op = compiled.op_at(ev.loc)
-            if isinstance(op, _LOCAL_OPS):
+            if isinstance(compiled.ops[ev.loc], _LOCAL_OPS):
                 n += 1
     return n
 

@@ -26,14 +26,14 @@ def model_text(model) -> str:
 
 def event_text(ev, compiled) -> str:
     if isinstance(ev, StepEvent):
-        return f"step r{ev.rank} @L{compiled.line_of(ev.loc)}"
+        return f"step r{ev.rank} @L{compiled.ops[ev.loc].line}"
     if isinstance(ev, MatchEvent):
         suffix = " (any)" if ev.wildcard else ""
         return f"match {ev.sender}->{ev.receiver}{suffix}"
     if isinstance(ev, BarrierRelease):
         return f"barrier release #{ev.epoch}"
     if isinstance(ev, BranchChoice):
-        return f"branch @L{compiled.line_of(ev.loc)} {'true' if ev.taken else 'false'}"
+        return f"branch @L{compiled.ops[ev.loc].line} {'true' if ev.taken else 'false'}"
     return repr(ev)
 
 
@@ -49,8 +49,8 @@ def _summary_line(report: engine.AnalysisReport) -> str:
 
 def _path_line(rec: engine.PathRecord, compiled) -> str:
     verdict = rec.verdict.value
-    if rec.verdict is Verdict.ASSERT_FAIL and rec.fail_loc is not None:
-        verdict = f"{verdict} @L{compiled.line_of(rec.fail_loc)}"
+    if rec.verdict is Verdict.ASSERT_FAIL:
+        verdict = f"{verdict} @L{compiled.ops[rec.fail_loc].line}"
     return f"path {rec.index + 1}: {verdict} steps={rec.steps} model={model_text(rec.model)}"
 
 

@@ -15,9 +15,9 @@ is waiting in, so the statement at its cursor says which call it is;
 is None everywhere else.  `waiting_in` asks the one question the rules
 need of that record.
 
-A state also carries `model`, the smallest model of its path condition,
-or None while it is unknown; the initial one sets every input to the low
-end of its domain.  Forks share the dict and nothing mutates it.
+A state also carries `model`, the smallest model of its path condition;
+the initial one sets every input to the low end of its domain.  Forks
+share the dict and nothing mutates it.
 
 A process's environment binds its locals to terms, and `eval_expr` turns
 an expression into its term with the one evaluator, `lang.evaluate`, over
@@ -163,12 +163,11 @@ class GlobalState:
     def __init__(self, compiled: ops.CompiledProgram, nprocs: int):
         self.compiled = compiled
         self.nprocs = nprocs
-        start = ops.entry_point(compiled)
-        status = EXITED if start >= compiled.end else ACTIVE
-        self.procs: List[ProcState] = [ProcState(r, start, {}, status, None)
+        status = ACTIVE if compiled.ops else EXITED
+        self.procs: List[ProcState] = [ProcState(r, 0, {}, status, None)
                                        for r in range(nprocs)]
         self.pc: symbolic.PathCondition = ()
-        self.model: Optional[Model] = {name: lo for name, (lo, _) in compiled.domains.items()}
+        self.model: Model = {name: lo for name, (lo, _) in compiled.domains.items()}
         self.next_proc_candidate: Optional[int] = None
         self.barrier_epochs = 0
         self.trace = Trace()
@@ -183,8 +182,7 @@ class GlobalState:
         return (tuple(p.snapshot() for p in self.procs), self.pc,
                 self.next_proc_candidate, self.barrier_epochs,
                 tuple(self.trace), self.verdict,
-                self.fail_loc, self.error,
-                None if self.model is None else tuple(self.model.items()))
+                self.fail_loc, self.error, tuple(self.model.items()))
 
 
 def init_state(program: lang.Program, nprocs: int) -> GlobalState:
@@ -226,19 +224,13 @@ def eval_expr(s: GlobalState, rank: int, e: Expr) -> Expr:
     return term
 
 
-def assume(s: GlobalState, cond: Expr, model: Optional[Model] = None) -> GlobalState:
-    """Append a boolean constraint to the path condition (no solver call).
-
-    `model`, when given, is the smallest model of the new path condition.
-    Otherwise the carried model stays when `cond` holds on it, since it is
-    then still the smallest, and becomes unknown (None) when not."""
+def assume(s: GlobalState, cond: Expr, model: Model) -> GlobalState:
+    """Append a boolean constraint to the path condition (no solver call);
+    `model` is the smallest model of the new path condition."""
     if lang.sort_of(cond) != "bool":
         raise EngineError("assume needs a boolean-sorted expression")
     s.pc = s.pc + (cond,)
-    if model is not None:
-        s.model = model
-    elif s.model is not None and not lang.evaluate(cond, s.model):
-        s.model = None
+    s.model = model
     return s
 
 
@@ -278,8 +270,8 @@ def match_transfer(s: GlobalState, sender: int, receiver: int) -> GlobalState:
         raise EngineError("a process cannot match with itself")
     sp = s.procs[sender]
     rp = s.procs[receiver]
-    send = s.compiled.op_at(sp.pc_loc)
-    recv = s.compiled.op_at(rp.pc_loc)
+    send = s.compiled.ops[sp.pc_loc]
+    recv = s.compiled.ops[rp.pc_loc]
     if not isinstance(send, lang.Send):
         raise EngineError("sender is not at a send")
     if not isinstance(recv, lang.Recv):

@@ -280,7 +280,7 @@ def test_c8_scheduler_properties(seed):
             arrivals = {r: 0 for r in range(nprocs)}
             for ev in trace:
                 if isinstance(ev, StepEvent) and ev.loc < compiled.end \
-                        and isinstance(compiled.op_at(ev.loc), lang.Barrier):
+                        and isinstance(compiled.ops[ev.loc], lang.Barrier):
                     arrivals[ev.rank] += 1
                 elif isinstance(ev, BarrierRelease):
                     assert all(count == 1 for count in arrivals.values()), arrivals

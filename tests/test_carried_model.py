@@ -141,25 +141,9 @@ program (nprocs = 2) {
   }
 }
 """)
-    domains = init_state(p, 2).compiled.domains
     s = init_state(p, 2)
-    kept = s.model
-    assume(s, lang.Binary(">=", lang.Var("Y"), lang.Num(0)))
-    assert s.model is kept  # holds on the model, which stays the smallest
-    assume(s, lang.Binary(">", lang.Var("X"), lang.Num(3)))
-    assert s.model is None  # fails on it: unknown until the next query
-    pending, terminals = [s], 0
-    while pending:
-        t = pending.pop()
-        if t.model is not None:
-            assert t.model == solver.get_model(t.pc, domains)
-        if classify(t) is not Verdict.RUNNING:
-            terminals += 1
-            continue
-        pending.extend(expand(t, engine.SolverStats()))
-    assert terminals == 4  # X in 4..5 or 6..9, each with X + Y == 9 or not
-    s = init_state(p, 2)
-    assume(s, lang.Binary(">", lang.Var("X"), lang.Num(7)))
+    cond = lang.Binary(">", lang.Var("X"), lang.Num(7))  # fails on the carried model
+    assume(s, cond, solver.get_model((cond,), s.compiled.domains))
     [t] = expand(expand(s)[0])  # rank 0 at X < 6, refuted by X > 7
     assert t.model == {"X": 8, "Y": 0}
 

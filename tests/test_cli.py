@@ -220,6 +220,45 @@ def test_compare_set_engine_bound_exit(capsys, tmp_path):
     assert "THEOREM-CHECK PASS" in out
 
 
+def test_analyze_error_path_writes_no_case_and_exits_one(capsys, tmp_path):
+    path = tmp_path / "p.mpisym"
+    path.write_text("symbolic\nsym X : int[3..3];\nprogram (nprocs = 2) {\n"
+                    "  if (rank == 0) { send 1 to X; }\n}\n")
+    out_dir = tmp_path / "cases"
+    code, out, err = run(capsys, "analyze", "-v", "--out", str(out_dir), str(path))
+    assert code == 1
+    assert "  error: L4: rank 3 out of range [0, 2)\n" in out
+    assert f"wrote 0 test case(s) to {out_dir}\n" in out
+    assert err == ("mpisym: path 1 is an analysis error; no test case written\n"
+                   "mpisym: error: some paths could not be analyzed (see report)\n")
+    assert list(out_dir.iterdir()) == []
+
+
+def test_analyze_truncated_line(capsys, fig1_path):
+    code, out, _ = run(capsys, "analyze", str(fig1_path), "--max-states", "3")
+    assert code == 0
+    assert out.splitlines()[:2] == ["paths=0", "truncated: state or depth bound exhausted"]
+
+
+def test_compare_validation_findings_exit_one(capsys, tmp_path):
+    path = tmp_path / "invalid.mpisym"
+    path.write_text("program (nprocs = 2) { send 1 to 7; }")
+    code, out, err = run(capsys, "compare", str(path))
+    assert (code, out, err) == (1, "", "L1: rank-range: send destination 7 not in [0, 2)\n")
+
+
+@pytest.mark.parametrize("pairs, message", [
+    (["X"], "--set needs NAME=VALUE, got 'X'"),
+    (["X=1"], "--set must assign every input; missing ['Y']"),
+])
+def test_compare_set_must_bind_every_input_by_name(capsys, tmp_path, pairs, message):
+    path = tmp_path / "two.mpisym"
+    path.write_text("symbolic sym X : int[0..3]; sym Y : int[0..3]; program { x = X + Y; }")
+    argv = [arg for pair in pairs for arg in ("--set", pair)]
+    code, out, err = run(capsys, "compare", str(path), *argv)
+    assert (code, out, err) == (1, "", f"mpisym: error: {message}\n")
+
+
 SIX_COINS = ("symbolic\n" + "".join(f"sym {c} : int[0..1];\n" for c in "ABCDEF")
              + "program {\n" + "".join(f"  if ({c} == 1) {{ x = 1; }}\n" for c in "ABCDEF")
              + "}\n")

@@ -436,7 +436,7 @@ def wait_records(s):
             rows.append(None)
             continue
         assert p.status is Status.INACTIVE
-        op = s.compiled.op_at(p.pc_loc)
+        op = s.compiled.ops[p.pc_loc]
         call = type(op).__name__.lower()
         assert waiting_in(s, p.rank, type(op), p.blocked_on)
         rows.append((call, p.blocked_on, op.line))

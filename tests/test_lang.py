@@ -142,6 +142,29 @@ def test_validate_join_of_branches():
     assert validate(q, 2) == []
 
 
+@pytest.mark.parametrize("branches", ["{ exit; } else { %s }", "{ %s } else { exit; }"])
+def test_validate_join_past_a_branch_that_exits(branches):
+    # the side that exits does not reach the join, so only the other side counts
+    source = "program { if (rank == 0) " + branches + " x = v; }"
+    assert validate(parse_program(source % "v = 1;"), 2) == []
+    assert validate(parse_program(source % "w = 1;"), 2) == [
+        lang.Finding("use-before-assign", "variable 'v' may be read before assignment", 1)]
+
+
+@pytest.mark.parametrize("source, finding", [
+    ("program { recv m from 5; }",
+     ("rank-range", "receive source 5 not in [0, 2)", 1)),
+    ("program { send 1 to -1; }",
+     ("rank-range", "send destination -1 not in [0, 2)", 1)),
+    ("symbolic sym X : int[0..3]; program { recv X from 0; }",
+     ("assign-symbolic", "cannot receive into symbolic input 'X'", 1)),
+    ("symbolic sym X : int[0..65536]; program { }",
+     ("domain-width", "domain of 'X' wider than 65536", 1)),
+])
+def test_validation_messages(source, finding):
+    assert validate(parse_program(source), 2) == [lang.Finding(*finding)]
+
+
 def test_validate_recv_defines_variable():
     p = parse_program("program (nprocs = 2) { recv m from 0; x = m; }")
     assert validate(p, 2) == []

@@ -2,11 +2,11 @@ from collections import deque
 
 import pytest
 
-from mpisym import engine, lang, ops, oracle
+from mpisym import cli, engine, lang, ops, oracle, replay, report, solver
 from mpisym.oracle import (B, Local, OracleError, SR, SRStar, apply,
                            check_theorem, deadlock_path_lengths, enabled,
                            explore_full, make_initial)
-from mpisym.state import EngineError
+from mpisym.state import EngineError, Verdict
 from randprog import random_program
 
 
@@ -600,3 +600,97 @@ def test_check_theorem_random_programs(rng):
         for m in models:
             verdict = check_theorem(p, p.nprocs_default, m)
             assert verdict.holds, (lang.pretty_print(p), m, verdict.issues)
+
+
+# -- exit through the oracle, the printer and replay -------------------------------
+
+EXIT_PROGRAMS = [
+    # rank 0 exits under X > 1 before two wildcard receives; ranks 1-2 exit
+    # under X == 3 after their send and before a barrier
+    "symbolic sym X : int[0..3]; program (nprocs = 3) {"
+    " if (rank == 0) { if (X > 1) { exit; } recv a from any; recv b from any; }"
+    " else { send rank to 0; if (X == 3) { exit; } barrier; } }",
+    # every rank exits before a send
+    "program (nprocs = 2) { exit; send 1 to 1 - rank; }",
+    # rank 1 exits under X == 1, before the receive rank 0's send waits on
+    "symbolic sym X : int[0..2]; program (nprocs = 2) {"
+    " if (rank == 0) { send 7 to 1; } else { if (X == 1) { exit; } recv v from 0; } }",
+]
+
+
+@pytest.mark.parametrize("source", EXIT_PROGRAMS)
+def test_exit_programs_hold_replay_and_print_back(source):
+    p = program(source)
+    nprocs = p.nprocs_default
+    for model in solver.enumerate_models((), ops.lower(p).domains, 100):
+        verdict = check_theorem(p, nprocs, model)
+        assert verdict.holds, (model, verdict.issues)
+    for rec in engine.search(p, nprocs).records:
+        result = replay.replay_testcase(p, replay.make_testcase(rec, p, nprocs))
+        assert result.ok, (rec.index, result.divergences)
+    text = lang.pretty_print(p)
+    assert "exit;" in text
+    again = program(text)
+    assert again == p
+    assert replay.program_hash(again) == replay.program_hash(p)
+
+
+# -- the report of a failed check --------------------------------------------------
+
+
+def _drop_deadlocks(search):
+    def faulty(*args, **kwargs):
+        rep = search(*args, **kwargs)
+        rep.records = [r for r in rep.records if r.verdict is not Verdict.DEADLOCK]
+        return rep
+    return faulty
+
+
+def _no_oracle_deadlocks(lengths):
+    def faulty(*args, **kwargs):
+        return {}, lengths(*args, **kwargs)[1]
+    return faulty
+
+
+def _one_more_action(count):
+    return lambda trace, compiled: count(trace, compiled) + 1
+
+
+FIG1_FAULTS = {
+    "engine-length": ((oracle, "global_action_count", _one_more_action), [
+        "path-length sets differ at cursors=(2, 9, 13): engine=[10] oracle=[9]"]),
+    "engine-deadlocks-dropped": ((engine, "search", _drop_deadlocks), [
+        "deadlock reachable only on the oracle side",
+        "deadlocked terminal only reached by the oracle: cursors=(2, 9, 13)"]),
+    "oracle-deadlocks-dropped": ((oracle, "deadlock_path_lengths", _no_oracle_deadlocks), [
+        "deadlock reachable only on the engine side",
+        "deadlocked terminal only reached by the engine: cursors=(2, 9, 13)"]),
+}
+
+
+@pytest.fixture(params=sorted(FIG1_FAULTS))
+def fig1_fault(request, monkeypatch):
+    """One injected fault on the engine or the oracle side, and the issue
+    lines `check_theorem` reports for it on fig1-motivating under X=97."""
+    (module, name, make), issues = FIG1_FAULTS[request.param]
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
+    return issues
+
+
+def test_check_theorem_reports_each_injected_fault(corpus_entries, fig1_fault):
+    verdict = check_theorem(corpus_entries["fig1-motivating"].program(), 3, {"X": 97})
+    assert not verdict.holds
+    assert verdict.issues == fig1_fault
+    text = report.render_compare(verdict)
+    head, *rest = text.splitlines()
+    assert head.startswith("THEOREM-CHECK FAIL model={X=97} ")
+    assert rest == [f"  {issue}" for issue in fig1_fault]
+
+
+def test_compare_exits_two_under_an_injected_fault(corpus_entries, fig1_fault, tmp_path, capsys):
+    path = tmp_path / "fig1.mpisym"
+    path.write_text(corpus_entries["fig1-motivating"].source)
+    assert cli.main(["compare", str(path), "--set", "X=97"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("THEOREM-CHECK FAIL model={X=97} ")
+    assert out.splitlines()[1:] == [f"  {issue}" for issue in fig1_fault]

@@ -294,6 +294,58 @@ def test_replay_rank_out_of_range_diverges(corpus_entries, event):
     assert d.event_index == 1
 
 
+def test_replay_step_at_the_wrong_loc_diverges(corpus_entries):
+    p, tc = corpus_case(corpus_entries, "fig4b-eager", Verdict.DEADLOCK)
+    assert tc.trace[2] == StepEvent(0, 1)
+    d = first_divergence(p, with_trace(tc, tc.trace[:2] + (StepEvent(0, 2),) + tc.trace[3:]))
+    assert (d.event_index, d.expected, d.observed) == (3, "rank 0 at loc 2", "loc 1")
+
+
+def test_replay_branch_step_without_its_choice_diverges(corpus_entries):
+    p, tc = corpus_case(corpus_entries, "fig1-motivating", Verdict.DEADLOCK)
+    assert tc.trace[:2] == (StepEvent(0, 0), BranchChoice(0, True))
+    d = first_divergence(p, with_trace(tc, tc.trace[:1] + tc.trace[2:]))
+    assert (d.event_index, d.expected, d.observed) == (
+        1, "a branch-choice event", "StepEvent(rank=0, loc=1)")
+
+
+PEER_FROM_PAYLOAD = """\
+program (nprocs = 4) {
+  if (rank == 0) {
+    recv d from any;
+    send 7 to d;
+  } else {
+    if (rank == 1) { send 1 to 0; recv v from 0; }
+    if (rank == 2) { send 0 to 0; }
+    if (rank == 3) { send 9 to 0; }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("sender, peer", [(2, 0), (3, 9)])
+def test_replay_peer_out_of_range_or_self_diverges(sender, peer):
+    """Rank 0 sends to the payload of its wildcard match: matching rank 2 or 3
+    instead of rank 1 names itself or a rank that does not exist."""
+    p = lang.parse_program(PEER_FROM_PAYLOAD)
+    [rec] = engine.search(p, 4).by_verdict(Verdict.DEADLOCK)
+    tc = make_testcase(rec, p, 4)
+    t = tc.trace
+    k = t.index(MatchEvent(1, 0, True))
+    assert t[k + 1] == StepEvent(0, 2)  # rank 0's send
+    d = first_divergence(p, with_trace(tc, t[:k] + (MatchEvent(sender, 0, True),) + t[k + 1:]))
+    assert (d.event_index, d.expected, d.observed) == (k + 2, "a peer rank for rank 0",
+                                                        f"rank {peer}")
+
+
+@pytest.mark.parametrize("event", [BranchChoice(0, True), BarrierRelease(0)])
+def test_replay_trace_opening_with_a_caused_event_diverges(corpus_entries, event):
+    p, tc = corpus_case(corpus_entries, "fig1-motivating", Verdict.DEADLOCK)
+    d = first_divergence(p, with_trace(tc, (event,) + tc.trace))
+    assert (d.event_index, d.expected, d.observed) == (1, "step or wildcard match event",
+                                                        repr(event))
+
+
 def test_replay_input_outside_domain_is_an_error(corpus_entries):
     p, tc = corpus_case(corpus_entries, "fig1-motivating", Verdict.TERMINATED)
     with pytest.raises(ReplayError, match="outside"):

@@ -103,8 +103,8 @@ def test_fork_independence_under_random_mutation(rng):
 def test_fork_at_branch_differs_only_in_pc(fig1):
     s = init_state(fig1, 3)
     cond = symbolic.binary("==", lang.Var("X"), lang.Num(97))
-    a = assume(fork(s), cond)
-    b = assume(fork(s), symbolic.negate(cond))
+    a = assume(fork(s), cond, {"X": 97})
+    b = assume(fork(s), symbolic.negate(cond), {"X": 0})
     assert a.pc == (cond,)
     assert b.pc == (symbolic.negate(cond),)
     assert a.snapshot()[:1] == b.snapshot()[:1]  # procs identical
@@ -218,14 +218,14 @@ def test_eval_expr_builds_a_closed_operand_once_per_rank(fig1):
 def test_assume_appends(fig1):
     s = init_state(fig1, 3)
     c = symbolic.binary("==", lang.Var("X"), lang.Num(97))
-    assume(s, c)
-    assert s.pc == (c,)
+    assume(s, c, {"X": 97})
+    assert s.pc == (c,) and s.model == {"X": 97}
     # contradictory conjuncts are recorded verbatim; deciding them is the
     # solver's job
-    assume(s, symbolic.negate(c))
+    assume(s, symbolic.negate(c), s.model)
     assert s.pc == (c, symbolic.negate(c))
     with pytest.raises(EngineError):
-        assume(s, lang.Num(1))
+        assume(s, lang.Num(1), s.model)
 
 
 def test_advance_to_exit():
@@ -282,7 +282,7 @@ def test_partition_invariant_random_walks(rng):
             for t in succs:
                 for proc in t.procs:
                     assert proc.status in (Status.ACTIVE, Status.INACTIVE, Status.EXITED)
-                    op = t.compiled.op_at(proc.pc_loc) if proc.pc_loc < t.compiled.end else None
+                    op = t.compiled.ops[proc.pc_loc] if proc.pc_loc < t.compiled.end else None
                     if proc.status is Status.INACTIVE:
                         assert isinstance(op, (lang.Send, lang.Recv, lang.Barrier))
                     named = isinstance(op, lang.Send) or isinstance(op, lang.Recv) and op.src is not None
@@ -399,7 +399,7 @@ def test_step_replaces_only_involved_processes(rng):
                 continue
             what = engine.scheduler(s)
             if type(what) is int:
-                op = s.compiled.op_at(s.procs[what].pc_loc)
+                op = s.compiled.ops[s.procs[what].pc_loc]
                 kinds.add(type(op).__name__)
             succs = engine.expand(fork(s))
             for t in succs:
