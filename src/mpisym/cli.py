@@ -147,18 +147,14 @@ def _parse_set(pairs, program) -> dict:
     return model
 
 
-def _candidate_models(program, nprocs, count: int, strategy: engine.SearchStrategy):
+def _candidate_models(program, result: engine.AnalysisReport, count: int):
     """Models to compare under: the witness model of each engine path (they
     cover every explored branch shape), topped up lexicographically."""
-    domains = ops.lower(program).domains
-    result = engine.search(program, nprocs, strategy)
-    if result.truncated:
-        raise oracle.BoundExceeded(f"engine state bound {strategy.max_states} exceeded")
     models = {}
     for rec in result.records:
         models.setdefault(tuple(sorted(rec.model.items())), rec.model)
     if len(models) < count:
-        for extra in solver.enumerate_models((), domains, count):
+        for extra in solver.enumerate_models((), ops.lower(program).domains, count):
             models.setdefault(tuple(sorted(extra.items())), extra)
     return list(models.values())[:count]
 
@@ -176,15 +172,16 @@ def cmd_compare(args) -> int:
             if value < 1:
                 raise ValueError(f"{flag} must be positive")
         strategy = engine.SearchStrategy(max_states=args.max_states)  # rejects < 1
-        if args.set:
-            models = [_parse_set(args.set, program)]
-        else:
-            models = _candidate_models(program, nprocs, args.enumerate_models, strategy)
+        models = [_parse_set(args.set, program)] if args.set else None
+        result = engine.search(program, nprocs, strategy)
+        if result.truncated:
+            raise oracle.BoundExceeded(f"engine state bound {args.max_states} exceeded")
+        if models is None:
+            models = _candidate_models(program, result, args.enumerate_models)
         all_hold = True
         for model in models:
             verdict = oracle.check_theorem(program, nprocs, model,
-                                           state_bound=args.oracle_bound,
-                                           max_states=args.max_states)
+                                           state_bound=args.oracle_bound, report=result)
             sys.stdout.write(report.render_compare(verdict))
             all_hold = all_hold and verdict.holds
     except oracle.BoundExceeded as exc:

@@ -99,9 +99,3 @@ def load_corpus(directory: Optional[Path] = None) -> List[CorpusEntry]:
         raise CorpusError(f"corpus at {root} is empty")
     return entries
 
-
-def entry(name: str, directory: Optional[Path] = None) -> CorpusEntry:
-    for e in load_corpus(directory):
-        if e.name == name:
-            return e
-    raise CorpusError(f"no corpus entry named {name!r}")

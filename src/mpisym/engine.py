@@ -321,29 +321,21 @@ def expand(s: GlobalState, stats: Optional[SolverStats] = None,
 
 
 def search(program: lang.Program, nprocs: int,
-           strategy: Optional[SearchStrategy] = None,
-           pin_model: Optional[Model] = None) -> AnalysisReport:
+           strategy: Optional[SearchStrategy] = None) -> AnalysisReport:
     """Explore every path of the program under `nprocs` processes.
 
     Each terminal state becomes one PathRecord carrying a witness model for
-    its path condition and its schedule trace as a tuple.  `pin_model` fixes
-    every symbolic input (the differential theorem check and the CLI's
-    --set), so the search is over match non-determinism only; a model that
-    `CompiledProgram.check_model` rejects raises EngineError.  Under DFS the
-    state just stepped is expanded next without a worklist round trip.
+    its path condition and its schedule trace as a tuple.  Inputs stay
+    symbolic: the records whose path condition holds under a concrete model
+    are the search's paths under that model, which is what the differential
+    theorem check (`oracle.check_theorem`) compares.  Under DFS the state
+    just stepped is expanded next without a worklist round trip.
     """
     strategy = strategy or SearchStrategy()
     findings = lang.validate(program, nprocs)
     if findings:
         raise ValidationFailure(findings)
-    s0 = init_state(program, nprocs)
-    if pin_model is not None:
-        domains = s0.compiled.domains
-        s0.compiled.check_model(pin_model, EngineError)
-        s0.pc = tuple(lang.Binary("==", lang.Var(name), lang.Num(pin_model[name]))
-                      for name in domains)
-        s0.model = {name: pin_model[name] for name in domains}  # the only model
-
+    s = init_state(program, nprocs)
     stats = SolverStats()
     t_start = time.perf_counter()
     records: List[PathRecord] = []
@@ -355,7 +347,6 @@ def search(program: lang.Program, nprocs: int,
     pop = worklist.pop if dfs else worklist.popleft
     max_depth, max_states = strategy.max_depth, strategy.max_states
 
-    s = s0
     while True:
         what = scheduler(s)
         if type(what) is Verdict:  # terminal: record it

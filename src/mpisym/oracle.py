@@ -21,11 +21,13 @@ traces over it.  Environments are copy-on-write: ``copy`` copies the
 cursor and environment lists, and ``step`` replaces an environment dict
 instead of mutating it.
 
-``check_theorem`` is the differential test: for a pinned model, the set of
-deadlocked terminal states (canonicalized) and, per terminal, the set of
-reachable global-action path lengths must coincide between the engine and
-this oracle.  ``explore_full`` and ``deadlock_path_lengths`` read one walk
-of the deduplicated state graph, ``_terminals``.
+``check_theorem`` is the differential test: for a concrete model, the set
+of deadlocked terminal states (canonicalized) and, per terminal, the set of
+reachable global-action path lengths must coincide between this oracle and
+the projection of the engine's one symbolic search onto the model, the
+records whose path condition the model satisfies.  ``explore_full`` and
+``deadlock_path_lengths`` read one walk of the deduplicated state graph,
+``_terminals``.
 
 That walk runs over interned keys, not states.  A key is (local ids,
 ``fail_loc``): a local id interns one rank's (rank, cursor, sorted
@@ -53,6 +55,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from . import engine, lang, ops
 from .solver import Model
 from .state import BarrierRelease, MatchEvent, StepEvent, Verdict
+from .symbolic import pc_holds
 
 
 class OracleError(Exception):
@@ -368,8 +371,8 @@ def global_action_count(trace, compiled: ops.CompiledProgram) -> int:
 
 
 def engine_terminal_canonical(record: engine.PathRecord, model: Model) -> tuple:
-    """Canonicalize an engine terminal state under the pinned model, making
-    it comparable with oracle terminals."""
+    """Canonicalize an engine terminal state under a model its path
+    condition holds on, making it comparable with oracle terminals."""
     procs = record.final_state.procs
     envs = [{name: lang.evaluate(v, model) for name, v in p.env.items()} for p in procs]
     return canonical_key([p.pc_loc for p in procs], envs)
@@ -387,27 +390,32 @@ class TheoremVerdict:
 
 
 def check_theorem(program: lang.Program, nprocs: int, model: Model, state_bound: int = 200_000,
-                  max_states: Optional[int] = None) -> TheoremVerdict:
+                  report: Optional[engine.AnalysisReport] = None) -> TheoremVerdict:
     """Differential equivalence check for one concrete model.
 
-    Holds iff (a) the engine's pinned run reaches a deadlock exactly when
-    the full-interleaving graph does, (b) the canonical deadlocked terminal
-    states coincide, and (c) for each such terminal the sets of reachable
-    path lengths (in global actions) coincide.  `state_bound` bounds the
-    oracle and `max_states` the engine's pinned search.
+    `report` is a complete symbolic search of the program (one unbounded
+    `engine.search` when None); its projection onto `model` is the records
+    whose path condition holds under it.  Holds iff (a) the projection
+    reaches a deadlock exactly when the full-interleaving graph does, (b)
+    the canonical deadlocked terminal states coincide, and (c) for each
+    such terminal the sets of reachable path lengths (in global actions)
+    coincide.  `state_bound` bounds the oracle.
     """
-    report = engine.search(program, nprocs, pin_model=model,
-                           strategy=engine.SearchStrategy(max_states=max_states))
+    ops.lower(program).check_model(model, OracleError)
+    if report is None:
+        report = engine.search(program, nprocs)
     if report.truncated:
-        raise BoundExceeded(f"engine state bound {max_states} exceeded under pinned model")
+        raise BoundExceeded("engine search truncated by its state or depth bound")
+    eng: Dict[tuple, Set[int]] = {}
     for rec in report.records:
+        if not pc_holds(rec.pc, model):
+            continue
         if rec.verdict is Verdict.ERROR:
             raise OracleError(f"engine reported an analysis error: {rec.error}")
-
-    eng: Dict[tuple, Set[int]] = {}
-    for rec in report.by_verdict(Verdict.DEADLOCK):
-        key = engine_terminal_canonical(rec, model)
-        eng.setdefault(key, set()).add(global_action_count(rec.trace, rec.final_state.compiled))
+        if rec.verdict is Verdict.DEADLOCK:
+            key = engine_terminal_canonical(rec, model)
+            eng.setdefault(key, set()).add(
+                global_action_count(rec.trace, rec.final_state.compiled))
     engine_deadlocks = {k: frozenset(v) for k, v in eng.items()}
 
     oracle_deadlocks, visited = deadlock_path_lengths(program, nprocs, model, state_bound)

@@ -87,11 +87,16 @@ def test_every_state_carries_its_smallest_model_random_programs(rng):
     assert states > 1000
 
 
-def test_pinned_search_carries_the_pinned_model(corpus_entries):
+def test_projected_records_carry_the_model_of_their_path(corpus_entries):
+    """Each record of the projection onto X = 97 carries a model of its own
+    path condition; the deadlock's is 97 itself, its guard's one value."""
     e = corpus_entries["fig1-motivating"]
-    pin = {"X": 97}
-    rep = search(e.program(), e.nprocs, pin_model=pin)
-    assert rep.records and all(rec.model == pin for rec in rep.records)
+    rep = search(e.program(), e.nprocs)
+    projected = [rec for rec in rep.records if symbolic.pc_holds(rec.pc, {"X": 97})]
+    assert len(projected) == 2
+    assert all(symbolic.pc_holds(rec.pc, rec.model) for rec in projected)
+    (deadlock,) = [rec for rec in projected if rec.verdict is Verdict.DEADLOCK]
+    assert deadlock.model == {"X": 97}
 
 
 REASKED = """\

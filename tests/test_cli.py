@@ -181,7 +181,21 @@ def test_corpus_rejects_nonpositive_counts(capsys, argv, message):
      "{dir}/manifest is not UTF-8 text"),
     (b"bad 2 no no\n", b"program (nprocs = 2) { x = 1; }\xff\n",
      "{dir}/bad.mpisym is not UTF-8 text"),
-], ids=["zero-nprocs", "manifest-not-utf8", "source-not-utf8"])
+    (b"bad 2 no\n", b"program (nprocs = 2) { x = 1; }\n",
+     "manifest line 1: expected 'name nprocs deadlock assertfail notes...'"),
+    (b"bad 2 maybe no\n", b"program (nprocs = 2) { x = 1; }\n",
+     "manifest line 1: deadlock must be yes/no, got 'maybe'"),
+    (b"bad 2 no perhaps\n", b"program (nprocs = 2) { x = 1; }\n",
+     "manifest line 1: assertfail must be yes/no, got 'perhaps'"),
+    (b"ghost 2 no no\n", b"program (nprocs = 2) { x = 1; }\n",
+     "missing corpus source ghost.mpisym"),
+    (b"bad 2 no no\n", b"program (nprocs = 2) { x = 1 }\n",
+     "corpus entry 'bad' does not parse: 1:30: expected ';', found '}}'"),
+    (b"bad 2 no no\n", b"program (nprocs = 2) { send 1 to 7; }\n",
+     "corpus entry 'bad' fails validation: send destination 7 not in [0, 2)"),
+], ids=["zero-nprocs", "manifest-not-utf8", "source-not-utf8", "three-fields",
+        "deadlock-flag", "assertfail-flag", "missing-source", "source-does-not-parse",
+        "source-fails-validation"])
 def test_corpus_rejects_corrupt_bundle(capsys, tmp_path, manifest, source, message):
     (tmp_path / "manifest").write_bytes(manifest)
     (tmp_path / "bad.mpisym").write_bytes(source)
@@ -209,15 +223,38 @@ def test_compare_oracle_bound_exit(capsys, tmp_path):
 
 
 def test_compare_set_engine_bound_exit(capsys, tmp_path):
-    """`--max-states` bounds the engine's pinned search, also under `--set`."""
+    """`--max-states` bounds the engine's one search, also under `--set`."""
     path = tmp_path / "wide.mpisym"
     path.write_text("symbolic sym X : int[0..3]; program (nprocs = 4) { barrier; barrier; }")
     code, _, err = run(capsys, "compare", str(path), "--set", "X=1", "--max-states", "2")
-    assert code == 3
-    assert "engine state bound 2 exceeded under pinned model" in err
+    assert (code, err) == (3, "mpisym: engine state bound 2 exceeded\n")
     code, out, _ = run(capsys, "compare", str(path), "--set", "X=1")
     assert code == 0
     assert "THEOREM-CHECK PASS" in out
+
+
+RECV_FROM_INPUT = """\
+symbolic
+sym X : int[1..2];
+program (nprocs = 3) {
+  if (rank == 0) { recv v from X; } else { send rank to 0; }
+}
+"""
+
+
+def test_compare_reports_the_analysis_error_analyze_reports(capsys, tmp_path):
+    """A receive whose source is an input is an analysis error of the
+    symbolic search; `compare` checks that search, so it fails the same way
+    under every model, `--set` too."""
+    path = tmp_path / "recv-from-input.mpisym"
+    path.write_text(RECV_FROM_INPUT)
+    message = "L4: rank expression X is not constant under the path condition"
+    code, out, _ = run(capsys, "analyze", "-v", str(path))
+    assert code == 1 and f"  error: {message}\n" in out
+    for argv in ([], ["--set", "X=1"], ["--set", "X=2"]):
+        code, out, err = run(capsys, "compare", str(path), *argv)
+        assert (code, out, err) == (
+            1, "", f"mpisym: error: engine reported an analysis error: {message}\n")
 
 
 def test_analyze_error_path_writes_no_case_and_exits_one(capsys, tmp_path):
@@ -389,6 +426,19 @@ def test_replay_input_undeclared_or_repeated_exits_one(capsys, fig1_path, tmp_pa
     code, out, err = run(capsys, "replay", str(fig1_path), str(edited))
     assert (code, out) == (1, "")
     assert err.startswith("mpisym: error: ") and err.endswith(f"{message}\n")
+
+
+def test_replay_nprocs_failing_validation_exits_one(capsys, fig1_path, tmp_path):
+    """The program hash matches, but at the case's process count the
+    program does not validate: fig1's rank 1 receives from rank 2."""
+    out_dir = tmp_path / "cases"
+    run(capsys, "analyze", str(fig1_path), "--out", str(out_dir))
+    case = sorted(out_dir.glob("*.testcase"))[0]
+    edited = tmp_path / "edited.testcase"
+    edited.write_text(case.read_text().replace("\nnprocs 3\n", "\nnprocs 2\n"))
+    code, out, err = run(capsys, "replay", str(fig1_path), str(edited))
+    assert (code, out, err) == (
+        1, "", "mpisym: error: program fails validation: receive source 2 not in [0, 2)\n")
 
 
 @pytest.mark.parametrize("line_no,header,message", [

@@ -1,6 +1,6 @@
 import pytest
 
-from mpisym import corpus, lang
+from mpisym import lang
 from mpisym.corpus import CorpusError, load_corpus
 
 
@@ -29,13 +29,6 @@ def test_expectations(corpus_entries):
 def test_every_entry_validates(corpus_entries):
     for e in corpus_entries.values():
         assert lang.validate(e.program(), e.nprocs) == [], e.name
-
-
-def test_entry_lookup():
-    e = corpus.entry("fig1-motivating")
-    assert e.nprocs == 3
-    with pytest.raises(CorpusError):
-        corpus.entry("no-such-entry")
 
 
 def test_empty_directory_is_corrupt(tmp_path):

@@ -1,3 +1,4 @@
+import random
 from collections import deque
 
 import pytest
@@ -6,8 +7,11 @@ from mpisym import cli, engine, lang, ops, oracle, replay, report, solver
 from mpisym.oracle import (B, Local, OracleError, SR, SRStar, apply,
                            check_theorem, deadlock_path_lengths, enabled,
                            explore_full, make_initial)
-from mpisym.state import EngineError, Verdict
+from mpisym.engine import SearchStrategy
+from mpisym.state import Verdict
+from mpisym.symbolic import pc_holds
 from randprog import random_program
+from test_engine import reference_search
 
 
 def program(text: str) -> lang.Program:
@@ -287,18 +291,14 @@ def test_model_must_cover_declared_inputs(corpus_entries):
     ({"X": 999}, "model value X=999 outside [0, 255]"),
 ])
 def test_pinned_model_faults_read_the_same_in_engine_and_oracle(corpus_entries, model, message):
-    """One check of a pinned model: `search` and `check_theorem` (whose
-    engine run checks first) raise EngineError, the oracle OracleError,
+    """One check of a pinned model: `check_theorem` checks it before it
+    runs the engine, and the oracle checks it again; both raise OracleError
     with the same words."""
     p = corpus_entries["fig1-motivating"].program()
-    for run in (lambda: engine.search(p, 3, pin_model=model),
-                lambda: check_theorem(p, 3, model)):
-        with pytest.raises(EngineError) as exc:
+    for run in (lambda: check_theorem(p, 3, model), lambda: make_initial(p, 3, model)):
+        with pytest.raises(OracleError) as exc:
             run()
         assert str(exc.value) == message
-    with pytest.raises(OracleError) as exc:
-        make_initial(p, 3, model)
-    assert str(exc.value) == message
 
 
 def referee_state_graph(program, nprocs, model, state_bound):
@@ -582,12 +582,56 @@ def test_check_theorem_all_corpus(corpus_entries):
 
 
 def test_reduction_bound_engine_leq_oracle(corpus_entries):
-    """The reduced engine never creates more states than the oracle visits."""
+    """The reduced engine, pinned to one model, never creates more states
+    than the oracle visits under it.  (The symbolic search covers every
+    model at once, so its count is no bound: head-to-head's is 10 against
+    the oracle's 8 at X = 0.)"""
     for e in corpus_entries.values():
         p = e.program()
         model = {d.name: d.lo for d in p.decls}
-        verdict = check_theorem(p, e.nprocs, model)
-        assert verdict.engine_states <= verdict.oracle_states, e.name
+        (engine_states, _, _), _ = reference_search(p, e.nprocs, SearchStrategy(), model)
+        _, oracle_states = deadlock_path_lengths(p, e.nprocs, model)
+        assert engine_states <= oracle_states, e.name
+
+
+def test_check_theorem_refuses_a_truncated_report(corpus_entries):
+    """A truncated search has lost paths, so no projection of it is checked."""
+    p = corpus_entries["fig1-motivating"].program()
+    rep = engine.search(p, 3, SearchStrategy(max_states=4))
+    with pytest.raises(oracle.BoundExceeded) as exc:
+        check_theorem(p, 3, {"X": 97}, report=rep)
+    assert str(exc.value) == "engine search truncated by its state or depth bound"
+
+
+def test_symbolic_search_projects_onto_every_model(corpus_entries):
+    """The paper's claim on the search `analyze` runs: for every model, the
+    records whose path condition holds under it (the projection) reach
+    exactly the oracle's deadlocked terminals, each by the same path
+    lengths, and are the paths of the search pinned to that model.  An
+    untruncated search covers every model.  Each corpus program runs under
+    up to 64 models (its witness models first), each random program under
+    every value of its input."""
+    programs = [(e.program(), e.nprocs) for e in corpus_entries.values()]
+    rng = random.Random(7)
+    for _ in range(400):
+        p = random_program(rng)
+        programs.append((p, p.nprocs_default))
+    pairs = 0
+    for p, nprocs in programs:
+        rep = engine.search(p, nprocs)
+        assert not rep.truncated
+        for model in cli._candidate_models(p, rep, 64):
+            where = (lang.pretty_print(p), model)
+            projection = [r for r in rep.records if pc_holds(r.pc, model)]
+            assert projection, where
+            verdict = check_theorem(p, nprocs, model, report=rep)
+            assert verdict.holds, (where, verdict.issues)
+            _, pinned = reference_search(p, nprocs, SearchStrategy(), model)
+            assert [(r.verdict, r.steps, r.fail_loc, r.error, r.trace) for r in projection] \
+                == [(v, steps, fail_loc, error, trace)
+                    for v, _, _, steps, fail_loc, error, trace in pinned], where
+            pairs += 1
+    assert pairs == 2293
 
 
 @pytest.mark.slow
