@@ -107,9 +107,6 @@ class AnalysisReport:
             out[rec.verdict.value] = out.get(rec.verdict.value, 0) + 1
         return out
 
-    def by_verdict(self, verdict: Verdict) -> List[PathRecord]:
-        return [r for r in self.records if r.verdict is verdict]
-
 
 # -- scheduling ---------------------------------------------------------------
 
@@ -194,6 +191,22 @@ def _resolve_rank(s: GlobalState, rank: int, e: lang.Expr,
     return value, None
 
 
+def _take_side(t: GlobalState, p: int, op: ops.OpBranch, loc: int, taken: bool) -> GlobalState:
+    """Write one side of the branch at `loc` into t: record the choice, then
+    move rank p to the side's target, or fail the assertion if it is None."""
+    t.trace.append(new_tuple(BranchChoice, (loc, taken)))
+    target = op.true_target if taken else op.false_target
+    if target is None:
+        t.verdict = Verdict.ASSERT_FAIL
+        t.fail_loc = loc
+    else:
+        proc = t.procs[p]
+        proc.pc_loc = target
+        if target >= t.compiled.end:  # past the end of the body: the process exits
+            proc.status = EXITED
+    return t
+
+
 def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List[GlobalState]:
     """Execute exactly one statement of process p in s, writing into s, and
     return s followed by at most one more successor.  That second successor
@@ -217,35 +230,23 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
         return [s]
 
     if kind is ops.OpBranch:
-        # One rule for `if` and `assert`: a side whose target is None fails
-        # the assertion.  Only a symbolic condition asks the solver, once
-        # per side and before either side is written; the true side is
-        # explored first under DFS.
+        # One rule for `if` and `assert`.  A concrete condition takes its one
+        # side in s.  A symbolic one asks the solver once per side, before
+        # either side is written; the true side is explored first under DFS.
         cond = eval_expr(s, p, op.cond)
         if type(cond) is lang.Bool:
-            sides = [(cond.value, None, None)]
-        else:
-            sides = []
-            for taken in (True, False):
-                guard = cond if taken else symbolic.negate(cond)
-                model = _model_with(s, guard, stats)
-                if model is not None:
-                    sides.append((taken, guard, model))
-            if not sides:
-                raise EngineError("no side of a guarded step is satisfiable on a live path")
+            return [_take_side(s, p, op, loc, cond.value)]
+        sides = []
+        for taken in (True, False):
+            guard = cond if taken else symbolic.negate(cond)
+            model = _model_with(s, guard, stats)
+            if model is not None:
+                sides.append((taken, guard, model))
+        if not sides:
+            raise EngineError("no side of a guarded step is satisfiable on a live path")
         succs = [s] if len(sides) == 1 else [s, fork(s)]
         for t, (taken, guard, model) in zip(succs, sides):
-            t.trace.append(new_tuple(BranchChoice, (loc, taken)))
-            if guard is not None:
-                assume(t, guard, model)
-            target = op.true_target if taken else op.false_target
-            if target is None:
-                t.verdict = Verdict.ASSERT_FAIL
-                t.fail_loc = loc
-            else:
-                t.procs[p].pc_loc = target
-                if target >= t.compiled.end:  # past the end of the body: the process exits
-                    t.procs[p].status = EXITED
+            _take_side(assume(t, guard, model), p, op, loc, taken)
         return succs
 
     if kind is lang.Recv and op.src is None:

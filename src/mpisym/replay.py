@@ -34,9 +34,11 @@ File format (one event per line, LF, UTF-8)::
 
 Replaying many cases of one program in one process prepares the program
 once (its hash, findings and lowered form are kept on it, ``lang.derived``).
-``loads`` builds each distinct trace line's event once, from the groups of
-one compiled pattern; only a line it cannot read is split into fields, to
-say what is wrong with it.  Nothing here is user-settable.
+``loads`` strips each line once, finds the section headers by index and
+reads the trace where it lies, with no per-line tuples; it builds each
+distinct trace line's event once, from the groups of one compiled pattern.
+Only a line it cannot read is split into fields, to say what is wrong with
+it.  Nothing here is user-settable.
 """
 
 from __future__ import annotations
@@ -192,21 +194,19 @@ def loads(text: str) -> TestCase:
     except ValueError:
         raise ReplayError(f"line 3: bad nprocs {nprocs_text!r}") from None
 
-    sections = {"INPUT": [], "TRACE": [], "VERDICT": []}
-    current = None  # the list of the section being read
-    for i, raw in enumerate(lines[3:], start=4):
-        text_line = raw.strip()
-        if not text_line:
-            continue
-        if text_line in sections:
-            current = sections[text_line]
-            continue
-        if current is None:
-            raise ReplayError(f"line {i}: content before INPUT section")
-        current.append((i, text_line))
+    body = list(map(str.strip, lines[3:]))  # line k of the text is body[k - 4]
+    spans = {None: [], "INPUT": [], "TRACE": [], "VERDICT": []}  # None: before any header
+    heads = [(k, line) for k, line in enumerate(body) if line in spans]
+    for (k, name), (end, _) in zip([(-1, None)] + heads, heads + [(len(body), None)]):
+        spans[name].append((k + 1, end))
 
+    def numbered(name):  # the non-blank lines of a short section, with their numbers
+        return [(k + 4, body[k]) for a, b in spans[name] for k in range(a, b) if body[k]]
+
+    for i, _ in numbered(None):  # the first line before any header
+        raise ReplayError(f"line {i}: content before INPUT section")
     model = {}
-    for i, entry in sections["INPUT"]:
+    for i, entry in numbered("INPUT"):
         if "=" not in entry:
             raise ReplayError(f"line {i}: malformed input binding")
         name, value = entry.split("=", 1)
@@ -218,21 +218,23 @@ def loads(text: str) -> TestCase:
     trace = []
     events = {}  # trace line -> its event, shared by the lines equal to it
     match = _TRACE_LINE.fullmatch
-    for i, entry in sections["TRACE"]:
-        ev = events.get(entry)
-        if ev is None:
-            m = match(entry)
-            if m is None:
-                raise _malformed(entry, i)
-            try:
-                ev = events[entry] = _EVENT_OF[m.lastindex](m)
-            except ValueError:
-                raise _malformed(entry, i) from None
-        trace.append(ev)
+    for a, b in spans["TRACE"]:
+        for entry in filter(None, body[a:b]):
+            ev = events.get(entry)
+            if ev is None:
+                m = match(entry)
+                if m is None:
+                    raise _malformed(entry, body.index(entry, a, b) + 4)
+                try:
+                    ev = events[entry] = _EVENT_OF[m.lastindex](m)
+                except ValueError:
+                    raise _malformed(entry, body.index(entry, a, b) + 4) from None
+            trace.append(ev)
 
-    if not sections["VERDICT"]:
+    verdict_lines = numbered("VERDICT")
+    if not verdict_lines:
         raise ReplayError("missing VERDICT section")
-    vline_no, vline = sections["VERDICT"][0]
+    vline_no, vline = verdict_lines[0]
     kind, *rest = vline.split()
     fail_loc = None
     if kind == "assertfail":

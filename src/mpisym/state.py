@@ -5,9 +5,10 @@ into the state they are given and return it as the first successor.  Only a
 second successor is a copy, made with `fork` before the two successors
 differ.  A fork copies the process records (`ProcState`) and their
 environments, and shares the rest: the compiled program, the path-condition
-tuple, the model and the cells of the schedule trace (`Trace`), none of
-which is ever written in place.  So a fork costs the same at any path
-depth, and a write into one state never shows in another.
+tuple, the model and the frozen chunks of the schedule trace (`Trace`),
+none of which is ever written in place.  The trace's tail, the events since
+the previous fork, is frozen into one more shared chunk.  So a fork never
+copies a long prefix, and a write into one state never shows in another.
 
 A rank that is asleep (INACTIVE) rests on the send, receive or barrier it
 is waiting in, so the statement at its cursor says which call it is;
@@ -38,6 +39,7 @@ from __future__ import annotations
 import collections
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
@@ -97,42 +99,36 @@ TraceEvent = object
 
 
 class Trace:
-    """The schedule trace of one state: an append-only chain of immutable
-    ``(event, parent)`` cells, newest first.
+    """The schedule trace of one state: a list tail over a tuple of frozen
+    chunks, oldest first.
 
-    A state owns only the head pointer and the length; a fork shares every
-    cell, so copying costs the same at any depth.  A live trace only
-    appends, copies, reports its length and iterates, oldest first; a
-    reader of a finished path takes ``tuple(trace)``.  The walk is
-    iterative, and the raw cells are never compared, hashed or printed,
-    because CPython recurses into nested tuples.
+    ``append`` is the tail list's own bound method, so an event costs one C
+    call.  ``copy`` freezes the tail into one more chunk that the trace and
+    its copy share, each with an empty tail of its own: a copy costs the
+    events since the last copy and one reference per chunk, never the whole
+    prefix.  A live trace only appends, copies, reports its length and
+    iterates; a reader of a finished path takes ``tuple(trace)``.
     """
 
-    __slots__ = ("head", "n")
+    __slots__ = ("chunks", "tail", "append")
 
-    def __init__(self):
-        self.head = None
-        self.n = 0
-
-    def append(self, event: TraceEvent):
-        self.head = (event, self.head)
-        self.n += 1
+    def __init__(self, chunks: tuple = ()):
+        self.chunks = chunks
+        self.tail: List[TraceEvent] = []
+        self.append = self.tail.append
 
     def copy(self) -> "Trace":
-        """A trace sharing every cell, which the copy can extend alone."""
-        t = Trace.__new__(Trace)
-        t.head, t.n = self.head, self.n
-        return t
+        """A trace sharing every frozen chunk, which the copy can extend alone."""
+        if self.tail:
+            self.chunks += (tuple(self.tail),)
+            self.tail.clear()
+        return Trace(self.chunks)
 
     def __len__(self) -> int:
-        return self.n
+        return sum(map(len, self.chunks)) + len(self.tail)
 
     def __iter__(self):
-        events, cell = [], self.head
-        while cell is not None:
-            event, cell = cell
-            events.append(event)
-        return reversed(events)
+        return itertools.chain(*self.chunks, self.tail)
 
 
 @dataclass(slots=True)
@@ -195,10 +191,11 @@ def init_state(program: lang.Program, nprocs: int) -> GlobalState:
 
 def fork(s: GlobalState) -> GlobalState:
     """An independent copy, for a second successor: it copies the process
-    records and their environments, and shares the trace cells, the
-    path-condition tuple, the model and the term table, so the cost does
-    not grow with depth.  The term table is written in place, but only
-    with terms that are the same in every state of the search."""
+    records and their environments, freezes the trace's tail into a chunk
+    that both states share, and shares the path-condition tuple, the model
+    and the term table, so the cost is the events since the last fork, not
+    the path depth.  The term table is written in place, but only with
+    terms that are the same in every state of the search."""
     t = GlobalState.__new__(GlobalState)
     for name in GlobalState.__slots__:  # shared: `terms` only gains search-wide entries
         setattr(t, name, getattr(s, name))

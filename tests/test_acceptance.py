@@ -68,11 +68,11 @@ def test_c1_motivating_example(corpus_entries):
 def test_c2_lazy_matching_soundness(corpus_entries):
     with criterion(2, "lazy-matching soundness"):
         blind = engine.search(corpus_entries["fig4a-blind"].program(), 3)
-        assert len(blind.by_verdict(Verdict.DEADLOCK)) == 0
+        assert len([r for r in blind.records if r.verdict is Verdict.DEADLOCK]) == 0
 
         eager = engine.search(corpus_entries["fig4b-eager"].program(), 3)
-        deadlocks = eager.by_verdict(Verdict.DEADLOCK)
-        terminated = eager.by_verdict(Verdict.TERMINATED)
+        deadlocks = [r for r in eager.records if r.verdict is Verdict.DEADLOCK]
+        terminated = [r for r in eager.records if r.verdict is Verdict.TERMINATED]
         assert len(deadlocks) >= 1 and len(terminated) >= 1
         assert len(eager.records) == 2  # exactly one of each
         assert wildcard_senders(deadlocks[0].trace) == [2]
@@ -84,8 +84,8 @@ def test_c3_input_dependent_suite(corpus_entries):
             started = time.perf_counter()
             rep = engine.search(e.program(), e.nprocs)
             elapsed = time.perf_counter() - started
-            deadlocks = len(rep.by_verdict(Verdict.DEADLOCK))
-            asserts = len(rep.by_verdict(Verdict.ASSERT_FAIL))
+            deadlocks = len([r for r in rep.records if r.verdict is Verdict.DEADLOCK])
+            asserts = len([r for r in rep.records if r.verdict is Verdict.ASSERT_FAIL])
             if e.deadlock_reachable:
                 assert deadlocks >= 1, e.name
             else:
@@ -144,7 +144,7 @@ def test_c4_random_programs_reach_failed_assertions(seed):
     for _ in range(100):
         program = random_program(rng, max_procs=4, max_comm=6, max_width=8)
         rep = engine.search(program, program.nprocs_default)
-        programs_with_failures += bool(rep.by_verdict(Verdict.ASSERT_FAIL))
+        programs_with_failures += any(r.verdict is Verdict.ASSERT_FAIL for r in rep.records)
     assert programs_with_failures >= 5
 
 

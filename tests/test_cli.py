@@ -445,6 +445,7 @@ def test_replay_nprocs_failing_validation_exits_one(capsys, fig1_path, tmp_path)
     (2, "program-hash ", "line 2: empty program-hash"),
     (3, "nprocs ", "line 3: bad nprocs ''"),
     (3, "nprocs x", "line 3: bad nprocs 'x'"),
+    (2, "program-hash", "missing program-hash/nprocs header"),
 ])
 def test_replay_malformed_header_exits_one(capsys, fig1_path, tmp_path, line_no, header,
                                            message):

@@ -225,7 +225,7 @@ def test_se_step_assert_forks_failure_witness():
     rep = search(p, 1)
     verdicts = {r.verdict for r in rep.records}
     assert verdicts == {Verdict.TERMINATED, Verdict.ASSERT_FAIL}
-    fail = rep.by_verdict(Verdict.ASSERT_FAIL)[0]
+    fail = [r for r in rep.records if r.verdict is Verdict.ASSERT_FAIL][0]
     assert fail.model == {"X": 100}  # smallest failing witness
     assert fail.fail_loc is not None
 
@@ -311,22 +311,22 @@ def test_search_fig1_three_paths(corpus_entries):
 
 def test_search_fig4a_no_false_deadlock(corpus_entries):
     rep = search(corpus_entries["fig4a-blind"].program(), 3)
-    assert rep.by_verdict(Verdict.DEADLOCK) == []
-    assert len(rep.by_verdict(Verdict.TERMINATED)) == len(rep.records) == 1
+    assert [r for r in rep.records if r.verdict is Verdict.DEADLOCK] == []
+    assert len([r for r in rep.records if r.verdict is Verdict.TERMINATED]) == len(rep.records) == 1
 
 
 def test_search_fig4b_both_outcomes(corpus_entries):
     rep = search(corpus_entries["fig4b-eager"].program(), 3)
-    deadlocks = rep.by_verdict(Verdict.DEADLOCK)
+    deadlocks = [r for r in rep.records if r.verdict is Verdict.DEADLOCK]
     assert len(deadlocks) == 1
     assert MatchEvent(2, 0, True) in deadlocks[0].trace
-    assert len(rep.by_verdict(Verdict.TERMINATED)) == 1
+    assert len([r for r in rep.records if r.verdict is Verdict.TERMINATED]) == 1
 
 
 def test_search_fig6_multi_wildcard(corpus_entries):
     rep = search(corpus_entries["fig6-multi-wildcard"].program(), 4)
-    assert len(rep.by_verdict(Verdict.DEADLOCK)) >= 1
-    assert len(rep.by_verdict(Verdict.TERMINATED)) >= 1
+    assert len([r for r in rep.records if r.verdict is Verdict.DEADLOCK]) >= 1
+    assert len([r for r in rep.records if r.verdict is Verdict.TERMINATED]) >= 1
 
 
 def test_search_validates_first():
@@ -449,7 +449,8 @@ def wait_records(s):
 def test_wait_record_at_every_corpus_deadlock(corpus_entries):
     seen = {}
     for name, e in corpus_entries.items():
-        deadlocks = search(e.program(), e.nprocs).by_verdict(Verdict.DEADLOCK)
+        deadlocks = [r for r in search(e.program(), e.nprocs).records
+                     if r.verdict is Verdict.DEADLOCK]
         if deadlocks:
             [rec] = deadlocks
             seen[name] = (rec.model, wait_records(rec.final_state))

@@ -15,7 +15,7 @@ def search_records(entry):
 
 def test_fig1_deadlock_testcase_contents(corpus_entries):
     p, rep = search_records(corpus_entries["fig1-motivating"])
-    deadlock = rep.by_verdict(Verdict.DEADLOCK)[0]
+    deadlock = [r for r in rep.records if r.verdict is Verdict.DEADLOCK][0]
     tc = make_testcase(deadlock, p, 3)
     assert tc.model_dict() == {"X": 97}
     assert tc.verdict is Verdict.DEADLOCK
@@ -38,7 +38,7 @@ def test_empty_program_testcase_roundtrip(tmp_path):
 
 def test_fig4b_deadlock_records_wildcard_sender(corpus_entries):
     p, rep = search_records(corpus_entries["fig4b-eager"])
-    deadlock = rep.by_verdict(Verdict.DEADLOCK)[0]
+    deadlock = [r for r in rep.records if r.verdict is Verdict.DEADLOCK][0]
     tc = make_testcase(deadlock, p, 3)
     assert MatchEvent(2, 0, True) in tc.trace
 
@@ -54,7 +54,7 @@ def test_serialization_round_trips_every_corpus_path(corpus_entries):
 def test_fig1_deadlock_testcase_matches_golden(corpus_entries):
     from pathlib import Path
     p, rep = search_records(corpus_entries["fig1-motivating"])
-    deadlock = rep.by_verdict(Verdict.DEADLOCK)[0]
+    deadlock = [r for r in rep.records if r.verdict is Verdict.DEADLOCK][0]
     text = dumps(make_testcase(deadlock, p, 3))
     golden = Path(__file__).parent / "golden" / "fig1_deadlock.testcase"
     assert text == golden.read_text()
@@ -103,7 +103,7 @@ def test_replay_hash_mismatch(corpus_entries):
 
 def test_replay_truncated_trace_is_divergence(corpus_entries):
     p, rep = search_records(corpus_entries["fig1-motivating"])
-    deadlock = rep.by_verdict(Verdict.DEADLOCK)[0]
+    deadlock = [r for r in rep.records if r.verdict is Verdict.DEADLOCK][0]
     tc = make_testcase(deadlock, p, 3)
     truncated = replay.TestCase(
         program_hash=tc.program_hash, nprocs=tc.nprocs, model=tc.model,
@@ -168,7 +168,7 @@ program (nprocs = 2) {
 def corpus_case(corpus_entries, name, verdict):
     entry = corpus_entries[name]
     p, rep = search_records(entry)
-    return p, make_testcase(rep.by_verdict(verdict)[0], p, entry.nprocs)
+    return p, make_testcase([r for r in rep.records if r.verdict is verdict][0], p, entry.nprocs)
 
 
 def with_trace(tc, trace, model=None):
@@ -328,7 +328,7 @@ def test_replay_peer_out_of_range_or_self_diverges(sender, peer):
     """Rank 0 sends to the payload of its wildcard match: matching rank 2 or 3
     instead of rank 1 names itself or a rank that does not exist."""
     p = lang.parse_program(PEER_FROM_PAYLOAD)
-    [rec] = engine.search(p, 4).by_verdict(Verdict.DEADLOCK)
+    [rec] = [r for r in engine.search(p, 4).records if r.verdict is Verdict.DEADLOCK]
     tc = make_testcase(rec, p, 4)
     t = tc.trace
     k = t.index(MatchEvent(1, 0, True))
@@ -452,6 +452,8 @@ def test_trace_lines_with_other_spacing_still_load():
     (3, "nprocs ", "line 3: bad nprocs ''"),
     (3, "nprocs x", "line 3: bad nprocs 'x'"),
     (3, "nprocs 1.5", "line 3: bad nprocs '1.5'"),
+    (2, "program-hash", "missing program-hash/nprocs header"),
+    (3, "INPUT", "missing program-hash/nprocs header"),
 ])
 def test_malformed_header_messages(line_no, header, message):
     lines = (TRACE_HEAD + "VERDICT\nterminated\n").split("\n")

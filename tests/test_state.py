@@ -2,7 +2,7 @@ import pytest
 
 from mpisym import engine, lang, ops, replay, report, symbolic
 from mpisym.state import (BarrierRelease, BranchChoice, EngineError, MatchEvent,
-                          Status, StepEvent, Verdict, advance, assume,
+                          Status, StepEvent, Trace, Verdict, advance, assume,
                           eval_expr, fork, init_state, match_transfer, new_tuple,
                           waiting_in)
 from randprog import random_program
@@ -259,7 +259,7 @@ def test_match_transfer_binds_and_advances(fig1):
 def test_match_transfer_wildcard_flag(fig1):
     s = init_state(fig1, 3)
     run = engine.search(fig1, 3)
-    deadlock = run.by_verdict(Verdict.DEADLOCK)[0]
+    deadlock = [r for r in run.records if r.verdict is Verdict.DEADLOCK][0]
     assert MatchEvent(2, 1, True) in deadlock.trace
 
 
@@ -308,23 +308,62 @@ def test_trace_and_pc_are_prefix_monotone(rng):
             s = succs[rng.randrange(len(succs))]
 
 
-# -- constant-cost fork: shared trace cells and process states -----------------
+# -- cheap fork: shared frozen trace chunks and owned process states ------------
 
 
-def test_fork_shares_trace_cells(fig1):
+def test_fork_shares_frozen_trace_chunks(fig1):
     s = init_state(fig1, 3)
     for _ in range(5):
         s = engine.expand(s)[0]
-    n = len(s.trace)
+    before = tuple(s.trace)
     t = fork(s)
-    assert n > 5 and len(t.trace) == n
-    assert t.trace.head is s.trace.head
-    assert tuple(t.trace) == tuple(s.trace)
+    assert len(before) > 5 and len(t.trace) == len(s.trace) == len(before)
+    # the fork froze the parent's events into one chunk that both share
+    assert t.trace.chunks is s.trace.chunks and s.trace.chunks == (before,)
+    assert t.trace.tail == [] and s.trace.tail == []
+    # an append on either side never shows on the other
     t.trace.append(MatchEvent(0, 1, False))
-    assert t.trace.head[1] is s.trace.head
-    events = tuple(t.trace)
-    assert len(s.trace) == n and events[-1] == MatchEvent(0, 1, False)
-    assert events[:n] == tuple(s.trace) and events != tuple(s.trace)
+    s.trace.append(BarrierRelease(9))
+    assert tuple(t.trace) == before + (MatchEvent(0, 1, False),) and len(t.trace) == len(before) + 1
+    assert tuple(s.trace) == before + (BarrierRelease(9),) and len(s.trace) == len(before) + 1
+    # a fork of the fork freezes only the one event since, on that side alone
+    u = fork(t)
+    assert u.trace.chunks is t.trace.chunks and u.trace.chunks[0] is s.trace.chunks[0]
+    assert u.trace.chunks[1:] == ((MatchEvent(0, 1, False),),) and s.trace.chunks == (before,)
+    assert tuple(u.trace) == tuple(t.trace) and tuple(s.trace)[-1] == BarrierRelease(9)
+
+
+def test_fork_at_depth_copies_no_prefix(fig1):
+    s = init_state(fig1, 3)
+    for i in range(10_000):
+        s.trace.append(StepEvent(0, i))
+    t = fork(s)
+    [prefix] = s.trace.chunks
+    assert len(prefix) == 10_000 and t.trace.chunks[0] is prefix
+    forks = [t]
+    for i in range(50):  # each later fork freezes the one event since the last
+        s.trace.append(StepEvent(1, i))
+        forks.append(fork(s))
+    assert [len(c) for c in s.trace.chunks] == [10_000] + [1] * 50
+    for k, f in enumerate(forks):
+        assert all(c is d for c, d in zip(f.trace.chunks, s.trace.chunks))
+        assert len(f.trace.chunks) == k + 1 and len(f.trace) == 10_000 + k
+        assert tuple(f.trace)[-1] == (StepEvent(1, k - 1) if k else StepEvent(0, 9_999))
+
+
+def test_traces_match_plain_lists_under_random_appends_and_copies(rng):
+    traces, models = [Trace()], [[]]
+    for i in range(3000):
+        k = rng.randrange(len(traces))
+        if rng.random() < 0.2:
+            traces.append(traces[k].copy())
+            models.append(list(models[k]))
+        else:
+            traces[k].append(StepEvent(k, i))
+            models[k].append(StepEvent(k, i))
+    assert len(traces) > 400
+    for trace, model in zip(traces, models):
+        assert tuple(trace) == tuple(model) and len(trace) == len(model)
 
 
 EVENTS = [(StepEvent(0, 3), "StepEvent(rank=0, loc=3)"),
@@ -422,7 +461,9 @@ def test_wildcard_fork_replaces_only_the_pair(fig1):
         s = engine.expand(s)[-1]  # the X == 'a' side reaches the wildcard
     for t, (receiver, sender) in zip(engine.expand(fork(s)), pairs):
         assert _replaced(s, t) == {receiver, sender}
-        assert t.trace.head[1] is s.trace.head
+        # each pair's successor shares s's frozen events and adds only its match
+        assert t.trace.chunks is s.trace.chunks and s.trace.tail == []
+        assert t.trace.tail == [MatchEvent(sender, receiver, True)]
 
 
 def test_deep_path_has_no_recursion_limit(monkeypatch):

@@ -1,8 +1,11 @@
 """No exported API that nothing uses: every module-level function and class
-of `src/mpisym` is named somewhere in `src/mpisym` or `bench/` outside its
-own definition, and every dataclass field is read as an attribute there.
-Names that `bench/tracing.py` gives as strings (its rebinding TARGETS)
-count as uses.  What only tests use is listed below with its one user."""
+of `src/mpisym`, and every method of those classes other than a dunder, is
+read somewhere in `src/mpisym` or `bench/` outside its own definition, and
+every dataclass field is read as an attribute there.  A read is a variable
+in a load, an attribute or an import; a local or a parameter spelled the
+same is none.  Names that `bench/tracing.py` gives as strings (its
+rebinding TARGETS) count as uses.  What only tests use is listed below with
+its one user."""
 
 import ast
 from collections import Counter
@@ -13,9 +16,11 @@ import mpisym
 SRC = Path(mpisym.__file__).resolve().parent
 BENCH = SRC.parent.parent / "bench"
 
-#: "module.name" -> its only user, outside `src/mpisym` and `bench/`.
+#: "module.name" or "module.Class.method" -> its only user, outside
+#: `src/mpisym` and `bench/`.
 USED_ONLY_BY_TESTS = {
     "report.strip_volatile": "tests/test_report.py, to compare reports with goldens",
+    "state.GlobalState.snapshot": "tests/test_state.py, to see a fork leak into its parent",
 }
 
 
@@ -23,17 +28,48 @@ def parsed(paths):
     return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
 
 
+#: The nodes that open a scope of local names.
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp,
+          ast.DictComp, ast.GeneratorExp)
+
+
+def locals_of(scope) -> set:
+    """The names a scope binds itself: its parameters, the names it assigns
+    and the functions and classes it defines, not those of scopes nested
+    in it."""
+    bound = set()
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound
+
+
 def names_in(tree) -> Counter:
-    """How often a tree spells each name as a variable, an attribute or an
-    import."""
+    """How often a tree reads each name: as a variable in a load that no
+    enclosing function or comprehension binds itself, as an attribute or in
+    an import.  An assignment, or a local or parameter of the same spelling,
+    is no read of a module-level name."""
     found = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            found[node.id] += 1
+    stack = [(tree, frozenset())]
+    while stack:
+        node, shadowed = stack.pop()
+        if isinstance(node, SCOPES):
+            shadowed = shadowed | locals_of(node)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found[node.id] += node.id not in shadowed
         elif isinstance(node, ast.Attribute):
             found[node.attr] += 1
         elif isinstance(node, ast.alias):
             found[node.name.rpartition(".")[2]] += 1
+        stack.extend((child, shadowed) for child in ast.iter_child_nodes(node))
     return found
 
 
@@ -55,11 +91,14 @@ def test_every_module_level_name_and_dataclass_field_has_a_user():
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unused, listed = [], []
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for path, tree in src.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            where = f"{path.stem}.{node.name}"
+        found = [(f"{path.stem}.{node.name}", node) for node in tree.body
+                 if isinstance(node, defs)]
+        found += [(f"{where}.{method.name}", method) for where, node in found
+                  if isinstance(node, ast.ClassDef) for method in node.body
+                  if isinstance(method, defs) and not method.name.startswith("__")]
+        for where, node in found:
             used = node.name in as_strings or named[node.name] > names_in(node)[node.name]
             if where in USED_ONLY_BY_TESTS:
                 listed.append(where)
