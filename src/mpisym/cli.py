@@ -271,8 +271,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except lang.ParseError as exc:
-        return _fail(str(exc))
     except Exception as exc:  # RecursionError, EngineError, SolverError, ...
         message = " ".join(str(exc).splitlines())
         print(f"mpisym: internal error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -7,7 +7,6 @@ whose lines read ``name nprocs deadlock assertfail notes...``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import List, Optional
@@ -19,13 +18,14 @@ class CorpusError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    source: str
-    nprocs: int
-    deadlock_reachable: bool
-    assertfail_reachable: bool
+class CorpusEntry(lang.Record):
+    __slots__ = ("name", "source", "nprocs", "deadlock_reachable", "assertfail_reachable")
+
+    def __init__(self, name: str, source: str, nprocs: int, deadlock_reachable: bool,
+                 assertfail_reachable: bool):
+        self.name, self.source, self.nprocs = name, source, nprocs
+        self.deadlock_reachable = deadlock_reachable
+        self.assertfail_reachable = assertfail_reachable
 
     def program(self) -> lang.Program:
         return lang.parse_program(self.source)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import lang, ops, solver, symbolic
@@ -50,24 +49,27 @@ class ValidationFailure(Exception):
         self.findings = findings
 
 
-@dataclass
-class SearchStrategy:
-    order: str = "dfs"  # "dfs" | "bfs"
-    max_states: Optional[int] = None
-    max_depth: Optional[int] = None
+class SearchStrategy(lang.Record):
+    __slots__ = ("order", "max_states", "max_depth")
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.order not in ("dfs", "bfs"):
+    def __init__(self, order: str = "dfs", max_states: Optional[int] = None,
+                 max_depth: Optional[int] = None):
+        if order not in ("dfs", "bfs"):
             raise ValueError("order must be 'dfs' or 'bfs'")
-        if self.max_states is not None and self.max_states < 1:
+        if max_states is not None and max_states < 1:
             raise ValueError("max_states must be positive")
-        if self.max_depth is not None and self.max_depth < 1:
+        if max_depth is not None and max_depth < 1:
             raise ValueError("max_depth must be positive")
+        self.order, self.max_states, self.max_depth = order, max_states, max_depth
 
 
-@dataclass
-class SolverStats:
-    queries: int = 0
+class SolverStats(lang.Record):
+    __slots__ = ("queries",)
+    __hash__ = None
+
+    def __init__(self, queries: int = 0):
+        self.queries = queries
 
 
 #: What happens next in a state: the rank to run, the (receiver, sender)
@@ -75,16 +77,17 @@ class SolverStats:
 Schedule = Union[int, List[Tuple[int, int]], Verdict]
 
 
-@dataclass
-class PathRecord:
-    index: int
-    verdict: Verdict
-    pc: symbolic.PathCondition
-    model: Model
-    steps: int
-    final_state: GlobalState  # the terminal state, which holds the trace
-    fail_loc: Optional[int] = None
-    error: Optional[str] = None
+class PathRecord(lang.Record):
+    __slots__ = ("index", "verdict", "pc", "model", "steps", "final_state", "fail_loc", "error")
+    __hash__ = None
+
+    def __init__(self, index: int, verdict: Verdict, pc: symbolic.PathCondition, model: Model,
+                 steps: int, final_state: GlobalState, fail_loc: Optional[int] = None,
+                 error: Optional[str] = None):
+        self.index, self.verdict, self.pc, self.model = index, verdict, pc, model
+        self.steps = steps
+        self.final_state = final_state  # the terminal state, which holds the trace
+        self.fail_loc, self.error = fail_loc, error
 
     @property
     def trace(self) -> Tuple[TraceEvent, ...]:
@@ -92,13 +95,14 @@ class PathRecord:
         return tuple(self.final_state.trace)
 
 
-@dataclass
-class AnalysisReport:
-    records: List[PathRecord]
-    states_created: int
-    solver_queries: int
-    wall_time: float
-    truncated: bool = False
+class AnalysisReport(lang.Record):
+    __slots__ = ("records", "states_created", "solver_queries", "wall_time", "truncated")
+    __hash__ = None
+
+    def __init__(self, records: List[PathRecord], states_created: int, solver_queries: int,
+                 wall_time: float, truncated: bool = False):
+        self.records, self.states_created = records, states_created
+        self.solver_queries, self.wall_time, self.truncated = solver_queries, wall_time, truncated
 
     @property
     def counts(self) -> Dict[str, int]:

@@ -31,7 +31,6 @@ import collections
 import functools
 import operator
 import re
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Tuple, Union
 
@@ -53,115 +52,185 @@ class ParseError(LangError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+class Record:
+    """A value made of the fields that its class lists in ``__slots__`` and
+    sets in its own ``__init__``: equal to a record of its class with equal
+    fields, hashed over them and shown as ``Name(field=value, ...)``, as a
+    dataclass.  Creating the class generates no code, and no assignment is
+    guarded: nothing assigns to a hashed record's fields after ``__init__``.
+    A slot named "_..." is no field; a record changed in place sets
+    ``__hash__ = None``."""
+
+    __slots__ = ()
+
+    @property
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self.__slots__ if n[0] != "_"])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Bool:
+class Expr(Record):
+    """An expression node, which keeps the tuple of its fields, which
+    equality compares, and that tuple's hash from when it is built.  The
+    hash reads the children's kept hashes, so it never recurses, however
+    deep the node."""
+
+    __slots__ = ("_values", "_hash")
+
+    def __init__(self):  # `Rank` and `Nprocs`, which have no fields
+        self._values = ()
+        self._hash = hash(())
+
+    def __hash__(self):
+        return self._hash
+
+
+class Num(Expr):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+        self._values = (value,)
+        self._hash = hash(self._values)
+
+
+class Bool(Expr):
     """A boolean constant; only constant folding makes one."""
 
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        self.value = value
+        self._values = (value,)
+        self._hash = hash(self._values)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Expr):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+        self._values = (name,)
+        self._hash = hash(self._values)
 
 
-@dataclass(frozen=True)
-class Rank:
-    pass
+class Rank(Expr):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Nprocs:
-    pass
+class Nprocs(Expr):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "-" | "!"
-    operand: "Expr"
+class Unary(Expr):
+    __slots__ = ("op", "operand")  # op is "-" or "!"
+
+    def __init__(self, op: str, operand: Expr):
+        self.op, self.operand = self._values = (op, operand)
+        self._hash = hash(self._values)
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: "Expr"
-    right: "Expr"
+class Binary(Expr):
+    __slots__ = ("op", "left", "right")
 
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op, self.left, self.right = self._values = (op, left, right)
+        self._hash = hash(self._values)
 
-if TYPE_CHECKING:  # annotation-only: a runtime Union would pin these classes in typing's cache
-    Expr = Union[Num, Bool, Var, Rank, Nprocs, Unary, Binary]
 
 RANK = Rank()
 NPROCS = Nprocs()
 
 
-@dataclass(frozen=True)
-class Assign:
-    var: str
-    expr: Expr
-    line: int = field(default=0, compare=False)
+class Located(Record):
+    """A record whose last field is its source ``line``, which it shows but
+    neither compares nor hashes: so parse/pretty-print round-trips are exact."""
+
+    __slots__ = ()
+
+    @property
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self.__slots__[:-1]])
 
 
-@dataclass(frozen=True)
-class If:
-    cond: Expr
-    then_body: Tuple["Stmt", ...]
-    else_body: Tuple["Stmt", ...]
-    line: int = field(default=0, compare=False)
+class Assign(Located):
+    __slots__ = ("var", "expr", "line")
+
+    def __init__(self, var: str, expr: Expr, line: int = 0):
+        self.var, self.expr, self.line = var, expr, line
 
 
-@dataclass(frozen=True)
-class Send:
-    payload: Expr
-    dest: Expr
-    line: int = field(default=0, compare=False)
+class If(Located):
+    __slots__ = ("cond", "then_body", "else_body", "line")
+
+    def __init__(self, cond: Expr, then_body: Tuple[Stmt, ...], else_body: Tuple[Stmt, ...],
+                 line: int = 0):
+        self.cond, self.then_body, self.else_body, self.line = cond, then_body, else_body, line
 
 
-@dataclass(frozen=True)
-class Recv:
-    var: str
-    src: Optional[Expr]  # None receives from any sender
-    line: int = field(default=0, compare=False)
+class Send(Located):
+    __slots__ = ("payload", "dest", "line")
+
+    def __init__(self, payload: Expr, dest: Expr, line: int = 0):
+        self.payload, self.dest, self.line = payload, dest, line
 
 
-@dataclass(frozen=True)
-class Barrier:
-    line: int = field(default=0, compare=False)
+class Recv(Located):
+    __slots__ = ("var", "src", "line")
+
+    def __init__(self, var: str, src: Optional[Expr], line: int = 0):  # src None: any sender
+        self.var, self.src, self.line = var, src, line
 
 
-@dataclass(frozen=True)
-class Assert:
-    cond: Expr
-    line: int = field(default=0, compare=False)
+class Barrier(Located):
+    __slots__ = ("line",)
+
+    def __init__(self, line: int = 0):
+        self.line = line
 
 
-@dataclass(frozen=True)
-class Exit:
-    line: int = field(default=0, compare=False)
+class Assert(Located):
+    __slots__ = ("cond", "line")
+
+    def __init__(self, cond: Expr, line: int = 0):
+        self.cond, self.line = cond, line
+
+
+class Exit(Located):
+    __slots__ = ("line",)
+
+    def __init__(self, line: int = 0):
+        self.line = line
 
 
 if TYPE_CHECKING:
     Stmt = Union[Assign, If, Send, Recv, Barrier, Assert, Exit]
 
 
-@dataclass(frozen=True)
-class SymDecl:
-    name: str
-    lo: int
-    hi: int
-    line: int = field(default=0, compare=False)
+class SymDecl(Located):
+    __slots__ = ("name", "lo", "hi", "line")
+
+    def __init__(self, name: str, lo: int, hi: int, line: int = 0):
+        self.name, self.lo, self.hi, self.line = name, lo, hi, line
 
 
-@dataclass(frozen=True)
-class Program:
-    decls: Tuple[SymDecl, ...]
-    nprocs_default: int
-    body: Tuple[Stmt, ...]
+class Program(Record):
+    __slots__ = ("decls", "nprocs_default", "body", "_derived")
+
+    def __init__(self, decls: Tuple[SymDecl, ...], nprocs_default: int, body: Tuple[Stmt, ...]):
+        self.decls, self.nprocs_default, self.body = decls, nprocs_default, body
+        self._derived: dict = {}
 
     def sym_names(self) -> frozenset:
         return frozenset(d.name for d in self.decls)
@@ -170,7 +239,7 @@ class Program:
 def derived(program: Program, make, *args):
     """``make(program, *args)``, computed once and kept on the program, which
     is immutable: its canonical hash, lowered form and validation findings."""
-    memo = program.__dict__.setdefault("_derived", {})
+    memo = program._derived
     key = (make, *args)
     if key not in memo:
         memo[key] = make(program, *args)
@@ -523,11 +592,11 @@ MAX_DOMAIN_WIDTH = 1 << 16
 MAX_NPROCS = 1024
 
 
-@dataclass(frozen=True)
-class Finding:
-    kind: str
-    message: str
-    line: int
+class Finding(Record):
+    __slots__ = ("kind", "message", "line")
+
+    def __init__(self, kind: str, message: str, line: int):
+        self.kind, self.message, self.line = kind, message, line
 
 
 #: The operators with an integer result; every other one yields a bool.

@@ -23,18 +23,17 @@ expression can share its id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from . import lang, symbolic
 
 
-@dataclass(frozen=True)
-class OpBranch:
-    cond: lang.Expr
-    true_target: int
-    false_target: Optional[int]  # None: an assertion, which fails here
-    line: int
+class OpBranch(lang.Record):
+    __slots__ = ("cond", "true_target", "false_target", "line")
+
+    def __init__(self, cond: lang.Expr, true_target: int, false_target: Optional[int], line: int):
+        self.cond, self.true_target, self.line = cond, true_target, line
+        self.false_target = false_target  # None: an assertion, which fails here
 
 
 #: The fields of each kind of statement in the table that hold an operand.
@@ -42,17 +41,19 @@ _OPERANDS = {lang.Assign: ("expr",), OpBranch: ("cond",), lang.Send: ("payload",
              lang.Recv: ("src",)}
 
 
-@dataclass(frozen=True)
-class _Jump:
-    target: int
+class _Jump(lang.Record):
+    __slots__ = ("target",)
+
+    def __init__(self, target: int):
+        self.target = target
 
 
-@dataclass(frozen=True)
-class CompiledProgram:
-    ops: Tuple
-    next_of: Tuple[int, ...]
-    domains: Dict[str, Tuple[int, int]]
-    closed: FrozenSet[int]  # ids of the operands that read no local
+class CompiledProgram(lang.Record):
+    __slots__ = ("ops", "next_of", "domains", "closed")
+
+    def __init__(self, ops: Tuple, next_of: Tuple[int, ...], domains: Dict[str, Tuple[int, int]],
+                 closed: FrozenSet[int]):  # the ids of the operands that read no local
+        self.ops, self.next_of, self.domains, self.closed = ops, next_of, domains, closed
 
     @property
     def end(self) -> int:

@@ -49,7 +49,6 @@ terminals are compared in, is computed for terminal states only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from . import engine, lang, ops
@@ -69,26 +68,29 @@ class BoundExceeded(OracleError):
 # -- global actions -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SR:
-    sender: int
-    receiver: int
+class SR(lang.Record):
+    __slots__ = ("sender", "receiver")
+
+    def __init__(self, sender: int, receiver: int):
+        self.sender, self.receiver = sender, receiver
 
 
-@dataclass(frozen=True)
-class SRStar:
-    sender: int
-    receiver: int
+class SRStar(lang.Record):
+    __slots__ = ("sender", "receiver")
+
+    def __init__(self, sender: int, receiver: int):
+        self.sender, self.receiver = sender, receiver
 
 
-@dataclass(frozen=True)
-class B:
-    pass
+class B(lang.Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Local:
-    rank: int
+class Local(lang.Record):
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: int):
+        self.rank = rank
 
 
 GlobalAction = object
@@ -242,10 +244,12 @@ def apply(s: ConcreteState, action: GlobalAction) -> ConcreteState:
 # -- exhaustive exploration -----------------------------------------------------
 
 
-@dataclass
-class OracleResult:
-    terminals: Dict[tuple, Tuple[str, int]]  # canonical -> (tag, shortest length)
-    visited: int
+class OracleResult(lang.Record):
+    __slots__ = ("terminals", "visited")
+    __hash__ = None
+
+    def __init__(self, terminals: Dict[tuple, Tuple[str, int]], visited: int):
+        self.terminals, self.visited = terminals, visited  # canonical -> (tag, shortest length)
 
     @property
     def deadlock_reachable(self) -> bool:
@@ -378,15 +382,20 @@ def engine_terminal_canonical(record: engine.PathRecord, model: Model) -> tuple:
     return canonical_key([p.pc_loc for p in procs], envs)
 
 
-@dataclass
-class TheoremVerdict:
-    holds: bool
-    model: Model
-    issues: List[str] = field(default_factory=list)
-    engine_deadlocks: Dict[tuple, FrozenSet[int]] = field(default_factory=dict)
-    oracle_deadlocks: Dict[tuple, FrozenSet[int]] = field(default_factory=dict)
-    engine_states: int = 0
-    oracle_states: int = 0
+class TheoremVerdict(lang.Record):
+    __slots__ = ("holds", "model", "issues", "engine_deadlocks", "oracle_deadlocks",
+                 "engine_states", "oracle_states")
+    __hash__ = None
+
+    def __init__(self, holds: bool, model: Model, issues: Optional[List[str]] = None,
+                 engine_deadlocks: Optional[Dict[tuple, FrozenSet[int]]] = None,
+                 oracle_deadlocks: Optional[Dict[tuple, FrozenSet[int]]] = None,
+                 engine_states: int = 0, oracle_states: int = 0):
+        self.holds, self.model = holds, model
+        self.issues = [] if issues is None else issues
+        self.engine_deadlocks = {} if engine_deadlocks is None else engine_deadlocks
+        self.oracle_deadlocks = {} if oracle_deadlocks is None else oracle_deadlocks
+        self.engine_states, self.oracle_states = engine_states, oracle_states
 
 
 def check_theorem(program: lang.Program, nprocs: int, model: Model, state_bound: int = 200_000,

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -70,14 +69,13 @@ def _sha256(program: lang.Program) -> str:
     return hashlib.sha256(lang.pretty_print(program).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class TestCase:
-    program_hash: str
-    nprocs: int
-    model: Tuple[Tuple[str, int], ...]
-    trace: Tuple
-    verdict: Verdict
-    fail_loc: Optional[int] = None
+class TestCase(lang.Record):
+    __slots__ = ("program_hash", "nprocs", "model", "trace", "verdict", "fail_loc")
+
+    def __init__(self, program_hash: str, nprocs: int, model: Tuple[Tuple[str, int], ...],
+                 trace: Tuple, verdict: Verdict, fail_loc: Optional[int] = None):
+        self.program_hash, self.nprocs, self.model = program_hash, nprocs, model
+        self.trace, self.verdict, self.fail_loc = trace, verdict, fail_loc
 
     def model_dict(self) -> Dict[str, int]:
         return dict(self.model)
@@ -271,21 +269,25 @@ def load_testcase(path) -> TestCase:
 # -- concrete replay ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Divergence:
-    event_index: int  # number of events consumed when replay diverged
-    expected: str
-    observed: str
+class Divergence(lang.Record):
+    __slots__ = ("event_index", "expected", "observed")
+
+    def __init__(self, event_index: int, expected: str, observed: str):
+        # event_index: the number of events consumed when replay diverged
+        self.event_index, self.expected, self.observed = event_index, expected, observed
 
     def __str__(self):
         return f"event {self.event_index}: expected {self.expected}, observed {self.observed}"
 
 
-@dataclass
-class ReplayResult:
-    verdict: Optional[Verdict]
-    expected: Verdict
-    divergences: List[Divergence] = field(default_factory=list)
+class ReplayResult(lang.Record):
+    __slots__ = ("verdict", "expected", "divergences")
+    __hash__ = None
+
+    def __init__(self, verdict: Optional[Verdict], expected: Verdict,
+                 divergences: Optional[List[Divergence]] = None):
+        self.verdict, self.expected = verdict, expected
+        self.divergences = [] if divergences is None else divergences
 
     @property
     def ok(self) -> bool:

@@ -56,10 +56,9 @@ from itertools import islice
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import lang, symbolic
-from .lang import Binary, Num, Var
+from .lang import Binary, Expr, Num, Var
 
 if TYPE_CHECKING:
-    from .lang import Expr
     from .symbolic import PathCondition
 
 Domains = Dict[str, Tuple[int, int]]  # declaration-ordered

@@ -40,13 +40,12 @@ import collections
 import enum
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from . import lang, ops, symbolic
+from .lang import Expr
 
 if TYPE_CHECKING:
-    from .lang import Expr
     from .solver import Model
 
 
@@ -131,15 +130,21 @@ class Trace:
         return itertools.chain(*self.chunks, self.tail)
 
 
-@dataclass(slots=True)
-class ProcState:
-    """One process: a record that its state owns and writes in place."""
+class ProcState(lang.Record):
+    """One process: a record that its state owns and writes in place.  Each
+    fork copies it, so `__init__` sets one field a statement, which on
+    Python 3.11 is faster than unpacking a tuple of five."""
 
-    rank: int
-    pc_loc: int
-    env: Dict[str, Expr]
-    status: Status
-    blocked_on: Optional[int]  # the peer of a sleeping send or named receive
+    __slots__ = ("rank", "pc_loc", "env", "status", "blocked_on")
+    __hash__ = None
+
+    def __init__(self, rank: int, pc_loc: int, env: Dict[str, Expr], status: Status,
+                 blocked_on: Optional[int]):
+        self.rank = rank
+        self.pc_loc = pc_loc
+        self.env = env
+        self.status = status
+        self.blocked_on = blocked_on  # the peer of a sleeping send or named receive
 
     def copy(self) -> "ProcState":
         return ProcState(self.rank, self.pc_loc, self.env.copy(), self.status, self.blocked_on)

@@ -15,12 +15,10 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Mapping, Tuple
 
-from .lang import (ARITH_OPS, BINARY_OPS, Algebra, Binary, Bool, Num, Unary, Var,
+from .lang import (ARITH_OPS, BINARY_OPS, Algebra, Binary, Bool, Expr, Num, Unary, Var,
                    evaluate, expr_source, sort_of)
 
 if TYPE_CHECKING:
-    from .lang import Expr
-
     #: Conjunction of boolean terms; grown only by appending.
     PathCondition = Tuple[Expr, ...]
 

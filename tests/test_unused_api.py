@@ -1,11 +1,11 @@
 """No exported API that nothing uses: every module-level function and class
 of `src/mpisym`, and every method of those classes other than a dunder, is
 read somewhere in `src/mpisym` or `bench/` outside its own definition, and
-every dataclass field is read as an attribute there.  A read is a variable
-in a load, an attribute or an import; a local or a parameter spelled the
-same is none.  Names that `bench/tracing.py` gives as strings (its
-rebinding TARGETS) count as uses.  What only tests use is listed below with
-its one user."""
+every field of a record (a `lang.Record`) is read as an attribute there.  A
+read is a variable in a load, an attribute or an import; a local or a
+parameter spelled the same is none.  Names that `bench/tracing.py` gives as
+strings (its rebinding TARGETS) count as uses.  What only tests use is
+listed below with its one user."""
 
 import ast
 from collections import Counter
@@ -73,16 +73,30 @@ def names_in(tree) -> Counter:
     return found
 
 
-def is_dataclass(cls: ast.ClassDef) -> bool:
-    for deco in cls.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        if (target.id if isinstance(target, ast.Name) else getattr(target, "attr", "")) \
-                == "dataclass":
-            return True
-    return False
+def record_fields(trees) -> dict:
+    """Each record class of `src/mpisym` ("module.Class") -> the fields it
+    lists in ``__slots__``.  A record derives from `lang.Record`, directly or
+    through a class that does; a class that other records derive from is a
+    base, not a record.  A slot whose name starts with "_" is no field."""
+    classes = [(path.stem, node, {getattr(base, "id", getattr(base, "attr", None))
+                                  for base in node.bases})
+               for path, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.ClassDef)]
+    derived = {"Record"}
+    while True:
+        more = {node.name for _, node, bases in classes if bases & derived} - derived
+        if not more:
+            break
+        derived |= more
+    bases = set().union(*(bases for _, _, bases in classes))
+    return {f"{module}.{node.name}": [elt.value for stmt in node.body
+                                      if isinstance(stmt, ast.Assign)
+                                      and getattr(stmt.targets[0], "id", "") == "__slots__"
+                                      for elt in stmt.value.elts if elt.value[0] != "_"]
+            for module, node, _ in classes if node.name in derived - bases}
 
 
-def test_every_module_level_name_and_dataclass_field_has_a_user():
+def test_every_module_level_name_and_record_field_has_a_user():
     src = parsed(sorted(SRC.glob("*.py")))
     trees = {**src, **parsed(sorted(BENCH.rglob("*.py")))}
     as_strings = {node.value for node in ast.walk(trees[BENCH / "tracing.py"])
@@ -105,10 +119,9 @@ def test_every_module_level_name_and_dataclass_field_has_a_user():
                 assert not used, f"{where} has a user now: drop it from the list"
             elif not used:
                 unused.append(where)
-            if isinstance(node, ast.ClassDef) and is_dataclass(node):
-                unused += [f"{where}.{field.target.id}" for field in node.body
-                           if isinstance(field, ast.AnnAssign)
-                           and isinstance(field.target, ast.Name)
-                           and field.target.id not in read]
+    records = record_fields(src)
+    unused += [f"{where}.{name}" for where, fields in records.items()
+               for name in fields if name not in read]
     assert unused == []
     assert sorted(listed) == sorted(USED_ONLY_BY_TESTS)
+    assert len(records) == 35  # a record the search misses would go unchecked
