@@ -22,7 +22,9 @@ The expression nodes are also the engine's symbolic terms (built by
 `symbolic`): a term is an expression over the declared inputs, in which
 `Var` names an input, and `Bool` (never produced by the parser) is a
 folded boolean constant.  `sort_of`, `expr_source` and `evaluate` serve
-both.
+both.  A node is built once per class and fields while it lives
+(`Expr`), so equal expressions are one object, and each keeps `free`, the
+names it reads.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import collections
 import functools
 import operator
 import re
+import weakref
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Tuple, Union
 
@@ -54,12 +57,12 @@ class ParseError(LangError):
 
 class Record:
     """A value made of the fields that its class lists in ``__slots__`` and
-    sets in its own ``__init__``: equal to a record of its class with equal
-    fields, hashed over them and shown as ``Name(field=value, ...)``, as a
-    dataclass.  Creating the class generates no code, and no assignment is
-    guarded: nothing assigns to a hashed record's fields after ``__init__``.
-    A slot named "_..." is no field; a record changed in place sets
-    ``__hash__ = None``."""
+    sets in its own ``__init__`` (an `Expr`, in `Expr.__new__`): equal to a
+    record of its class with equal fields, hashed over them and shown as
+    ``Name(field=value, ...)``, as a dataclass.  Creating the class
+    generates no code, and no assignment is guarded: nothing assigns to a
+    hashed record's fields after it is built.  A slot named "_..." is no
+    field; a record changed in place sets ``__hash__ = None``."""
 
     __slots__ = ()
 
@@ -80,29 +83,42 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+#: (class, *fields) -> the live node with those fields, for the whole
+#: process; a child in a key compares by identity, as every node does.  The
+#: check-then-insert in `Expr.__new__` is not locked: no two threads build
+#: nodes.
+_NODES = weakref.WeakValueDictionary()
+_NO_NAMES = frozenset()
+
+
 class Expr(Record):
-    """An expression node, which keeps the tuple of its fields, which
-    equality compares, and that tuple's hash from when it is built.  The
-    hash reads the children's kept hashes, so it never recurses, however
-    deep the node."""
+    """An expression node; at most one is alive per class and fields
+    (hash-consing, after Filliâtre & Conchon).  Building a node whose twin
+    is alive returns the twin, so two nodes are equal exactly when they are
+    one node: `==` and `hash` are `object`'s, and never recurse however
+    deep the node.  Each node keeps `free`, the names its `Var` leaves
+    read, computed once from its children's."""
 
-    __slots__ = ("_values", "_hash")
+    __slots__ = ("free", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self):  # `Rank` and `Nprocs`, which have no fields
-        self._values = ()
-        self._hash = hash(())
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            free = _NO_NAMES
+            for name, value in zip(cls.__slots__, fields):
+                setattr(node, name, value)
+                if isinstance(value, Expr) and not value.free <= free:
+                    free = free | value.free if free else value.free
+            node.free = frozenset(fields) if cls is Var else free
+        return node
 
 
 class Num(Expr):
     __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-        self._values = (value,)
-        self._hash = hash(self._values)
 
 
 class Bool(Expr):
@@ -110,19 +126,9 @@ class Bool(Expr):
 
     __slots__ = ("value",)
 
-    def __init__(self, value: bool):
-        self.value = value
-        self._values = (value,)
-        self._hash = hash(self._values)
-
 
 class Var(Expr):
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-        self._values = (name,)
-        self._hash = hash(self._values)
 
 
 class Rank(Expr):
@@ -136,17 +142,9 @@ class Nprocs(Expr):
 class Unary(Expr):
     __slots__ = ("op", "operand")  # op is "-" or "!"
 
-    def __init__(self, op: str, operand: Expr):
-        self.op, self.operand = self._values = (op, operand)
-        self._hash = hash(self._values)
-
 
 class Binary(Expr):
     __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: Expr, right: Expr):
-        self.op, self.left, self.right = self._values = (op, left, right)
-        self._hash = hash(self._values)
 
 
 RANK = Rank()

@@ -15,17 +15,16 @@ that are resolved away at lowering time, so a cursor never rests on one:
 first statement or a leading `if`'s branch, never a jump, so every cursor
 starts at 0.
 
-`closed` holds the `id()` of each operand that reads no local, only
-declared inputs.  No environment binds an input (validation rejects it), so
-its term depends on the rank alone; the table keeps it alive, so no other
-expression can share its id.
+`closed` holds each operand that reads no local, only declared inputs (its
+`free` names are all declared).  No environment binds an input (validation
+rejects it), so its term depends on the rank alone.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from . import lang, symbolic
+from . import lang
 
 
 class OpBranch(lang.Record):
@@ -52,7 +51,7 @@ class CompiledProgram(lang.Record):
     __slots__ = ("ops", "next_of", "domains", "closed")
 
     def __init__(self, ops: Tuple, next_of: Tuple[int, ...], domains: Dict[str, Tuple[int, int]],
-                 closed: FrozenSet[int]):  # the ids of the operands that read no local
+                 closed: FrozenSet[lang.Expr]):  # the operands that read no local
         self.ops, self.next_of, self.domains, self.closed = ops, next_of, domains, closed
 
     @property
@@ -117,6 +116,5 @@ def _lower(program: lang.Program) -> CompiledProgram:
     next_of = tuple(_resolve(raw, i + 1) for i in range(len(ops)))
     domains = {d.name: (d.lo, d.hi) for d in program.decls}
     operands = [getattr(op, name) for op in ops for name in _OPERANDS.get(type(op), ())]
-    closed = frozenset(id(e) for e in operands
-                       if e is not None and symbolic.free_syms(e) <= domains.keys())
+    closed = frozenset(e for e in operands if e is not None and e.free <= domains.keys())
     return CompiledProgram(tuple(ops), next_of, domains, closed)

@@ -9,8 +9,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import engine, oracle, symbolic
-from .state import (BarrierRelease, BranchChoice, MatchEvent, StepEvent,
-                    Verdict)
+from .state import BarrierRelease, MatchEvent, StepEvent, Verdict
 
 #: Rendering order of verdict counters in the summary line.
 _VERDICT_ORDER = (Verdict.TERMINATED, Verdict.DEADLOCK, Verdict.ASSERT_FAIL,
@@ -32,9 +31,8 @@ def event_text(ev, compiled) -> str:
         return f"match {ev.sender}->{ev.receiver}{suffix}"
     if isinstance(ev, BarrierRelease):
         return f"barrier release #{ev.epoch}"
-    if isinstance(ev, BranchChoice):
-        return f"branch @L{compiled.ops[ev.loc].line} {'true' if ev.taken else 'false'}"
-    return repr(ev)
+    # the fourth kind, a BranchChoice
+    return f"branch @L{compiled.ops[ev.loc].line} {'true' if ev.taken else 'false'}"
 
 
 def _summary_line(report: engine.AnalysisReport) -> str:

@@ -5,15 +5,17 @@ path condition runs in three stages, and a fourth, after the argument for
 smallest models, lets the engine skip most searches:
 
 1. Pre-pass.  Top-level conjunctions are flattened and repeated conjuncts
-   dropped.  A conjunct present together with its `symbolic.negate` refutes
-   the query at once.  An interval pass then evaluates every conjunct over
-   the input intervals (`lang.evaluate` over `INTERVALS`), discarding
-   conjuncts that hold on the whole domain box and refuting the query on
-   one that holds nowhere in it.
+   dropped; equal terms are one node, so a repeat is found by identity.  A
+   conjunct present together with its `symbolic.negate` refutes the query
+   at once.  An interval pass then evaluates every conjunct over the input
+   intervals (`lang.evaluate` over `INTERVALS`), discarding conjuncts that
+   hold on the whole domain box and refuting the query on one that holds
+   nowhere in it.
 2. Components.  The remaining conjuncts are split into groups that share
-   no variables (constraint independence, as in KLEE), and each group is
-   solved on its own variables only.  A conflict in one group is then found
-   without enumerating the domains of the others.
+   no variables (constraint independence, as in KLEE), read from each
+   term's kept `free`, and each group is solved on its own variables only.
+   A conflict in one group is then found without enumerating the domains
+   of the others.
 3. Backtracking.  One generator assigns a group's variables in declaration
    order, ascending, checking each conjunct as soon as its variables are
    bound, so it yields models in ascending lexicographic order.  A
@@ -154,7 +156,7 @@ PYTHON = lang.Algebra(
 @functools.lru_cache(maxsize=1024)
 def _check(bucket: Tuple[Expr, ...]) -> Callable[[Model], bool]:
     """`lambda a: all(lang.evaluate(c, a) for c in bucket)`, compiled from syntax, not text."""
-    names = frozenset().union(*map(symbolic.free_syms, bucket))
+    names = frozenset().union(*[c.free for c in bucket])
     terms = [lang.evaluate(c, {}, 0, 0, names, PYTHON) for c in bucket or (symbolic.TRUE,)]
     body = ast.BoolOp(ast.And(), terms, **_AT) if len(terms) > 1 else terms[0]
     args = ast.arguments([], [ast.arg("a", **_AT)], None, [], [], None, [])  # of `lambda a:`
@@ -165,36 +167,32 @@ def _check(bucket: Tuple[Expr, ...]) -> Callable[[Model], bool]:
 # -- pre-pass, components, backtracking ---------------------------------------
 
 
-if TYPE_CHECKING:
-    Conjuncts = List[Tuple[Expr, frozenset]]  # each with its free variables
-
-
-def _prepare(pc: PathCondition, domains: Domains) -> Optional[Conjuncts]:
+def _prepare(pc: PathCondition, domains: Domains) -> Optional[List[Expr]]:
     """The conjuncts of `pc` that no pre-pass decides, each once, in first
-    occurrence order and with its free variables; None when a pre-pass
-    refutes `pc`.  Malformed queries raise even when they are refutable."""
-    conjuncts = {c: symbolic.free_syms(c) for c in _flatten(pc)}
-    for c, names in conjuncts.items():
+    occurrence order; None when a pre-pass refutes `pc`.  Malformed
+    queries raise even when they are refutable."""
+    conjuncts = dict.fromkeys(_flatten(pc))
+    for c in conjuncts:
         # checked here because `negate` below rejects integer terms
         if lang.sort_of(c) != "bool":
             raise SolverError(f"not a boolean expression: {c!r}")
-        for name in names:
+        for name in c.free:
             if name not in domains:
                 raise SolverError(f"undeclared symbolic input {name!r}")
     if any(symbolic.negate(c) in conjuncts for c in conjuncts):
         return None
     undecided = []
-    for c, names in conjuncts.items():
+    for c in conjuncts:
         always, sometimes = lang.evaluate(c, {}, 0, 0, domains, INTERVALS)
         if not sometimes:
             return None
         if not always:
-            undecided.append((c, names))
+            undecided.append(c)
     return undecided
 
 
-def _components(conjuncts: Conjuncts,
-                domains: Domains) -> List[Tuple[List[str], Conjuncts]]:
+def _components(conjuncts: List[Expr],
+                domains: Domains) -> List[Tuple[List[str], List[Expr]]]:
     """Group the conjuncts so that no two groups share a variable.  Each
     group comes with its variables in declaration order."""
     parent: Dict[str, str] = {}
@@ -204,26 +202,26 @@ def _components(conjuncts: Conjuncts,
             name = parent[name]
         return name
 
-    for _, names in conjuncts:
-        first, *rest = names
+    for c in conjuncts:
+        first, *rest = c.free
         for name in rest:
             parent[find(name)] = find(first)
-    groups: Dict[str, Conjuncts] = {}
-    for c, names in conjuncts:
-        groups.setdefault(find(next(iter(names))), []).append((c, names))
+    groups: Dict[str, List[Expr]] = {}
+    for c in conjuncts:
+        groups.setdefault(find(next(iter(c.free))), []).append(c)
     return [([n for n in domains if n in parent and find(n) == root], group)
             for root, group in groups.items()]
 
 
-def _models(conjuncts: Conjuncts, names: List[str],
+def _models(conjuncts: List[Expr], names: List[str],
             domains: Domains) -> Iterator[Model]:
     """Every assignment to `names` that satisfies all `conjuncts`, in
     ascending lexicographic order of `names`.  Each conjunct is checked as
     soon as its last variable is bound."""
     index = {name: i for i, name in enumerate(names)}
     buckets: List[List[Expr]] = [[] for _ in names]
-    for c, syms in conjuncts:
-        buckets[max(index[n] for n in syms)].append(c)
+    for c in conjuncts:
+        buckets[max(index[n] for n in c.free)].append(c)
     checks = [_check(tuple(bucket)) for bucket in buckets]
     assignment: Model = {}
 
@@ -256,7 +254,7 @@ def _solve(pc: PathCondition, domains: Domains,
         touched = None
     else:
         model = dict(known)
-        touched = symbolic.free_syms(pc[-1])
+        touched = pc[-1].free
     for names, group in _components(conjuncts, domains):
         if touched is not None and touched.isdisjoint(names):
             continue
@@ -305,7 +303,7 @@ def check_entailed_constant(pc: PathCondition, e: Expr, domains: Domains,
         raise SolverError("entailment check needs an integer-sorted expression")
     if isinstance(e, Num):
         return e.value
-    for name in symbolic.free_syms(e):
+    for name in e.free:
         if name not in domains:
             raise SolverError(f"undeclared symbolic input {name!r}")
     if model is None:

@@ -24,8 +24,9 @@ A process's environment binds its locals to terms, and `eval_expr` turns
 an expression into its term with the one evaluator, `lang.evaluate`, over
 `symbolic.TERMS`.  The term of an operand that reads no local
 (`CompiledProgram.closed`) depends on the rank alone, so it is built once
-per rank and kept in `terms`, the one table a fork shares and writes in
-place: every entry holds for every state of the search.
+per rank and kept in `terms`, keyed by the operand's node and the rank, the
+one table a fork shares and writes in place: every entry holds for every
+state of the search.  Equal operands are one node, so they share an entry.
 
 The `Status` members and `Verdict.RUNNING` are also bound to module names
 (`ACTIVE`, `INACTIVE`, `EXITED`, `RUNNING`), and this module and the
@@ -154,7 +155,8 @@ class ProcState(lang.Record):
                 self.status, self.blocked_on)
 
 
-_num = functools.lru_cache(maxsize=None)(lang.Num)  # rank and nprocs as terms
+#: Rank and nprocs as terms, with no node-table lookup per `eval_expr`.
+_num = functools.lru_cache(maxsize=None)(lang.Num)
 
 
 class GlobalState:
@@ -176,7 +178,7 @@ class GlobalState:
         self.fail_loc: Optional[int] = None
         self.error: Optional[str] = None
         self.depth = 0
-        self.terms: Dict[tuple, Expr] = {}  # (closed operand id, rank) -> its term
+        self.terms: Dict[tuple, Expr] = {}  # (closed operand, rank) -> its term
 
     def snapshot(self):
         """Structural fingerprint used by tests to detect cross-fork leaks."""
@@ -213,7 +215,7 @@ def eval_expr(s: GlobalState, rank: int, e: Expr) -> Expr:
     """The folded term of a surface expression in a process context
     (`lang.evaluate` over `symbolic.TERMS`); an operand that reads no local
     is evaluated once per rank and then read from `s.terms`."""
-    key = (id(e), rank)  # only closed operands, which stay alive, have entries
+    key = (e, rank)
     term = s.terms.get(key)
     if term is None:
         try:
@@ -221,7 +223,7 @@ def eval_expr(s: GlobalState, rank: int, e: Expr) -> Expr:
                                  s.compiled.domains, symbolic.TERMS)
         except lang.LangError as exc:
             raise EngineError(f"{exc} (validation should reject this)") from None
-        if key[0] in s.compiled.closed:
+        if e in s.compiled.closed:
             s.terms[key] = term
     return term
 

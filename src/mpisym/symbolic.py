@@ -2,11 +2,13 @@
 
 Values flowing through the engine are terms: `lang` expression nodes whose
 leaves are constants (`Num`, or `Bool`, which only folding makes) and
-`Var`s, each naming a declared symbolic input.  The constructors here
-constant-fold, so a term with no input leaves is always a single constant
-node.  `lang.sort_of`, `lang.expr_source` and `lang.evaluate` serve terms
-as they serve surface expressions, and `lang.evaluate` over `TERMS` turns
-a surface expression into its term.  A path condition is an append-only
+`Var`s, each naming a declared symbolic input.  Equal terms are one node
+(`lang.Expr`), so term equality is identity, and a term's `free` holds the
+inputs it reads.  The constructors here constant-fold, so a term with no
+input leaves is always a single constant node.  `lang.sort_of`,
+`lang.expr_source` and `lang.evaluate` serve terms as they serve surface
+expressions, and `lang.evaluate` over `TERMS` turns a surface expression
+into its term.  A path condition is an append-only
 conjunction of boolean-sorted terms.
 """
 
@@ -15,8 +17,8 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Mapping, Tuple
 
-from .lang import (ARITH_OPS, BINARY_OPS, Algebra, Binary, Bool, Expr, Num, Unary, Var,
-                   evaluate, expr_source, sort_of)
+from .lang import (ARITH_OPS, BINARY_OPS, Algebra, Binary, Bool, Expr, Num, Unary, evaluate,
+                   expr_source, sort_of)
 
 if TYPE_CHECKING:
     #: Conjunction of boolean terms; grown only by appending.
@@ -88,16 +90,6 @@ def negate(e: Expr) -> Expr:
     if sort_of(e) != "bool":
         raise SymbolicError("negate needs a boolean operand")
     return Unary("!", e)
-
-
-def free_syms(e: Expr) -> frozenset:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Unary):
-        return free_syms(e.operand)
-    if isinstance(e, Binary):
-        return free_syms(e.left) | free_syms(e.right)
-    return frozenset()
 
 
 #: Folded terms: `evaluate(e, env, Num(rank), Num(nprocs), inputs, TERMS)` is

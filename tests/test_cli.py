@@ -632,6 +632,20 @@ def test_deep_terms_are_decided_by_the_box_walk(capsys, tmp_path, monkeypatch,
     assert any(bucket for bucket in compiled)
 
 
+def test_equal_deep_terms_of_two_ranks_end_in_a_verdict(capsys, tmp_path):
+    """Each rank folds its own `acc` chain, 600 terms deep, into its branch
+    condition.  The two chains are one node, so the solver's conjunct table
+    compares them by identity, not by a recursive walk that overflows."""
+    path = tmp_path / "deep.mpisym"
+    path.write_text(_DEEP_SOURCE.format(count=600, step="acc = acc + X;"))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, err) == (2, "")
+    assert out.splitlines()[:-1] == ["paths=2 terminated=1 deadlock=1",
+                                     "path 1: deadlock steps=1206 model={X=1, Y=0}",
+                                     "path 2: terminated steps=1206 model={X=0, Y=0}",
+                                     "states created: 1812", "solver queries: 8"]
+
+
 def test_python_dash_m_runs_the_command_line():
     """`python -m mpisym`, in a child process, with this package first on
     its path."""

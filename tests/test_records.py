@@ -46,9 +46,9 @@ def records():
         (ops.OpBranch(X, 1, None, 3),
          "OpBranch(cond=Var(name='x'), true_target=1, false_target=None, line=3)"),
         (ops._Jump(4), "_Jump(target=4)"),
-        (ops.CompiledProgram((lang.Exit(1),), (1,), {"X": (0, 3)}, frozenset({7})),
+        (ops.CompiledProgram((lang.Exit(1),), (1,), {"X": (0, 3)}, frozenset({Num(7)})),
          "CompiledProgram(ops=(Exit(line=1),), next_of=(1,), domains={'X': (0, 3)}, "
-         "closed=frozenset({7}))"),
+         "closed=frozenset({Num(value=7)}))"),
         (oracle.SR(0, 1), "SR(sender=0, receiver=1)"),
         (oracle.SRStar(1, 0), "SRStar(sender=1, receiver=0)"),
         (oracle.B(), "B()"),
@@ -155,9 +155,10 @@ def test_default_lists_and_dicts_are_fresh_per_record():
 
 
 def test_an_expression_hash_does_not_recurse():
-    """A node keeps its hash, built from its children's kept hashes; so a
-    sum far deeper than the recursion limit hashes, and two equal sums
-    built apart hash equal."""
+    """A node is built once per class and fields, so two equal sums built
+    apart are one node, and `==` and `hash` are identity's: a sum far
+    deeper than the recursion limit compares and hashes without recursing.
+    Once the sums are dropped, the node table forgets their nodes."""
     depth = 10_000
     assert depth > sys.getrecursionlimit()
 
@@ -167,10 +168,13 @@ def test_an_expression_hash_does_not_recurse():
             acc = Binary("+", acc, Var("X") if i % 2 else Num(i))
         return acc
 
+    live = len(lang._NODES)
     a, b = long_sum(), long_sum()
-    assert a is not b and hash(a) == hash(b)
-    assert hash(a) != hash(Binary("-", a.left, a.right))
-    assert hash(Binary("<", X, ONE)) == hash(("<", X, ONE))  # the dataclass's hash
+    assert a is b and a == b and {a: 1}[b] == 1
+    assert a != Binary("-", a.left, a.right) and a.free == {"X"}
+    assert len(lang._NODES) > live + depth
+    del a, b
+    assert len(lang._NODES) == live
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -156,21 +156,22 @@ def table_operands(compiled):
 def test_closed_operands_of_fig1(fig1):
     compiled = ops.lower(fig1)
     operands = table_operands(compiled)
-    closed = [lang.expr_source(e) for e in operands if id(e) in compiled.closed]
+    closed = [lang.expr_source(e) for e in operands if e in compiled.closed]
     assert closed == ["rank == 0", "0", "1", "rank == 1", "X != 97", "0", "2", "20", "1"]
-    assert [lang.expr_source(e) for e in operands if id(e) not in compiled.closed] == ["x", "x"]
-    assert compiled.closed == {id(e) for e in operands if lang.expr_source(e) != "x"}
+    assert [lang.expr_source(e) for e in operands if e not in compiled.closed] == ["x", "x"]
+    assert compiled.closed == {e for e in operands if lang.expr_source(e) != "x"}
+    assert len(compiled.closed) == 7  # "0" and "1" are each one node
 
 
 def test_eval_expr_serves_no_stored_term_to_a_temporary(fig1):
     s = init_state(fig1, 3)
     compiled = s.compiled
     for e in table_operands(compiled):  # fill the table
-        if id(e) in compiled.closed:
+        if e in compiled.closed:
             for r in range(3):
                 eval_expr(s, r, e)
     stored = dict(s.terms)
-    assert len(stored) == 9 * 3
+    assert len(stored) == 7 * 3  # equal operands are one node, with one entry per rank
     seen = set()
     for i in range(500):
         s.procs[i % 3].env["x"] = lang.Num(i)

@@ -1,13 +1,27 @@
+import random
+
 import pytest
 
-from mpisym import symbolic
+from mpisym import engine, lang, ops, symbolic
 from mpisym.lang import (Binary, Bool, LangError, Num, Unary, Var, evaluate,
                          expr_source)
-from mpisym.symbolic import SymbolicError, binary, free_syms, negate, unary
+from mpisym.symbolic import SymbolicError, binary, negate, unary
+from randprog import random_program_source
 
 
 X = Var("X")
 Y = Var("Y")
+
+
+def free_syms(e) -> frozenset:
+    """The recursive walk that each node's kept `free` replaced: the referee."""
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, Unary):
+        return free_syms(e.operand)
+    if isinstance(e, Binary):
+        return free_syms(e.left) | free_syms(e.right)
+    return frozenset()
 
 
 def test_concrete_folding():
@@ -23,8 +37,8 @@ def test_concrete_folding():
 def test_symbolic_trees_stay_symbolic():
     e = binary("==", X, Num(97))
     assert e == Binary("==", X, Num(97))
-    assert free_syms(e) == {"X"}
-    assert free_syms(binary("+", X, Y)) == {"X", "Y"}
+    assert e.free == {"X"}
+    assert binary("+", X, Y).free == {"X", "Y"}
 
 
 def test_partial_folding_of_concrete_subtrees():
@@ -93,3 +107,43 @@ def test_pc_source():
     assert symbolic.pc_source(pc) == "[X == 97, Y < 3]"
     assert symbolic.pc_holds(pc, {"X": 97, "Y": 0})
     assert not symbolic.pc_holds(pc, {"X": 97, "Y": 3})
+
+
+def fields_of(e) -> list:
+    return [getattr(e, name) for name in type(e).__slots__]
+
+
+def test_constants_of_each_sort_are_distinct_nodes():
+    nodes = [Num(1), Bool(True), Num(0), Bool(False)]
+    assert len({id(e) for e in nodes}) == 4
+    assert [type(e) for e in nodes] == [Num, Bool, Num, Bool]
+    assert Num(1) == Num(1) and Num(1) != Bool(True) and Num(0) != Bool(False)
+
+
+def test_every_node_keeps_its_free_inputs_and_is_its_only_copy(corpus_entries):
+    """Over every operand of the corpus programs and of 200 random ones,
+    and every conjunct of their searches' path conditions, each node's
+    `free` is the recursive walk's answer, and building a node from its own
+    fields returns that node."""
+    programs = [(e.program(), e.nprocs) for e in corpus_entries.values()]
+    rng = random.Random(24)
+    for _ in range(200):
+        p = lang.parse_program(random_program_source(rng))
+        programs.append((p, p.nprocs_default))
+    assert len(programs) == 14 + 200
+    nodes = {}
+    for p, nprocs in programs:
+        table = ops.lower(p).ops
+        stack = [getattr(op, name) for op in table
+                 for name in ("expr", "cond", "payload", "dest", "src") if hasattr(op, name)]
+        stack += [c for rec in engine.search(p, nprocs).records for c in rec.pc]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, lang.Expr) and id(e) not in nodes:
+                nodes[id(e)] = e
+                stack += fields_of(e)
+    kinds = {type(e) for e in nodes.values()}
+    assert kinds == {Num, Var, Unary, Binary, lang.Rank, lang.Nprocs}  # no Bool is kept
+    for e in nodes.values():
+        assert e.free == free_syms(e), e
+        assert type(e)(*fields_of(e)) is e
