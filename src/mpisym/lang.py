@@ -1,8 +1,9 @@
 """The analyzed mini message-passing language: AST, parser, validator,
 pretty-printer, and the one expression evaluator, which walks an
-expression over an algebra: ints here (`INTS`), folded terms for the
-engine (`symbolic.TERMS`), and for the solver input intervals
-(`solver.INTERVALS`) or Python syntax trees to compile (`solver.PYTHON`).
+expression over an algebra: ints and source text here (`INTS`, `SOURCE`),
+folded terms for the engine (`symbolic.TERMS`), and for the solver input
+intervals (`solver.INTERVALS`) or Python syntax trees to compile
+(`solver.PYTHON`).  It is the only walk over a term.
 
 A source file declares bounded symbolic inputs and one rank-dispatched
 process body:
@@ -14,9 +15,11 @@ process body:
       if (rank == 0) { send 0 to 1; } else { recv v from any; }
     }
 
-`repeat K { ... }` is sugar for K spliced copies of the block, so parsed
-programs are always loop-free.  Statement equality ignores source
-locations, which makes parse/pretty-print round-trips exact.
+`rank` and `nprocs` are read-only names (`BOUND_NAMES`), parsed as `Var`s
+and bound in every process environment.  `repeat K { ... }` is sugar for K
+spliced copies of the block, so parsed programs are always loop-free.
+Statement equality ignores source locations, which makes
+parse/pretty-print round-trips exact.
 
 The expression nodes are also the engine's symbolic terms (built by
 `symbolic`): a term is an expression over the declared inputs, in which
@@ -131,14 +134,6 @@ class Var(Expr):
     __slots__ = ("name",)
 
 
-class Rank(Expr):
-    __slots__ = ()
-
-
-class Nprocs(Expr):
-    __slots__ = ()
-
-
 class Unary(Expr):
     __slots__ = ("op", "operand")  # op is "-" or "!"
 
@@ -147,8 +142,9 @@ class Binary(Expr):
     __slots__ = ("op", "left", "right")
 
 
-RANK = Rank()
-NPROCS = Nprocs()
+#: The read-only names that every process environment binds: its own rank
+#: and the process count.
+BOUND_NAMES = frozenset({"rank", "nprocs"})
 
 
 class Located(Record):
@@ -550,13 +546,7 @@ class _Parser:
         if tok.kind == "int":
             self.next()
             return Num(tok.value)
-        if tok.kind == "kw" and tok.value == "rank":
-            self.next()
-            return RANK
-        if tok.kind == "kw" and tok.value == "nprocs":
-            self.next()
-            return NPROCS
-        if tok.kind == "ident":
+        if tok.kind == "ident" or tok.kind == "kw" and tok.value in BOUND_NAMES:
             self.next()
             return Var(tok.value)
         if tok.kind == "(":
@@ -702,8 +692,54 @@ def _findings(program: Program, nprocs: int) -> tuple:
         elif d.hi - d.lo + 1 > MAX_DOMAIN_WIDTH:
             findings.append(Finding("domain-width",
                                     f"domain of {d.name!r} wider than {MAX_DOMAIN_WIDTH}", d.line))
-    _check_block(program.body, program.sym_names(), program.sym_names(), nprocs, findings)
+    _check_block(program.body, program.sym_names() | BOUND_NAMES, program.sym_names(), nprocs,
+                 findings)
     return tuple(findings)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation: one walker over an algebra
+# ---------------------------------------------------------------------------
+
+
+#: What `evaluate` computes over.  `leaf(node, inputs)` is the value of a
+#: constant (`Num`, `Bool`) or of a `Var` naming an input; with no leaf rule
+#: (None) that is the constant's own value or the input's in `inputs`.
+#: `unary` and `binary` map each operator to the function of its operands'
+#: values.
+Algebra = collections.namedtuple("Algebra", "leaf unary binary")
+
+#: Integer arithmetic and comparisons, which fold the same way on terms.
+BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+#: Plain values: an int, or a bool for a condition (the oracle and replay).
+INTS = Algebra(None, {"-": operator.neg, "!": operator.not_},
+               {**BINARY_OPS, "&&": operator.and_, "||": operator.or_})
+
+_NO_INPUTS: Mapping[str, int] = MappingProxyType({})
+
+
+def evaluate(e: Expr, env: Mapping, inputs: Mapping = _NO_INPUTS, algebra: Algebra = INTS):
+    """The value of an expression or a term in `algebra`.  A variable is
+    looked up in `env`, which binds a process's locals and `BOUND_NAMES`,
+    then in `inputs`, so a term's model can be `env`."""
+    kind = type(e)
+    if kind is Binary:
+        return algebra.binary[e.op](evaluate(e.left, env, inputs, algebra),
+                                    evaluate(e.right, env, inputs, algebra))
+    if kind is Var:
+        if e.name in env:
+            return env[e.name]
+        if e.name not in inputs:
+            raise LangError(f"unbound variable {e.name!r}")
+        return inputs[e.name] if algebra.leaf is None else algebra.leaf(e, inputs)
+    if kind is Num or kind is Bool:
+        return e.value if algebra.leaf is None else algebra.leaf(e, inputs)
+    if kind is Unary:
+        return algebra.unary[e.op](evaluate(e.operand, env, inputs, algebra))
+    raise LangError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -716,31 +752,36 @@ PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4,
 UNARY_PREC = 7
 
 
+def _wrap(operand: tuple, need: int) -> str:
+    return f"({operand[0]})" if operand[1] < need else operand[0]
+
+
+def _source_leaf(e: Expr, _names) -> tuple:
+    if type(e) is Var:
+        return e.name, 8
+    if type(e) is Bool:
+        # No boolean literals in the surface language; encode as a comparison.
+        return "0 == 0" if e.value else "0 != 0", 8
+    return str(e.value), 8 if e.value >= 0 else 0
+
+
+#: Source text: `evaluate(e, {}, e.free, SOURCE)` is `e`'s text with minimal
+#: parentheses and the binding strength of its top operator: a leaf binds
+#: tighter than any operator (8), but a negative constant, a folded term,
+#: looser than every one (0).  An operand is wrapped when it binds less
+#: tightly than its slot needs: `UNARY_PREC` under a unary operator, and
+#: under a binary one the operator's own strength on the left and, the
+#: grammar being left-associative, one more on the right.
+SOURCE = Algebra(
+    _source_leaf,
+    {op: lambda a, op=op: (op + _wrap(a, UNARY_PREC), UNARY_PREC) for op in ("-", "!")},
+    {op: lambda a, b, op=op, p=p: (f"{_wrap(a, p)} {op} {_wrap(b, p + 1)}", p)
+     for op, p in PREC.items()})
+
+
 def expr_source(e: Expr) -> str:
     """Source text with minimal parentheses, parseable by the grammar."""
-    return _render(e, 0)
-
-
-def _render(e: Expr, outer: int) -> str:
-    if isinstance(e, Num):
-        # a negative constant is a folded term; inside another it needs parens
-        return f"({e.value})" if e.value < 0 and outer else str(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Bool):
-        # No boolean literals in the surface language; encode as a comparison.
-        return "0 == 0" if e.value else "0 != 0"
-    if isinstance(e, Rank):
-        return "rank"
-    if isinstance(e, Nprocs):
-        return "nprocs"
-    if isinstance(e, Unary):
-        text = f"{e.op}{_render(e.operand, UNARY_PREC)}"
-        return f"({text})" if outer > UNARY_PREC else text
-    prec = PREC[e.op]
-    # Left-associative grammar: the right child needs parens at equal level.
-    text = f"{_render(e.left, prec)} {e.op} {_render(e.right, prec + 1)}"
-    return f"({text})" if outer > prec else text
+    return evaluate(e, {}, e.free, SOURCE)[0]
 
 
 def _stmt_lines(st: Stmt, indent: str, out: list):
@@ -787,53 +828,3 @@ def pretty_print(program: Program) -> str:
             _stmt_lines(st, "  ", lines)
         lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Evaluation: one walker over an algebra
-# ---------------------------------------------------------------------------
-
-
-#: What `evaluate` computes over.  `leaf(node, inputs)` is the value of a
-#: constant (`Num`, `Bool`) or of a `Var` naming an input; with no leaf rule
-#: (None) that is the constant's own value or the input's in `inputs`.
-#: `unary` and `binary` map each operator to the function of its operands'
-#: values.
-Algebra = collections.namedtuple("Algebra", "leaf unary binary")
-
-#: Integer arithmetic and comparisons, which fold the same way on terms.
-BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-              "==": operator.eq, "!=": operator.ne, "<": operator.lt,
-              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-#: Plain values: an int, or a bool for a condition (the oracle and replay).
-INTS = Algebra(None, {"-": operator.neg, "!": operator.not_},
-               {**BINARY_OPS, "&&": operator.and_, "||": operator.or_})
-
-_NO_INPUTS: Mapping[str, int] = MappingProxyType({})
-
-
-def evaluate(e: Expr, env: Mapping, rank=0, nprocs=0, inputs: Mapping = _NO_INPUTS,
-             algebra: Algebra = INTS):
-    """The value of an expression or a term in `algebra`, of which `rank`
-    and `nprocs` are values.  A variable is looked up in `env`, then in
-    `inputs`, so a term's model can be `env`."""
-    kind = type(e)
-    if kind is Binary:
-        return algebra.binary[e.op](evaluate(e.left, env, rank, nprocs, inputs, algebra),
-                                    evaluate(e.right, env, rank, nprocs, inputs, algebra))
-    if kind is Var:
-        if e.name in env:
-            return env[e.name]
-        if e.name not in inputs:
-            raise LangError(f"unbound variable {e.name!r}")
-        return inputs[e.name] if algebra.leaf is None else algebra.leaf(e, inputs)
-    if kind is Num or kind is Bool:
-        return e.value if algebra.leaf is None else algebra.leaf(e, inputs)
-    if kind is Unary:
-        return algebra.unary[e.op](evaluate(e.operand, env, rank, nprocs, inputs, algebra))
-    if kind is Rank:
-        return rank
-    if kind is Nprocs:
-        return nprocs
-    raise LangError(f"not an expression: {e!r}")

@@ -15,9 +15,9 @@ that are resolved away at lowering time, so a cursor never rests on one:
 first statement or a leading `if`'s branch, never a jump, so every cursor
 starts at 0.
 
-`closed` holds each operand that reads no local, only declared inputs (its
-`free` names are all declared).  No environment binds an input (validation
-rejects it), so its term depends on the rank alone.
+`closed` holds each operand that reads no local: its `free` names are
+declared inputs or `lang.BOUND_NAMES`.  No environment binds an input
+(validation rejects it), so its term depends on the rank alone.
 """
 
 from __future__ import annotations
@@ -116,5 +116,6 @@ def _lower(program: lang.Program) -> CompiledProgram:
     next_of = tuple(_resolve(raw, i + 1) for i in range(len(ops)))
     domains = {d.name: (d.lo, d.hi) for d in program.decls}
     operands = [getattr(op, name) for op in ops for name in _OPERANDS.get(type(op), ())]
-    closed = frozenset(e for e in operands if e is not None and e.free <= domains.keys())
+    reads = domains.keys() | lang.BOUND_NAMES
+    closed = frozenset(e for e in operands if e is not None and e.free <= reads)
     return CompiledProgram(tuple(ops), next_of, domains, closed)

@@ -17,9 +17,9 @@ processes wedge, exactly like a missing collective call does.
 
 ``step`` applies one action in place and is the package's only concrete
 interpreter: ``apply`` wraps it for the search, and replay walks recorded
-traces over it.  Environments are copy-on-write: ``copy`` copies the
-cursor and environment lists, and ``step`` replaces an environment dict
-instead of mutating it.
+traces over it.  Environments bind ``rank``, ``nprocs`` and the locals to
+ints and are copy-on-write: ``copy`` copies the cursor and environment
+lists, and ``step`` replaces an environment dict instead of mutating it.
 
 ``check_theorem`` is the differential test: for a concrete model, the set
 of deadlocked terminal states (canonicalized) and, per terminal, the set of
@@ -109,7 +109,7 @@ class ConcreteState:
         self.nprocs = nprocs
         self.inputs = inputs
         self.cursors = [0] * nprocs
-        self.envs: List[Dict[str, int]] = [{} for _ in range(nprocs)]
+        self.envs: List[Dict[str, int]] = [{"rank": r, "nprocs": nprocs} for r in range(nprocs)]
         self.fail_loc: Optional[int] = None
 
     def copy(self) -> "ConcreteState":
@@ -130,7 +130,7 @@ class ConcreteState:
         return self.compiled.ops[pc] if pc < len(self.compiled.ops) else None
 
     def eval(self, r: int, e: lang.Expr):
-        return lang.evaluate(e, self.envs[r], r, self.nprocs, self.inputs)
+        return lang.evaluate(e, self.envs[r], self.inputs)
 
     def canonical(self):
         return canonical_key(self.cursors, self.envs)

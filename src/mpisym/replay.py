@@ -145,9 +145,11 @@ _KINDS = {"step": StepEvent, "match": MatchEvent, "branch": BranchChoice,
 
 #: Any stripped trace line: one group per field, numbered across the kinds,
 #: so the last group that took part (2, 5, 7 or 8) names the kind, and
-#: `_EVENT_OF` makes the event from the match.
-_TRACE_LINE = re.compile("|".join(name + "".join(rf"\s+{key}=(\S*)" for key in kind._fields)
-                                  for name, kind in _KINDS.items()))
+#: `_EVENT_OF` makes the event from the match.  A flag is "yes" or "no".
+_FLAGS = ("wildcard", "taken")
+_TRACE_LINE = re.compile("|".join(name + "".join(
+    rf"\s+{key}=" + ("(yes|no)" if key in _FLAGS else r"(\S*)") for key in kind._fields)
+    for name, kind in _KINDS.items()))
 _EVENT_OF = {2: lambda m: new_tuple(StepEvent, (int(m[1]), int(m[2]))),
              5: lambda m: new_tuple(MatchEvent, (int(m[3]), int(m[4]), m[5] == "yes")),
              7: lambda m: new_tuple(BranchChoice, (int(m[6]), m[7] == "yes")),
@@ -170,8 +172,10 @@ def _malformed(entry: str, line_no: int) -> ReplayError:
     keys = _KINDS[name]._fields
     values = _fields(parts, keys, line_no)  # raises on every line the pattern rejects
     for key, value in zip(keys, values):
-        if key not in ("wildcard", "taken"):
+        if key not in _FLAGS:
             _int(value, key, line_no)
+        elif value not in ("yes", "no"):
+            return ReplayError(f"line {line_no}: {key} {value!r} is not yes or no")
     return ReplayError(f"line {line_no}: malformed event")
 
 

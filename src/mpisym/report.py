@@ -83,12 +83,6 @@ def render(report: engine.AnalysisReport, detail: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
-def strip_volatile(text: str) -> str:
-    """Drop run-dependent lines so output can be compared against goldens."""
-    return "\n".join(line for line in text.splitlines()
-                     if not line.startswith("wall time:")) + "\n"
-
-
 def render_compare(verdict: oracle.TheoremVerdict) -> str:
     """PASS/FAIL line for one differential check, with witnesses on failure."""
     status = "PASS" if verdict.holds else "FAIL"

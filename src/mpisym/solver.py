@@ -116,7 +116,7 @@ def _not(a):
     return (not a[1], not a[0])
 
 
-#: Bounds over the domain box: `evaluate(e, {}, 0, 0, domains, INTERVALS)`
+#: Bounds over the domain box: `evaluate(e, {}, domains, INTERVALS)`
 #: is `(lo, hi)` for an integer term, and for a boolean one `(True, True)`
 #: when it holds at every point, `(False, False)` at none, and
 #: `(False, True)` when neither is known.
@@ -136,7 +136,7 @@ INTERVALS = lang.Algebra(
 
 
 _AT = {"lineno": 1, "col_offset": 0}  # `compile` needs a location on every node
-#: Python syntax: `evaluate(c, {}, 0, 0, names, PYTHON)` is the `ast` expression of
+#: Python syntax: `evaluate(c, {}, names, PYTHON)` is the `ast` expression of
 #: `evaluate(c, a)` for a term `c` over the inputs `names` and a model `a`.  An input
 #: is `a[name]`, its name a string constant, so it cannot clash with a Python name.
 PYTHON = lang.Algebra(
@@ -157,7 +157,7 @@ PYTHON = lang.Algebra(
 def _check(bucket: Tuple[Expr, ...]) -> Callable[[Model], bool]:
     """`lambda a: all(lang.evaluate(c, a) for c in bucket)`, compiled from syntax, not text."""
     names = frozenset().union(*[c.free for c in bucket])
-    terms = [lang.evaluate(c, {}, 0, 0, names, PYTHON) for c in bucket or (symbolic.TRUE,)]
+    terms = [lang.evaluate(c, {}, names, PYTHON) for c in bucket or (symbolic.TRUE,)]
     body = ast.BoolOp(ast.And(), terms, **_AT) if len(terms) > 1 else terms[0]
     args = ast.arguments([], [ast.arg("a", **_AT)], None, [], [], None, [])  # of `lambda a:`
     code = compile(ast.Expression(ast.Lambda(args, body, **_AT)), "<bucket>", "eval")
@@ -183,7 +183,7 @@ def _prepare(pc: PathCondition, domains: Domains) -> Optional[List[Expr]]:
         return None
     undecided = []
     for c in conjuncts:
-        always, sometimes = lang.evaluate(c, {}, 0, 0, domains, INTERVALS)
+        always, sometimes = lang.evaluate(c, {}, domains, INTERVALS)
         if not sometimes:
             return None
         if not always:

@@ -20,13 +20,13 @@ A state also carries `model`, the smallest model of its path condition;
 the initial one sets every input to the low end of its domain.  Forks
 share the dict and nothing mutates it.
 
-A process's environment binds its locals to terms, and `eval_expr` turns
-an expression into its term with the one evaluator, `lang.evaluate`, over
-`symbolic.TERMS`.  The term of an operand that reads no local
-(`CompiledProgram.closed`) depends on the rank alone, so it is built once
-per rank and kept in `terms`, keyed by the operand's node and the rank, the
-one table a fork shares and writes in place: every entry holds for every
-state of the search.  Equal operands are one node, so they share an entry.
+A process's environment binds its locals to terms, and `rank` and `nprocs`
+to constants.  `eval_expr` turns an expression into its term with
+`lang.evaluate` over `symbolic.TERMS`.  The term of an operand that reads no
+local (`CompiledProgram.closed`) depends on the rank alone, so it is built
+once per rank and kept in `terms`, keyed by the operand's node and the rank:
+the one table a fork shares and writes in place, as every entry holds for
+every state of the search.  Equal operands are one node and share an entry.
 
 The `Status` members and `Verdict.RUNNING` are also bound to module names
 (`ACTIVE`, `INACTIVE`, `EXITED`, `RUNNING`), and this module and the
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import collections
 import enum
-import functools
 import itertools
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
@@ -150,14 +149,6 @@ class ProcState(lang.Record):
     def copy(self) -> "ProcState":
         return ProcState(self.rank, self.pc_loc, self.env.copy(), self.status, self.blocked_on)
 
-    def snapshot(self):
-        return (self.rank, self.pc_loc, tuple(sorted(self.env.items(), key=lambda kv: kv[0])),
-                self.status, self.blocked_on)
-
-
-#: Rank and nprocs as terms, with no node-table lookup per `eval_expr`.
-_num = functools.lru_cache(maxsize=None)(lang.Num)
-
 
 class GlobalState:
     __slots__ = ("compiled", "nprocs", "procs", "pc", "model", "next_proc_candidate",
@@ -167,8 +158,9 @@ class GlobalState:
         self.compiled = compiled
         self.nprocs = nprocs
         status = ACTIVE if compiled.ops else EXITED
-        self.procs: List[ProcState] = [ProcState(r, 0, {}, status, None)
-                                       for r in range(nprocs)]
+        self.procs: List[ProcState] = [
+            ProcState(r, 0, {"rank": lang.Num(r), "nprocs": lang.Num(nprocs)}, status, None)
+            for r in range(nprocs)]
         self.pc: symbolic.PathCondition = ()
         self.model: Model = {name: lo for name, (lo, _) in compiled.domains.items()}
         self.next_proc_candidate: Optional[int] = None
@@ -179,13 +171,6 @@ class GlobalState:
         self.error: Optional[str] = None
         self.depth = 0
         self.terms: Dict[tuple, Expr] = {}  # (closed operand, rank) -> its term
-
-    def snapshot(self):
-        """Structural fingerprint used by tests to detect cross-fork leaks."""
-        return (tuple(p.snapshot() for p in self.procs), self.pc,
-                self.next_proc_candidate, self.barrier_epochs,
-                tuple(self.trace), self.verdict,
-                self.fail_loc, self.error, tuple(self.model.items()))
 
 
 def init_state(program: lang.Program, nprocs: int) -> GlobalState:
@@ -219,8 +204,7 @@ def eval_expr(s: GlobalState, rank: int, e: Expr) -> Expr:
     term = s.terms.get(key)
     if term is None:
         try:
-            term = lang.evaluate(e, s.procs[rank].env, _num(rank), _num(s.nprocs),
-                                 s.compiled.domains, symbolic.TERMS)
+            term = lang.evaluate(e, s.procs[rank].env, s.compiled.domains, symbolic.TERMS)
         except lang.LangError as exc:
             raise EngineError(f"{exc} (validation should reject this)") from None
         if e in s.compiled.closed:

@@ -92,8 +92,8 @@ def negate(e: Expr) -> Expr:
     return Unary("!", e)
 
 
-#: Folded terms: `evaluate(e, env, Num(rank), Num(nprocs), inputs, TERMS)` is
-#: the term of `e`, where `env` binds locals to terms and `inputs` holds the
+#: Folded terms: `evaluate(e, env, inputs, TERMS)` is the term of `e`, where
+#: `env` binds locals, `rank` and `nprocs` to terms and `inputs` holds the
 #: names of the declared inputs.  A constant or an input is the node it is.
 TERMS = Algebra(lambda e, inputs: e, {op: partial(unary, op) for op in ("-", "!")},
                 {op: partial(binary, op) for op in ARITH_OPS + CMP_OPS + LOGIC_OPS})

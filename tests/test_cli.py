@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from mpisym import cli, corpus, engine, lang, oracle, replay, report, solver, state
+from mpisym import cli, corpus, engine, lang, oracle, replay, solver, state
 from mpisym.state import EngineError
+from support import strip_volatile
 
 
 @pytest.fixture()
@@ -441,6 +442,24 @@ def test_replay_nprocs_failing_validation_exits_one(capsys, fig1_path, tmp_path)
         1, "", "mpisym: error: program fails validation: receive source 2 not in [0, 2)\n")
 
 
+@pytest.mark.parametrize("flag,edit,message", [
+    ("taken=no", "taken=perhaps", "line 12: taken 'perhaps' is not yes or no"),
+    ("wildcard=no", "wildcard=YES", "line 18: wildcard 'YES' is not yes or no"),
+])
+def test_replay_flag_other_than_yes_or_no_exits_one(capsys, fig1_path, tmp_path, flag, edit,
+                                                    message):
+    """A flag is read as written: `taken=perhaps` is not a false branch that
+    reproduces, and `wildcard=YES` is no divergence, but a load error."""
+    out_dir = tmp_path / "cases"
+    run(capsys, "analyze", str(fig1_path), "--out", str(out_dir))
+    case = sorted(out_dir.glob("*.testcase"))[0]
+    assert case.name == "fig1-motivating.path001.testcase"
+    edited = tmp_path / "edited.testcase"
+    edited.write_text(case.read_text().replace(flag, edit, 1))
+    code, out, err = run(capsys, "replay", str(fig1_path), str(edited))
+    assert (code, out, err) == (1, "", f"mpisym: error: {message}\n")
+
+
 @pytest.mark.parametrize("line_no,header,message", [
     (2, "program-hash ", "line 2: empty program-hash"),
     (3, "nprocs ", "line 3: bad nprocs ''"),
@@ -533,7 +552,7 @@ def test_main_reentrant_with_shared_parser(capsys, fig1_path):
 
     def outcome(argv):
         code, out, err = run(capsys, *argv)
-        return code, report.strip_volatile(out), err
+        return code, strip_volatile(out), err
 
     shared = [outcome(argv) for argv in argvs]
     fresh = []

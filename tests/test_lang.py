@@ -66,7 +66,7 @@ def test_expression_destination():
     p = parse_program("program (nprocs = 2) { send 1 to rank + 1; }")
     send = p.body[0]
     assert isinstance(send, Send)
-    assert send.dest == Binary("+", lang.RANK, Num(1))
+    assert send.dest == Binary("+", lang.Var("rank"), Num(1))
 
 
 def test_repeat_splices_copies():
@@ -165,6 +165,21 @@ def test_validation_messages(source, finding):
     assert validate(parse_program(source), 2) == [lang.Finding(*finding)]
 
 
+def test_validate_never_reports_rank_or_nprocs_unassigned():
+    """`rank` and `nprocs` are bound in every process: no read of them, in
+    any operand, before or after a join or an exit, is a finding."""
+    p = parse_program("program (nprocs = 3) {\n"
+                      "  if (rank == 0) { x = nprocs; exit; } else { x = rank - 1; }\n"
+                      "  send rank * nprocs to (rank + 1) * 0;\n"
+                      "  recv y from nprocs - 1;\n"
+                      "  assert (rank < nprocs && x + y >= -nprocs);\n"
+                      "}\n")
+    assert validate(p, 3) == []
+    q = parse_program("program { z = rank + w + nprocs; }")
+    assert validate(q, 1) == [lang.Finding(
+        "use-before-assign", "variable 'w' may be read before assignment", 1)]
+
+
 def test_validate_recv_defines_variable():
     p = parse_program("program (nprocs = 2) { recv m from 0; x = m; }")
     assert validate(p, 2) == []
@@ -220,9 +235,9 @@ def test_round_trip_keeps_operator_structure():
 def test_eval_concrete_matches_python():
     p = parse_program("program { x = (3 + 4) * 2 - 1; }")
     expr = p.body[0].expr
-    assert lang.evaluate(expr, {}, 0, 1, {}) == 13
-    assert lang.evaluate(lang.RANK, {}, 2, 4, {}) == 2
-    assert lang.evaluate(lang.NPROCS, {}, 2, 4, {}) == 4
+    assert lang.evaluate(expr, {}, {}) == 13
+    bound = parse_program("program { x = rank * 10 + nprocs; }").body[0].expr
+    assert lang.evaluate(bound, {"rank": 2, "nprocs": 4}) == 24
 
 
 REFERENCE_OPS = {
@@ -235,15 +250,14 @@ REFERENCE_OPS = {
 
 def reference_evaluate(e, env, rank, nprocs, inputs):
     """A plain recursive walk over the expression nodes, kept as the
-    reference for `lang.evaluate`."""
+    reference for `lang.evaluate`; it reads `rank` and `nprocs` from its
+    arguments, not from `env`."""
     if isinstance(e, (lang.Num, lang.Bool)):
         return e.value
     if isinstance(e, lang.Var):
+        if e.name in ("rank", "nprocs"):
+            return rank if e.name == "rank" else nprocs
         return env[e.name] if e.name in env else inputs[e.name]
-    if isinstance(e, lang.Rank):
-        return rank
-    if isinstance(e, lang.Nprocs):
-        return nprocs
     if isinstance(e, lang.Unary):
         v = reference_evaluate(e.operand, env, rank, nprocs, inputs)
         return -v if e.op == "-" else not v
@@ -275,7 +289,7 @@ def random_surface(rng, sort, depth):
     """A surface expression over rank, nprocs, the locals x, y and the
     inputs X, Y, built from the parser's nodes as they are."""
     def leaf(rng):
-        return rng.choice((Num(rng.randint(0, 9)), lang.RANK, lang.NPROCS,
+        return rng.choice((Num(rng.randint(0, 9)), lang.Var("rank"), lang.Var("nprocs"),
                            lang.Var(rng.choice("xyXY"))))
     return random_expr(rng, sort, depth, leaf, lang.Unary, Binary)
 
@@ -300,7 +314,8 @@ def test_evaluate_agrees_with_reference_walk(rng):
         env = {"x": rng.randint(-5, 5), "y": rng.randint(-5, 5)}
         inputs = {"X": rng.randint(0, 9), "Y": rng.randint(0, 9), "x": 99}
         rank, nprocs = rng.randint(0, 3), rng.randint(1, 4)
-        assert typed(lang.evaluate(e, env, rank, nprocs, inputs)) == \
+        env.update(rank=rank, nprocs=nprocs)
+        assert typed(lang.evaluate(e, env, inputs)) == \
             typed(reference_evaluate(e, env, rank, nprocs, inputs)), e
     seen = set()
     for _ in range(1500):
@@ -325,7 +340,8 @@ def test_terms_commute_with_ints(rng):
         e = random_surface(rng, sort, rng.randint(0, 4))
         env = {name: random_term(rng, "int", rng.randint(0, 2)) for name in "xy"}
         rank, nprocs = rng.randint(0, 3), rng.randint(1, 4)
-        term = lang.evaluate(e, env, Num(rank), Num(nprocs), inputs, symbolic.TERMS)
+        env.update(rank=Num(rank), nprocs=Num(nprocs))
+        term = lang.evaluate(e, env, inputs, symbolic.TERMS)
         assert lang.sort_of(term) == sort, (e, env)
         model = {"X": rng.randint(-9, 9), "Y": rng.randint(-9, 9)}
         concrete = {name: lang.evaluate(t, model) for name, t in env.items()}
@@ -348,6 +364,60 @@ def test_term_source_round_trips_through_the_parser(rng):
         for _ in range(3):
             model = {"X": rng.randint(0, 20), "Y": rng.randint(0, 20)}
             assert lang.evaluate(parsed, model) == lang.evaluate(t, model), stmt
+
+
+def reference_render(e, outer=0):
+    """The recursive renderer that `lang.SOURCE` replaced, kept as its
+    referee: `outer` is the binding strength the enclosing slot needs."""
+    if isinstance(e, Num):
+        # a negative constant is a folded term; inside another it needs parens
+        return f"({e.value})" if e.value < 0 and outer else str(e.value)
+    if isinstance(e, lang.Var):
+        return e.name
+    if isinstance(e, lang.Bool):
+        return "0 == 0" if e.value else "0 != 0"
+    if isinstance(e, lang.Unary):
+        text = f"{e.op}{reference_render(e.operand, lang.UNARY_PREC)}"
+        return f"({text})" if outer > lang.UNARY_PREC else text
+    prec = lang.PREC[e.op]
+    text = f"{reference_render(e.left, prec)} {e.op} {reference_render(e.right, prec + 1)}"
+    return f"({text})" if outer > prec else text
+
+
+def test_expr_source_agrees_with_reference_render(program_nodes, rng):
+    """On every node of the corpus's and 200 random programs' operands and
+    path conditions, and on random surface expressions and folded terms."""
+    for e in program_nodes:
+        assert lang.expr_source(e) == reference_render(e), e
+    for _ in range(600):
+        sort = rng.choice(("int", "bool"))
+        for e in (random_surface(rng, sort, rng.randint(0, 4)),
+                  random_term(rng, sort, rng.randint(0, 4))):
+            assert lang.expr_source(e) == reference_render(e), e
+
+
+X, Y = lang.Var("X"), lang.Var("Y")
+LESS = Binary("<", X, Y)
+
+
+@pytest.mark.parametrize("e, text", [
+    (lang.Unary("-", Num(-3)), "-(-3)"),
+    (Binary("*", Num(-2), X), "(-2) * X"),
+    (Binary("-", X, Num(-1)), "X - (-1)"),
+    (Binary("-", Num(-1), X), "(-1) - X"),
+    (Binary("+", Num(-1), Num(-2)), "(-1) + (-2)"),
+    (lang.Unary("-", lang.Unary("-", X)), "--X"),
+    (lang.Unary("!", lang.Unary("!", LESS)), "!!(X < Y)"),
+    (lang.Unary("-", Binary("+", X, Y)), "-(X + Y)"),
+    (Binary("*", lang.Unary("-", X), lang.Unary("-", Y)), "-X * -Y"),
+    (Binary("-", X, lang.Unary("-", lang.Unary("-", Y))), "X - --Y"),
+    (Binary("&&", lang.Bool(True), LESS), "0 == 0 && X < Y"),
+    (Binary("||", LESS, lang.Bool(False)), "X < Y || 0 != 0"),
+    (Binary("&&", Binary("||", lang.Bool(False), LESS), lang.Bool(True)),
+     "(0 != 0 || X < Y) && 0 == 0"),
+])
+def test_expr_source_by_hand(e, text):
+    assert lang.expr_source(e) == text == reference_render(e)
 
 
 # -- lexer ----------------------------------------------------------------------

@@ -475,8 +475,8 @@ def test_move_memo_is_keyed_on_the_environment():
     end = table.end
     stuck = next(i for i, op in enumerate(table.ops) if isinstance(op, lang.Send) and op.line == 11)
     assert sorted((key[0], key[1][0]) for key in deadlocks) == [
-        ((end, stuck, end), (("x", 2), ("y", 20))),
-        ((end, end, stuck), (("x", 1), ("y", 10)))]
+        ((end, stuck, end), (("nprocs", 3), ("rank", 0), ("x", 2), ("y", 20))),
+        ((end, end, stuck), (("nprocs", 3), ("rank", 0), ("x", 1), ("y", 10)))]
     assert deadlock_path_lengths(p, 3, {}) == (deadlocks, states)
     full = explore_full(p, 3, {})
     assert full.terminals == {k: (tag, min(lens)) for k, (tag, lens) in terms.items()}

@@ -18,14 +18,12 @@ X, ONE = Var("x"), Num(1)
 
 
 def records():
-    """One record of each of the 35 kinds, with the text its dataclass
+    """One record of each of the 33 kinds, with the text its dataclass
     printed; each call builds them anew."""
     return [
         (Num(1), "Num(value=1)"),
         (Bool(True), "Bool(value=True)"),
         (X, "Var(name='x')"),
-        (lang.Rank(), "Rank()"),
-        (lang.Nprocs(), "Nprocs()"),
         (lang.Unary("-", X), "Unary(op='-', operand=Var(name='x'))"),
         (Binary("+", X, ONE), "Binary(op='+', left=Var(name='x'), right=Num(value=1))"),
         (Assign("x", ONE, 3), "Assign(var='x', expr=Num(value=1), line=3)"),
@@ -93,7 +91,7 @@ UNHASHABLE = (oracle.OracleResult, oracle.TheoremVerdict, engine.SearchStrategy,
 
 
 def test_every_record_kind_prints_as_its_dataclass_did():
-    assert len({type(record) for record, _ in records()}) == 35
+    assert len({type(record) for record, _ in records()}) == 33
     for record, text in records():
         assert isinstance(record, lang.Record)
         assert repr(record) == text

@@ -411,6 +411,12 @@ TRACE_HEAD = "mpisym-testcase v1\nprogram-hash abc\nnprocs 2\nINPUT\nX=1\nTRACE\
     ("match sender=1 receiver=0", ReplayError, "line 8: malformed event"),
     ("match sender=1 recv=0 wildcard=yes", ReplayError, "line 8: expected field 'receiver'"),
     ("branch loc=3 taken", ReplayError, "line 8: expected field 'taken'"),
+    ("branch loc=3 taken=perhaps", ReplayError, "line 8: taken 'perhaps' is not yes or no"),
+    ("branch loc=3 taken=", ReplayError, "line 8: taken '' is not yes or no"),
+    ("match sender=1 receiver=0 wildcard=YES", ReplayError,
+     "line 8: wildcard 'YES' is not yes or no"),
+    ("match sender=x receiver=0 wildcard=YES", ReplayError,
+     "line 8: sender 'x' is not an integer"),
     ("release", ReplayError, "line 8: malformed event"),
     ("release epoch=1 extra=2", ReplayError, "line 8: malformed event"),
     ("release epoch=1.5", ReplayError, "line 8: epoch '1.5' is not an integer"),
@@ -440,7 +446,7 @@ def test_malformed_verdict_line_messages(verdict, message):
 
 
 def test_trace_lines_with_other_spacing_still_load():
-    tc = loads(TRACE_HEAD + "  step   rank=1\tloc=2  \nmatch\tsender=1 receiver=0 wildcard=maybe\n"
+    tc = loads(TRACE_HEAD + "  step   rank=1\tloc=2  \nmatch\tsender=1 receiver=0 wildcard=no\n"
                "step rank=0 loc=0\nVERDICT\nterminated\n")
     assert tc.trace == (StepEvent(0, 0), StepEvent(1, 2), MatchEvent(1, 0, False),
                         StepEvent(0, 0))
@@ -483,6 +489,12 @@ def _reference_fields(parts, expect, line_no):
             raise ReplayError(f"line {line_no}: expected field {key!r}")
         values.append(part[len(key) + 1:])
     return values
+
+
+def _reference_flag(text, what, line_no):
+    if text not in ("yes", "no"):
+        raise ReplayError(f"line {line_no}: {what} {text!r} is not yes or no")
+    return text
 
 
 def _reference_int(text, what, line_no):
@@ -540,7 +552,8 @@ def reference_loads(text):
             raise ReplayError(f"line {i}: unknown event {kind!r}")
         keys, make = _REFERENCE_EVENTS[kind]
         values = _reference_fields(parts, keys, i)
-        trace.append(make(*(value if key in ("wildcard", "taken") else _reference_int(value, key, i)
+        trace.append(make(*(_reference_flag(value, key, i) if key in ("wildcard", "taken")
+                            else _reference_int(value, key, i)
                             for key, value in zip(keys, values))))
     if not sections["VERDICT"]:
         raise ReplayError("missing VERDICT section")

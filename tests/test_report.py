@@ -2,13 +2,14 @@ from pathlib import Path
 
 from mpisym import engine, lang, oracle, report
 from mpisym.oracle import TheoremVerdict
+from support import strip_volatile
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def rendered(entry, detail=True):
     rep = engine.search(entry.program(), entry.nprocs)
-    return report.strip_volatile(report.render(rep, detail=detail))
+    return strip_volatile(report.render(rep, detail=detail))
 
 
 def test_fig1_report_matches_golden(corpus_entries):
@@ -25,7 +26,7 @@ def test_fig4b_report_matches_golden(corpus_entries):
 
 def test_empty_program_report_matches_golden():
     rep = engine.search(lang.parse_program("program {}"), 1)
-    text = report.strip_volatile(report.render(rep))
+    text = strip_volatile(report.render(rep))
     assert text == (GOLDEN / "empty_report.txt").read_text()
     assert text.splitlines()[0] == "paths=1 terminated=1"
 
@@ -33,7 +34,7 @@ def test_empty_program_report_matches_golden():
 def test_full_detail_records_every_path(corpus_entries):
     e = corpus_entries["fig4a-blind"]
     rep = engine.search(e.program(), e.nprocs)
-    text = report.strip_volatile(report.render(rep, detail=2))
+    text = strip_volatile(report.render(rep, detail=2))
     assert text == (GOLDEN / "fig4a_full_report.txt").read_text()
     # every path record carries verdict, pc, model, and the full trace
     assert "pc: []" in text and "trace: " in text
@@ -55,7 +56,7 @@ def test_wall_time_line_is_filtered(corpus_entries):
     rep = engine.search(corpus_entries["fig4a-blind"].program(), 3)
     raw = report.render(rep)
     assert any(line.startswith("wall time:") for line in raw.splitlines())
-    assert "wall time:" not in report.strip_volatile(raw)
+    assert "wall time:" not in strip_volatile(raw)
 
 
 def test_assertfail_detail_names_location(corpus_entries):

@@ -292,7 +292,7 @@ def test_compiled_check_agrees_with_evaluate(rng):
         for _ in range(rng.randint(0, 3)):
             t = any_term(rng, names, "bool", rng.randint(0, 4))
             if case % 2:  # folded, with the renaming random_term cannot do
-                t = lang.evaluate(t, {}, 0, 0, domains, symbolic.TERMS)
+                t = lang.evaluate(t, {}, domains, symbolic.TERMS)
             bucket.append(t)
         check = solver._check(tuple(bucket))
         for values in itertools.product(*(range(lo, hi + 1) for lo, hi in domains.values())):
@@ -396,7 +396,7 @@ def test_holds_rejects_an_integer_term():
 
 
 def interval(e, domains):
-    return lang.evaluate(e, {}, 0, 0, domains, solver.INTERVALS)
+    return lang.evaluate(e, {}, domains, solver.INTERVALS)
 
 
 def test_interval_pass_is_sound_on_small_boxes(rng):

@@ -53,6 +53,17 @@ def test_init_state_empty_body_exits_immediately():
     assert all(p.status is Status.EXITED for p in s.procs)
 
 
+def proc_snapshot(p):
+    return (p.rank, p.pc_loc, tuple(sorted(p.env.items(), key=lambda kv: kv[0])), p.status,
+            p.blocked_on)
+
+
+def snapshot(s):
+    """Structural fingerprint of a state, to see a fork leak into its parent."""
+    return (tuple(map(proc_snapshot, s.procs)), s.pc, s.next_proc_candidate, s.barrier_epochs,
+            tuple(s.trace), s.verdict, s.fail_loc, s.error, tuple(s.model.items()))
+
+
 def test_init_state_four_processes():
     p = lang.parse_program("program (nprocs = 4) { barrier; }")
     s = init_state(p, 4)
@@ -63,15 +74,15 @@ def test_init_state_four_processes():
 def test_fork_is_structurally_equal(fig1):
     s = init_state(fig1, 3)
     t = fork(s)
-    assert t.snapshot() == s.snapshot()
+    assert snapshot(t) == snapshot(s)
 
 
 def test_fork_then_advance_leaves_parent_unchanged(fig1):
     s = init_state(fig1, 3)
-    before = s.snapshot()
+    before = snapshot(s)
     t = fork(s)
     engine.se_step(t, 0)
-    assert s.snapshot() == before
+    assert snapshot(s) == before
 
 
 def test_fork_independence_under_random_mutation(rng):
@@ -83,7 +94,7 @@ def test_fork_independence_under_random_mutation(rng):
             if engine.classify(s) is not Verdict.RUNNING:
                 break
             s = engine.expand(s)[0]
-        before = s.snapshot()
+        before = snapshot(s)
         t = fork(s)
         # the fork owns its process records and environments: writing them
         # in place, and extending its trace and path condition, leaves s as
@@ -96,8 +107,8 @@ def test_fork_independence_under_random_mutation(rng):
             proc.blocked_on = rng.choice((None, 0, 1))
         t.trace.append(MatchEvent(0, 1, False))
         t.pc = t.pc + (lang.Bool(True),)
-        assert t.snapshot() != before
-        assert s.snapshot() == before
+        assert snapshot(t) != before
+        assert snapshot(s) == before
 
 
 def test_fork_at_branch_differs_only_in_pc(fig1):
@@ -107,7 +118,7 @@ def test_fork_at_branch_differs_only_in_pc(fig1):
     b = assume(fork(s), symbolic.negate(cond), {"X": 0})
     assert a.pc == (cond,)
     assert b.pc == (symbolic.negate(cond),)
-    assert a.snapshot()[:1] == b.snapshot()[:1]  # procs identical
+    assert snapshot(a)[:1] == snapshot(b)[:1]  # procs identical
 
 
 def test_eval_expr_concrete_fold(fig1):
@@ -128,8 +139,8 @@ def test_eval_expr_symbolic_comparison(fig1):
 
 def test_eval_expr_builtins(fig1):
     s = init_state(fig1, 3)
-    assert eval_expr(s, 2, lang.RANK) == lang.Num(2)
-    assert eval_expr(s, 2, lang.NPROCS) == lang.Num(3)
+    assert eval_expr(s, 2, lang.Var("rank")) == lang.Num(2)
+    assert eval_expr(s, 2, lang.Var("nprocs")) == lang.Num(3)
 
 
 def test_eval_expr_unbound_is_engine_bug(fig1):
@@ -163,6 +174,23 @@ def test_closed_operands_of_fig1(fig1):
     assert len(compiled.closed) == 7  # "0" and "1" are each one node
 
 
+def test_operands_over_rank_and_nprocs_are_closed():
+    p = lang.parse_program("program (nprocs = 3) {\n"
+                           "  if (rank < nprocs - 1) { send rank to rank + 1; }\n"
+                           "  x = nprocs - 1;\n"
+                           "  y = x + rank;\n"
+                           "}\n")
+    compiled = ops.lower(p)
+    by_source = {lang.expr_source(e): e for e in table_operands(compiled)}
+    assert {lang.expr_source(e) for e in compiled.closed} == {
+        "rank < nprocs - 1", "rank", "rank + 1", "nprocs - 1"}
+    assert by_source["x + rank"] not in compiled.closed
+    s = init_state(p, 3)
+    assert [eval_expr(s, r, by_source["rank + 1"]) for r in range(3)] == [
+        lang.Num(1), lang.Num(2), lang.Num(3)]
+    assert set(s.terms) == {(by_source["rank + 1"], r) for r in range(3)}
+
+
 def test_eval_expr_serves_no_stored_term_to_a_temporary(fig1):
     s = init_state(fig1, 3)
     compiled = s.compiled
@@ -176,11 +204,10 @@ def test_eval_expr_serves_no_stored_term_to_a_temporary(fig1):
     for i in range(500):
         s.procs[i % 3].env["x"] = lang.Num(i)
         for e in (lang.Binary("+", lang.Var("X"), lang.Num(i)),
-                  lang.Binary("*", lang.RANK, lang.Num(i)),
+                  lang.Binary("*", lang.Var("rank"), lang.Num(i)),
                   lang.Binary("-", lang.Var("x"), lang.Num(i % 7))):
             seen.add(id(e))
-            want = lang.evaluate(e, s.procs[i % 3].env, lang.Num(i % 3), lang.Num(3),
-                                 compiled.domains, symbolic.TERMS)
+            want = lang.evaluate(e, s.procs[i % 3].env, compiled.domains, symbolic.TERMS)
             assert eval_expr(s, i % 3, e) == want
         del e
     assert len(seen) < 3 * 500  # freed temporaries' ids were reused
@@ -396,7 +423,7 @@ def test_events_of_different_kinds_with_equal_fields_differ():
 
 
 def _replaced(s, t):
-    return {r for r in range(s.nprocs) if t.procs[r].snapshot() != s.procs[r].snapshot()}
+    return {r for r in range(s.nprocs) if proc_snapshot(t.procs[r]) != proc_snapshot(s.procs[r])}
 
 
 def _involved(s, events):
@@ -489,7 +516,7 @@ def test_deep_path_has_no_recursion_limit(monkeypatch):
     final = rec.final_state
     assert len(final.trace) == len(trace) and tuple(final.trace) == trace
     assert tuple(fork(final).trace) == trace
-    assert final.snapshot()[4] == trace
+    assert snapshot(final)[4] == trace
     assert isinstance(trace[0], StepEvent) and trace[0].rank == 0
     text = report.render(rep, detail=2)
     assert text.count(";") >= len(trace) - 1

@@ -1,12 +1,9 @@
-import random
-
 import pytest
 
-from mpisym import engine, lang, ops, symbolic
+from mpisym import symbolic
 from mpisym.lang import (Binary, Bool, LangError, Num, Unary, Var, evaluate,
                          expr_source)
 from mpisym.symbolic import SymbolicError, binary, negate, unary
-from randprog import random_program_source
 
 
 X = Var("X")
@@ -120,30 +117,14 @@ def test_constants_of_each_sort_are_distinct_nodes():
     assert Num(1) == Num(1) and Num(1) != Bool(True) and Num(0) != Bool(False)
 
 
-def test_every_node_keeps_its_free_inputs_and_is_its_only_copy(corpus_entries):
-    """Over every operand of the corpus programs and of 200 random ones,
-    and every conjunct of their searches' path conditions, each node's
+def test_every_node_keeps_its_free_inputs_and_is_its_only_copy(program_nodes):
+    """Over every node of every operand of the corpus programs and of 200
+    random ones, and of every conjunct of their searches' path conditions,
     `free` is the recursive walk's answer, and building a node from its own
     fields returns that node."""
-    programs = [(e.program(), e.nprocs) for e in corpus_entries.values()]
-    rng = random.Random(24)
-    for _ in range(200):
-        p = lang.parse_program(random_program_source(rng))
-        programs.append((p, p.nprocs_default))
-    assert len(programs) == 14 + 200
-    nodes = {}
-    for p, nprocs in programs:
-        table = ops.lower(p).ops
-        stack = [getattr(op, name) for op in table
-                 for name in ("expr", "cond", "payload", "dest", "src") if hasattr(op, name)]
-        stack += [c for rec in engine.search(p, nprocs).records for c in rec.pc]
-        while stack:
-            e = stack.pop()
-            if isinstance(e, lang.Expr) and id(e) not in nodes:
-                nodes[id(e)] = e
-                stack += fields_of(e)
-    kinds = {type(e) for e in nodes.values()}
-    assert kinds == {Num, Var, Unary, Binary, lang.Rank, lang.Nprocs}  # no Bool is kept
-    for e in nodes.values():
+    kinds = {type(e) for e in program_nodes}
+    assert kinds == {Num, Var, Unary, Binary}  # no Bool is kept
+    assert {Var("rank"), Var("nprocs")} <= set(program_nodes)
+    for e in program_nodes:
         assert e.free == free_syms(e), e
         assert type(e)(*fields_of(e)) is e
