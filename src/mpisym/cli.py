@@ -41,14 +41,7 @@ def _fail(message: str) -> int:
 
 
 def _load_program(path_text: str):
-    path = Path(path_text)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise lang.LangError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError:
-        raise lang.LangError(f"{path} is not UTF-8 text") from None
-    return lang.parse_program(source)
+    return lang.parse_program(lang.read_file(Path(path_text), lang.LangError))
 
 
 def _strategy(args) -> engine.SearchStrategy:

@@ -163,16 +163,10 @@ def classify(s: GlobalState) -> Verdict:
 def _model_with(s: GlobalState, guard: lang.Expr,
                 stats: Optional[SolverStats]) -> Optional[Model]:
     """The smallest model of `s.pc` and `guard`, or None when there is none:
-    one query.  When `guard` holds on the carried model, that model is the
-    answer; otherwise only the components `guard` touches are searched."""
+    one query, which the carried model answers when `guard` holds on it."""
     if stats is not None:
         stats.queries += 1
-    if solver.holds(guard, s.model):
-        return s.model
-    try:
-        return solver.get_model(s.pc + (guard,), s.compiled.domains, s.model)
-    except solver.Unsatisfiable:
-        return None
+    return solver.get_model(s.pc + (guard,), s.compiled.domains, s.model)
 
 
 def _resolve_rank(s: GlobalState, rank: int, e: lang.Expr,

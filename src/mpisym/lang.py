@@ -570,6 +570,18 @@ def parse_program(text: str) -> Program:
     return _Parser(text).program()
 
 
+def read_file(path, error: type) -> str:
+    """The UTF-8 text of a file that the user names; raises `error` with
+    one line when it cannot be read or is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise error(f"{path} is not UTF-8 text") from None
+
+
 # ---------------------------------------------------------------------------
 # Static validation
 # ---------------------------------------------------------------------------

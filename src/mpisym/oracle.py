@@ -251,10 +251,6 @@ class OracleResult(lang.Record):
     def __init__(self, terminals: Dict[tuple, Tuple[str, int]], visited: int):
         self.terminals, self.visited = terminals, visited  # canonical -> (tag, shortest length)
 
-    @property
-    def deadlock_reachable(self) -> bool:
-        return any(tag == "deadlock" for tag, _ in self.terminals.values())
-
 
 def _terminal_tag(s: ConcreteState) -> str:
     return "assertfail" if s.fail_loc is not None else "terminated" if s.all_exited() else "deadlock"

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import engine, lang, oracle, ops
@@ -165,18 +164,21 @@ def _int(text: str, what: str, line_no: int) -> int:
 
 def _malformed(entry: str, line_no: int) -> ReplayError:
     """What is wrong with a trace line that `_TRACE_LINE` rejects, or whose
-    event `_EVENT_OF` cannot make because a field is not an integer."""
+    event `_EVENT_OF` cannot make: an unknown kind, a wrong number or name
+    of fields, or the first field that is not an integer or, for a flag,
+    not yes or no.  Once the kind and field names are right, some value is
+    wrong: the pattern separates fields with `\\s`, which is `str.isspace`
+    as in `str.split`, and `int` reads the same text in both places."""
     name, *parts = entry.split()
     if name not in _KINDS:
         return ReplayError(f"line {line_no}: unknown event {name!r}")
     keys = _KINDS[name]._fields
-    values = _fields(parts, keys, line_no)  # raises on every line the pattern rejects
-    for key, value in zip(keys, values):
+    for key, value in zip(keys, _fields(parts, keys, line_no)):
         if key not in _FLAGS:
             _int(value, key, line_no)
         elif value not in ("yes", "no"):
-            return ReplayError(f"line {line_no}: {key} {value!r} is not yes or no")
-    return ReplayError(f"line {line_no}: malformed event")
+            break
+    return ReplayError(f"line {line_no}: {key} {value!r} is not yes or no")
 
 
 def loads(text: str) -> TestCase:
@@ -261,13 +263,7 @@ def save_testcase(record: engine.PathRecord, program: lang.Program,
 
 
 def load_testcase(path) -> TestCase:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ReplayError(f"cannot read {path}: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise ReplayError(f"{path} is not UTF-8 text") from None
-    return loads(text)
+    return loads(lang.read_file(path, ReplayError))
 
 
 # -- concrete replay ------------------------------------------------------------

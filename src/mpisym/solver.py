@@ -32,19 +32,19 @@ over all inputs at once, without splitting.  The smallest model keeps
 generated test cases and golden files stable.
 
 4. Carried model.  Each engine state carries the smallest model of its
-   path condition, so most queries need no full search.  On a guard `g`
-   that holds on the carried model, that model is the smallest model of
-   `pc ∧ g` too: every model of `pc ∧ g` is a model of `pc`, and none is
-   smaller than the smallest one.  Otherwise `get_model(pc + (g,), d,
-   known)` re-solves only the components of the new query that share a
-   variable with `g`.  Every other component is one of `pc`'s, unchanged
-   (the pre-pass decides each conjunct on its own), and keeps its values
-   from `known`: because components share no variables, the smallest model
-   is the smallest model of each component, by the argument above.  A rank
+   path condition, so most queries need no full search.  Given it as
+   `known`, `get_model(pc + (g,), d, known)` returns `known` itself when
+   the guard `g` holds on it (`holds`, which rejects an integer term as
+   `_prepare` does): it is the smallest model of `pc ∧ g` too, since every
+   model of `pc ∧ g` is a model of `pc`, and none is smaller than the
+   smallest one.  Otherwise it re-solves only the components of the new
+   query that share a variable with `g`, and returns None when the query
+   has no model.  Every other component is one of `pc`'s, unchanged (the
+   pre-pass decides each conjunct on its own), and keeps its values from
+   `known`: because components share no variables, the smallest model is
+   the smallest model of each component, by the argument above.  A rank
    entailment evaluates `e` on the carried model to `v` and searches only
-   the components of `e` for a model of `pc ∧ e != v`.  `holds` is the
-   check on the carried model; it rejects an integer term as `_prepare`
-   does.
+   the components of `e` for a model of `pc ∧ e != v`.
 
 Arithmetic is exact (Python integers); only the declared domains are
 bounded, so no overflow behavior exists to model.
@@ -69,10 +69,6 @@ Model = Dict[str, int]
 
 class SolverError(Exception):
     pass
-
-
-class Unsatisfiable(SolverError):
-    """The query has no model."""
 
 
 def _flatten(pc: PathCondition) -> List[Expr]:
@@ -281,24 +277,24 @@ def is_sat(pc: PathCondition, domains: Domains) -> bool:
 
 
 def get_model(pc: PathCondition, domains: Domains,
-              known: Optional[Model] = None) -> Model:
+              known: Optional[Model] = None) -> Optional[Model]:
     """The lexicographically smallest satisfying assignment under
-    declaration order; every declared input is assigned.  Raises
-    Unsatisfiable when there is none.  `known`, when given, is the smallest
-    model of `pc[:-1]`, and then only the components that share a variable
-    with `pc[-1]` are searched."""
-    m = _solve(pc, domains, known)
-    if m is None:
-        raise Unsatisfiable("get_model called on an unsatisfiable path condition")
-    return m
+    declaration order, or None when there is none; every declared input is
+    assigned.  `known`, when given, is the smallest model of `pc[:-1]`: it
+    is the answer itself when `pc[-1]` holds on it, and otherwise only the
+    components that share a variable with `pc[-1]` are searched."""
+    if known is not None and holds(pc[-1], known):
+        return known
+    return _solve(pc, domains, known)
 
 
 def check_entailed_constant(pc: PathCondition, e: Expr, domains: Domains,
                             model: Optional[Model] = None) -> Optional[int]:
     """Return v when every model of pc gives `e` the value v, else None.
     `model`, when given, is the smallest model of `pc`; it saves the search
-    for one.  Either way only the components that share a variable with `e`
-    are searched for a model giving `e` another value."""
+    for one; without it, a `pc` with no model raises SolverError.  Either
+    way only the components that share a variable with `e` are searched
+    for a model giving `e` another value."""
     if lang.sort_of(e) != "int":
         raise SolverError("entailment check needs an integer-sorted expression")
     if isinstance(e, Num):
@@ -309,7 +305,7 @@ def check_entailed_constant(pc: PathCondition, e: Expr, domains: Domains,
     if model is None:
         model = _solve(pc, domains)
         if model is None:
-            raise Unsatisfiable("entailment check on an unsatisfiable path condition")
+            raise SolverError("entailment check on an unsatisfiable path condition")
     v = lang.evaluate(e, model)
     if _solve(pc + (Binary("!=", e, Num(v)),), domains, model) is None:
         return v

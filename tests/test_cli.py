@@ -1,3 +1,4 @@
+import builtins
 import os
 import re
 import shutil
@@ -178,6 +179,7 @@ def test_corpus_rejects_nonpositive_counts(capsys, argv, message):
 
 @pytest.mark.parametrize("manifest, source, message", [
     (b"bad 0 no no\n", b"program (nprocs = 2) { x = 1; }\n", "manifest line 1: bad nprocs '0'"),
+    (b"bad x no no\n", b"program (nprocs = 2) { x = 1; }\n", "manifest line 1: bad nprocs 'x'"),
     (b"bad 2 no no caf\xe9\n", b"program (nprocs = 2) { x = 1; }\n",
      "{dir}/manifest is not UTF-8 text"),
     (b"bad 2 no no\n", b"program (nprocs = 2) { x = 1; }\xff\n",
@@ -194,9 +196,9 @@ def test_corpus_rejects_nonpositive_counts(capsys, argv, message):
      "corpus entry 'bad' does not parse: 1:30: expected ';', found '}}'"),
     (b"bad 2 no no\n", b"program (nprocs = 2) { send 1 to 7; }\n",
      "corpus entry 'bad' fails validation: send destination 7 not in [0, 2)"),
-], ids=["zero-nprocs", "manifest-not-utf8", "source-not-utf8", "three-fields",
-        "deadlock-flag", "assertfail-flag", "missing-source", "source-does-not-parse",
-        "source-fails-validation"])
+], ids=["zero-nprocs", "nprocs-not-a-number", "manifest-not-utf8", "source-not-utf8",
+        "three-fields", "deadlock-flag", "assertfail-flag", "missing-source",
+        "source-does-not-parse", "source-fails-validation"])
 def test_corpus_rejects_corrupt_bundle(capsys, tmp_path, manifest, source, message):
     (tmp_path / "manifest").write_bytes(manifest)
     (tmp_path / "bad.mpisym").write_bytes(source)
@@ -204,6 +206,24 @@ def test_corpus_rejects_corrupt_bundle(capsys, tmp_path, manifest, source, messa
     assert code == 1
     assert out == ""
     assert err == f"mpisym: error: {message.format(dir=tmp_path)}\n"
+
+
+@pytest.mark.parametrize("name", ["manifest", "bad.mpisym"])
+def test_corpus_unreadable_file_exits_one(capsys, tmp_path, monkeypatch, name):
+    """An unreadable corpus file is an input error, as an unreadable program
+    is to `analyze`.  Root reads a mode-000 file, so the open is made to fail."""
+    (tmp_path / "manifest").write_text("bad 2 no no\n")
+    (tmp_path / "bad.mpisym").write_text("program (nprocs = 2) { x = 1; }\n")
+    denied, real_open = str(tmp_path / name), builtins.open
+
+    def deny(file, *args, **kwargs):
+        if str(file) == denied:
+            raise PermissionError(13, "Permission denied", denied)
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", deny)
+    code, out, err = run(capsys, "corpus", "--dir", str(tmp_path))
+    assert (code, out, err) == (
+        1, "", f"mpisym: error: cannot read {tmp_path / name}: Permission denied\n")
 
 
 @pytest.mark.parametrize("out, reason", [("taken", "File exists"),

@@ -57,11 +57,13 @@ def test_invalid_program_is_corrupt(tmp_path):
 @pytest.mark.parametrize("manifest, source, message", [
     (b"bad 0 no no\n", b"program (nprocs = 2) { x = 1; }\n", "manifest line 1: bad nprocs '0'"),
     (b"bad -2 no no\n", b"program (nprocs = 2) { x = 1; }\n", "manifest line 1: bad nprocs '-2'"),
+    (b"bad x no no\n", b"program (nprocs = 2) { x = 1; }\n", "manifest line 1: bad nprocs 'x'"),
     (b"bad 2 no no caf\xe9\n", b"program (nprocs = 2) { x = 1; }\n",
      "{dir}/manifest is not UTF-8 text"),
     (b"bad 2 no no\n", b"program (nprocs = 2) { x = 1; }\xff\n",
      "{dir}/bad.mpisym is not UTF-8 text"),
-], ids=["zero-nprocs", "negative-nprocs", "manifest-not-utf8", "source-not-utf8"])
+], ids=["zero-nprocs", "negative-nprocs", "nprocs-not-a-number", "manifest-not-utf8",
+        "source-not-utf8"])
 def test_corrupt_bundle_is_a_corpus_error(tmp_path, manifest, source, message):
     (tmp_path / "manifest").write_bytes(manifest)
     (tmp_path / "bad.mpisym").write_bytes(source)

@@ -530,6 +530,8 @@ def test_lexer_agrees_with_reference(rng, corpus_entries):
     ("program { x = 1\u00b2; }", "1:16: unexpected character '\u00b2'"),
     ("program { x = \u00b2; }", "1:15: unexpected character '\u00b2'"),
     ("program { x = 'ab'; }", "1:15: bad character literal"),
+    ("program {\n  recv 5 from 0;\n}", "2:8: expected receive target variable, found 5"),
+    ("program {\n  else { x = 1; }\n}", "2:3: unexpected keyword 'else'"),
 ])
 def test_parse_error_text_and_location(source, message):
     with pytest.raises(ParseError) as err:

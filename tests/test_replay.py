@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 
 from mpisym import engine, lang, replay, solver
@@ -413,6 +416,9 @@ TRACE_HEAD = "mpisym-testcase v1\nprogram-hash abc\nnprocs 2\nINPUT\nX=1\nTRACE\
     ("branch loc=3 taken", ReplayError, "line 8: expected field 'taken'"),
     ("branch loc=3 taken=perhaps", ReplayError, "line 8: taken 'perhaps' is not yes or no"),
     ("branch loc=3 taken=", ReplayError, "line 8: taken '' is not yes or no"),
+    ("branch\u00a0loc=3\u2003taken=perhaps", ReplayError,
+     "line 8: taken 'perhaps' is not yes or no"),
+    ("step\u2002rank=1\u3000loc=x", ReplayError, "line 8: loc 'x' is not an integer"),
     ("match sender=1 receiver=0 wildcard=YES", ReplayError,
      "line 8: wildcard 'YES' is not yes or no"),
     ("match sender=x receiver=0 wildcard=YES", ReplayError,
@@ -443,6 +449,14 @@ def test_malformed_verdict_line_messages(verdict, message):
     with pytest.raises(ReplayError) as err:
         loads(TRACE_HEAD + "VERDICT\n" + verdict + "\n")
     assert str(err.value) == message
+
+
+def test_trace_pattern_and_split_agree_on_whitespace():
+    """The loader's pattern separates fields with `\\s`, and the diagnosis of
+    a line it rejects splits them with `str.split`; each is `str.isspace`,
+    so a line whose kind and field names pass both has a bad field value."""
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
 
 
 def test_trace_lines_with_other_spacing_still_load():
