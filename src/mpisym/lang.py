@@ -327,6 +327,9 @@ def tokenize(text: str):
 #: parentheses, so all stay far from the interpreter's recursion limit.
 MAX_DEPTH = 64
 
+#: Most statements, ``if`` bodies included, a ``repeat`` may splice a program to.
+MAX_STATEMENTS = 1 << 16
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -334,6 +337,8 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # levels above the construct being parsed
         self.height = 0  # levels of the expression parsed last
+        self.statements = 0  # statements parsed so far, each repeat's copies included
+        self.repeat: Optional[Token] = None  # the outermost repeat being parsed
 
     def descend(self, tok: Token):
         """Enter one level below the current one, at `tok`."""
@@ -428,6 +433,7 @@ class _Parser:
 
     def stmt(self, out: list):
         tok = self.peek()
+        self.statements += tok.value != "repeat"  # a repeat is its body's copies
         if tok.kind == "kw":
             if tok.value == "if":
                 self.next()
@@ -482,10 +488,15 @@ class _Parser:
                 return
             if tok.value == "repeat":
                 self.next()
-                count = self.expect("int").value
+                outer, self.repeat = self.repeat, self.repeat or tok
+                count, before = self.expect("int").value, self.statements
                 body = self.block()
-                for _ in range(count):
-                    out.extend(body)
+                self.statements = before + count * (self.statements - before)
+                if self.statements > MAX_STATEMENTS:
+                    raise ParseError(f"repeat makes more than {MAX_STATEMENTS} statements",
+                                     self.repeat.line, self.repeat.col)
+                out.extend(body * count if body else ())
+                self.repeat = outer
                 return
             if tok.value in ("rank", "nprocs", "any"):
                 self.error(f"reserved name {tok.value!r} cannot be assigned")

@@ -29,22 +29,21 @@ records whose path condition the model satisfies.  ``explore_full`` and
 ``deadlock_path_lengths`` read one walk of the deduplicated state graph,
 ``_terminals``.
 
-That walk runs over interned keys, not states.  A key is (local ids,
-``fail_loc``): a local id interns one rank's (rank, cursor, sorted
-environment items), and ``fail_loc`` is in because a failed assertion moves
-no cursor.  Exit flags and barrier waiting follow from the cursors.  With
-the inputs and the process count pinned, what a rank does next depends on
-its local id alone, so ``_move``, and ``step`` for a Local successor, run
-once per local id.  ``_compose``, the composition rule ``enabled`` uses
-too, turns the moves into actions: a Local edge costs one tuple, and only
-the rare SR, SRStar and B edges, and terminals, build a ``ConcreteState``.
-The walk visits states in order of their cursor sum, which every action
-raises except a failed assertion, and carries each state's path lengths as
-an integer bitset (bit n: some path of n actions reaches the state), ORed
-into every successor as it goes: a state is reached only after all of its
-predecessors.  A terminal's bitset is its set of path lengths, and its
-lowest bit its shortest.  The ``canonical_key``, the form the engine's
-terminals are compared in, is computed for terminal states only.
+That walk runs over integer keys, not states (SPIN's recursive indexing):
+a local id interns one rank's (rank, cursor, sorted environment items), and
+a key holds each rank's local id in a fixed-width field of one integer.
+With the inputs and the process count pinned, what a rank does next
+depends on its local id alone, so ``_move``, and ``step`` for a Local
+successor, run once per local id, and a Local move keeps the change it
+makes to a key.  ``_compose``, the composition rule ``enabled`` uses too,
+turns the moves into actions: a Local edge costs an addition and a dict
+probe; only SR, SRStar and B edges, and terminals, build a ``ConcreteState``.
+A failed assertion moves no cursor and writes nothing, so its state, a
+terminal, is counted at its edge, once per failing location.  The walk
+visits states in order of their cursor sum, which every other action
+raises, ORing each state's path-length bitset (bit n: some path of n
+actions reaches it) into its successors: a terminal's bitset is its set of
+path lengths.  Only terminals get a ``canonical_key``, the engine's form.
 """
 
 from __future__ import annotations
@@ -178,8 +177,8 @@ def _compose(moves) -> Tuple[List[GlobalAction], List[int]]:
             stars.append(SRStar(i, peer))
         elif kind is lang.Send and moves[peer] == (lang.Recv, i):
             joint.append(SR(i, peer))
-    head = [B()] if barriers == len(moves) > 0 else []
-    return head + joint + stars, locals_
+    joint[:0] = [B()] if barriers == len(moves) > 0 else ()
+    return joint + stars, locals_
 
 
 def enabled(s: ConcreteState) -> List[GlobalAction]:
@@ -263,10 +262,12 @@ def make_initial(program: lang.Program, nprocs: int, model: Model) -> ConcreteSt
 
 
 def _terminals(program: lang.Program, nprocs: int, model: Model, state_bound: int):
-    """One walk of the deduplicated state graph in cursor-sum order; a failed
-    assertion's state joins the bucket being walked.  Returns the terminal
-    states, each with its path-length bitset, and the state count."""
+    """The terminal states, each with its path-length bitset, and the state
+    count.  A key holds rank r's local id in its ``width`` bits from ``width
+    * r``; a local id is in a counted state or is one of at most ``nprocs``
+    made as the bound is exceeded: at most ``nprocs * (state_bound + 1)``."""
     init = make_initial(program, nprocs, model)
+    width = (nprocs * (state_bound + 1)).bit_length()
     local_ids: Dict[tuple, int] = {}  # (rank, cursor, sorted env items) -> local id
     local_of: List[tuple] = []  # local id -> (cursor, env)
     moves: List[Optional[tuple]] = []  # local id -> _move, a Local's with its successor
@@ -279,53 +280,66 @@ def _terminals(program: lang.Program, nprocs: int, model: Model, state_bound: in
         return k
 
     def key_of(t: ConcreteState) -> tuple:
-        return tuple(map(local_id, range(nprocs), t.cursors, t.envs)), t.fail_loc
+        lids = tuple(map(local_id, range(nprocs), t.cursors, t.envs))
+        return sum(k << width * r for r, k in enumerate(lids)), lids
 
-    def state(key) -> ConcreteState:
+    def state(lids: tuple, fail_loc: Optional[int] = None) -> ConcreteState:
         s = init.copy()
-        s.cursors, s.envs = map(list, zip(*(local_of[k] for k in key[0])))
-        s.fail_loc = key[1]
+        s.cursors, s.envs = map(list, zip(*(local_of[k] for k in lids)))
+        s.fail_loc = fail_loc
         return s
 
-    start = key_of(init)
+    def count(shifted: int) -> int:
+        if len(bits) >= state_bound:
+            raise BoundExceeded(f"oracle state bound {state_bound} exceeded")
+        bits.append(shifted)
+        return len(bits) - 1
+
+    start, lids = key_of(init)
     ids = {start: 0}
     bits = [1]  # id -> path-length bitset; the empty path reaches the initial state
     buckets: List[List[tuple]] = [[] for _ in range(nprocs * init.compiled.end + 1)]
-    buckets[sum(init.cursors)].append((0, start))
+    buckets[sum(init.cursors)].append((0, start, lids))
     terminals = []
     for level, bucket in enumerate(buckets):
-        for sid, key in bucket:
-            lids, fail_loc = key
-            s, known = None, [moves[k] for k in lids] if fail_loc is None else []
+        for sid, key, lids in bucket:
+            s, known = None, [moves[k] for k in lids]
             for r, move in enumerate(known):
                 if move is None:
-                    s = s or state(key)
+                    s = s or state(lids)
                     move = _move(s, r)
-                    if move[0] is Local:  # with its successor (local id, fail_loc, level rise)
+                    if move[0] is Local:  # with its successor (local id, key delta, level rise)
                         t = apply(s, Local(r))
-                        move = (Local, (local_id(r, t.cursors[r], t.envs[r]), t.fail_loc,
-                                        t.cursors[r] - s.cursors[r]))
+                        k = local_id(r, t.cursors[r], t.envs[r])
+                        move = (Local, (k, (k - lids[r]) << width * r, t.cursors[r] - s.cursors[r]))
                     known[r] = moves[lids[r]] = move
             joint, locals_ = _compose(known)
             if not joint and not locals_:
-                terminals.append((s or state(key), bits[sid]))
+                terminals.append((s or state(lids), bits[sid]))
                 continue
-            succs = []
+            shifted, failed = bits[sid] << 1, ()
             for a in joint:
-                t = apply(s or state(key), a)
-                succs.append((key_of(t), sum(t.cursors)))
+                t = apply(s or state(lids), a)
+                succ, succ_lids = key_of(t)
+                if succ not in ids:
+                    ids[succ] = count(shifted)
+                    buckets[sum(t.cursors)].append((ids[succ], succ, succ_lids))
+                bits[ids[succ]] |= shifted
             for r in locals_:
-                k, fail, rise = known[r][1]
-                succs.append(((lids[:r] + (k,) + lids[r + 1:], fail), level + rise))
-            shifted = bits[sid] << 1
-            for succ, succ_level in succs:
+                k, delta, rise = known[r][1]
+                if not rise:  # a failed assertion: its state's one predecessor is this one
+                    if local_of[k][0] not in failed:
+                        failed += (local_of[k][0],)
+                        terminals.append((state(lids, local_of[k][0]), bits[count(shifted)]))
+                    continue
+                succ = key + delta
                 tid = ids.get(succ)
                 if tid is None:
-                    tid = ids[succ] = len(bits)
+                    ids[succ] = tid = len(bits)
                     if tid >= state_bound:
                         raise BoundExceeded(f"oracle state bound {state_bound} exceeded")
                     bits.append(shifted)
-                    buckets[succ_level].append((tid, succ))
+                    buckets[level + rise].append((tid, succ, lids[:r] + (k,) + lids[r + 1:]))
                 else:
                     bits[tid] |= shifted
         bucket.clear()

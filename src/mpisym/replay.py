@@ -183,8 +183,8 @@ def _malformed(entry: str, line_no: int) -> ReplayError:
 
 def loads(text: str) -> TestCase:
     """Parse the v1 text; each distinct trace line is parsed once."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != FORMAT_HEADER:
+    lines = text.split("\n")  # only "\n" ends a line; each line is stripped, so "\r\n" loads
+    if lines[0].strip() != FORMAT_HEADER:
         raise ReplayError(f"not a test case file (expected {FORMAT_HEADER!r})")
     if len(lines) < 3 or not lines[1].startswith("program-hash ") \
             or not lines[2].startswith("nprocs "):

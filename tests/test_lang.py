@@ -74,6 +74,23 @@ def test_repeat_splices_copies():
     assert p.body == (Barrier(), Barrier(), Barrier())
     q = parse_program("program (nprocs = 2) { repeat 0 { barrier; } }")
     assert q.body == ()
+    assert parse_program("program { repeat 100000000000 { } }").body == ()
+
+
+def test_repeat_splices_at_most_max_statements():
+    """Statements inside `if` bodies count, a program may reach the bound,
+    and the error names the outermost `repeat`."""
+    limit = lang.MAX_STATEMENTS
+    assert len(parse_program(f"program {{ repeat {limit // 2} {{ if (rank == 0) {{ }} "
+                             "else { x = 1; } } }").body) == limit // 2
+    assert len(parse_program(f"program {{ repeat 1 {{ repeat {limit} {{ y = 1; }} }} }}").body) \
+        == limit
+    for source in (f"program {{ if (rank == 0) {{ x = 1; }} repeat {limit - 1} {{ y = 1; }} }}",
+                   f"program {{ x = 1;\n  repeat 1 {{ repeat {limit} {{ y = 1; }} }} }}"):
+        with pytest.raises(ParseError) as err:
+            parse_program(source)
+        assert err.value.message == f"repeat makes more than {limit} statements"
+    assert (err.value.line, err.value.col) == (2, 3)
 
 
 def test_precedence():
@@ -532,6 +549,11 @@ def test_lexer_agrees_with_reference(rng, corpus_entries):
     ("program { x = 'ab'; }", "1:15: bad character literal"),
     ("program {\n  recv 5 from 0;\n}", "2:8: expected receive target variable, found 5"),
     ("program {\n  else { x = 1; }\n}", "2:3: unexpected keyword 'else'"),
+    # checked before the splice: neither program is ever built
+    ("program {\n  repeat 1000 { repeat 1000 { repeat 1000 { x = 1; } } }\n}",
+     "2:3: repeat makes more than 65536 statements"),
+    ("program { x = 1; repeat 1000000000000 { x = 1; } }",
+     "1:18: repeat makes more than 65536 statements"),
 ])
 def test_parse_error_text_and_location(source, message):
     with pytest.raises(ParseError) as err:

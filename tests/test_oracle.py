@@ -377,7 +377,8 @@ def test_state_graph_matches_referee(corpus_entries, rng):
     (which validation cannot see when the destination is not a literal)
     raises at the first state that holds one, ranks checked in rank order."""
     cases = [(program(REBIND), 3, {}), (program(MEMO_NEEDS_ENV), 3, {}),
-             (program(TWO_LENGTHS), 3, {})]
+             (program(TWO_LENGTHS), 3, {}), (program(TWO_FAIL_AT_ONCE), 3, {}),
+             (program(TWELVE_RANKS), 12, {})]
     for e in corpus_entries.values():
         p = e.program()
         for pick in (lambda d: d.lo, lambda d: d.hi):
@@ -387,13 +388,14 @@ def test_state_graph_matches_referee(corpus_entries, rng):
         cases.append((p, p.nprocs_default, {d.name: rng.randint(d.lo, d.hi) for d in p.decls}))
 
     terminals, several_lengths = 0, 0
-    for p, nprocs, model in cases:
+    for p, nprocs, model in cases:  # each walked at its exact count: the narrowest keys
         count, want, lengths = referee_summary(p, nprocs, model)
-        full = explore_full(p, nprocs, model)
+        full = explore_full(p, nprocs, model, count)
         assert full.visited == count, lang.pretty_print(p)
         assert full.terminals == {key: (tag, depth) for key, tag, depth in want}, \
             lang.pretty_print(p)
-        assert deadlock_path_lengths(p, nprocs, model) == (lengths, count), lang.pretty_print(p)
+        assert deadlock_path_lengths(p, nprocs, model, count) == (lengths, count), \
+            lang.pretty_print(p)
         terminals += len(want)
         several_lengths += sum(len(lens) > 1 for lens in lengths.values())
         for bound in {count, count - 1, count // 2} - {0}:
@@ -420,6 +422,28 @@ def test_state_graph_matches_referee(corpus_entries, rng):
     assert errors == ["send destination 3 invalid at rank 2",
                       "send destination 2 invalid at rank 2",
                       "send destination 1 invalid at rank 1"]
+
+
+#: Ranks 1 and 2 fail the first assertion at one location in every state
+#: where both are still at it, the initial one included; rank 0 fails the
+#: second.
+TWO_FAIL_AT_ONCE = """\
+program (nprocs = 3) {
+  assert (rank < 1);
+  x = rank;
+  assert (x > 0);
+}
+"""
+
+
+#: Ranks 10 and 11 fail their assertion at one location wherever they are
+#: both at it, and the barrier is never released.
+TWELVE_RANKS = """\
+program (nprocs = 12) {
+  assert (rank < 10);
+  barrier;
+}
+"""
 
 
 #: Both wildcard orders reach one deadlock (rank 0 waits for a second

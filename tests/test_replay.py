@@ -451,6 +451,18 @@ def test_malformed_verdict_line_messages(verdict, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("end", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_only_a_line_feed_ends_a_line(end):
+    """`str.splitlines` also breaks at these characters; a line number
+    counts the line feeds before it, and each line is stripped."""
+    text = TRACE_HEAD.replace("X=1\n", f"X=1{end}\n") + "step rank=x loc=0\nVERDICT\nterminated\n"
+    for load in (loads, reference_loads):
+        with pytest.raises(ReplayError) as err:
+            load(text)
+        assert str(err.value) == "line 8: rank 'x' is not an integer"
+
+
 def test_trace_pattern_and_split_agree_on_whitespace():
     """The loader's pattern separates fields with `\\s`, and the diagnosis of
     a line it rejects splits them with `str.split`; each is `str.isspace`,
@@ -530,8 +542,8 @@ _REFERENCE_EVENTS = {
 def reference_loads(text):
     """The line-by-line parser `loads` replaced (split each line, check each
     field's name, one event per line); the referee for the one pattern."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != replay.FORMAT_HEADER:
+    lines = text.split("\n")
+    if lines[0].strip() != replay.FORMAT_HEADER:
         raise ReplayError(f"not a test case file (expected {replay.FORMAT_HEADER!r})")
     if len(lines) < 3 or not lines[1].startswith("program-hash ") \
             or not lines[2].startswith("nprocs "):
