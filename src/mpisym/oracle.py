@@ -4,16 +4,20 @@ reduced engine.
 The oracle runs a closed system: all symbolic inputs are pinned to a
 concrete model, and every interleaving of global actions is explored with
 visited-state deduplication.  Global actions are the composition of one
-step per participating process:
+step per participating process; all but the barrier are the engine's own
+trace events (the paper's names in brackets):
 
-  * ``SR(i, j)``      rendezvous of Send at i with a source-specific Recv at j
-  * ``SRStar(i, j)``  rendezvous of Send at i with a wildcard Recv at j
-  * ``B``             all processes step past a barrier together
-  * ``Local(i)``      any non-communication statement of process i
+  * ``MatchEvent(i, j, False)``  [SR] Send at i, source-specific Recv at j
+  * ``MatchEvent(i, j, True)``   [SR*] Send at i, wildcard Recv at j
+  * ``StepEvent(i, loc)``        [Local] the non-communication statement at
+    process i's cursor, loc
+  * ``B()``                      [B] all processes step past a barrier
 
-A barrier needs every process of the program to arrive; a process that ran
-off its body without reaching one disables B forever, so the remaining
-processes wedge, exactly like a missing collective call does.
+The oracle counts no barrier epochs (replay checks a recorded one), so the
+barrier is ``B()``, not a ``BarrierRelease``.  A barrier needs every
+process of the program to arrive; a process that ran off its body without
+reaching one disables B forever, so the remaining processes wedge, exactly
+like a missing collective call does.
 
 ``step`` applies one action in place and is the package's only concrete
 interpreter: ``apply`` wraps it for the search, and replay walks recorded
@@ -33,11 +37,11 @@ That walk runs over integer keys, not states (SPIN's recursive indexing):
 a local id interns one rank's (rank, cursor, sorted environment items), and
 a key holds each rank's local id in a fixed-width field of one integer.
 With the inputs and the process count pinned, what a rank does next
-depends on its local id alone, so ``_move``, and ``step`` for a Local
-successor, run once per local id, and a Local move keeps the change it
+depends on its local id alone, so ``_move``, and ``step`` for a local
+successor, run once per local id, and a local move keeps the change it
 makes to a key.  ``_compose``, the composition rule ``enabled`` uses too,
-turns the moves into actions: a Local edge costs an addition and a dict
-probe; only SR, SRStar and B edges, and terminals, build a ``ConcreteState``.
+turns the moves into actions: a local edge costs an addition and a dict
+probe; only match and B edges, and terminals, build a ``ConcreteState``.
 A failed assertion moves no cursor and writes nothing, so its state, a
 terminal, is counted at its edge, once per failing location.  The walk
 visits states in order of their cursor sum, which every other action
@@ -52,7 +56,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from . import engine, lang, ops
 from .solver import Model
-from .state import BarrierRelease, MatchEvent, StepEvent, Verdict
+from .state import BarrierRelease, MatchEvent, StepEvent, Verdict, new_tuple
 from .symbolic import pc_holds
 
 
@@ -67,32 +71,9 @@ class BoundExceeded(OracleError):
 # -- global actions -----------------------------------------------------------
 
 
-class SR(lang.Record):
-    __slots__ = ("sender", "receiver")
-
-    def __init__(self, sender: int, receiver: int):
-        self.sender, self.receiver = sender, receiver
-
-
-class SRStar(lang.Record):
-    __slots__ = ("sender", "receiver")
-
-    def __init__(self, sender: int, receiver: int):
-        self.sender, self.receiver = sender, receiver
-
-
 class B(lang.Record):
     __slots__ = ()
 
-
-class Local(lang.Record):
-    __slots__ = ("rank",)
-
-    def __init__(self, rank: int):
-        self.rank = rank
-
-
-GlobalAction = object
 
 _LOCAL_OPS = (lang.Assign, ops.OpBranch, lang.Exit)
 
@@ -147,11 +128,12 @@ def canonical_key(cursors, envs):
 
 def _move(s: ConcreteState, r: int) -> tuple:
     """What rank r does next in s, which depends on its cursor and environment
-    alone: (Local, None), (B, None) at a barrier, (lang.Send, destination),
-    (lang.Recv, source or None for any), or (None, None) once it has exited."""
+    alone: (StepEvent, None) for a local step, (B, None) at a barrier,
+    (lang.Send, destination), (lang.Recv, source or None for any), or
+    (None, None) once it has exited."""
     op = s.current_op(r)
     if isinstance(op, _LOCAL_OPS):
-        return Local, None
+        return StepEvent, None
     if isinstance(op, lang.Barrier):
         return B, None
     if isinstance(op, lang.Send):
@@ -164,61 +146,66 @@ def _move(s: ConcreteState, r: int) -> tuple:
     return None, None
 
 
-def _compose(moves) -> Tuple[List[GlobalAction], List[int]]:
-    """The composition rule over every rank's move: the enabled B, then SR
-    by sender, then SRStar by sender, and the ranks with an enabled Local."""
+def _compose(moves) -> Tuple[list, List[int]]:
+    """The composition rule over every rank's move: the enabled B, then the
+    source-specific matches by sender, then the wildcard matches by sender,
+    and the ranks with an enabled local step."""
     joint, stars, locals_, barriers = [], [], [], 0
     for i, (kind, peer) in enumerate(moves):
-        if kind is Local:
+        if kind is StepEvent:
             locals_.append(i)
         elif kind is B:
             barriers += 1
         elif kind is lang.Send and moves[peer] == (lang.Recv, None):
-            stars.append(SRStar(i, peer))
+            stars.append(new_tuple(MatchEvent, (i, peer, True)))
         elif kind is lang.Send and moves[peer] == (lang.Recv, i):
-            joint.append(SR(i, peer))
+            joint.append(new_tuple(MatchEvent, (i, peer, False)))
     joint[:0] = [B()] if barriers == len(moves) > 0 else ()
     return joint + stars, locals_
 
 
-def enabled(s: ConcreteState) -> List[GlobalAction]:
+def enabled(s: ConcreteState) -> list:
     """Every composition-rule-enabled action in s, deterministically ordered:
-    B, then SR by sender, then SRStar by sender, then Local by rank."""
+    B, then source-specific matches by sender, then wildcard matches by
+    sender, then local steps by rank."""
     joint, locals_ = _compose([_move(s, r) for r in range(s.nprocs if s.fail_loc is None else 0)])
-    return joint + [Local(r) for r in locals_]
+    return joint + [new_tuple(StepEvent, (r, s.cursors[r])) for r in locals_]
 
 
-def step(s: ConcreteState, action: GlobalAction) -> Optional[bool]:
-    """Apply one enabled global action to s in place.  Returns the outcome
-    of a branch or assertion step, None for every other action."""
+def step(s: ConcreteState, action) -> Optional[bool]:
+    """Apply one enabled global action to s in place (OracleError for one
+    not enabled).  Returns the outcome of a branch or assertion step, None
+    for every other action."""
     cursors = s.cursors
     next_of = s.compiled.next_of
     kind = type(action)
-    if kind is Local:
-        r = action.rank
+    if kind is StepEvent:
+        r, loc = action
         table = s.compiled.ops
-        op = table[cursors[r]] if cursors[r] < len(table) else None
+        op = table[loc] if cursors[r] == loc < len(table) else None
         op_kind = type(op)
         if op_kind is ops.OpBranch:
             taken = bool(s.eval(r, op.cond))
             target = op.true_target if taken else op.false_target
             if target is None:  # a failed assertion moves no cursor
-                s.fail_loc = cursors[r]
+                s.fail_loc = loc
             else:
                 cursors[r] = target
             return taken
         elif op_kind is lang.Assign:
             s.envs[r] = {**s.envs[r], op.var: s.eval(r, op.expr)}
-            cursors[r] = next_of[cursors[r]]
+            cursors[r] = next_of[loc]
         elif op_kind is lang.Exit:
             cursors[r] = s.compiled.end
         else:
-            raise OracleError(f"Local({r}) not enabled")
-    elif kind is SR or kind is SRStar:
-        i, j = action.sender, action.receiver
+            raise OracleError(f"{action!r} not enabled")
+    elif kind is MatchEvent:
+        i, j, wildcard = action
         send_op = s.current_op(i)
         recv_op = s.current_op(j)
-        if type(send_op) is not lang.Send or type(recv_op) is not lang.Recv:
+        if type(send_op) is not lang.Send or type(recv_op) is not lang.Recv \
+                or s.eval(i, send_op.dest) != j or wildcard != (recv_op.src is None) \
+                or not wildcard and s.eval(j, recv_op.src) != i:
             raise OracleError(f"{action!r} not enabled")
         s.envs[j] = {**s.envs[j], recv_op.var: s.eval(i, send_op.payload)}
         cursors[i] = next_of[cursors[i]]
@@ -233,7 +220,7 @@ def step(s: ConcreteState, action: GlobalAction) -> Optional[bool]:
     return None
 
 
-def apply(s: ConcreteState, action: GlobalAction) -> ConcreteState:
+def apply(s: ConcreteState, action) -> ConcreteState:
     """Successor state under one enabled global action; s is unchanged."""
     t = s.copy()
     step(t, action)
@@ -270,7 +257,7 @@ def _terminals(program: lang.Program, nprocs: int, model: Model, state_bound: in
     width = (nprocs * (state_bound + 1)).bit_length()
     local_ids: Dict[tuple, int] = {}  # (rank, cursor, sorted env items) -> local id
     local_of: List[tuple] = []  # local id -> (cursor, env)
-    moves: List[Optional[tuple]] = []  # local id -> _move, a Local's with its successor
+    moves: List[Optional[tuple]] = []  # local id -> _move, a local step's with its successor
 
     def local_id(r: int, cursor: int, env: Dict[str, int]) -> int:
         k = local_ids.setdefault((r, cursor, tuple(sorted(env.items()))), len(local_of))
@@ -308,10 +295,11 @@ def _terminals(program: lang.Program, nprocs: int, model: Model, state_bound: in
                 if move is None:
                     s = s or state(lids)
                     move = _move(s, r)
-                    if move[0] is Local:  # with its successor (local id, key delta, level rise)
-                        t = apply(s, Local(r))
+                    if move[0] is StepEvent:  # with its successor (local id, key delta, level rise)
+                        t = apply(s, new_tuple(StepEvent, (r, s.cursors[r])))
                         k = local_id(r, t.cursors[r], t.envs[r])
-                        move = (Local, (k, (k - lids[r]) << width * r, t.cursors[r] - s.cursors[r]))
+                        move = (StepEvent, (k, (k - lids[r]) << width * r,
+                                            t.cursors[r] - s.cursors[r]))
                     known[r] = moves[lids[r]] = move
             joint, locals_ = _compose(known)
             if not joint and not locals_:
@@ -372,16 +360,10 @@ def deadlock_path_lengths(program: lang.Program, nprocs: int, model: Model,
 def global_action_count(trace, compiled: ops.CompiledProgram) -> int:
     """Length of an engine trace measured in oracle global actions: each
     match and each barrier release is one action, each executed
-    non-communication statement is one Local action, and blocking steps
+    non-communication statement is one local step, and blocking steps
     contribute nothing (a rendezvous is a single action, not two)."""
-    n = 0
-    for ev in trace:
-        if isinstance(ev, (MatchEvent, BarrierRelease)):
-            n += 1
-        elif isinstance(ev, StepEvent):
-            if isinstance(compiled.ops[ev.loc], _LOCAL_OPS):
-                n += 1
-    return n
+    return sum(type(ev) is MatchEvent or type(ev) is BarrierRelease or type(ev) is StepEvent
+               and isinstance(compiled.ops[ev.loc], _LOCAL_OPS) for ev in trace)
 
 
 def engine_terminal_canonical(record: engine.PathRecord, model: Model) -> tuple:

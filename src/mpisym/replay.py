@@ -6,9 +6,10 @@ oracle's transition relation (``oracle.step``), so reproduction is
 deterministic and needs no solver; any disagreement between an event and
 the concrete semantics is reported as a divergence.
 
-A step at an assignment, branch, assertion or exit is the action
-``Local(r)``; a source-specific match is ``SR``, a wildcard match
-``SRStar`` and a barrier release ``B``.  A step at a send, receive or
+Replay hands ``oracle.step`` the recorded events themselves: a ``step``
+at an assignment, branch, assertion or exit and a ``match`` are the
+oracle's actions as they stand, and only a barrier ``release`` becomes
+``oracle.B()``, once its epoch is checked.  A step at a send, receive or
 barrier is the engine's blocking half of a rendezvous and is no action: it
 *posts* the rank, which then waits for the match or release.  The posted
 ranks, each with the rank its call names, are all the state replay keeps
@@ -308,7 +309,6 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
     cursors = s.cursors
     end = s.compiled.end
     table = s.compiled.ops
-    local = [oracle.Local(r) for r in range(n)]
     barrier = oracle.B()
     posted = {}  # posted rank -> the rank its call names (None: wildcard receive, barrier)
     arrivals = 0  # ranks posted at the open barrier
@@ -335,7 +335,7 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
                 if type(nxt) is not BranchChoice or nxt.loc != loc:
                     return Divergence(i, "a branch-choice event", repr(nxt))
                 i += 1
-                if oracle.step(s, local[r]) != nxt.taken:
+                if oracle.step(s, ev) != nxt.taken:
                     what = "branch" if op.false_target is not None else "assertion"
                     return Divergence(i, f"{what} at loc {loc} taken={_yn(nxt.taken)}",
                                       f"condition evaluated to {_yn(not nxt.taken)}")
@@ -343,7 +343,7 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
                     return Divergence(i + 1, "end of trace after the assertion failure",
                                       repr(events[i]))
             elif op_kind is lang.Assign or op_kind is lang.Exit:
-                oracle.step(s, local[r])
+                oracle.step(s, ev)
             elif op_kind is lang.Barrier:
                 posted[r] = None
                 arrivals += 1
@@ -373,7 +373,7 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
                                           f"a matching {'receive' if sending else 'send'} "
                                           "was already posted")
                     i += 1
-                    oracle.step(s, oracle.SR(snd, rcv))
+                    oracle.step(s, nxt)
                     del posted[peer]
                 else:
                     posted[r] = peer
@@ -389,7 +389,7 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
                     and _posted_on(s, posted, rcv, lang.Recv, None)):
                 return Divergence(i, f"rank {snd} blocked sending to {rcv} and rank {rcv} "
                                   "blocked on a wildcard receive", "not both posted on that pair")
-            oracle.step(s, oracle.SRStar(snd, rcv))
+            oracle.step(s, ev)
             del posted[snd], posted[rcv]
         else:
             return Divergence(i, "step or wildcard match event", repr(ev))

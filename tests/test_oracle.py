@@ -4,11 +4,10 @@ from collections import deque
 import pytest
 
 from mpisym import cli, engine, lang, ops, oracle, replay, report, solver
-from mpisym.oracle import (B, Local, OracleError, SR, SRStar, apply,
-                           check_theorem, deadlock_path_lengths, enabled,
-                           explore_full, make_initial)
+from mpisym.oracle import (B, OracleError, apply, check_theorem, deadlock_path_lengths,
+                           enabled, explore_full, make_initial)
 from mpisym.engine import SearchStrategy
-from mpisym.state import Verdict
+from mpisym.state import MatchEvent, StepEvent, Verdict
 from mpisym.symbolic import pc_holds
 from randprog import random_program
 from test_engine import reference_search
@@ -19,9 +18,9 @@ def program(text: str) -> lang.Program:
 
 
 def drain_locals(s):
-    """Apply Local actions (lowest rank first) until none is enabled."""
+    """Apply local steps (lowest rank first) until none is enabled."""
     while True:
-        locals_ = [a for a in enabled(s) if isinstance(a, Local)]
+        locals_ = [a for a in enabled(s) if isinstance(a, StepEvent)]
         if not locals_:
             return s
         s = apply(s, locals_[0])
@@ -46,7 +45,7 @@ program (nprocs = 3) {
 def test_enabled_wildcard_pairs():
     s = make_initial(program(FIG4B), 3, {})
     s = drain_locals(s)
-    assert enabled(s) == [SRStar(1, 0), SRStar(2, 0)]
+    assert enabled(s) == [MatchEvent(1, 0, True), MatchEvent(2, 0, True)]
 
 
 def test_enabled_barrier_needs_every_process():
@@ -72,8 +71,8 @@ program (nprocs = 2) {
 }
 """)
     s = drain_locals(make_initial(p, 2, {}))
-    assert enabled(s) == [SR(0, 1)]
-    t = apply(s, SR(0, 1))
+    assert enabled(s) == [MatchEvent(0, 1, False)]
+    t = apply(s, MatchEvent(0, 1, False))
     assert t.envs[1]["m"] == 3
     assert t.all_exited()
 
@@ -83,7 +82,7 @@ def test_apply_barrier_advances_everyone():
     s = make_initial(p, 3, {})
     t = apply(s, B())
     assert [op is not None for op in map(t.current_op, range(3))] == [True] * 3
-    assert enabled(t) == [Local(0), Local(1), Local(2)]
+    assert enabled(t) == [StepEvent(0, 1), StepEvent(1, 1), StepEvent(2, 1)]
 
 
 def test_apply_wildcard_transfers_payload():
@@ -104,8 +103,8 @@ program (nprocs = 3) {
 }
 """
     s = drain_locals(make_initial(program(e), 3, {"X": 97}))
-    assert enabled(s) == [SRStar(0, 1), SRStar(2, 1)]
-    t = apply(s, SRStar(2, 1))
+    assert enabled(s) == [MatchEvent(0, 1, True), MatchEvent(2, 1, True)]
+    t = apply(s, MatchEvent(2, 1, True))
     assert t.envs[1]["x"] == 20
 
 
@@ -125,15 +124,43 @@ def test_apply_leaves_its_input_unchanged(corpus_entries):
                 assert s.canonical() == key, (e.name, a)
 
 
+MIXED_RECEIVES = """\
+program (nprocs = 3) {
+  if (rank == 0) {
+    send 5 to 1;
+  } else {
+    if (rank == 1) {
+      recv v from 0;
+    } else {
+      recv w from any;
+    }
+  }
+}
+"""
+
+
 def test_apply_requires_enabled_action():
     s = make_initial(program("program (nprocs = 2) { x = 1; }"), 2, {})
-    with pytest.raises(OracleError):
-        apply(s, SR(0, 1))
+    t = make_initial(program(MIXED_RECEIVES), 3, {})
+    u = drain_locals(t)
+    assert enabled(u) == [MatchEvent(0, 1, False)]
+    rows = [
+        (s, MatchEvent(0, 1, False)),  # no send or receive at all
+        (u, MatchEvent(0, 2, True)),  # rank 0 sends to rank 1, not to the wildcard at 2
+        (u, MatchEvent(0, 2, False)),
+        (u, MatchEvent(0, 1, True)),  # rank 1's receive names rank 0: not a wildcard match
+        (u, StepEvent(0, u.cursors[0])),  # a step at a send posts; it is no action
+        (t, StepEvent(0, t.cursors[0] + 1)),  # not rank 0's cursor
+    ]
+    for state, action in rows:
+        assert action not in enabled(state)
+        with pytest.raises(OracleError):
+            apply(state, action)
 
 
 def test_enabled_independent_pairs():
     s = drain_locals(make_initial(program(TWO_PAIRS), 4, {}))
-    assert enabled(s) == [SR(0, 1), SR(2, 3)]
+    assert enabled(s) == [MatchEvent(0, 1, False), MatchEvent(2, 3, False)]
 
 
 def test_explore_full_fig4b():
@@ -549,7 +576,7 @@ def test_independence_commutativity(corpus_entries, rng):
                 continue
             seen.add(key)
             acts = enabled(s)
-            srs = [a for a in acts if isinstance(a, SR)]
+            srs = [a for a in acts if type(a) is MatchEvent and not a.wildcard]
             for i in range(len(srs)):
                 for j in range(i + 1, len(srs)):
                     ab = apply(apply(s, srs[i]), srs[j]).canonical()

@@ -18,7 +18,7 @@ X, ONE = Var("x"), Num(1)
 
 
 def records():
-    """One record of each of the 33 kinds, with the text its dataclass
+    """One record of each of the 30 kinds, with the text its dataclass
     printed; each call builds them anew."""
     return [
         (Num(1), "Num(value=1)"),
@@ -47,10 +47,7 @@ def records():
         (ops.CompiledProgram((lang.Exit(1),), (1,), {"X": (0, 3)}, frozenset({Num(7)})),
          "CompiledProgram(ops=(Exit(line=1),), next_of=(1,), domains={'X': (0, 3)}, "
          "closed=frozenset({Num(value=7)}))"),
-        (oracle.SR(0, 1), "SR(sender=0, receiver=1)"),
-        (oracle.SRStar(1, 0), "SRStar(sender=1, receiver=0)"),
         (oracle.B(), "B()"),
-        (oracle.Local(2), "Local(rank=2)"),
         (oracle.OracleResult({((0,), ((),)): ("deadlock", 2)}, 5),
          "OracleResult(terminals={((0,), ((),)): ('deadlock', 2)}, visited=5)"),
         (oracle.TheoremVerdict(holds=True, model={"X": 1}),
@@ -91,7 +88,7 @@ UNHASHABLE = (oracle.OracleResult, oracle.TheoremVerdict, engine.SearchStrategy,
 
 
 def test_every_record_kind_prints_as_its_dataclass_did():
-    assert len({type(record) for record, _ in records()}) == 33
+    assert len({type(record) for record, _ in records()}) == 30
     for record, text in records():
         assert isinstance(record, lang.Record)
         assert repr(record) == text
@@ -106,7 +103,6 @@ def test_records_equal_and_hash_by_their_fields():
         else:
             assert hash(twin) == hash(record)
     assert Num(1) != Bool(True) and not Num(1) == Bool(True)
-    assert oracle.SR(0, 1) != oracle.SRStar(0, 1)
     assert Num(1) != 1 and Binary("+", X, ONE) != Binary("-", X, ONE)
 
 

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from mpisym import engine, lang, replay, solver
+from mpisym import cli, engine, lang, ops, oracle, replay, solver
 from mpisym.replay import (ReplayError, dumps, loads, load_testcase,
                            make_testcase, program_hash, replay_testcase,
                            save_testcase)
@@ -153,6 +153,43 @@ def test_random_program_paths_replay(rng):
             failed_assertions += rec.verdict is Verdict.ASSERT_FAIL
     assert checked > 100
     assert failed_assertions > 0
+
+
+def test_replay_applies_exactly_the_enabled_global_actions(corpus_entries, rng, tmp_path,
+                                                           monkeypatch):
+    """Replay hands `oracle.step` only actions that `oracle.enabled` offers,
+    and as many as `oracle.global_action_count` counts on the trace, so the
+    path lengths the theorem check compares are the ones replay walks.  The
+    cases: every test case `analyze --out` writes for the corpus under dfs
+    and bfs, and every replayable path of 100 random programs."""
+    cases = []
+    for entry in corpus_entries.values():
+        path = tmp_path / f"{entry.name}.mpisym"
+        path.write_text(entry.source, encoding="utf-8")
+        for order in ("dfs", "bfs"):
+            out = tmp_path / order / entry.name
+            assert cli.main(["analyze", str(path), "--nprocs", str(entry.nprocs),
+                             "--strategy", order, "--out", str(out)]) in (0, 2)
+            cases += [(entry.program(), load_testcase(f)) for f in sorted(out.iterdir())]
+    for _ in range(100):
+        p = random_program(rng)
+        cases += [(p, make_testcase(rec, p, p.nprocs_default))
+                  for rec in engine.search(p, p.nprocs_default).records
+                  if rec.verdict is not Verdict.ERROR]
+
+    applied, real_step = [], oracle.step
+
+    def step(s, action):
+        assert action in oracle.enabled(s), action
+        applied.append(action)
+        return real_step(s, action)
+
+    monkeypatch.setattr(oracle, "step", step)
+    for p, tc in cases:
+        applied.clear()
+        assert replay_testcase(p, tc).ok
+        assert len(applied) == oracle.global_action_count(tc.trace, ops.lower(p))
+    assert len(cases) > 200
 
 
 # -- engine-specific checks on edited traces -------------------------------------
