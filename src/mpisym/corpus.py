@@ -21,12 +21,6 @@ class CorpusError(Exception):
 class CorpusEntry(lang.Record):
     __slots__ = ("name", "source", "nprocs", "deadlock_reachable", "assertfail_reachable")
 
-    def __init__(self, name: str, source: str, nprocs: int, deadlock_reachable: bool,
-                 assertfail_reachable: bool):
-        self.name, self.source, self.nprocs = name, source, nprocs
-        self.deadlock_reachable = deadlock_reachable
-        self.assertfail_reachable = assertfail_reachable
-
     def program(self) -> lang.Program:
         return lang.parse_program(self.source)
 

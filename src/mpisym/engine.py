@@ -67,9 +67,7 @@ class SearchStrategy(lang.Record):
 class SolverStats(lang.Record):
     __slots__ = ("queries",)
     __hash__ = None
-
-    def __init__(self, queries: int = 0):
-        self.queries = queries
+    _defaults = {"queries": 0}
 
 
 #: What happens next in a state: the rank to run, the (receiver, sender)
@@ -78,16 +76,10 @@ Schedule = Union[int, List[Tuple[int, int]], Verdict]
 
 
 class PathRecord(lang.Record):
+    # final_state: the terminal state, which holds the trace
     __slots__ = ("index", "verdict", "pc", "model", "steps", "final_state", "fail_loc", "error")
     __hash__ = None
-
-    def __init__(self, index: int, verdict: Verdict, pc: symbolic.PathCondition, model: Model,
-                 steps: int, final_state: GlobalState, fail_loc: Optional[int] = None,
-                 error: Optional[str] = None):
-        self.index, self.verdict, self.pc, self.model = index, verdict, pc, model
-        self.steps = steps
-        self.final_state = final_state  # the terminal state, which holds the trace
-        self.fail_loc, self.error = fail_loc, error
+    _defaults = {"fail_loc": None, "error": None}
 
     @property
     def trace(self) -> Tuple[TraceEvent, ...]:
@@ -98,11 +90,7 @@ class PathRecord(lang.Record):
 class AnalysisReport(lang.Record):
     __slots__ = ("records", "states_created", "solver_queries", "wall_time", "truncated")
     __hash__ = None
-
-    def __init__(self, records: List[PathRecord], states_created: int, solver_queries: int,
-                 wall_time: float, truncated: bool = False):
-        self.records, self.states_created = records, states_created
-        self.solver_queries, self.wall_time, self.truncated = solver_queries, wall_time, truncated
+    _defaults = {"truncated": False}
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -351,9 +339,8 @@ def search(program: lang.Program, nprocs: int,
         if type(what) is Verdict:  # terminal: record it
             s.verdict = what
             stats.queries += 1
-            records.append(PathRecord(
-                index=len(records), verdict=what, pc=s.pc, model=s.model,
-                steps=s.depth, final_state=s, fail_loc=s.fail_loc, error=s.error))
+            records.append(PathRecord(len(records), what, s.pc, s.model, s.depth, s,
+                                      s.fail_loc, s.error))
         elif (max_depth is not None and s.depth >= max_depth
               or max_states is not None and states_created >= max_states):
             truncated = True

@@ -59,15 +59,37 @@ class ParseError(LangError):
 
 
 class Record:
-    """A value made of the fields that its class lists in ``__slots__`` and
-    sets in its own ``__init__`` (an `Expr`, in `Expr.__new__`): equal to a
-    record of its class with equal fields, hashed over them and shown as
-    ``Name(field=value, ...)``, as a dataclass.  Creating the class
-    generates no code, and no assignment is guarded: nothing assigns to a
-    hashed record's fields after it is built.  A slot named "_..." is no
-    field; a record changed in place sets ``__hash__ = None``."""
+    """A value made of the fields that its class lists in ``__slots__``: built
+    from them in order, then by name, then from the class's ``_defaults``
+    (immutable values only, as every record of the class shares them); equal
+    to a record of its class with equal fields, hashed over them and shown as
+    ``Name(field=value, ...)``, as a dataclass.  Creating the class generates
+    no code, and no assignment is guarded: nothing assigns to a hashed
+    record's fields after it is built.  A slot named "_..." is no field (its
+    class sets it in its own ``__init__``); a record changed in place sets
+    ``__hash__ = None``."""
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *values, **named):
+        cls = type(self)
+        slots = cls.__slots__
+        if len(values) > len(slots):
+            raise TypeError(f"{cls.__name__} takes {len(slots)} fields, not {len(values)}")
+        for name, value in zip(slots, values):
+            setattr(self, name, value)
+        for name in slots[len(values):]:
+            if name in named:
+                setattr(self, name, named.pop(name))
+            elif name in cls._defaults:
+                setattr(self, name, cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__} lacks field {name!r}")
+        if named:
+            name = next(iter(named))
+            raise TypeError(f"{cls.__name__} got field {name!r} twice" if name in slots
+                            else f"{cls.__name__} has no field {name!r}")
 
     @property
     def _values(self) -> tuple:
@@ -103,6 +125,7 @@ class Expr(Record):
     read, computed once from its children's."""
 
     __slots__ = ("free", "__weakref__")
+    __init__ = object.__init__  # `__new__` sets the fields
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -148,10 +171,12 @@ BOUND_NAMES = frozenset({"rank", "nprocs"})
 
 
 class Located(Record):
-    """A record whose last field is its source ``line``, which it shows but
-    neither compares nor hashes: so parse/pretty-print round-trips are exact."""
+    """A record whose last field is its source ``line`` (0 when not given),
+    which it shows but neither compares nor hashes: so parse/pretty-print
+    round-trips are exact."""
 
     __slots__ = ()
+    _defaults = {"line": 0}
 
     @property
     def _values(self) -> tuple:
@@ -161,51 +186,29 @@ class Located(Record):
 class Assign(Located):
     __slots__ = ("var", "expr", "line")
 
-    def __init__(self, var: str, expr: Expr, line: int = 0):
-        self.var, self.expr, self.line = var, expr, line
-
 
 class If(Located):
     __slots__ = ("cond", "then_body", "else_body", "line")
-
-    def __init__(self, cond: Expr, then_body: Tuple[Stmt, ...], else_body: Tuple[Stmt, ...],
-                 line: int = 0):
-        self.cond, self.then_body, self.else_body, self.line = cond, then_body, else_body, line
 
 
 class Send(Located):
     __slots__ = ("payload", "dest", "line")
 
-    def __init__(self, payload: Expr, dest: Expr, line: int = 0):
-        self.payload, self.dest, self.line = payload, dest, line
-
 
 class Recv(Located):
-    __slots__ = ("var", "src", "line")
-
-    def __init__(self, var: str, src: Optional[Expr], line: int = 0):  # src None: any sender
-        self.var, self.src, self.line = var, src, line
+    __slots__ = ("var", "src", "line")  # src None: any sender
 
 
 class Barrier(Located):
     __slots__ = ("line",)
 
-    def __init__(self, line: int = 0):
-        self.line = line
-
 
 class Assert(Located):
     __slots__ = ("cond", "line")
 
-    def __init__(self, cond: Expr, line: int = 0):
-        self.cond, self.line = cond, line
-
 
 class Exit(Located):
     __slots__ = ("line",)
-
-    def __init__(self, line: int = 0):
-        self.line = line
 
 
 if TYPE_CHECKING:
@@ -214,9 +217,6 @@ if TYPE_CHECKING:
 
 class SymDecl(Located):
     __slots__ = ("name", "lo", "hi", "line")
-
-    def __init__(self, name: str, lo: int, hi: int, line: int = 0):
-        self.name, self.lo, self.hi, self.line = name, lo, hi, line
 
 
 class Program(Record):
@@ -605,9 +605,6 @@ MAX_NPROCS = 1024
 
 class Finding(Record):
     __slots__ = ("kind", "message", "line")
-
-    def __init__(self, kind: str, message: str, line: int):
-        self.kind, self.message, self.line = kind, message, line
 
 
 #: The operators with an integer result; every other one yields a bool.

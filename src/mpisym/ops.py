@@ -22,17 +22,14 @@ declared inputs or `lang.BOUND_NAMES`.  No environment binds an input
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict
 
 from . import lang
 
 
 class OpBranch(lang.Record):
+    # false_target None: an assertion, which fails here
     __slots__ = ("cond", "true_target", "false_target", "line")
-
-    def __init__(self, cond: lang.Expr, true_target: int, false_target: Optional[int], line: int):
-        self.cond, self.true_target, self.line = cond, true_target, line
-        self.false_target = false_target  # None: an assertion, which fails here
 
 
 #: The fields of each kind of statement in the table that hold an operand.
@@ -43,16 +40,10 @@ _OPERANDS = {lang.Assign: ("expr",), OpBranch: ("cond",), lang.Send: ("payload",
 class _Jump(lang.Record):
     __slots__ = ("target",)
 
-    def __init__(self, target: int):
-        self.target = target
-
 
 class CompiledProgram(lang.Record):
+    # domains: input name -> (lo, hi); closed: the operands that read no local
     __slots__ = ("ops", "next_of", "domains", "closed")
-
-    def __init__(self, ops: Tuple, next_of: Tuple[int, ...], domains: Dict[str, Tuple[int, int]],
-                 closed: FrozenSet[lang.Expr]):  # the operands that read no local
-        self.ops, self.next_of, self.domains, self.closed = ops, next_of, domains, closed
 
     @property
     def end(self) -> int:

@@ -182,7 +182,7 @@ def step(s: ConcreteState, action) -> Optional[bool]:
     if kind is StepEvent:
         r, loc = action
         table = s.compiled.ops
-        op = table[loc] if cursors[r] == loc < len(table) else None
+        op = table[loc] if 0 <= r < s.nprocs and cursors[r] == loc < len(table) else None
         op_kind = type(op)
         if op_kind is ops.OpBranch:
             taken = bool(s.eval(r, op.cond))
@@ -201,8 +201,8 @@ def step(s: ConcreteState, action) -> Optional[bool]:
             raise OracleError(f"{action!r} not enabled")
     elif kind is MatchEvent:
         i, j, wildcard = action
-        send_op = s.current_op(i)
-        recv_op = s.current_op(j)
+        send_op = s.current_op(i) if 0 <= i < s.nprocs else None
+        recv_op = s.current_op(j) if 0 <= j < s.nprocs else None
         if type(send_op) is not lang.Send or type(recv_op) is not lang.Recv \
                 or s.eval(i, send_op.dest) != j or wildcard != (recv_op.src is None) \
                 or not wildcard and s.eval(j, recv_op.src) != i:
@@ -231,11 +231,8 @@ def apply(s: ConcreteState, action) -> ConcreteState:
 
 
 class OracleResult(lang.Record):
-    __slots__ = ("terminals", "visited")
+    __slots__ = ("terminals", "visited")  # terminals: canonical -> (tag, shortest length)
     __hash__ = None
-
-    def __init__(self, terminals: Dict[tuple, Tuple[str, int]], visited: int):
-        self.terminals, self.visited = terminals, visited  # canonical -> (tag, shortest length)
 
 
 def _terminal_tag(s: ConcreteState) -> str:

@@ -71,11 +71,7 @@ def _sha256(program: lang.Program) -> str:
 
 class TestCase(lang.Record):
     __slots__ = ("program_hash", "nprocs", "model", "trace", "verdict", "fail_loc")
-
-    def __init__(self, program_hash: str, nprocs: int, model: Tuple[Tuple[str, int], ...],
-                 trace: Tuple, verdict: Verdict, fail_loc: Optional[int] = None):
-        self.program_hash, self.nprocs, self.model = program_hash, nprocs, model
-        self.trace, self.verdict, self.fail_loc = trace, verdict, fail_loc
+    _defaults = {"fail_loc": None}
 
     def model_dict(self) -> Dict[str, int]:
         return dict(self.model)
@@ -85,14 +81,8 @@ def make_testcase(record: engine.PathRecord, program: lang.Program,
                   nprocs: int) -> TestCase:
     if record.verdict is Verdict.ERROR:
         raise ReplayError("analysis-error paths are not replayable")
-    return TestCase(
-        program_hash=program_hash(program),
-        nprocs=nprocs,
-        model=tuple(record.model.items()),
-        trace=record.trace,
-        verdict=record.verdict,
-        fail_loc=record.fail_loc,
-    )
+    return TestCase(program_hash(program), nprocs, tuple(record.model.items()), record.trace,
+                    record.verdict, record.fail_loc)
 
 
 def _yn(flag: bool) -> str:
@@ -251,8 +241,7 @@ def loads(text: str) -> TestCase:
     else:  # a test case never ends running or in an analysis error
         raise ReplayError(f"line {vline_no}: unknown verdict {vline!r}")
 
-    return TestCase(program_hash=phash, nprocs=nprocs, model=tuple(model.items()),
-                    trace=tuple(trace), verdict=verdict, fail_loc=fail_loc)
+    return TestCase(phash, nprocs, tuple(model.items()), tuple(trace), verdict, fail_loc)
 
 
 def save_testcase(record: engine.PathRecord, program: lang.Program,
@@ -271,11 +260,8 @@ def load_testcase(path) -> TestCase:
 
 
 class Divergence(lang.Record):
+    # event_index: the number of events consumed when replay diverged
     __slots__ = ("event_index", "expected", "observed")
-
-    def __init__(self, event_index: int, expected: str, observed: str):
-        # event_index: the number of events consumed when replay diverged
-        self.event_index, self.expected, self.observed = event_index, expected, observed
 
     def __str__(self):
         return f"event {self.event_index}: expected {self.expected}, observed {self.observed}"

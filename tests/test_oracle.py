@@ -144,6 +144,8 @@ def test_apply_requires_enabled_action():
     t = make_initial(program(MIXED_RECEIVES), 3, {})
     u = drain_locals(t)
     assert enabled(u) == [MatchEvent(0, 1, False)]
+    f = drain_locals(make_initial(program(FIG4B), 3, {}))
+    assert enabled(f) == [MatchEvent(1, 0, True), MatchEvent(2, 0, True)]
     rows = [
         (s, MatchEvent(0, 1, False)),  # no send or receive at all
         (u, MatchEvent(0, 2, True)),  # rank 0 sends to rank 1, not to the wildcard at 2
@@ -151,6 +153,13 @@ def test_apply_requires_enabled_action():
         (u, MatchEvent(0, 1, True)),  # rank 1's receive names rank 0: not a wildcard match
         (u, StepEvent(0, u.cursors[0])),  # a step at a send posts; it is no action
         (t, StepEvent(0, t.cursors[0] + 1)),  # not rank 0's cursor
+        # a rank outside [0, nprocs) names no process, not one counted from the end
+        (s, StepEvent(-1, 0)),
+        (s, StepEvent(2, 0)),
+        (f, MatchEvent(-2, 0, True)),
+        (f, MatchEvent(1, -3, True)),
+        (f, MatchEvent(3, 0, True)),
+        (f, MatchEvent(1, 3, True)),
     ]
     for state, action in rows:
         assert action not in enabled(state)

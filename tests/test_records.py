@@ -1,7 +1,7 @@
-"""The records of `src/mpisym` are plain classes on `lang.Record`, with
-``__slots__`` and a hand-written ``__init__``; they print, compare and hash
-as the frozen (or, for the ones changed in place, plain) dataclasses they
-replace did."""
+"""The records of `src/mpisym` are plain classes on `lang.Record`, each
+built from its ``__slots__`` by `Record`'s one constructor; they print,
+compare and hash as the frozen (or, for the ones changed in place, plain)
+dataclasses they replace did."""
 
 import os
 import subprocess
@@ -121,6 +121,61 @@ def test_search_strategy_validates_its_fields():
     for bad in ({"max_states": 0}, {"max_depth": 0}, {"order": "random"}):
         with pytest.raises(ValueError):
             engine.SearchStrategy(**bad)
+
+
+def record_classes():
+    found, todo = [], [lang.Record]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return found
+
+
+def test_a_record_takes_its_fields_in_order_by_name_or_by_default():
+    built = [Assign("x", ONE, 3), Assign("x", ONE, line=3), Assign(var="x", expr=ONE, line=3),
+             Assign("x", line=3, expr=ONE)]
+    assert all(repr(a) == "Assign(var='x', expr=Num(value=1), line=3)" for a in built)
+    assert Assign("x", ONE).line == 0 and lang.Barrier().line == 0
+    assert lang.Recv("v", src=None).src is None
+    rec = engine.PathRecord(0, Verdict.DEADLOCK, (), {}, 4, None, error="e")
+    assert (rec.fail_loc, rec.error) == (None, "e")
+    assert engine.SolverStats().queries == 0 and engine.SolverStats(7).queries == 7
+    assert replay.TestCase("ab", 2, (), (), Verdict.DEADLOCK).fail_loc is None
+    assert oracle.B() == oracle.B()
+
+
+def test_a_record_rejects_a_missing_unknown_doubled_or_surplus_field():
+    bad = [
+        (lambda: Assign("x"), "lacks field 'expr'"),
+        (lambda: lang.Finding("type", "m"), "lacks field 'line'"),  # no default line here
+        (lambda: Assign("x", ONE, colour=1), "has no field 'colour'"),
+        (lambda: Assign("x", ONE, var="y"), "got field 'var' twice"),
+        (lambda: lang.Barrier(1, line=2), "got field 'line' twice"),
+        (lambda: Assign("x", ONE, 3, 4), "takes 3 fields, not 4"),
+        (lambda: oracle.B(1), "takes 0 fields, not 1"),
+    ]
+    for make, message in bad:
+        with pytest.raises(TypeError, match=message):
+            make()
+
+
+def test_defaults_are_immutable():
+    """Every record of a class shares its `_defaults`, so none may be a
+    container that one record could change under another."""
+    for cls in record_classes():
+        for name, value in cls._defaults.items():
+            assert not isinstance(value, (list, dict, set)), (cls, name)
+
+
+def test_only_records_that_do_more_keep_their_own_init():
+    """`SearchStrategy` validates, `Program` starts its memo, `TheoremVerdict`
+    and `ReplayResult` make fresh containers, and `ProcState`, on the fork
+    path, sets one field a statement; an `Expr` is built in `__new__`."""
+    own = {cls for cls in record_classes() if "__init__" in vars(cls)}
+    assert own == {lang.Record, lang.Expr, engine.SearchStrategy, lang.Program,
+                   oracle.TheoremVerdict, replay.ReplayResult, state.ProcState}
+    assert lang.Expr.__init__ is object.__init__
 
 
 def test_derived_is_computed_once_per_program():
