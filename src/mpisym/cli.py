@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="pin a symbolic input (repeatable)")
     p_compare.add_argument("--enumerate-models", type=int, default=4, metavar="K",
                            help="number of solver models to compare under")
-    p_compare.add_argument("--oracle-bound", type=int, default=200_000)
+    p_compare.add_argument("--oracle-bound", type=int, default=oracle.STATE_BOUND)
     p_compare.set_defaults(func=cmd_compare)
 
     p_corpus = sub.add_parser("corpus", help="run the bundled expectation table")

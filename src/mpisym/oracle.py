@@ -20,8 +20,10 @@ reaching one disables B forever, so the remaining processes wedge, exactly
 like a missing collective call does.
 
 ``step`` applies one action in place and is the package's only concrete
-interpreter: ``apply`` wraps it for the search, and replay walks recorded
-traces over it.  Environments bind ``rank``, ``nprocs`` and the locals to
+interpreter.  It checks nothing: the action must be one of ``enabled``'s,
+the one enabledness rule, as the walk below and replay's own checks make
+sure.  ``apply`` accepts exactly those (OracleError for any other) and
+steps a copy.  Environments bind ``rank``, ``nprocs`` and the locals to
 ints and are copy-on-write: ``copy`` copies the cursor and environment
 lists, and ``step`` replaces an environment dict instead of mutating it.
 
@@ -58,6 +60,10 @@ from . import engine, lang, ops
 from .solver import Model
 from .state import BarrierRelease, MatchEvent, StepEvent, Verdict, new_tuple
 from .symbolic import pc_holds
+
+
+#: The default bound on the states one oracle walk counts.
+STATE_BOUND = 200_000
 
 
 class OracleError(Exception):
@@ -105,10 +111,6 @@ class ConcreteState:
     def all_exited(self) -> bool:
         return all(pc >= self.compiled.end for pc in self.cursors)
 
-    def current_op(self, r: int):
-        pc = self.cursors[r]
-        return self.compiled.ops[pc] if pc < len(self.compiled.ops) else None
-
     def eval(self, r: int, e: lang.Expr):
         return lang.evaluate(e, self.envs[r], self.inputs)
 
@@ -131,7 +133,7 @@ def _move(s: ConcreteState, r: int) -> tuple:
     alone: (StepEvent, None) for a local step, (B, None) at a barrier,
     (lang.Send, destination), (lang.Recv, source or None for any), or
     (None, None) once it has exited."""
-    op = s.current_op(r)
+    op = s.compiled.ops[s.cursors[r]] if s.cursors[r] < s.compiled.end else None
     if isinstance(op, _LOCAL_OPS):
         return StepEvent, None
     if isinstance(op, lang.Barrier):
@@ -173,18 +175,17 @@ def enabled(s: ConcreteState) -> list:
 
 
 def step(s: ConcreteState, action) -> Optional[bool]:
-    """Apply one enabled global action to s in place (OracleError for one
-    not enabled).  Returns the outcome of a branch or assertion step, None
-    for every other action."""
+    """Apply `action` to s in place.  It must be one of `enabled(s)`: nothing
+    here checks it (`apply` does).  Returns the outcome of a branch or
+    assertion step, None for every other action."""
     cursors = s.cursors
+    table = s.compiled.ops
     next_of = s.compiled.next_of
     kind = type(action)
     if kind is StepEvent:
         r, loc = action
-        table = s.compiled.ops
-        op = table[loc] if 0 <= r < s.nprocs and cursors[r] == loc < len(table) else None
-        op_kind = type(op)
-        if op_kind is ops.OpBranch:
+        op = table[loc]
+        if type(op) is ops.OpBranch:
             taken = bool(s.eval(r, op.cond))
             target = op.true_target if taken else op.false_target
             if target is None:  # a failed assertion moves no cursor
@@ -192,36 +193,26 @@ def step(s: ConcreteState, action) -> Optional[bool]:
             else:
                 cursors[r] = target
             return taken
-        elif op_kind is lang.Assign:
+        if type(op) is lang.Assign:
             s.envs[r] = {**s.envs[r], op.var: s.eval(r, op.expr)}
             cursors[r] = next_of[loc]
-        elif op_kind is lang.Exit:
+        else:  # lang.Exit
             cursors[r] = s.compiled.end
-        else:
-            raise OracleError(f"{action!r} not enabled")
     elif kind is MatchEvent:
-        i, j, wildcard = action
-        send_op = s.current_op(i) if 0 <= i < s.nprocs else None
-        recv_op = s.current_op(j) if 0 <= j < s.nprocs else None
-        if type(send_op) is not lang.Send or type(recv_op) is not lang.Recv \
-                or s.eval(i, send_op.dest) != j or wildcard != (recv_op.src is None) \
-                or not wildcard and s.eval(j, recv_op.src) != i:
-            raise OracleError(f"{action!r} not enabled")
-        s.envs[j] = {**s.envs[j], recv_op.var: s.eval(i, send_op.payload)}
+        i, j, _ = action
+        s.envs[j] = {**s.envs[j], table[cursors[j]].var: s.eval(i, table[cursors[i]].payload)}
         cursors[i] = next_of[cursors[i]]
         cursors[j] = next_of[cursors[j]]
-    elif kind is B:
-        if not all(type(s.current_op(r)) is lang.Barrier for r in range(s.nprocs)):
-            raise OracleError("barrier applied while some process is elsewhere")
-        for r in range(s.nprocs):
-            cursors[r] = next_of[cursors[r]]
-    else:
-        raise OracleError(f"unknown action {action!r}")
+    else:  # B
+        cursors[:] = [next_of[pc] for pc in cursors]
     return None
 
 
 def apply(s: ConcreteState, action) -> ConcreteState:
-    """Successor state under one enabled global action; s is unchanged."""
+    """Successor state under `action`, which must be one of `enabled(s)`
+    (OracleError for any other); s is unchanged."""
+    if action not in enabled(s):
+        raise OracleError(f"{action!r} not enabled")
     t = s.copy()
     step(t, action)
     return t
@@ -293,7 +284,8 @@ def _terminals(program: lang.Program, nprocs: int, model: Model, state_bound: in
                     s = s or state(lids)
                     move = _move(s, r)
                     if move[0] is StepEvent:  # with its successor (local id, key delta, level rise)
-                        t = apply(s, new_tuple(StepEvent, (r, s.cursors[r])))
+                        t = s.copy()
+                        step(t, new_tuple(StepEvent, (r, s.cursors[r])))
                         k = local_id(r, t.cursors[r], t.envs[r])
                         move = (StepEvent, (k, (k - lids[r]) << width * r,
                                             t.cursors[r] - s.cursors[r]))
@@ -304,7 +296,8 @@ def _terminals(program: lang.Program, nprocs: int, model: Model, state_bound: in
                 continue
             shifted, failed = bits[sid] << 1, ()
             for a in joint:
-                t = apply(s or state(lids), a)
+                t = (s or state(lids)).copy()
+                step(t, a)
                 succ, succ_lids = key_of(t)
                 if succ not in ids:
                     ids[succ] = count(shifted)
@@ -332,7 +325,7 @@ def _terminals(program: lang.Program, nprocs: int, model: Model, state_bound: in
 
 
 def explore_full(program: lang.Program, nprocs: int, model: Model,
-                 state_bound: int = 200_000) -> OracleResult:
+                 state_bound: int = STATE_BOUND) -> OracleResult:
     """Exhaustive walk over all interleavings with state dedup: every
     terminal's tag and shortest path length (its bitset's lowest bit)."""
     terminals, visited = _terminals(program, nprocs, model, state_bound)
@@ -342,7 +335,7 @@ def explore_full(program: lang.Program, nprocs: int, model: Model,
 
 
 def deadlock_path_lengths(program: lang.Program, nprocs: int, model: Model,
-                          state_bound: int = 200_000) -> Tuple[Dict[tuple, FrozenSet[int]], int]:
+                          state_bound: int = STATE_BOUND) -> Tuple[Dict[tuple, FrozenSet[int]], int]:
     """For every deadlocked terminal, the set of path lengths (in global
     actions) over ALL executions reaching it, plus the visited-state count."""
     terminals, visited = _terminals(program, nprocs, model, state_bound)
@@ -387,7 +380,7 @@ class TheoremVerdict(lang.Record):
         self.engine_states, self.oracle_states = engine_states, oracle_states
 
 
-def check_theorem(program: lang.Program, nprocs: int, model: Model, state_bound: int = 200_000,
+def check_theorem(program: lang.Program, nprocs: int, model: Model, state_bound: int = STATE_BOUND,
                   report: Optional[engine.AnalysisReport] = None) -> TheoremVerdict:
     """Differential equivalence check for one concrete model.
 

@@ -6,17 +6,19 @@ oracle's transition relation (``oracle.step``), so reproduction is
 deterministic and needs no solver; any disagreement between an event and
 the concrete semantics is reported as a divergence.
 
-Replay hands ``oracle.step`` the recorded events themselves: a ``step``
-at an assignment, branch, assertion or exit and a ``match`` are the
-oracle's actions as they stand, and only a barrier ``release`` becomes
-``oracle.B()``, once its epoch is checked.  A step at a send, receive or
-barrier is the engine's blocking half of a rendezvous and is no action: it
-*posts* the rank, which then waits for the match or release.  The posted
-ranks, each with the rank its call names, are all the state replay keeps
-besides the oracle's, and they carry the engine's own rules: a posted rank
-takes no step, a call whose partner already posted the matching call is
-matched at once, and a trace ends only where no rank can run and no
-wildcard pair is left.
+Replay hands ``oracle.step`` the recorded events themselves, once its own
+checks make each one of ``oracle.enabled``'s: a ``step`` at an assignment,
+branch, assertion or exit and a ``match`` are the oracle's actions as they
+stand, and only a barrier ``release`` becomes ``oracle.B()``, once its
+epoch is checked.  A step at a send, receive or barrier is the engine's
+blocking half of a rendezvous and is no action: it *posts* the rank, which
+then waits for the match or release.  The posted ranks, each with its move
+as ``oracle._move`` gives it (``(lang.Send, j)``, ``(lang.Recv, j or
+None)`` or ``(oracle.B, None)``), are all the state replay keeps besides
+the oracle's, and they carry the engine's own rules: a posted rank takes
+no step, a call whose partner already posted the matching call is matched
+at once, and a trace ends only where no rank can run and no wildcard pair
+is left.
 
 File format (one event per line, LF, UTF-8)::
 
@@ -281,13 +283,6 @@ class ReplayResult(lang.Record):
         return not self.divergences and self.verdict is self.expected
 
 
-def _posted_on(s: oracle.ConcreteState, posted, r: int, call: type, peer: Optional[int]) -> bool:
-    """`state.waiting_in` asked of the posted map: whether rank r is posted
-    in a `call` (lang.Send or lang.Recv) naming rank `peer`; peer None
-    stands for a wildcard receive."""
-    return posted.get(r, -1) == peer and isinstance(s.current_op(r), call)
-
-
 def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
     """Follow the recorded events over oracle.step, in place: the verdict
     of the final state, or the first divergence."""
@@ -296,7 +291,7 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
     end = s.compiled.end
     table = s.compiled.ops
     barrier = oracle.B()
-    posted = {}  # posted rank -> the rank its call names (None: wildcard receive, barrier)
+    posted = {}  # posted rank -> its move, in oracle._move's terms
     arrivals = 0  # ranks posted at the open barrier
     epoch = 0
     count = len(events)
@@ -331,7 +326,7 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
             elif op_kind is lang.Assign or op_kind is lang.Exit:
                 oracle.step(s, ev)
             elif op_kind is lang.Barrier:
-                posted[r] = None
+                posted[r] = (oracle.B, None)
                 arrivals += 1
                 if arrivals == n:
                     if type(nxt) is not BarrierRelease:
@@ -343,17 +338,15 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
                     posted.clear()
                     arrivals = 0
                     epoch += 1
-            elif op_kind is lang.Recv and op.src is None:
-                posted[r] = None  # a wildcard receive waits for a wildcard match
             else:
                 sending = op_kind is lang.Send
-                peer = s.eval(r, op.dest if sending else op.src)
-                if not 0 <= peer < n or peer == r:
+                named = op.dest if sending else op.src
+                peer = None if named is None else s.eval(r, named)  # None: a wildcard receive
+                if peer is not None and (not 0 <= peer < n or peer == r):
                     return Divergence(i, f"a peer rank for rank {r}", f"rank {peer}")
                 snd, rcv = (r, peer) if sending else (peer, r)
-                if _posted_on(s, posted, peer, lang.Recv if sending else lang.Send, r):
-                    if not (type(nxt) is MatchEvent and not nxt.wildcard
-                            and nxt.sender == snd and nxt.receiver == rcv):
+                if posted.get(peer) == (lang.Recv if sending else lang.Send, r):
+                    if nxt != new_tuple(MatchEvent, (snd, rcv, False)):
                         call = f"send to {peer}" if sending else f"receive from {peer}"
                         return Divergence(i, f"rank {r} blocking on {call}",
                                           f"a matching {'receive' if sending else 'send'} "
@@ -362,7 +355,7 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
                     oracle.step(s, nxt)
                     del posted[peer]
                 else:
-                    posted[r] = peer
+                    posted[r] = (op_kind, peer)
         elif kind is MatchEvent:
             snd, rcv, wildcard = ev
             for q in (snd, rcv):
@@ -371,8 +364,7 @@ def _walk(s: oracle.ConcreteState, events) -> Union[Verdict, Divergence]:
             if not wildcard:
                 return Divergence(i, "a step before any source-specific match",
                                   f"standalone {ev}")
-            if not (_posted_on(s, posted, snd, lang.Send, rcv)
-                    and _posted_on(s, posted, rcv, lang.Recv, None)):
+            if posted.get(snd) != (lang.Send, rcv) or posted.get(rcv) != (lang.Recv, None):
                 return Divergence(i, f"rank {snd} blocked sending to {rcv} and rank {rcv} "
                                   "blocked on a wildcard receive", "not both posted on that pair")
             oracle.step(s, ev)

@@ -81,7 +81,7 @@ def test_apply_barrier_advances_everyone():
     p = program("program (nprocs = 3) { barrier; x = rank; }")
     s = make_initial(p, 3, {})
     t = apply(s, B())
-    assert [op is not None for op in map(t.current_op, range(3))] == [True] * 3
+    assert t.cursors == [1, 1, 1]
     assert enabled(t) == [StepEvent(0, 1), StepEvent(1, 1), StepEvent(2, 1)]
 
 
@@ -146,6 +146,10 @@ def test_apply_requires_enabled_action():
     assert enabled(u) == [MatchEvent(0, 1, False)]
     f = drain_locals(make_initial(program(FIG4B), 3, {}))
     assert enabled(f) == [MatchEvent(1, 0, True), MatchEvent(2, 0, True)]
+    a = make_initial(program("program (nprocs = 2) { if (rank == 0) { assert (rank == 1); }"
+                             " x = 1; }"), 2, {})
+    a = apply(apply(a, StepEvent(0, 0)), StepEvent(0, 1))
+    assert (a.fail_loc, a.cursors, enabled(a)) == (1, [1, 0], [])
     rows = [
         (s, MatchEvent(0, 1, False)),  # no send or receive at all
         (u, MatchEvent(0, 2, True)),  # rank 0 sends to rank 1, not to the wildcard at 2
@@ -160,11 +164,46 @@ def test_apply_requires_enabled_action():
         (f, MatchEvent(1, -3, True)),
         (f, MatchEvent(3, 0, True)),
         (f, MatchEvent(1, 3, True)),
+        (a, StepEvent(1, 0)),  # rank 1 could step, but rank 0's assertion failed
     ]
     for state, action in rows:
         assert action not in enabled(state)
         with pytest.raises(OracleError):
             apply(state, action)
+
+
+def test_apply_accepts_exactly_the_enabled_actions(rng):
+    """At random reachable states of random programs (random walks over
+    `enabled` from `make_initial`, two models each), `apply` accepts an
+    action exactly when `enabled` offers it.  The actions tried: a step of
+    each rank in [-1, nprocs] at its cursor, 0, 1 or the end, a match of
+    each two such ranks either way, and B."""
+    pairs = failed = 0
+    for _ in range(30):
+        p = random_program(rng)
+        nprocs, end = p.nprocs_default, ops.lower(p).end
+        ranks = range(-1, nprocs + 1)
+        matches = [MatchEvent(i, j, w) for i in ranks for j in ranks for w in (False, True)]
+        for _ in range(2):
+            s = make_initial(p, nprocs, {d.name: rng.randint(d.lo, d.hi) for d in p.decls})
+            while True:
+                acts = enabled(s)
+                tried = [B(), *matches, *(StepEvent(r, loc) for r in ranks
+                                          for loc in {s.cursors[r % nprocs], 0, 1, end})]
+                for action in tried:
+                    try:
+                        apply(s, action)
+                    except OracleError:
+                        assert action not in acts, (lang.pretty_print(p), s.cursors, action)
+                    else:
+                        assert action in acts, (lang.pretty_print(p), s.cursors, action)
+                pairs += len(tried)
+                failed += s.fail_loc is not None
+                if not acts:
+                    break
+                s = apply(s, rng.choice(acts))
+    assert pairs > 20_000
+    assert failed  # some states follow a failed assertion
 
 
 def test_enabled_independent_pairs():

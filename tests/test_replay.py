@@ -192,6 +192,71 @@ def test_replay_applies_exactly_the_enabled_global_actions(corpus_entries, rng, 
     assert len(cases) > 200
 
 
+def _mutated_trace(rng, trace, nprocs):
+    """One event-level edit of a trace: an event deleted, duplicated, moved
+    or with one field rewritten, or a `MatchEvent` inserted."""
+    trace = list(trace)
+    k = rng.randrange(len(trace)) if trace else None
+    choice = rng.randrange(5) if trace else 4
+    if choice == 0:
+        del trace[k]
+    elif choice == 1:
+        trace.insert(k, trace[k])
+    elif choice == 2:
+        trace.insert(rng.randrange(len(trace)), trace.pop(k))
+    elif choice == 3:
+        fields = list(trace[k])
+        f = rng.randrange(len(fields))
+        fields[f] = (not fields[f] if type(fields[f]) is bool
+                     else rng.choice((fields[f] - 1, fields[f] + 1, rng.randint(-1, nprocs))))
+        trace[k] = type(trace[k])(*fields)
+    else:
+        trace.insert(rng.randrange(len(trace) + 1),
+                     MatchEvent(rng.randint(-1, nprocs), rng.randint(-1, nprocs),
+                                rng.random() < 0.5))
+    return trace
+
+
+def mutated_testcases(corpus_entries, rng, count):
+    """`count` test cases of the corpus and of random programs, each with one
+    or two event-level edits of its trace."""
+    cases = []
+    for entry in corpus_entries.values():
+        p, rep = search_records(entry)
+        cases += [(p, make_testcase(rec, p, entry.nprocs)) for rec in rep.records]
+    for _ in range(40):
+        p = random_program(rng)
+        cases += [(p, make_testcase(rec, p, p.nprocs_default))
+                  for rec in engine.search(p, p.nprocs_default).records
+                  if rec.verdict is not Verdict.ERROR]
+    for _ in range(count):
+        p, tc = rng.choice(cases)
+        trace = tc.trace
+        for _ in range(rng.randint(1, 2)):
+            trace = _mutated_trace(rng, trace, tc.nprocs)
+        yield p, with_trace(tc, trace)
+
+
+def test_replay_steps_only_enabled_actions_on_mutated_traces(corpus_entries, rng, monkeypatch):
+    """`oracle.step` checks nothing, so replay's own checks must make every
+    action it steps one of `oracle.enabled`'s, on any trace: over 3,000
+    edited traces each step gets an enabled action, and each replay ends in
+    a verdict or a divergence, never another exception."""
+    real_step = oracle.step
+
+    def step(s, action):
+        assert action in oracle.enabled(s), action
+        return real_step(s, action)
+
+    monkeypatch.setattr(oracle, "step", step)
+    outcomes = []
+    for p, tc in mutated_testcases(corpus_entries, rng, 3000):
+        result = replay_testcase(p, tc)
+        assert (result.verdict is None) == (len(result.divergences) == 1), result
+        outcomes.append(result.verdict is None)
+    assert 0 < outcomes.count(False) < outcomes.count(True)  # both outcomes occur
+
+
 # -- engine-specific checks on edited traces -------------------------------------
 
 TWO_RANK_RECV_FIRST = """\

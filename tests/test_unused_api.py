@@ -20,7 +20,7 @@ BENCH = SRC.parent.parent / "bench"
 
 #: "module.name" or "module.Class.method" -> its only user, outside
 #: `src/mpisym` and `bench/`.
-USED_ONLY_BY_TESTS: dict = {}
+USED_ONLY_BY_TESTS = {"oracle.apply": "tests/test_oracle.py"}
 
 #: Each method that shares its name with a field or member of another class
 #: ("module.Class.method") -> a function that reads it ("module.function"
