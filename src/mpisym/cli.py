@@ -5,7 +5,8 @@ test case per path), replay (re-execute a recorded test case), compare
 (differential check of the reduced engine against the full-interleaving
 explorer), corpus (run the bundled expectations table).
 
-Exit codes:
+Exit codes, which commands raise and `main` alone maps errors to; every
+error is one line on stderr (validation: one line per finding):
   0  clean
   1  usage, parse, validation or analysis error; replay divergence
   2  deadlock or assertion failure found (analyze), compare FAIL, corpus mismatch
@@ -35,9 +36,9 @@ EXIT_BOUND = 3
 EXIT_INTERNAL = 4
 
 
-def _fail(message: str) -> int:
-    print(f"mpisym: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+def _fail(message: str, prefix: str = "mpisym: error: ", code: int = EXIT_USAGE) -> int:
+    print(prefix + " ".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 def _load_program(path_text: str):
@@ -57,15 +58,9 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def cmd_analyze(args) -> int:
-    try:
-        program = _load_program(args.program)
-        nprocs = args.nprocs if args.nprocs is not None else program.nprocs_default
-        result = engine.search(program, nprocs, _strategy(args))
-    except engine.ValidationFailure as exc:
-        sys.stderr.write(report.render_validation(exc.findings))
-        return EXIT_USAGE
-    except (lang.LangError, ValueError) as exc:
-        return _fail(str(exc))
+    program = _load_program(args.program)
+    nprocs = args.nprocs if args.nprocs is not None else program.nprocs_default
+    result = engine.search(program, nprocs, _strategy(args))
 
     sys.stdout.write(report.render(result, detail=args.verbose))
 
@@ -96,13 +91,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        program = _load_program(args.program)
-        tc = replay.load_testcase(args.testcase)
-        result = replay.replay_testcase(program, tc)
-    except (lang.LangError, replay.ReplayError, OSError, ValueError) as exc:
-        return _fail(str(exc))
-
+    program = _load_program(args.program)
+    tc = replay.load_testcase(args.testcase)
+    result = replay.replay_testcase(program, tc)
     expected = tc.verdict.value
     if result.ok:
         print(f"{expected.capitalize()} reproduced; 0 divergences")
@@ -153,46 +144,34 @@ def _candidate_models(program, result: engine.AnalysisReport, count: int):
 
 
 def cmd_compare(args) -> int:
-    try:
-        program = _load_program(args.program)
-        nprocs = args.nprocs if args.nprocs is not None else program.nprocs_default
-        findings = lang.validate(program, nprocs)
-        if findings:
-            sys.stderr.write(report.render_validation(findings))
-            return EXIT_USAGE
-        for flag, value in (("--enumerate-models", args.enumerate_models),
-                            ("--oracle-bound", args.oracle_bound)):
-            if value < 1:
-                raise ValueError(f"{flag} must be positive")
-        strategy = engine.SearchStrategy(max_states=args.max_states)  # rejects < 1
-        models = [_parse_set(args.set, program)] if args.set else None
-        result = engine.search(program, nprocs, strategy)
-        if result.truncated:
-            raise oracle.BoundExceeded(f"engine state bound {args.max_states} exceeded")
-        if models is None:
-            models = _candidate_models(program, result, args.enumerate_models)
-        all_hold = True
-        for model in models:
-            verdict = oracle.check_theorem(program, nprocs, model,
-                                           state_bound=args.oracle_bound, report=result)
-            sys.stdout.write(report.render_compare(verdict))
-            all_hold = all_hold and verdict.holds
-    except oracle.BoundExceeded as exc:
-        print(f"mpisym: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except (lang.LangError, solver.SolverError, oracle.OracleError, ValueError) as exc:
-        return _fail(str(exc))
+    program = _load_program(args.program)
+    nprocs = args.nprocs if args.nprocs is not None else program.nprocs_default
+    findings = lang.validate(program, nprocs)
+    if findings:
+        raise engine.ValidationFailure(findings)
+    for flag, value in (("--enumerate-models", args.enumerate_models),
+                        ("--oracle-bound", args.oracle_bound)):
+        if value < 1:
+            raise ValueError(f"{flag} must be positive")
+    strategy = engine.SearchStrategy(max_states=args.max_states)  # rejects < 1
+    models = [_parse_set(args.set, program)] if args.set else None
+    result = engine.search(program, nprocs, strategy)
+    if result.truncated:
+        raise oracle.BoundExceeded(f"engine state bound {args.max_states} exceeded")
+    if models is None:
+        models = _candidate_models(program, result, args.enumerate_models)
+    all_hold = True
+    for model in models:
+        verdict = oracle.check_theorem(program, nprocs, model,
+                                       state_bound=args.oracle_bound, report=result)
+        sys.stdout.write(report.render_compare(verdict))
+        all_hold = all_hold and verdict.holds
     return EXIT_OK if all_hold else EXIT_FOUND
 
 
 def cmd_corpus(args) -> int:
-    directory = Path(args.dir) if args.dir is not None else None
-    try:
-        strategy = _strategy(args)
-        entries = corpus_mod.load_corpus(directory)
-    except (corpus_mod.CorpusError, ValueError) as exc:
-        return _fail(str(exc))
-
+    strategy = _strategy(args)
+    entries = corpus_mod.load_corpus(Path(args.dir) if args.dir is not None else None)
     mismatches = 0
     for e in entries:
         result = engine.search(e.program(), e.nprocs, strategy)
@@ -257,6 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; every error a command raises is mapped to its exit
+    code here, and reported in one line (validation: one per finding)."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -264,10 +245,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
+    except engine.ValidationFailure as exc:
+        sys.stderr.write(report.render_validation(exc.findings))
+        return EXIT_USAGE
+    except oracle.BoundExceeded as exc:
+        return _fail(str(exc), "mpisym: ", EXIT_BOUND)
+    except (lang.LangError, replay.ReplayError, oracle.OracleError, corpus_mod.CorpusError,
+            # a solver error is a usage error of compare alone, as tests pin
+            ValueError, solver.SolverError if args.func is cmd_compare else ValueError) as exc:
+        return _fail(str(exc))
     except Exception as exc:  # RecursionError, EngineError, SolverError, ...
-        message = " ".join(str(exc).splitlines())
-        print(f"mpisym: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(str(exc), f"mpisym: internal error: {type(exc).__name__}: ", EXIT_INTERNAL)
 
 
 if __name__ == "__main__":  # pragma: no cover

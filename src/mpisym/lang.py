@@ -323,8 +323,9 @@ def tokenize(text: str):
 #: level below the statement holding the block, an expression one below its
 #: statement, an operand one below its operator or parentheses: so
 #: ``x = (1 + 2);`` is four levels deep.  Every walker over the tree
-#: recurses once or twice per level, and the parser ten times per pair of
-#: parentheses, so all stay far from the interpreter's recursion limit.
+#: recurses once or twice per level, and the parser three times per pair of
+#: parentheses (60 pairs peak at 191 frames), so all stay far from the
+#: interpreter's recursion limit.
 MAX_DEPTH = 64
 
 #: Most statements, ``if`` bodies included, a ``repeat`` may splice a program to.
@@ -510,7 +511,7 @@ class _Parser:
             return
         self.error(f"expected a statement, found {tok.value!r}")
 
-    # Expressions, lowest precedence first: || && (== !=) (< <= > >=) (+ -) (*)
+    # Expressions: operators bind as tightly as `PREC` says, the printer's table
 
     def expr(self) -> Expr:
         """An expression one level below the current statement.  Operator
@@ -518,23 +519,20 @@ class _Parser:
         expression's height is known."""
         tok = self.peek()
         self.descend(tok)
-        e = self._binary(0)
+        e = self._binary(1)
         if self.depth + self.height - 1 > MAX_DEPTH:
             raise ParseError(f"nested deeper than {MAX_DEPTH} levels", tok.line, tok.col)
         self.depth -= 1
         return e
 
-    _LEVELS = (("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="), ("+", "-"), ("*",))
-
-    def _binary(self, level: int) -> Expr:
-        if level == len(self._LEVELS):
-            return self._unary()
-        ops = self._LEVELS[level]
-        e = self._binary(level + 1)
+    def _binary(self, least: int) -> Expr:
+        """Precedence climbing: a unary operand, then every operator binding
+        at least `least` with its right side, left-associatively."""
+        e = self._unary()
         height = self.height
-        while self.peek().kind in ops:
+        while PREC.get(self.peek().kind, 0) >= least:
             op = self.next().kind
-            rhs = self._binary(level + 1)
+            rhs = self._binary(PREC[op] + 1)
             e = Binary(op, e, rhs)
             height = 1 + max(height, self.height)
         self.height = height
@@ -563,7 +561,7 @@ class _Parser:
         if tok.kind == "(":
             self.next()
             self.descend(tok)
-            e = self._binary(0)
+            e = self._binary(1)
             self.depth -= 1
             self.height += 1
             self.expect(")")

@@ -132,19 +132,19 @@ def _move(s: ConcreteState, r: int) -> tuple:
     """What rank r does next in s, which depends on its cursor and environment
     alone: (StepEvent, None) for a local step, (B, None) at a barrier,
     (lang.Send, destination), (lang.Recv, source or None for any), or
-    (None, None) once it has exited."""
+    (None, None) once it has exited.  A named peer must be another rank."""
     op = s.compiled.ops[s.cursors[r]] if s.cursors[r] < s.compiled.end else None
     if isinstance(op, _LOCAL_OPS):
         return StepEvent, None
     if isinstance(op, lang.Barrier):
         return B, None
-    if isinstance(op, lang.Send):
-        j = s.eval(r, op.dest)
-        if not 0 <= j < s.nprocs or j == r:
-            raise OracleError(f"send destination {j} invalid at rank {r}")
-        return lang.Send, j
-    if isinstance(op, lang.Recv):
-        return lang.Recv, None if op.src is None else s.eval(r, op.src)
+    if isinstance(op, (lang.Send, lang.Recv)):
+        named = op.dest if type(op) is lang.Send else op.src
+        j = None if named is None else s.eval(r, named)
+        if j is not None and (not 0 <= j < s.nprocs or j == r):
+            what = "send destination" if type(op) is lang.Send else "receive source"
+            raise OracleError(f"{what} {j} invalid at rank {r}")
+        return type(op), j
     return None, None
 
 
@@ -231,6 +231,14 @@ def _terminal_tag(s: ConcreteState) -> str:
 
 
 def make_initial(program: lang.Program, nprocs: int, model: Model) -> ConcreteState:
+    """The initial state of a program that validates at `nprocs`, under a
+    model of its inputs; OracleError for any other."""
+    try:
+        findings = lang.validate(program, nprocs)
+    except lang.LangError as exc:
+        raise OracleError(str(exc)) from None
+    if findings:
+        raise OracleError(f"program fails validation: {findings[0].message}")
     compiled = ops.lower(program)
     compiled.check_model(model, OracleError)
     return ConcreteState(compiled, nprocs, dict(model))
@@ -384,19 +392,22 @@ def check_theorem(program: lang.Program, nprocs: int, model: Model, state_bound:
                   report: Optional[engine.AnalysisReport] = None) -> TheoremVerdict:
     """Differential equivalence check for one concrete model.
 
-    `report` is a complete symbolic search of the program (one unbounded
-    `engine.search` when None); its projection onto `model` is the records
-    whose path condition holds under it.  Holds iff (a) the projection
-    reaches a deadlock exactly when the full-interleaving graph does, (b)
-    the canonical deadlocked terminal states coincide, and (c) for each
-    such terminal the sets of reachable path lengths (in global actions)
-    coincide.  `state_bound` bounds the oracle.
+    `report` is a complete symbolic search of the program at `nprocs` (one
+    unbounded `engine.search` when None); its projection onto `model` is
+    the records whose path condition holds under it.  Holds iff (a) the
+    projection reaches a deadlock exactly when the full-interleaving graph
+    does, (b) the canonical deadlocked terminal states coincide, and (c) for
+    each such terminal the sets of reachable path lengths (in global
+    actions) coincide.  `state_bound` bounds the oracle.
     """
     ops.lower(program).check_model(model, OracleError)
     if report is None:
         report = engine.search(program, nprocs)
     if report.truncated:
         raise BoundExceeded("engine search truncated by its state or depth bound")
+    searched = report.records[0].final_state
+    if searched.nprocs != nprocs or searched.compiled != ops.lower(program):
+        raise OracleError(f"the report is not a search of this program at {nprocs} processes")
     eng: Dict[tuple, Set[int]] = {}
     for rec in report.records:
         if not pc_holds(rec.pc, model):

@@ -744,3 +744,88 @@ def test_handled_errors_keep_their_exit_codes(capsys, fig1_path, monkeypatch):
     monkeypatch.setattr(cli.engine, "search", broken)
     code, _, err = run(capsys, "compare", str(fig1_path), "--nprocs", "3")
     assert (code, err) == (1, "mpisym: error: no domain\n")
+
+
+#: The error contract of `cli.main`: (argv, exit code, stderr lines).  Every
+#: error is one line, validation findings one line each; `{nl}` names a
+#: path with a newline in it, which is still one line.
+CONTRACT = {
+    "analyze-missing-file": (["analyze", "{nl}.mpisym"], 1, 1),
+    "analyze-not-utf8": (["analyze", "{latin1}"], 1, 1),
+    "analyze-parse-error": (["analyze", "{syntax}"], 1, 1),
+    "analyze-findings": (["analyze", "{findings}"], 1, 2),
+    "analyze-bad-flag": (["analyze", "{fig1}", "--max-states", "0"], 1, 1),
+    "analyze-bad-process-count": (["analyze", "{fig1}", "--nprocs", "0"], 1, 1),
+    "analyze-out-not-a-directory": (["analyze", "{fig1}", "--out", "{nl}/cases"], 1, 1),
+    "analyze-internal": (["analyze", "{fig1}"], 4, 1),
+    "replay-missing-program": (["replay", "{nl}.mpisym", "{case}"], 1, 1),
+    "replay-missing-case": (["replay", "{fig1}", "{nl}.testcase"], 1, 1),
+    "replay-case-not-utf8": (["replay", "{fig1}", "{latin1_case}"], 1, 1),
+    "replay-parse-error": (["replay", "{syntax}", "{case}"], 1, 1),
+    "replay-findings": (["replay", "{fig1}", "{two_ranks_case}"], 1, 1),
+    "replay-malformed-case": (["replay", "{fig1}", "{malformed_case}"], 1, 1),
+    "replay-internal": (["replay", "{fig1}", "{case}"], 4, 1),
+    "compare-missing-file": (["compare", "{nl}.mpisym"], 1, 1),
+    "compare-not-utf8": (["compare", "{latin1}"], 1, 1),
+    "compare-parse-error": (["compare", "{syntax}"], 1, 1),
+    "compare-findings": (["compare", "{findings}"], 1, 2),
+    "compare-bad-flag": (["compare", "{fig1}", "--enumerate-models", "0"], 1, 1),
+    "compare-bad-set": (["compare", "{fig1}", "--set", "X=256"], 1, 1),
+    "compare-engine-bound": (["compare", "{barriers}", "--max-states", "2"], 3, 1),
+    "compare-oracle-bound": (["compare", "{barriers}", "--oracle-bound", "2"], 3, 1),
+    "compare-internal": (["compare", "{fig1}"], 4, 1),
+    "corpus-missing-dir": (["corpus", "--dir", "{nl}"], 1, 1),
+    "corpus-not-utf8": (["corpus", "--dir", "{latin1_corpus}"], 1, 1),
+    "corpus-parse-error": (["corpus", "--dir", "{syntax_corpus}"], 1, 1),
+    "corpus-findings": (["corpus", "--dir", "{findings_corpus}"], 1, 1),
+    "corpus-bad-flag": (["corpus", "--max-depth", "-1"], 1, 1),
+    "corpus-corrupt-manifest": (["corpus", "--dir", "{corrupt_corpus}"], 1, 1),
+    "corpus-internal": (["corpus"], 4, 1),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT)
+def test_main_maps_every_error_to_its_code_in_one_line(capsys, fig1_path, tmp_path,
+                                                       monkeypatch, name):
+    argv, code, lines = CONTRACT[name]
+    out_dir = tmp_path / "cases"
+    run(capsys, "analyze", str(fig1_path), "--out", str(out_dir))
+    case = sorted(out_dir.glob("*.testcase"))[0]
+    paths = {"fig1": fig1_path, "case": case, "nl": tmp_path / "no\nsuch"}
+    paths["nl"].write_text("")  # a file, so the --out directory under it cannot be made
+
+    def write(key, name, data):
+        paths[key] = tmp_path / name
+        paths[key].write_bytes(data)
+
+    write("latin1", "latin1.mpisym", fig1_path.read_bytes() + b"\xff")
+    write("syntax", "syntax.mpisym", b"program { x = 1 }\n")
+    write("findings", "findings.mpisym",
+          b"program (nprocs = 2) { send 1 to 7; recv v from 9; }\n")
+    write("barriers", "barriers.mpisym", b"program (nprocs = 4) { barrier; barrier; }\n")
+    write("latin1_case", "latin1.testcase", case.read_bytes() + b"\xff")
+    write("two_ranks_case", "two-ranks.testcase",
+          case.read_bytes().replace(b"\nnprocs 3\n", b"\nnprocs 2\n"))
+    write("malformed_case", "malformed.testcase",
+          re.sub(rb"program-hash \w+", b"program-hash ", case.read_bytes()))
+    for key, manifest, source in (("latin1_corpus", b"bad 2 no no caf\xe9\n", b""),
+                                  ("syntax_corpus", b"bad 2 no no\n", b"program {"),
+                                  ("findings_corpus", b"bad 2 no no\n",
+                                   b"program (nprocs = 2) { send 1 to 7; }"),
+                                  ("corrupt_corpus", b"bad 0 no no\n", b"program {}")):
+        paths[key] = tmp_path / key
+        paths[key].mkdir()
+        (paths[key] / "manifest").write_bytes(manifest)
+        (paths[key] / "bad.mpisym").write_bytes(source)
+    if code == cli.EXIT_INTERNAL:
+        def broken(*args):
+            raise RuntimeError("first line\nsecond line")
+        monkeypatch.setattr(lang, "read_file", broken)
+
+    got, _, err = run(capsys, *[a.format(**{k: str(p) for k, p in paths.items()})
+                                for a in argv])
+    assert got == code, err
+    assert err.endswith("\n") and len(err.split("\n")) == lines + 1, err
+    prefix = {1: "L" if lines > 1 else "mpisym: error: ", 3: "mpisym: ",
+              4: "mpisym: internal error: RuntimeError: first line second line"}[code]
+    assert err.startswith(prefix), err

@@ -319,6 +319,32 @@ def random_term(rng, sort, depth):
     return random_expr(rng, sort, depth, leaf, symbolic.unary, symbolic.binary)
 
 
+def random_unsorted(rng, depth):
+    """A surface expression of at most `depth` operator levels over
+    non-negative constants and names, any operator over any operands: the
+    parser and the printer treat an operator alike whatever its operands'
+    sorts."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        return Num(rng.randint(0, 12)) if rng.random() < 0.5 else lang.Var(
+            rng.choice(("rank", "nprocs", "x", "Y")))
+    if roll < 0.4:
+        return lang.Unary(rng.choice("-!"), random_unsorted(rng, depth - 1))
+    return Binary(rng.choice(tuple(REFERENCE_OPS)),
+                  random_unsorted(rng, depth - 1), random_unsorted(rng, depth - 1))
+
+
+def test_parser_reads_back_the_printed_expression(rng):
+    """The printer parenthesizes by the precedence table that the parser
+    climbs, so every printed expression parses back to itself: the very
+    node, expressions being hash-consed."""
+    assert len(REFERENCE_OPS) == 11
+    for _ in range(3000):
+        e = random_unsorted(rng, rng.randint(0, 6))
+        text = lang.expr_source(e)
+        assert parse_program(f"program {{ v = {text}; }}").body[0].expr is e, text
+
+
 def typed(value):
     return type(value), value
 

@@ -499,6 +499,37 @@ def test_state_graph_matches_referee(corpus_entries, rng):
                       "send destination 1 invalid at rank 1"]
 
 
+def test_receive_source_is_checked_as_the_send_destination():
+    """A named receive source must be another rank in range, as a send
+    destination must: the engine reports an analysis error there, so the
+    oracle refuses the program rather than wedging the receiver."""
+    for bad, message in (("recv v from rank + 4;", "receive source 5 invalid at rank 1"),
+                         ("recv v from rank;", "receive source 1 invalid at rank 1"),
+                         ("recv v from rank - 2;", "receive source -1 invalid at rank 1")):
+        p = program(f"program (nprocs = 2) {{ if (rank == 0) {{ send 1 to 1; }} else {{ {bad} }} }}")
+        assert [r.verdict for r in engine.search(p, 2).records] == [Verdict.ERROR]
+        for walk in (explore_full, deadlock_path_lengths):
+            with pytest.raises(OracleError) as exc:
+                walk(p, 2, {})
+            assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("source, nprocs, model, message", [
+    ("pipeline-clean", 0, {"X": 0}, "nprocs must be positive"),
+    ("pipeline-clean", -1, {"X": 0}, "nprocs must be positive"),
+    ("program (nprocs = 2) { x = y + 1; }", 2, {},
+     "program fails validation: variable 'y' may be read before assignment"),
+], ids=["zero-processes", "negative-processes", "unbound-variable"])
+def test_oracle_refuses_what_the_engine_refuses(corpus_entries, source, nprocs, model, message):
+    """The walk starts only from a program that validates at its process
+    count, so a bad input is an OracleError before any state is made."""
+    p = corpus_entries[source].program() if source in corpus_entries else program(source)
+    for walk in (explore_full, deadlock_path_lengths):
+        with pytest.raises(OracleError) as exc:
+            walk(p, nprocs, model)
+        assert str(exc.value) == message
+
+
 #: Ranks 1 and 2 fail the first assertion at one location in every state
 #: where both are still at it, the initial one included; rank 0 fails the
 #: second.
@@ -700,6 +731,18 @@ def test_check_theorem_refuses_a_truncated_report(corpus_entries):
     with pytest.raises(oracle.BoundExceeded) as exc:
         check_theorem(p, 3, {"X": 97}, report=rep)
     assert str(exc.value) == "engine search truncated by its state or depth bound"
+
+
+def test_check_theorem_refuses_a_report_of_another_search(corpus_entries):
+    """A report of the program at another process count, or of another
+    program, is no search of this one: checking its projection would read
+    a false FAIL (fig1 at 4 ranks has no deadlock where 3 ranks have one)."""
+    p = corpus_entries["fig1-motivating"].program()
+    assert check_theorem(p, 3, {"X": 97}, report=engine.search(p, 3)).holds
+    for other, nprocs in ((p, 4), (corpus_entries["pipeline-clean"].program(), 3)):
+        with pytest.raises(OracleError) as exc:
+            check_theorem(p, 3, {"X": 97}, report=engine.search(other, nprocs))
+        assert str(exc.value) == "the report is not a search of this program at 3 processes"
 
 
 def test_symbolic_search_projects_onto_every_model(corpus_entries):
