@@ -191,6 +191,11 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+def _usage_error(message: str):
+    """Every parser's `error`: one line, with no usage block, and exit 1."""
+    sys.exit(_fail(message))
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """Built once per process; parsing never changes it (argparse copies an
@@ -232,6 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--max-states", type=int, default=None)
     p_corpus.add_argument("--max-depth", type=int, default=None)
     p_corpus.set_defaults(func=cmd_corpus, strategy="dfs")
+    for each in (parser, *sub.choices.values()):
+        each.error = _usage_error
     return parser
 
 
@@ -240,9 +247,8 @@ def main(argv=None) -> int:
     code here, and reported in one line (validation: one per finding)."""
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage problems; fold into the tool's contract
-        return EXIT_USAGE if exc.code else EXIT_OK
+    except SystemExit as exc:  # 0 after --help, EXIT_USAGE after a usage error
+        return exc.code
     try:
         return args.func(args)
     except engine.ValidationFailure as exc:

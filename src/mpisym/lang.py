@@ -38,7 +38,7 @@ import operator
 import re
 import weakref
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 
 class LangError(Exception):
@@ -60,13 +60,15 @@ class ParseError(LangError):
 
 class Record:
     """A value made of the fields that its class lists in ``__slots__``: built
-    from them in order, then by name, then from the class's ``_defaults``
-    (immutable values only, as every record of the class shares them); equal
-    to a record of its class with equal fields, hashed over them and shown as
-    ``Name(field=value, ...)``, as a dataclass.  Creating the class generates
-    no code, and no assignment is guarded: nothing assigns to a hashed
-    record's fields after it is built.  A slot named "_..." is no field (its
-    class sets it in its own ``__init__``); a record changed in place sets
+    from them in order, then by name, then from the class's ``_defaults``;
+    equal to a record of its class with equal fields, hashed over them and
+    shown as ``Name(field=value, ...)``, as a dataclass.  A default that is
+    callable (``list``, ``dict``) is called once per record; any other is
+    shared by every record of the class, so it must be immutable.  Creating
+    the class generates no code, and no assignment is guarded: nothing
+    assigns to a hashed record's fields after it is built.  A slot named
+    "_..." comes after the fields and is none: it is set from its default
+    alone, never by position or name.  A record changed in place sets
     ``__hash__ = None``."""
 
     __slots__ = ()
@@ -74,21 +76,22 @@ class Record:
 
     def __init__(self, *values, **named):
         cls = type(self)
-        slots = cls.__slots__
-        if len(values) > len(slots):
-            raise TypeError(f"{cls.__name__} takes {len(slots)} fields, not {len(values)}")
-        for name, value in zip(slots, values):
+        fields = [n for n in cls.__slots__ if n[0] != "_"]
+        if len(values) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, not {len(values)}")
+        for name, value in zip(fields, values):
             setattr(self, name, value)
-        for name in slots[len(values):]:
-            if name in named:
+        for name in cls.__slots__[len(values):]:
+            if name in named and name[0] != "_":
                 setattr(self, name, named.pop(name))
             elif name in cls._defaults:
-                setattr(self, name, cls._defaults[name])
+                default = cls._defaults[name]
+                setattr(self, name, default() if callable(default) else default)
             else:
                 raise TypeError(f"{cls.__name__} lacks field {name!r}")
         if named:
             name = next(iter(named))
-            raise TypeError(f"{cls.__name__} got field {name!r} twice" if name in slots
+            raise TypeError(f"{cls.__name__} got field {name!r} twice" if name in fields
                             else f"{cls.__name__} has no field {name!r}")
 
     @property
@@ -214,6 +217,12 @@ class Exit(Located):
 if TYPE_CHECKING:
     Stmt = Union[Assign, If, Send, Recv, Barrier, Assert, Exit]
 
+#: Each kind of statement -> its operands, as (field, sort) pairs; a
+#: receive from any sender has no `src` operand (None).
+OPERANDS = {Assign: (("expr", "int"),), If: (("cond", "bool"),), Assert: (("cond", "bool"),),
+            Send: (("payload", "int"), ("dest", "int")), Recv: (("src", "int"),),
+            Barrier: (), Exit: ()}
+
 
 class SymDecl(Located):
     __slots__ = ("name", "lo", "hi", "line")
@@ -221,10 +230,7 @@ class SymDecl(Located):
 
 class Program(Record):
     __slots__ = ("decls", "nprocs_default", "body", "_derived")
-
-    def __init__(self, decls: Tuple[SymDecl, ...], nprocs_default: int, body: Tuple[Stmt, ...]):
-        self.decls, self.nprocs_default, self.body = decls, nprocs_default, body
-        self._derived: dict = {}
+    _defaults = {"_derived": dict}
 
     def sym_names(self) -> frozenset:
         return frozenset(d.name for d in self.decls)
@@ -644,15 +650,24 @@ def _check_block(stmts, defined, sym_names, nprocs, findings):
     for st in stmts:
         if defined is None:
             break
-        if isinstance(st, Assign):
-            _check_expr(st.expr, "int", defined, findings, st.line)
+        kind = type(st)
+        if kind not in OPERANDS:  # pragma: no cover - parser produces no other nodes
+            raise LangError(f"unknown statement {st!r}")
+        for field, sort in OPERANDS[kind]:
+            if (e := getattr(st, field)) is not None:
+                _check_expr(e, sort, defined, findings, st.line)
+        lit = _literal_rank(st.dest if kind is Send else st.src if kind is Recv else None)
+        if lit is not None and not 0 <= lit < nprocs:
+            peer = "send destination" if kind is Send else "receive source"
+            findings.append(Finding("rank-range", f"{peer} {lit} not in [0, {nprocs})", st.line))
+        if kind is Assign or kind is Recv:
             if st.var in sym_names:
+                verb = "assign to" if kind is Assign else "receive into"
                 findings.append(Finding("assign-symbolic",
-                                        f"cannot assign to symbolic input {st.var!r}", st.line))
+                                        f"cannot {verb} symbolic input {st.var!r}", st.line))
             else:
                 defined = defined | {st.var}
-        elif isinstance(st, If):
-            _check_expr(st.cond, "bool", defined, findings, st.line)
+        elif kind is If:
             d1 = _check_block(st.then_body, defined, sym_names, nprocs, findings)
             d2 = _check_block(st.else_body, defined, sym_names, nprocs, findings)
             if d1 is None:
@@ -661,33 +676,8 @@ def _check_block(stmts, defined, sym_names, nprocs, findings):
                 defined = d1
             else:
                 defined = d1 & d2
-        elif isinstance(st, Send):
-            _check_expr(st.payload, "int", defined, findings, st.line)
-            _check_expr(st.dest, "int", defined, findings, st.line)
-            lit = _literal_rank(st.dest)
-            if lit is not None and not 0 <= lit < nprocs:
-                findings.append(Finding("rank-range",
-                                        f"send destination {lit} not in [0, {nprocs})", st.line))
-        elif isinstance(st, Recv):
-            if st.src is not None:
-                _check_expr(st.src, "int", defined, findings, st.line)
-                lit = _literal_rank(st.src)
-                if lit is not None and not 0 <= lit < nprocs:
-                    findings.append(Finding("rank-range",
-                                            f"receive source {lit} not in [0, {nprocs})", st.line))
-            if st.var in sym_names:
-                findings.append(Finding("assign-symbolic",
-                                        f"cannot receive into symbolic input {st.var!r}", st.line))
-            else:
-                defined = defined | {st.var}
-        elif isinstance(st, Assert):
-            _check_expr(st.cond, "bool", defined, findings, st.line)
-        elif isinstance(st, Exit):
+        elif kind is Exit:
             defined = None
-        elif isinstance(st, Barrier):
-            pass
-        else:  # pragma: no cover - parser produces no other nodes
-            raise LangError(f"unknown statement {st!r}")
     return defined
 
 

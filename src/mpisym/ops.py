@@ -32,11 +32,6 @@ class OpBranch(lang.Record):
     __slots__ = ("cond", "true_target", "false_target", "line")
 
 
-#: The fields of each kind of statement in the table that hold an operand.
-_OPERANDS = {lang.Assign: ("expr",), OpBranch: ("cond",), lang.Send: ("payload", "dest"),
-             lang.Recv: ("src",)}
-
-
 class _Jump(lang.Record):
     __slots__ = ("target",)
 
@@ -106,7 +101,8 @@ def _lower(program: lang.Program) -> CompiledProgram:
             ops.append(op)
     next_of = tuple(_resolve(raw, i + 1) for i in range(len(ops)))
     domains = {d.name: (d.lo, d.hi) for d in program.decls}
-    operands = [getattr(op, name) for op in ops for name in _OPERANDS.get(type(op), ())]
+    operands = [op.cond for op in ops if type(op) is OpBranch]
+    operands += [getattr(op, name) for op in ops for name, _ in lang.OPERANDS.get(type(op), ())]
     reads = domains.keys() | lang.BOUND_NAMES
     closed = frozenset(e for e in operands if e is not None and e.free <= reads)
     return CompiledProgram(tuple(ops), next_of, domains, closed)

@@ -376,16 +376,8 @@ class TheoremVerdict(lang.Record):
     __slots__ = ("holds", "model", "issues", "engine_deadlocks", "oracle_deadlocks",
                  "engine_states", "oracle_states")
     __hash__ = None
-
-    def __init__(self, holds: bool, model: Model, issues: Optional[List[str]] = None,
-                 engine_deadlocks: Optional[Dict[tuple, FrozenSet[int]]] = None,
-                 oracle_deadlocks: Optional[Dict[tuple, FrozenSet[int]]] = None,
-                 engine_states: int = 0, oracle_states: int = 0):
-        self.holds, self.model = holds, model
-        self.issues = [] if issues is None else issues
-        self.engine_deadlocks = {} if engine_deadlocks is None else engine_deadlocks
-        self.oracle_deadlocks = {} if oracle_deadlocks is None else oracle_deadlocks
-        self.engine_states, self.oracle_states = engine_states, oracle_states
+    _defaults = {"issues": list, "engine_deadlocks": dict, "oracle_deadlocks": dict,
+                 "engine_states": 0, "oracle_states": 0}
 
 
 def check_theorem(program: lang.Program, nprocs: int, model: Model, state_bound: int = STATE_BOUND,

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from . import engine, lang, oracle, ops
 from .state import (BarrierRelease, BranchChoice, MatchEvent, StepEvent,
@@ -272,11 +272,7 @@ class Divergence(lang.Record):
 class ReplayResult(lang.Record):
     __slots__ = ("verdict", "expected", "divergences")
     __hash__ = None
-
-    def __init__(self, verdict: Optional[Verdict], expected: Verdict,
-                 divergences: Optional[List[Divergence]] = None):
-        self.verdict, self.expected = verdict, expected
-        self.divergences = [] if divergences is None else divergences
+    _defaults = {"divergences": list}
 
     @property
     def ok(self) -> bool:

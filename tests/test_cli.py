@@ -781,7 +781,15 @@ CONTRACT = {
     "corpus-bad-flag": (["corpus", "--max-depth", "-1"], 1, 1),
     "corpus-corrupt-manifest": (["corpus", "--dir", "{corrupt_corpus}"], 1, 1),
     "corpus-internal": (["corpus"], 4, 1),
+    "usage-bad-option-value": (["analyze", "{fig1}", "--nprocs", "x"], 1, 1),
+    "usage-unknown-option": (["analyze", "{fig1}", "--bogus"], 1, 1),
+    "usage-missing-program": (["analyze"], 1, 1),
+    "usage-unknown-command": (["frobnicate"], 1, 1),
 }
+#: A part of each usage error's line; argparse words the rest of it
+#: differently across Python versions.
+USAGE_MESSAGES = {"usage-bad-option-value": "--nprocs", "usage-unknown-option": "--bogus",
+                  "usage-missing-program": "program", "usage-unknown-command": "frobnicate"}
 
 
 @pytest.mark.parametrize("name", CONTRACT)
@@ -829,3 +837,4 @@ def test_main_maps_every_error_to_its_code_in_one_line(capsys, fig1_path, tmp_pa
     prefix = {1: "L" if lines > 1 else "mpisym: error: ", 3: "mpisym: ",
               4: "mpisym: internal error: RuntimeError: first line second line"}[code]
     assert err.startswith(prefix), err
+    assert USAGE_MESSAGES.get(name, "") in err, err

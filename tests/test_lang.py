@@ -224,6 +224,138 @@ def test_validate_type_errors():
     assert any(f.kind == "type" for f in validate(q, 1))
 
 
+def reference_check_block(stmts, defined, sym_names, nprocs, findings):
+    """The validator's walk as it was before the operand table: one branch
+    per kind of statement."""
+    Finding, _check_expr, _literal_rank = lang.Finding, lang._check_expr, lang._literal_rank
+    for st in stmts:
+        if defined is None:
+            break
+        if isinstance(st, Assign):
+            _check_expr(st.expr, "int", defined, findings, st.line)
+            if st.var in sym_names:
+                findings.append(Finding("assign-symbolic",
+                                        f"cannot assign to symbolic input {st.var!r}", st.line))
+            else:
+                defined = defined | {st.var}
+        elif isinstance(st, If):
+            _check_expr(st.cond, "bool", defined, findings, st.line)
+            d1 = reference_check_block(st.then_body, defined, sym_names, nprocs, findings)
+            d2 = reference_check_block(st.else_body, defined, sym_names, nprocs, findings)
+            if d1 is None:
+                defined = d2
+            elif d2 is None:
+                defined = d1
+            else:
+                defined = d1 & d2
+        elif isinstance(st, Send):
+            _check_expr(st.payload, "int", defined, findings, st.line)
+            _check_expr(st.dest, "int", defined, findings, st.line)
+            lit = _literal_rank(st.dest)
+            if lit is not None and not 0 <= lit < nprocs:
+                findings.append(Finding("rank-range",
+                                        f"send destination {lit} not in [0, {nprocs})", st.line))
+        elif isinstance(st, Recv):
+            if st.src is not None:
+                _check_expr(st.src, "int", defined, findings, st.line)
+                lit = _literal_rank(st.src)
+                if lit is not None and not 0 <= lit < nprocs:
+                    findings.append(Finding("rank-range",
+                                            f"receive source {lit} not in [0, {nprocs})", st.line))
+            if st.var in sym_names:
+                findings.append(Finding("assign-symbolic",
+                                        f"cannot receive into symbolic input {st.var!r}", st.line))
+            else:
+                defined = defined | {st.var}
+        elif isinstance(st, lang.Assert):
+            _check_expr(st.cond, "bool", defined, findings, st.line)
+        elif isinstance(st, lang.Exit):
+            defined = None
+        elif isinstance(st, Barrier):
+            pass
+        else:  # pragma: no cover - parser produces no other nodes
+            raise lang.LangError(f"unknown statement {st!r}")
+    return defined
+
+
+def reference_findings(program, nprocs):
+    findings = []
+    for d in program.decls:
+        if d.lo > d.hi:
+            findings.append(lang.Finding("empty-domain",
+                                         f"domain of {d.name!r} is empty ([{d.lo}..{d.hi}])",
+                                         d.line))
+        elif d.hi - d.lo + 1 > lang.MAX_DOMAIN_WIDTH:
+            findings.append(lang.Finding("domain-width",
+                                         f"domain of {d.name!r} wider than {lang.MAX_DOMAIN_WIDTH}",
+                                         d.line))
+    reference_check_block(program.body, program.sym_names() | lang.BOUND_NAMES,
+                          program.sym_names(), nprocs, findings)
+    return findings
+
+
+def random_operand(rng, sort):
+    """Mostly an expression of `sort`, sometimes one of the other sort."""
+    if rng.random() < 0.15:
+        sort = "bool" if sort == "int" else "int"
+    return random_surface(rng, sort, rng.randint(0, 2))
+
+
+def random_rank(rng):
+    """A literal rank, in range or not, negative or not, or any operand."""
+    roll = rng.random()
+    if roll < 0.5:
+        return Num(rng.randint(0, 6))
+    if roll < 0.7:
+        return lang.Unary("-", Num(rng.randint(0, 2)))
+    return random_operand(rng, "int")
+
+
+def random_block(rng, depth, line):
+    """Statements of every kind, with nested if/else, exits, wildcard
+    receives, and assignments to the locals x, y, z and the inputs X, Y."""
+    block = []
+    for _ in range(rng.randint(0, 4)):
+        line += 1
+        kind = rng.choice(("assign", "assign", "if", "send", "recv", "recv", "barrier",
+                           "assert", "exit"))
+        if kind == "if" and depth < 3:
+            then_body, line = random_block(rng, depth + 1, line)
+            else_body, line = random_block(rng, depth + 1, line)
+            block.append(If(random_operand(rng, "bool"), tuple(then_body), tuple(else_body), line))
+        elif kind == "assign":
+            block.append(Assign(rng.choice("xyzxyzXY"), random_operand(rng, "int"), line))
+        elif kind == "send":
+            block.append(Send(random_operand(rng, "int"), random_rank(rng), line))
+        elif kind == "recv":
+            src = None if rng.random() < 0.3 else random_rank(rng)
+            block.append(Recv(rng.choice("xyzxyzXY"), src, line))
+        elif kind == "assert":
+            block.append(lang.Assert(random_operand(rng, "bool"), line))
+        elif kind == "exit" and rng.random() < 0.5:
+            block.append(lang.Exit(line))
+        else:
+            block.append(Barrier(line))
+    return block, line
+
+
+def test_validate_agrees_with_the_per_kind_reference(rng):
+    """`lang.validate` walks one operand table; the reference keeps a branch
+    per kind of statement.  Their findings, in order, are equal on random
+    programs at 1, 2, 3 and 5 processes."""
+    with_findings = 0
+    for _ in range(1200):
+        body, _ = random_block(rng, 0, 1)
+        hi = 3 if rng.random() < 0.8 else rng.choice((-1, 1 << 16))  # empty, too wide
+        decls = (lang.SymDecl("X", 0, hi, 1), lang.SymDecl("Y", 0, 9, 1))
+        program = lang.Program(decls, 2, tuple(body))
+        for nprocs in (1, 2, 3, 5):
+            expected = reference_findings(program, nprocs)
+            assert validate(program, nprocs) == expected, (program, nprocs)
+            with_findings += bool(expected)
+    assert with_findings > 1000
+
+
 # -- pretty printing ----------------------------------------------------------
 
 

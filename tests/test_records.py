@@ -154,6 +154,8 @@ def test_a_record_rejects_a_missing_unknown_doubled_or_surplus_field():
         (lambda: lang.Barrier(1, line=2), "got field 'line' twice"),
         (lambda: Assign("x", ONE, 3, 4), "takes 3 fields, not 4"),
         (lambda: oracle.B(1), "takes 0 fields, not 1"),
+        (lambda: lang.Program((), 2, (), {}), "takes 3 fields, not 4"),  # "_derived" is no field
+        (lambda: lang.Program((), 2, (), _derived={}), "has no field '_derived'"),
     ]
     for make, message in bad:
         with pytest.raises(TypeError, match=message):
@@ -169,12 +171,11 @@ def test_defaults_are_immutable():
 
 
 def test_only_records_that_do_more_keep_their_own_init():
-    """`SearchStrategy` validates, `Program` starts its memo, `TheoremVerdict`
-    and `ReplayResult` make fresh containers, and `ProcState`, on the fork
-    path, sets one field a statement; an `Expr` is built in `__new__`."""
+    """`SearchStrategy` validates, and `ProcState`, on the fork path, sets
+    one field a statement; an `Expr` is built in `__new__`.  Fresh lists,
+    dicts and memos come from callable `_defaults`."""
     own = {cls for cls in record_classes() if "__init__" in vars(cls)}
-    assert own == {lang.Record, lang.Expr, engine.SearchStrategy, lang.Program,
-                   oracle.TheoremVerdict, replay.ReplayResult, state.ProcState}
+    assert own == {lang.Record, lang.Expr, engine.SearchStrategy, state.ProcState}
     assert lang.Expr.__init__ is object.__init__
 
 

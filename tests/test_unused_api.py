@@ -198,3 +198,21 @@ def test_every_module_level_name_and_record_field_has_a_user():
     assert sorted(listed) == sorted(USED_ONLY_BY_TESTS)
     assert shared == sorted(SHARED_NAMES)
     assert len(records) == 30  # a record the search misses would go unchecked
+
+
+def test_every_import_is_read_in_its_module():
+    """A module reads each name it imports as a variable (a type in an
+    annotation counts); `__init__.py`'s re-exports and `from __future__`
+    imports are exempt."""
+    unread = []
+    for path, tree in parsed(sorted(SRC.glob("*.py"))).items():
+        if path.name == "__init__.py":
+            continue
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+                unread += [f"{path.stem}.{name}" for name in bound if name not in loaded]
+    assert unread == []
