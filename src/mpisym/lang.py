@@ -18,7 +18,9 @@ process body:
 `rank` and `nprocs` are read-only names (`BOUND_NAMES`), parsed as `Var`s
 and bound in every process environment.  `repeat K { ... }` is sugar for K
 spliced copies of the block, so parsed programs are always loop-free.
-Statement equality ignores source locations, which makes
+The parser and the printer share one table of concrete syntax, `SYNTAX`;
+`sort_of`, the validator and `symbolic` share one of operator sorts,
+`SORTS`.  Statement equality ignores source locations, which makes
 parse/pretty-print round-trips exact.
 
 The expression nodes are also the engine's symbolic terms (built by
@@ -228,6 +230,15 @@ class SymDecl(Located):
     __slots__ = ("name", "lo", "hi", "line")
 
 
+#: The syntax of a declaration and of each statement but `if`: the printer
+#: fills each "{field}" in with the field's text, and the parser reads it as
+#: the field (an operand as an expression, which for `Recv.src` may be
+#: `any`; `lo` and `hi` as integer literals; any other as a name).
+SYNTAX = {Assign: "{var} = {expr};", Send: "send {payload} to {dest};",
+          Recv: "recv {var} from {src};", Barrier: "barrier;", Assert: "assert ({cond});",
+          Exit: "exit;", SymDecl: "sym {name} : int[{lo}..{hi}];"}
+
+
 class Program(Record):
     __slots__ = ("decls", "nprocs_default", "body", "_derived")
     _defaults = {"_derived": dict}
@@ -338,6 +349,17 @@ MAX_DEPTH = 64
 MAX_STATEMENTS = 1 << 16
 
 
+#: Each `SYNTAX` template as tokens, in which an identifier is a field.
+_SHAPES = {kind: tokenize(text.replace("{", "").replace("}", ""))[:-1]
+           for kind, text in SYNTAX.items()}
+#: The statement that each keyword but `if` and `repeat` opens.
+_OPENS = {shape[0].value: kind for kind, shape in _SHAPES.items()
+          if kind in OPERANDS and shape[0].kind == "kw"}
+#: How messages call the name that each kind assigns or declares.
+_NAMES = {Assign: "assignment target", Recv: "receive target variable",
+          SymDecl: "symbolic input name"}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
@@ -384,9 +406,11 @@ class _Parser:
             self.next()
             seen = set()
             while self.at("kw", "sym"):
-                d = self.decl()
+                name = self.tokens[self.pos + 1]  # the declared name, once the declaration parses
+                d = self.fields(SymDecl)
                 if d.name in seen:
-                    raise ParseError(f"duplicate symbolic declaration {d.name!r}", d.line, 1)
+                    raise ParseError(f"duplicate symbolic declaration {d.name!r}",
+                                     name.line, name.col)
                 seen.add(d.name)
                 decls.append(d)
         elif self.at("kw", "sym"):
@@ -405,19 +429,6 @@ class _Parser:
         body = self.block()
         self.expect("eof")
         return Program(tuple(decls), nprocs, tuple(body))
-
-    def decl(self) -> SymDecl:
-        kw = self.expect("kw", "sym")
-        name = self.ident("symbolic input name")
-        self.expect(":")
-        self.expect("kw", "int")
-        self.expect("[")
-        lo = self.expect("int").value
-        self.expect("..")
-        hi = self.expect("int").value
-        self.expect("]")
-        self.expect(";")
-        return SymDecl(name, lo, hi, kw.line)
 
     def ident(self, what: str) -> str:
         tok = self.peek()
@@ -441,81 +452,56 @@ class _Parser:
     def stmt(self, out: list):
         tok = self.peek()
         self.statements += tok.value != "repeat"  # a repeat is its body's copies
-        if tok.kind == "kw":
-            if tok.value == "if":
-                self.next()
-                self.expect("(")
-                cond = self.expr()
-                self.expect(")")
-                then_body = self.block()
-                else_body = []
-                if self.at("kw", "else"):
-                    self.next()
-                    else_body = self.block()
-                out.append(If(cond, tuple(then_body), tuple(else_body), tok.line))
-                return
-            if tok.value == "send":
-                self.next()
-                payload = self.expr()
-                self.expect("kw", "to")
-                dest = self.expr()
-                self.expect(";")
-                out.append(Send(payload, dest, tok.line))
-                return
-            if tok.value == "recv":
-                self.next()
-                var = self.ident("receive target variable")
-                self.expect("kw", "from")
-                src: Optional[Expr]
-                if self.at("kw", "any"):
-                    self.next()
-                    src = None
-                else:
-                    src = self.expr()
-                self.expect(";")
-                out.append(Recv(var, src, tok.line))
-                return
-            if tok.value == "barrier":
-                self.next()
-                self.expect(";")
-                out.append(Barrier(tok.line))
-                return
-            if tok.value == "assert":
-                self.next()
-                self.expect("(")
-                cond = self.expr()
-                self.expect(")")
-                self.expect(";")
-                out.append(Assert(cond, tok.line))
-                return
-            if tok.value == "exit":
-                self.next()
-                self.expect(";")
-                out.append(Exit(tok.line))
-                return
-            if tok.value == "repeat":
-                self.next()
-                outer, self.repeat = self.repeat, self.repeat or tok
-                count, before = self.expect("int").value, self.statements
-                body = self.block()
-                self.statements = before + count * (self.statements - before)
-                if self.statements > MAX_STATEMENTS:
-                    raise ParseError(f"repeat makes more than {MAX_STATEMENTS} statements",
-                                     self.repeat.line, self.repeat.col)
-                out.extend(body * count if body else ())
-                self.repeat = outer
-                return
-            if tok.value in ("rank", "nprocs", "any"):
-                self.error(f"reserved name {tok.value!r} cannot be assigned")
-            self.error(f"unexpected keyword {tok.value!r}")
         if tok.kind == "ident":
-            var = self.ident("assignment target")
-            self.expect("=")
-            expr = self.expr()
-            self.expect(";")
-            out.append(Assign(var, expr, tok.line))
-            return
-        self.error(f"expected a statement, found {tok.value!r}")
+            out.append(self.fields(Assign))
+        elif tok.kind != "kw":
+            self.error(f"expected a statement, found {tok.value!r}")
+        elif tok.value in _OPENS:
+            out.append(self.fields(_OPENS[tok.value]))
+        elif tok.value == "if":
+            self.next()
+            self.expect("(")
+            cond = self.expr()
+            self.expect(")")
+            then_body = self.block()
+            else_body = []
+            if self.at("kw", "else"):
+                self.next()
+                else_body = self.block()
+            out.append(If(cond, tuple(then_body), tuple(else_body), tok.line))
+        elif tok.value == "repeat":
+            self.next()
+            outer, self.repeat = self.repeat, self.repeat or tok
+            count, before = self.expect("int").value, self.statements
+            body = self.block()
+            self.statements = before + count * (self.statements - before)
+            if self.statements > MAX_STATEMENTS:
+                raise ParseError(f"repeat makes more than {MAX_STATEMENTS} statements",
+                                 self.repeat.line, self.repeat.col)
+            out.extend(body * count if body else ())
+            self.repeat = outer
+        elif tok.value in ("rank", "nprocs", "any"):
+            self.error(f"reserved name {tok.value!r} cannot be assigned")
+        else:
+            self.error(f"unexpected keyword {tok.value!r}")
+
+    def fields(self, kind: type) -> Located:
+        """A `kind` read as its `SYNTAX` template says, at its first token's line."""
+        line, values = self.peek().line, {}
+        for tok in _SHAPES[kind]:
+            field = tok.value
+            if tok.kind != "ident":
+                self.expect(tok.kind, tok.value)
+            elif field == "src" and self.at("kw", "any"):
+                self.next()
+                values[field] = None
+            elif field == "lo" or field == "hi":
+                values[field] = self.expect("int").value
+            elif field == "var" or field == "name":
+                values[field] = self.ident(_NAMES[kind])
+            else:  # an operand
+                values[field] = self.expr()
+        return kind(**values, line=line)
 
     # Expressions: operators bind as tightly as `PREC` says, the printer's table
 
@@ -611,14 +597,17 @@ class Finding(Record):
     __slots__ = ("kind", "message", "line")
 
 
-#: The operators with an integer result; every other one yields a bool.
-ARITH_OPS = ("+", "-", "*")
+#: Each operator -> (the sort of its operands, the sort of its result); "-"
+#: is both the unary and the binary minus.
+SORTS = {**dict.fromkeys(("+", "-", "*"), ("int", "int")),
+         **dict.fromkeys(("==", "!=", "<", "<=", ">", ">="), ("int", "bool")),
+         **dict.fromkeys(("&&", "||", "!"), ("bool", "bool"))}
 
 
 def sort_of(e: Expr) -> str:
     """"int" or "bool"; variables and inputs are always integers."""
     if isinstance(e, (Unary, Binary)):
-        return "int" if e.op in ARITH_OPS else "bool"
+        return SORTS[e.op][1]
     return "bool" if isinstance(e, Bool) else "int"
 
 
@@ -627,12 +616,9 @@ def _check_expr(e: Expr, want: str, defined, findings, line: int):
         if defined is not None and e.name not in defined:
             findings.append(Finding("use-before-assign",
                                     f"variable {e.name!r} may be read before assignment", line))
-    elif isinstance(e, Unary):
-        _check_expr(e.operand, "int" if e.op == "-" else "bool", defined, findings, line)
-    elif isinstance(e, Binary):
-        sub = "bool" if e.op in ("&&", "||") else "int"
-        _check_expr(e.left, sub, defined, findings, line)
-        _check_expr(e.right, sub, defined, findings, line)
+    elif isinstance(e, (Unary, Binary)):
+        for field in type(e).__slots__[1:]:  # the operands, after `op`
+            _check_expr(getattr(e, field), SORTS[e.op][0], defined, findings, line)
     if sort_of(e) != want:
         findings.append(Finding("type", f"expected a {want} expression", line))
 
@@ -792,41 +778,31 @@ def expr_source(e: Expr) -> str:
     return evaluate(e, {}, e.free, SOURCE)[0]
 
 
+def _source(record: Located) -> str:
+    """A fixed-shape construct's source: its `SYNTAX` template filled in."""
+    return SYNTAX[type(record)].format_map(
+        {name: "any" if (value := getattr(record, name)) is None
+         else expr_source(value) if isinstance(value, Expr) else value
+         for name in record.__slots__[:-1]})  # every field but `line`
+
+
 def _stmt_lines(st: Stmt, indent: str, out: list):
-    if isinstance(st, Assign):
-        out.append(f"{indent}{st.var} = {expr_source(st.expr)};")
-    elif isinstance(st, If):
-        out.append(f"{indent}if ({expr_source(st.cond)}) {{")
-        for s in st.then_body:
+    if type(st) is not If:
+        out.append(indent + _source(st))
+        return
+    out.append(f"{indent}if ({expr_source(st.cond)}) {{")
+    for s in st.then_body:
+        _stmt_lines(s, indent + "  ", out)
+    if st.else_body:
+        out.append(f"{indent}}} else {{")
+        for s in st.else_body:
             _stmt_lines(s, indent + "  ", out)
-        if st.else_body:
-            out.append(f"{indent}}} else {{")
-            for s in st.else_body:
-                _stmt_lines(s, indent + "  ", out)
-        out.append(f"{indent}}}")
-    elif isinstance(st, Send):
-        out.append(f"{indent}send {expr_source(st.payload)} to {expr_source(st.dest)};")
-    elif isinstance(st, Recv):
-        src = "any" if st.src is None else expr_source(st.src)
-        out.append(f"{indent}recv {st.var} from {src};")
-    elif isinstance(st, Barrier):
-        out.append(f"{indent}barrier;")
-    elif isinstance(st, Assert):
-        out.append(f"{indent}assert ({expr_source(st.cond)});")
-    elif isinstance(st, Exit):
-        out.append(f"{indent}exit;")
-    else:  # pragma: no cover
-        raise LangError(f"unknown statement {st!r}")
+    out.append(f"{indent}}}")
 
 
 def pretty_print(program: Program) -> str:
     """Canonical source text; parses back to a structurally equal Program."""
-    lines = []
-    if program.decls:
-        lines.append("symbolic")
-        for d in program.decls:
-            lines.append(f"sym {d.name} : int[{d.lo}..{d.hi}];")
-        lines.append("")
+    lines = ["symbolic", *map(_source, program.decls), ""] if program.decls else []
     header = "program" if program.nprocs_default == 1 else f"program (nprocs = {program.nprocs_default})"
     if not program.body:
         lines.append(header + " {}")

@@ -388,7 +388,10 @@ def replay_testcase(program: lang.Program, tc: TestCase) -> ReplayResult:
     the actual semantics; no solver is involved."""
     if program_hash(program) != tc.program_hash:
         raise ReplayError("program hash mismatch: test case was recorded for a different program")
-    findings = lang.validate(program, tc.nprocs)
+    try:
+        findings = lang.validate(program, tc.nprocs)
+    except lang.LangError as exc:  # a process count out of range
+        raise ReplayError(str(exc)) from None
     if findings:
         raise ReplayError(f"program fails validation: {findings[0].message}")
     try:

@@ -5,11 +5,11 @@ leaves are constants (`Num`, or `Bool`, which only folding makes) and
 `Var`s, each naming a declared symbolic input.  Equal terms are one node
 (`lang.Expr`), so term equality is identity, and a term's `free` holds the
 inputs it reads.  The constructors here constant-fold, so a term with no
-input leaves is always a single constant node.  `lang.sort_of`,
-`lang.expr_source` and `lang.evaluate` serve terms as they serve surface
-expressions, and `lang.evaluate` over `TERMS` turns a surface expression
-into its term.  A path condition is an append-only
-conjunction of boolean-sorted terms.
+input leaves is always a single constant node, and they check each
+operand's sort against `lang.SORTS`.  `lang.sort_of`, `lang.expr_source`
+and `lang.evaluate` serve terms as they serve surface expressions, and
+`lang.evaluate` over `TERMS` turns a surface expression into its term.
+A path condition is an append-only conjunction of boolean-sorted terms.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Mapping, Tuple
 
-from .lang import (ARITH_OPS, BINARY_OPS, Algebra, Binary, Bool, Expr, Num, Unary, evaluate,
+from .lang import (BINARY_OPS, PREC, SORTS, Algebra, Binary, Bool, Expr, Num, Unary, evaluate,
                    expr_source, sort_of)
 
 if TYPE_CHECKING:
@@ -32,41 +32,30 @@ class SymbolicError(Exception):
 TRUE = Bool(True)
 FALSE = Bool(False)
 
-CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-LOGIC_OPS = ("&&", "||")
-
 _NEGATED_CMP = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
 def unary(op: str, operand: Expr) -> Expr:
-    if op == "-":
-        if sort_of(operand) != "int":
-            raise SymbolicError("unary '-' needs an integer operand")
-        if isinstance(operand, Num):
-            return Num(-operand.value)
-        return Unary("-", operand)
+    if op != "-" and op != "!":
+        raise SymbolicError(f"unknown unary operator {op!r}")
+    if sort_of(operand) != SORTS[op][0]:
+        raise SymbolicError(f"the operand of {op!r} must be {SORTS[op][0]}-sorted")
     if op == "!":
-        if sort_of(operand) != "bool":
-            raise SymbolicError("'!' needs a boolean operand")
         return negate(operand)
-    raise SymbolicError(f"unknown unary operator {op!r}")
+    return Num(-operand.value) if isinstance(operand, Num) else Unary("-", operand)
 
 
 def binary(op: str, left: Expr, right: Expr) -> Expr:
     if isinstance(left, Num) and isinstance(right, Num) and op in BINARY_OPS:
         # a Num is int-sorted, so the sort checks below cannot fail here
         v = BINARY_OPS[op](left.value, right.value)
-        return Bool(v) if op in CMP_OPS else Num(v)
-    if op in ARITH_OPS or op in CMP_OPS:
-        want = "int"
-    elif op in LOGIC_OPS:
-        want = "bool"
-    else:
+        return Num(v) if SORTS[op][1] == "int" else Bool(v)
+    if op not in PREC:
         raise SymbolicError(f"unknown operator {op!r}")
+    want = SORTS[op][0]
     if sort_of(left) != want or sort_of(right) != want:
         raise SymbolicError(f"operands of {op!r} must be {want}-sorted")
-
-    if op in LOGIC_OPS:
+    if want == "bool":
         # Fold through boolean identities so concrete guards disappear.
         if isinstance(left, Bool):
             if op == "&&":
@@ -85,7 +74,7 @@ def negate(e: Expr) -> Expr:
         return Bool(not e.value)
     if isinstance(e, Unary) and e.op == "!":
         return e.operand
-    if isinstance(e, Binary) and e.op in CMP_OPS:
+    if isinstance(e, Binary) and e.op in _NEGATED_CMP:
         return Binary(_NEGATED_CMP[e.op], e.left, e.right)
     if sort_of(e) != "bool":
         raise SymbolicError("negate needs a boolean operand")
@@ -96,7 +85,7 @@ def negate(e: Expr) -> Expr:
 #: `env` binds locals, `rank` and `nprocs` to terms and `inputs` holds the
 #: names of the declared inputs.  A constant or an input is the node it is.
 TERMS = Algebra(lambda e, inputs: e, {op: partial(unary, op) for op in ("-", "!")},
-                {op: partial(binary, op) for op in ARITH_OPS + CMP_OPS + LOGIC_OPS})
+                {op: partial(binary, op) for op in PREC})
 
 
 def pc_holds(pc: PathCondition, model: Mapping[str, int]) -> bool:

@@ -5,9 +5,10 @@ import weakref
 
 import pytest
 
-from mpisym import lang, symbolic
+from mpisym import corpus, lang, symbolic
 from mpisym.lang import (Assign, Barrier, Binary, If, Num, ParseError, Recv,
                          Send, parse_program, pretty_print, validate)
+from randprog import random_program_source
 
 
 FIG1 = """\
@@ -700,6 +701,227 @@ def test_lexer_agrees_with_reference(rng, corpus_entries):
             assert new == old, text
 
 
+class ReferenceParser(lang._Parser):
+    """The parser with a hand-written branch per statement and a declaration
+    reader of its own, as it was before `lang.SYNTAX`; `program` reads a
+    declaration through `fields`."""
+
+    def fields(self, kind):
+        assert kind is lang.SymDecl
+        return self.decl()
+
+    def decl(self):
+        kw = self.expect("kw", "sym")
+        name = self.ident("symbolic input name")
+        self.expect(":")
+        self.expect("kw", "int")
+        self.expect("[")
+        lo = self.expect("int").value
+        self.expect("..")
+        hi = self.expect("int").value
+        self.expect("]")
+        self.expect(";")
+        return lang.SymDecl(name, lo, hi, kw.line)
+
+    def stmt(self, out):
+        tok = self.peek()
+        self.statements += tok.value != "repeat"  # a repeat is its body's copies
+        if tok.kind == "kw":
+            if tok.value == "if":
+                self.next()
+                self.expect("(")
+                cond = self.expr()
+                self.expect(")")
+                then_body = self.block()
+                else_body = []
+                if self.at("kw", "else"):
+                    self.next()
+                    else_body = self.block()
+                out.append(If(cond, tuple(then_body), tuple(else_body), tok.line))
+                return
+            if tok.value == "send":
+                self.next()
+                payload = self.expr()
+                self.expect("kw", "to")
+                dest = self.expr()
+                self.expect(";")
+                out.append(Send(payload, dest, tok.line))
+                return
+            if tok.value == "recv":
+                self.next()
+                var = self.ident("receive target variable")
+                self.expect("kw", "from")
+                if self.at("kw", "any"):
+                    self.next()
+                    src = None
+                else:
+                    src = self.expr()
+                self.expect(";")
+                out.append(Recv(var, src, tok.line))
+                return
+            if tok.value == "barrier":
+                self.next()
+                self.expect(";")
+                out.append(Barrier(tok.line))
+                return
+            if tok.value == "assert":
+                self.next()
+                self.expect("(")
+                cond = self.expr()
+                self.expect(")")
+                self.expect(";")
+                out.append(lang.Assert(cond, tok.line))
+                return
+            if tok.value == "exit":
+                self.next()
+                self.expect(";")
+                out.append(lang.Exit(tok.line))
+                return
+            if tok.value == "repeat":
+                self.next()
+                outer, self.repeat = self.repeat, self.repeat or tok
+                count, before = self.expect("int").value, self.statements
+                body = self.block()
+                self.statements = before + count * (self.statements - before)
+                if self.statements > lang.MAX_STATEMENTS:
+                    raise ParseError(f"repeat makes more than {lang.MAX_STATEMENTS} statements",
+                                     self.repeat.line, self.repeat.col)
+                out.extend(body * count if body else ())
+                self.repeat = outer
+                return
+            if tok.value in ("rank", "nprocs", "any"):
+                self.error(f"reserved name {tok.value!r} cannot be assigned")
+            self.error(f"unexpected keyword {tok.value!r}")
+        if tok.kind == "ident":
+            var = self.ident("assignment target")
+            self.expect("=")
+            expr = self.expr()
+            self.expect(";")
+            out.append(Assign(var, expr, tok.line))
+            return
+        self.error(f"expected a statement, found {tok.value!r}")
+
+
+def reference_stmt_lines(st, indent, out):
+    source = lang.expr_source
+    if isinstance(st, Assign):
+        out.append(f"{indent}{st.var} = {source(st.expr)};")
+    elif isinstance(st, If):
+        out.append(f"{indent}if ({source(st.cond)}) {{")
+        for s in st.then_body:
+            reference_stmt_lines(s, indent + "  ", out)
+        if st.else_body:
+            out.append(f"{indent}}} else {{")
+            for s in st.else_body:
+                reference_stmt_lines(s, indent + "  ", out)
+        out.append(f"{indent}}}")
+    elif isinstance(st, Send):
+        out.append(f"{indent}send {source(st.payload)} to {source(st.dest)};")
+    elif isinstance(st, Recv):
+        src = "any" if st.src is None else source(st.src)
+        out.append(f"{indent}recv {st.var} from {src};")
+    elif isinstance(st, Barrier):
+        out.append(f"{indent}barrier;")
+    elif isinstance(st, lang.Assert):
+        out.append(f"{indent}assert ({source(st.cond)});")
+    elif isinstance(st, lang.Exit):
+        out.append(f"{indent}exit;")
+    else:
+        raise lang.LangError(f"unknown statement {st!r}")
+
+
+def reference_pretty_print(program):
+    lines = []
+    if program.decls:
+        lines.append("symbolic")
+        for d in program.decls:
+            lines.append(f"sym {d.name} : int[{d.lo}..{d.hi}];")
+        lines.append("")
+    header = ("program" if program.nprocs_default == 1
+              else f"program (nprocs = {program.nprocs_default})")
+    if not program.body:
+        lines.append(header + " {}")
+    else:
+        lines.append(header + " {")
+        for st in program.body:
+            reference_stmt_lines(st, "  ", lines)
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def parsed_text(parse, pretty_print, text):
+    """The printed program of `text`, or the message of its parse error."""
+    try:
+        return pretty_print(parse(text))
+    except ParseError as exc:
+        return ("ParseError", str(exc))
+
+
+#: Token texts a mutation inserts: every piece of statement and declaration
+#: syntax, the other keywords, names, numbers and operators.
+MUTATION_TOKENS = sorted(lang.KEYWORDS) + [
+    ";", "=", "(", ")", "{", "}", "[", "]", ":", "..", ",", "-", "!", "+", "*", "==", "<",
+    "&&", "||", "x", "X", "v0_1", "0", "1", "7"]
+
+
+def spelled(tokens):
+    """Source text of (line, text) tokens, one source line per line."""
+    out, line = [], 1
+    for tok_line, text in tokens:
+        out.append("\n" * (tok_line - line) if tok_line > line else " ")
+        out.append(text)
+        line = max(line, tok_line)
+    return "".join(out)
+
+
+def spellings(text):
+    """The (line, text) of each token of `text`."""
+    return [(tok.line, tok.kind if tok.value is None or tok.kind == tok.value else str(tok.value))
+            for tok in lang.tokenize(text)[:-1]]
+
+
+def mutated(rng, tokens):
+    """The text of (line, text) `tokens` with one token deleted, doubled,
+    swapped with the next, replaced or preceded by another."""
+    tokens = list(tokens)
+    i = rng.randrange(len(tokens))
+    line = tokens[i][0]
+    how = rng.randrange(5)
+    if how == 0:
+        del tokens[i]
+    elif how == 1:
+        tokens.insert(i, tokens[i])
+    elif how == 2 and i + 1 < len(tokens):
+        tokens[i], tokens[i + 1] = (line, tokens[i + 1][1]), (tokens[i + 1][0], tokens[i][1])
+    elif how == 3:
+        tokens[i] = (line, rng.choice(MUTATION_TOKENS))
+    else:
+        tokens.insert(i, (line, rng.choice(MUTATION_TOKENS)))
+    return spelled(tokens)
+
+
+def test_parser_and_printer_agree_with_the_per_statement_reference(rng):
+    """`lang.SYNTAX` serves the parser and the printer; the reference keeps
+    a branch per statement in each.  On the corpus sources (read as files,
+    not loaded, which would parse them), on random programs and on 6,000
+    one-token mutations of them, both give the same printed program or the
+    same parse error."""
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted(corpus.bundled_dir().glob("*.mpisym"))]
+    sources += [random_program_source(rng) for _ in range(100)]
+    sources += [pretty_print(lang.Program((lang.SymDecl("X", 0, 3), lang.SymDecl("Y", 1, 9)),
+                                          rng.randint(1, 4), tuple(random_block(rng, 0, 1)[0])))
+                for _ in range(100)]
+    tokens = [spellings(text) for text in sources]
+    texts = sources + [mutated(rng, rng.choice(tokens)) for _ in range(6000)]
+    printed = 0
+    for text in texts:
+        expected = parsed_text(lambda t: ReferenceParser(t).program(), reference_pretty_print, text)
+        assert parsed_text(parse_program, pretty_print, text) == expected, text
+        printed += isinstance(expected, str)
+    assert printed > len(sources) + 50
+
+
 @pytest.mark.parametrize("source,message", [
     ("program {\n  x = 1; # no newline", "2:10: expected a statement, found None"),
     ("program { x = 1\u00b2; }", "1:16: unexpected character '\u00b2'"),
@@ -707,6 +929,8 @@ def test_lexer_agrees_with_reference(rng, corpus_entries):
     ("program { x = 'ab'; }", "1:15: bad character literal"),
     ("program {\n  recv 5 from 0;\n}", "2:8: expected receive target variable, found 5"),
     ("program {\n  else { x = 1; }\n}", "2:3: unexpected keyword 'else'"),
+    ("symbolic\nsym X : int[0..1];\n  sym X : int[0..2];\nprogram {}",
+     "3:7: duplicate symbolic declaration 'X'"),
     # checked before the splice: neither program is ever built
     ("program {\n  repeat 1000 { repeat 1000 { repeat 1000 { x = 1; } } }\n}",
      "2:3: repeat makes more than 65536 statements"),

@@ -469,6 +469,18 @@ def test_replay_input_undeclared_or_repeated_is_an_error(corpus_entries):
     assert str(err.value) == "line 6: input 'X' bound twice"
 
 
+@pytest.mark.parametrize("nprocs,message", [
+    (0, "nprocs must be positive"),
+    (lang.MAX_NPROCS + 1, f"nprocs {lang.MAX_NPROCS + 1} exceeds the limit of {lang.MAX_NPROCS}"),
+])
+def test_replay_process_count_out_of_range_is_a_replay_error(corpus_entries, nprocs, message):
+    p, tc = corpus_case(corpus_entries, "fig1-motivating", Verdict.TERMINATED)
+    bad = replay.TestCase(tc.program_hash, nprocs, tc.model, tc.trace, tc.verdict, tc.fail_loc)
+    with pytest.raises(ReplayError) as err:
+        replay_testcase(p, bad)
+    assert str(err.value) == message
+
+
 def test_replay_event_after_assertion_failure_diverges(corpus_entries):
     p, tc = corpus_case(corpus_entries, "assert-payload", Verdict.ASSERT_FAIL)
     assert replay_testcase(p, tc).verdict is Verdict.ASSERT_FAIL

@@ -357,10 +357,15 @@ def test_known_model_answers_like_a_full_search(rng):
     """Given the smallest model of pc, a query on pc and one more conjunct
     answers with that model itself when the conjunct holds on it, and
     otherwise searches only the components that conjunct touches; the
-    answers are those of the oracle, and so are the rank entailments."""
+    answers are those of the oracle, and so are the rank entailments.
+    Draws go on until 151 cases are checked, at most 1,000 of them: about
+    half of all draws have a model of pc, and seeds 1-60 and 1729 took
+    278-344 draws."""
     scopes = (("X",), ("Y",), ("Z",), ("X", "Z"), ("X", "Y"))
     checked = 0
-    for case in range(300):
+    for _ in range(1000):
+        if checked > 150:
+            break
         domains = {}
         for n in ("X", "Y", "Z"):
             lo = rng.randint(-4, 8)
