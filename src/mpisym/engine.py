@@ -18,8 +18,9 @@ unsound in both directions: rewriting a wildcard to a source that never
 sends invents a deadlock, and committing to the first sender that shows up
 hides the deadlocks the other senders lead to.
 
+A rank runs when it is neither asleep nor exited (its cursor at `end`).
 A state with no runnable process and no wildcard pair, in which some
-process has not exited, is a deadlock.
+process sleeps, is a deadlock; a path ends once `fail_loc` or `error` is set.
 
 Each state carries the smallest model of its path condition, so a branch
 side whose guard holds on it, every terminal's witness model and half of
@@ -30,15 +31,14 @@ as one solver query.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter, deque
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import lang, ops, solver, symbolic
 from .solver import Model
-from .state import (ACTIVE, EXITED, INACTIVE, RUNNING, BranchChoice, BarrierRelease,
-                    EngineError, GlobalState, StepEvent, TraceEvent, Verdict, advance,
-                    assume, eval_expr, fork, init_state, match_transfer, new_tuple,
-                    waiting_in)
+from .state import (BranchChoice, BarrierRelease, EngineError, GlobalState, StepEvent,
+                    TraceEvent, Verdict, advance, assume, eval_expr, fork, init_state,
+                    match_transfer, new_tuple, waiting_in)
 
 
 class ValidationFailure(Exception):
@@ -94,10 +94,7 @@ class AnalysisReport(lang.Record):
 
     @property
     def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for rec in self.records:
-            out[rec.verdict.value] = out.get(rec.verdict.value, 0) + 1
-        return out
+        return Counter(rec.verdict.value for rec in self.records)
 
 
 # -- scheduling ---------------------------------------------------------------
@@ -106,28 +103,29 @@ class AnalysisReport(lang.Record):
 def scheduler(s: GlobalState) -> Schedule:
     """Decide what happens next in a state, without changing it.
 
-    A state that ended keeps its verdict.  Otherwise the designated next
-    process runs when it is active, else the first active rank.  When none
-    is active, one pass collects the wildcard pairs: every receiver asleep
-    on a wildcard with every sender asleep on it, receiver-ascending, then
-    sender-ascending.  With no pair either, the state is terminated when
-    every rank exited and deadlocked when some rank sleeps.
+    A path with `fail_loc` or `error` set failed an assertion or erred.
+    Else the designated next process runs if it can, else the first rank
+    that can.  Failing that, one pass collects the wildcard pairs: each
+    receiver asleep on a wildcard with each sender asleep on it, receiver-
+    then sender-ascending.  With no pair either, the state is terminated
+    when every rank exited and deadlocked when some rank sleeps.
     """
-    if s.verdict is not RUNNING:
-        return s.verdict
+    if s.fail_loc is not None or s.error is not None:
+        return Verdict.ASSERT_FAIL if s.error is None else Verdict.ERROR
     procs = s.procs
+    table = s.compiled.ops
+    end = len(table)
     cand = s.next_proc_candidate
-    if cand is not None and procs[cand].status is ACTIVE:
+    if cand is not None and not procs[cand].asleep and procs[cand].pc_loc < end:
         return cand
     for p in procs:
-        if p.status is ACTIVE:
+        if not p.asleep and p.pc_loc < end:
             return p.rank
-    table = s.compiled.ops
     receivers = []
     senders = {}
     asleep = False
     for p in procs:
-        if p.status is INACTIVE:
+        if p.asleep:
             asleep = True
             op = table[p.pc_loc]
             if type(op) is lang.Send:
@@ -142,7 +140,7 @@ def scheduler(s: GlobalState) -> Schedule:
 
 def classify(s: GlobalState) -> Verdict:
     """The verdict `scheduler` gives a state, or RUNNING while it goes on."""
-    return v if type(v := scheduler(s)) is Verdict else RUNNING
+    return v if type(v := scheduler(s)) is Verdict else Verdict.RUNNING
 
 
 # -- per-statement symbolic execution ----------------------------------------
@@ -183,13 +181,9 @@ def _take_side(t: GlobalState, p: int, op: ops.OpBranch, loc: int, taken: bool) 
     t.trace.append(new_tuple(BranchChoice, (loc, taken)))
     target = op.true_target if taken else op.false_target
     if target is None:
-        t.verdict = Verdict.ASSERT_FAIL
         t.fail_loc = loc
     else:
-        proc = t.procs[p]
-        proc.pc_loc = target
-        if target >= t.compiled.end:  # past the end of the body: the process exits
-            proc.status = EXITED
+        t.procs[p].pc_loc = target
     return t
 
 
@@ -200,12 +194,11 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
     the false side, a `fork` of s made once the step is recorded and before
     either side is written."""
     proc = s.procs[p]
-    if proc.status is not ACTIVE:
-        raise EngineError(f"se_step on non-active process {p}")
-    if s.verdict is not RUNNING:
-        raise EngineError("se_step on a non-running state")
     loc = proc.pc_loc
-    op = s.compiled.ops[loc]
+    table = s.compiled.ops
+    if proc.asleep or loc >= len(table) or s.fail_loc is not None or s.error is not None:
+        raise EngineError(f"se_step on rank {p} in a state where it cannot run")
+    op = table[loc]
     kind = type(op)
     s.depth += 1
     s.trace.append(new_tuple(StepEvent, (p, loc)))
@@ -236,7 +229,7 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
         return succs
 
     if kind is lang.Recv and op.src is None:
-        proc.status = INACTIVE
+        proc.asleep = True
         return [s]
 
     if kind is lang.Send or kind is lang.Recv:
@@ -246,14 +239,13 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
         peer, err = _resolve_rank(s, p, op.dest if sending else op.src, stats)
         snd, rcv = (p, peer) if sending else (peer, p)
         if err is not None:
-            s.verdict = Verdict.ERROR
             s.error = f"L{op.line}: {err}"
         elif waiting_in(s, peer, lang.Recv if sending else lang.Send, p):
             match_transfer(s, snd, rcv)
         else:
             # A sleeping wildcard receiver does NOT match a send; the sender
             # blocks so the scheduler can later fork over all candidates.
-            proc.status = INACTIVE
+            proc.asleep = True
             proc.blocked_on = peer
             s.next_proc_candidate = peer
         return [s]
@@ -265,17 +257,16 @@ def se_step(s: GlobalState, p: int, stats: Optional[SolverStats] = None) -> List
         if all(q.rank == p or waiting_in(s, q.rank, lang.Barrier, None)
                for q in reversed(s.procs)):
             for q in s.procs:
-                q.status = ACTIVE
+                q.asleep = False
             s.trace.append(new_tuple(BarrierRelease, (s.barrier_epochs,)))
             s.barrier_epochs += 1
             advance(s, range(s.nprocs))
         else:
-            proc.status = INACTIVE
+            proc.asleep = True
         return [s]
 
     if kind is lang.Exit:
-        proc.pc_loc = s.compiled.end
-        proc.status = EXITED
+        proc.pc_loc = len(table)
         return [s]
 
     raise EngineError(f"cannot execute {op!r}")
@@ -311,12 +302,13 @@ def search(program: lang.Program, nprocs: int,
            strategy: Optional[SearchStrategy] = None) -> AnalysisReport:
     """Explore every path of the program under `nprocs` processes.
 
-    Each terminal state becomes one PathRecord carrying a witness model for
-    its path condition and its schedule trace as a tuple.  Inputs stay
-    symbolic: the records whose path condition holds under a concrete model
-    are the search's paths under that model, which is what the differential
-    theorem check (`oracle.check_theorem`) compares.  Under DFS the state
-    just stepped is expanded next without a worklist round trip.
+    Each terminal state becomes one PathRecord, the one holder of its
+    verdict, with a witness model for its path condition and its schedule
+    trace as a tuple.  Inputs stay symbolic: the records whose path
+    condition holds under a concrete model are the search's paths under
+    that model, which is what the differential theorem check
+    (`oracle.check_theorem`) compares.  Under DFS the state just stepped is
+    expanded next without a worklist round trip.
     """
     strategy = strategy or SearchStrategy()
     findings = lang.validate(program, nprocs)
@@ -337,7 +329,6 @@ def search(program: lang.Program, nprocs: int,
     while True:
         what = scheduler(s)
         if type(what) is Verdict:  # terminal: record it
-            s.verdict = what
             stats.queries += 1
             records.append(PathRecord(len(records), what, s.pc, s.model, s.depth, s,
                                       s.fail_loc, s.error))

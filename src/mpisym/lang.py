@@ -233,7 +233,7 @@ class SymDecl(Located):
 #: The syntax of a declaration and of each statement but `if`: the printer
 #: fills each "{field}" in with the field's text, and the parser reads it as
 #: the field (an operand as an expression, which for `Recv.src` may be
-#: `any`; `lo` and `hi` as integer literals; any other as a name).
+#: `any`; `lo` and `hi` as maybe negated integer literals; any other as a name).
 SYNTAX = {Assign: "{var} = {expr};", Send: "send {payload} to {dest};",
           Recv: "recv {var} from {src};", Barrier: "barrier;", Assert: "assert ({cond});",
           Exit: "exit;", SymDecl: "sym {name} : int[{lo}..{hi}];"}
@@ -495,8 +495,9 @@ class _Parser:
             elif field == "src" and self.at("kw", "any"):
                 self.next()
                 values[field] = None
-            elif field == "lo" or field == "hi":
-                values[field] = self.expect("int").value
+            elif field == "lo" or field == "hi":  # an integer literal, maybe negated
+                sign = -1 if self.at("-") and self.next() else 1
+                values[field] = sign * self.expect("int").value
             elif field == "var" or field == "name":
                 values[field] = self.ident(_NAMES[kind])
             else:  # an operand
@@ -631,6 +632,17 @@ def _literal_rank(e: Expr):
     return None
 
 
+def _check_name(kind: type, name, findings, line: int):
+    """A finding unless `tokenize` reads `name` back as one identifier that
+    is no keyword: else the printed program would not parse back to itself."""
+    try:
+        if [tok[:2] for tok in tokenize(name)] == [("ident", name), ("eof", None)]:
+            return
+    except (ParseError, TypeError):  # TypeError: a name that is no string
+        pass
+    findings.append(Finding("name", f"{_NAMES[kind]} {name!r} is not an identifier", line))
+
+
 def _check_block(stmts, defined, sym_names, nprocs, findings):
     """Flow `defined` through a block; None means the tail is unreachable."""
     for st in stmts:
@@ -647,6 +659,7 @@ def _check_block(stmts, defined, sym_names, nprocs, findings):
             peer = "send destination" if kind is Send else "receive source"
             findings.append(Finding("rank-range", f"{peer} {lit} not in [0, {nprocs})", st.line))
         if kind is Assign or kind is Recv:
+            _check_name(kind, st.var, findings, st.line)
             if st.var in sym_names:
                 verb = "assign to" if kind is Assign else "receive into"
                 findings.append(Finding("assign-symbolic",
@@ -680,6 +693,7 @@ def validate(program: Program, nprocs: int):
 def _findings(program: Program, nprocs: int) -> tuple:
     findings: list = []
     for d in program.decls:
+        _check_name(SymDecl, d.name, findings, d.line)
         if d.lo > d.hi:
             findings.append(Finding("empty-domain",
                                     f"domain of {d.name!r} is empty ([{d.lo}..{d.hi}])", d.line))

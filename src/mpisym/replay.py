@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import Dict, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from . import engine, lang, oracle, ops
 from .state import (BarrierRelease, BranchChoice, MatchEvent, StepEvent,
@@ -72,18 +72,17 @@ def _sha256(program: lang.Program) -> str:
 
 
 class TestCase(lang.Record):
+    # model: input name -> value, in the file's INPUT order
     __slots__ = ("program_hash", "nprocs", "model", "trace", "verdict", "fail_loc")
+    __hash__ = None
     _defaults = {"fail_loc": None}
-
-    def model_dict(self) -> Dict[str, int]:
-        return dict(self.model)
 
 
 def make_testcase(record: engine.PathRecord, program: lang.Program,
                   nprocs: int) -> TestCase:
     if record.verdict is Verdict.ERROR:
         raise ReplayError("analysis-error paths are not replayable")
-    return TestCase(program_hash(program), nprocs, tuple(record.model.items()), record.trace,
+    return TestCase(program_hash(program), nprocs, record.model, record.trace,
                     record.verdict, record.fail_loc)
 
 
@@ -96,7 +95,7 @@ def dumps(tc: TestCase) -> str:
              f"program-hash {tc.program_hash}",
              f"nprocs {tc.nprocs}",
              "INPUT"]
-    for name, value in tc.model:
+    for name, value in tc.model.items():
         lines.append(f"{name}={value}")
     lines.append("TRACE")
     for ev in tc.trace:
@@ -243,7 +242,7 @@ def loads(text: str) -> TestCase:
     else:  # a test case never ends running or in an analysis error
         raise ReplayError(f"line {vline_no}: unknown verdict {vline!r}")
 
-    return TestCase(phash, nprocs, tuple(model.items()), tuple(trace), verdict, fail_loc)
+    return TestCase(phash, nprocs, model, tuple(trace), verdict, fail_loc)
 
 
 def save_testcase(record: engine.PathRecord, program: lang.Program,
@@ -395,7 +394,7 @@ def replay_testcase(program: lang.Program, tc: TestCase) -> ReplayResult:
     if findings:
         raise ReplayError(f"program fails validation: {findings[0].message}")
     try:
-        s = oracle.make_initial(program, tc.nprocs, tc.model_dict())
+        s = oracle.make_initial(program, tc.nprocs, tc.model)
     except oracle.OracleError as exc:
         raise ReplayError(f"test case input: {exc}") from None
 

@@ -10,11 +10,13 @@ none of which is ever written in place.  The trace's tail, the events since
 the previous fork, is frozen into one more shared chunk.  So a fork never
 copies a long prefix, and a write into one state never shows in another.
 
-A rank that is asleep (INACTIVE) rests on the send, receive or barrier it
-is waiting in, so the statement at its cursor says which call it is;
-`blocked_on` adds only the peer that a send or a named receive names, and
-is None everywhere else.  `waiting_in` asks the one question the rules
-need of that record.
+A process record keeps one flag, `asleep`; a rank has exited when its
+cursor is at `end` (as in `ops`, the oracle and replay) and can run when it
+is neither.  An asleep rank rests on the call it waits in, the statement
+at its cursor; `blocked_on` adds only the peer that a send or a named
+receive names, and is None everywhere else.  `waiting_in` asks the one
+question the rules need of that record.  A path has ended once `fail_loc`
+(a failed assertion) or `error` is set; the state keeps no verdict.
 
 A state also carries `model`, the smallest model of its path condition;
 the initial one sets every input to the low end of its domain.  Forks
@@ -27,12 +29,6 @@ local (`CompiledProgram.closed`) depends on the rank alone, so it is built
 once per rank and kept in `terms`, keyed by the operand's node and the rank:
 the one table a fork shares and writes in place, as every entry holds for
 every state of the search.  Equal operands are one node and share an entry.
-
-The `Status` members and `Verdict.RUNNING` are also bound to module names
-(`ACTIVE`, `INACTIVE`, `EXITED`, `RUNNING`), and this module and the
-engine read them only through those names.  On Python 3.11 `EnumType`
-defines `__getattr__`, so `Status.ACTIVE` costs about 100 ns against 12 ns
-for a module name (timeit, 2-vCPU VM), paid a few times per engine state.
 """
 
 from __future__ import annotations
@@ -53,12 +49,6 @@ class EngineError(Exception):
     """Internal invariant violation; indicates a bug, not a program verdict."""
 
 
-class Status(enum.Enum):
-    ACTIVE = "active"
-    INACTIVE = "inactive"
-    EXITED = "exited"
-
-
 class Verdict(enum.Enum):
     RUNNING = "running"
     TERMINATED = "terminated"
@@ -66,9 +56,6 @@ class Verdict(enum.Enum):
     ASSERT_FAIL = "assertfail"
     ERROR = "error"
 
-
-ACTIVE, INACTIVE, EXITED = Status
-RUNNING = Verdict.RUNNING
 
 # Schedule trace events.  Replay consumes these in order, so the engine
 # must append them in a fixed discipline: a StepEvent precedes any
@@ -135,38 +122,36 @@ class ProcState(lang.Record):
     fork copies it, so `__init__` sets one field a statement, which on
     Python 3.11 is faster than unpacking a tuple of five."""
 
-    __slots__ = ("rank", "pc_loc", "env", "status", "blocked_on")
+    __slots__ = ("rank", "pc_loc", "env", "asleep", "blocked_on")
     __hash__ = None
 
-    def __init__(self, rank: int, pc_loc: int, env: Dict[str, Expr], status: Status,
+    def __init__(self, rank: int, pc_loc: int, env: Dict[str, Expr], asleep: bool,
                  blocked_on: Optional[int]):
         self.rank = rank
         self.pc_loc = pc_loc
         self.env = env
-        self.status = status
+        self.asleep = asleep
         self.blocked_on = blocked_on  # the peer of a sleeping send or named receive
 
     def copy(self) -> "ProcState":
-        return ProcState(self.rank, self.pc_loc, self.env.copy(), self.status, self.blocked_on)
+        return ProcState(self.rank, self.pc_loc, self.env.copy(), self.asleep, self.blocked_on)
 
 
 class GlobalState:
     __slots__ = ("compiled", "nprocs", "procs", "pc", "model", "next_proc_candidate",
-                 "barrier_epochs", "trace", "verdict", "fail_loc", "error", "depth", "terms")
+                 "barrier_epochs", "trace", "fail_loc", "error", "depth", "terms")
 
     def __init__(self, compiled: ops.CompiledProgram, nprocs: int):
         self.compiled = compiled
         self.nprocs = nprocs
-        status = ACTIVE if compiled.ops else EXITED
         self.procs: List[ProcState] = [
-            ProcState(r, 0, {"rank": lang.Num(r), "nprocs": lang.Num(nprocs)}, status, None)
+            ProcState(r, 0, {"rank": lang.Num(r), "nprocs": lang.Num(nprocs)}, False, None)
             for r in range(nprocs)]
         self.pc: symbolic.PathCondition = ()
         self.model: Model = {name: lo for name, (lo, _) in compiled.domains.items()}
         self.next_proc_candidate: Optional[int] = None
         self.barrier_epochs = 0
         self.trace = Trace()
-        self.verdict = RUNNING
         self.fail_loc: Optional[int] = None
         self.error: Optional[str] = None
         self.depth = 0
@@ -174,20 +159,17 @@ class GlobalState:
 
 
 def init_state(program: lang.Program, nprocs: int) -> GlobalState:
-    """Initial state: every process active at the first statement, empty
-    path condition and trace."""
+    """Initial state: every process awake at the first statement (or
+    exited, for an empty body), empty path condition and trace."""
     if nprocs < 1:
         raise EngineError("nprocs must be positive")
     return GlobalState(ops.lower(program), nprocs)
 
 
 def fork(s: GlobalState) -> GlobalState:
-    """An independent copy, for a second successor: it copies the process
-    records and their environments, freezes the trace's tail into a chunk
-    that both states share, and shares the path-condition tuple, the model
-    and the term table, so the cost is the events since the last fork, not
-    the path depth.  The term table is written in place, but only with
-    terms that are the same in every state of the search."""
+    """An independent copy, for a second successor, which costs the events
+    since the last fork, not the path depth (the module docstring says what
+    it copies and what it shares)."""
     t = GlobalState.__new__(GlobalState)
     for name in GlobalState.__slots__:  # shared: `terms` only gains search-wide entries
         setattr(t, name, getattr(s, name))
@@ -225,15 +207,12 @@ def assume(s: GlobalState, cond: Expr, model: Model) -> GlobalState:
 def advance(s: GlobalState, ranks: Iterable[int]) -> GlobalState:
     """Move cursors past the current statement; running off the end of the
     body exits the process."""
-    compiled = s.compiled
-    end = compiled.end
+    next_of = s.compiled.next_of
     for r in ranks:
         p = s.procs[r]
-        if p.pc_loc >= end:
+        if p.pc_loc >= len(next_of):
             raise EngineError(f"advance past end of body (rank {r})")
-        p.pc_loc = compiled.next_of[p.pc_loc]
-        if p.pc_loc >= end:
-            p.status = EXITED
+        p.pc_loc = next_of[p.pc_loc]
     return s
 
 
@@ -242,7 +221,7 @@ def waiting_in(s: GlobalState, r: int, call: type, peer: Optional[int]) -> bool:
     lang.Barrier) naming rank `peer`; peer None stands for a wildcard
     receive or a barrier."""
     p = s.procs[r]
-    return (p.status is INACTIVE and p.blocked_on == peer
+    return (p.asleep and p.blocked_on == peer
             and type(s.compiled.ops[p.pc_loc]) is call)
 
 
@@ -270,7 +249,7 @@ def match_transfer(s: GlobalState, sender: int, receiver: int) -> GlobalState:
         raise EngineError("receiver expects a different source")
 
     rp.env[recv.var] = eval_expr(s, sender, send.payload)
-    sp.status = rp.status = ACTIVE
+    sp.asleep = rp.asleep = False
     sp.blocked_on = rp.blocked_on = None
     s.trace.append(new_tuple(MatchEvent, (sender, receiver, recv.src is None)))
     advance(s, (sender, receiver))

@@ -11,8 +11,7 @@ from contextlib import contextmanager
 import pytest
 
 from mpisym import engine, lang, oracle, ops, replay, solver, symbolic
-from mpisym.state import (BarrierRelease, MatchEvent, Status, StepEvent,
-                          Verdict, init_state)
+from mpisym.state import BarrierRelease, MatchEvent, StepEvent, Verdict, init_state
 from randprog import pipeline_source, random_program
 from test_solver import first_hit, random_condition
 
@@ -253,7 +252,8 @@ def test_c8_scheduler_properties(seed):
         # wildcard forks happen only when nothing is runnable
         assert len(wildcard_states) >= 200
         for s in wildcard_states:
-            assert [p.rank for p in s.procs if p.status is Status.ACTIVE] == []
+            end = s.compiled.end
+            assert [p.rank for p in s.procs if not p.asleep and p.pc_loc < end] == []
             pairs = engine.scheduler(s)
             assert isinstance(pairs, list) and pairs
             n = len(s.trace)

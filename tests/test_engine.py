@@ -1,16 +1,13 @@
-import ast
 import hashlib
 import random
 from collections import deque
-from pathlib import Path
 
 import pytest
 
-from mpisym import engine, lang, ops, solver, state, symbolic
+from mpisym import engine, lang, ops, solver, symbolic
 from mpisym.engine import (SearchStrategy, ValidationFailure, classify,
                            expand, scheduler, se_step, search)
-from mpisym.state import (MatchEvent, Status, StepEvent, Verdict, fork, init_state,
-                          waiting_in)
+from mpisym.state import MatchEvent, StepEvent, Verdict, fork, init_state, waiting_in
 from randprog import pipeline_source, random_program, random_program_source
 
 
@@ -121,7 +118,7 @@ def test_scheduler_returns_verdict_expand_raises():
     assert scheduler(s) is Verdict.TERMINATED
     with pytest.raises(engine.EngineError):
         expand(s)
-    s.verdict = Verdict.ASSERT_FAIL
+    s.fail_loc = 0
     assert scheduler(s) is Verdict.ASSERT_FAIL
     with pytest.raises(engine.EngineError):
         expand(s)
@@ -135,7 +132,7 @@ def test_se_step_send_blocks_and_sets_candidate():
     s = init_state(p, 2)
     s = se_step(s, 0)[0]  # branch
     t = se_step(s, 0)[0]  # send
-    assert t.procs[0].status is Status.INACTIVE
+    assert t.procs[0].asleep
     assert t.procs[0].blocked_on == 1
     assert waiting_in(t, 0, lang.Send, 1)
     assert t.next_proc_candidate == 1
@@ -161,7 +158,7 @@ def test_se_step_recv_any_always_blocks():
     s = init_state(p, 2)
     s = se_step(s, 0)[0]
     t = se_step(s, 0)[0]
-    assert t.procs[0].status is Status.INACTIVE
+    assert t.procs[0].asleep
     assert t.procs[0].blocked_on is None
     assert waiting_in(t, 0, lang.Recv, None)
     assert t.next_proc_candidate is None
@@ -198,12 +195,12 @@ def test_se_step_barrier_counts_all_ranks():
     p = program("program (nprocs = 3) { barrier; }")
     s = init_state(p, 3)
     s = se_step(s, 0)[0]
-    assert [p.status for p in s.procs] == [Status.INACTIVE, Status.ACTIVE, Status.ACTIVE]
+    assert [p.asleep for p in s.procs] == [True, False, False]
     s = se_step(s, 1)[0]
-    assert [p.status for p in s.procs] == [Status.INACTIVE, Status.INACTIVE, Status.ACTIVE]
+    assert [p.asleep for p in s.procs] == [True, True, False]
     assert all(waiting_in(s, r, lang.Barrier, None) for r in (0, 1))
     t = se_step(s, 2)[0]
-    assert all(p.status is Status.EXITED for p in t.procs)
+    assert [(p.pc_loc, p.asleep) for p in t.procs] == [(t.compiled.end, False)] * 3
     from mpisym.state import BarrierRelease
     assert BarrierRelease(0) in t.trace
 
@@ -435,10 +432,10 @@ DEADLOCK_WAITS = {
 def wait_records(s):
     rows = []
     for p in s.procs:
-        if p.status is Status.EXITED:
+        if p.pc_loc == s.compiled.end:
             rows.append(None)
             continue
-        assert p.status is Status.INACTIVE
+        assert p.asleep
         op = s.compiled.ops[p.pc_loc]
         call = type(op).__name__.lower()
         assert waiting_in(s, p.rank, type(op), p.blocked_on)
@@ -576,26 +573,3 @@ def test_scheduler_and_se_step_called_once_per_state(corpus_entries, monkeypatch
             assert calls["scheduler"] == rep.states_created, (e.name, order)
             assert calls["se_step"] == calls["ranks"] > 0, (e.name, order)
 
-
-# -- no enum member lookup per state ----------------------------------------------
-
-
-def test_no_enum_member_lookup_in_engine_function_bodies():
-    """`engine.py` and `state.py` read the `Status` members and
-    `Verdict.RUNNING` through their module names: on Python 3.11 an Enum
-    member read through its class goes through `EnumType.__getattr__`."""
-    src = Path(engine.__file__).parent
-    found = []
-    for name in ("engine.py", "state.py"):
-        tree = ast.parse((src / name).read_text(encoding="utf-8"))
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                        and (node.value.id == "Status"
-                             or (node.value.id, node.attr) == ("Verdict", "RUNNING")):
-                    found.append(f"{name}:{node.lineno}: {node.value.id}.{node.attr}")
-    assert found == []
-    assert list(Status) == [state.ACTIVE, state.INACTIVE, state.EXITED]
-    assert state.RUNNING is Verdict.RUNNING

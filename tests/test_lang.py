@@ -382,6 +382,90 @@ def test_round_trip_keeps_operator_structure():
     assert parse_program(pretty_print(p)) == p
 
 
+#: Names a library caller may give a declaration, an assignment or a
+#: receive that `lang.tokenize` does not read back as one identifier: every
+#: keyword, and strings that are not one identifier token.
+BAD_NAMES = sorted(lang.KEYWORDS) + ["", "x y", "1x", "x-y", "x#", " x", "x\n", "a'", "$"]
+GOOD_NAMES = ["x_1", "_", "\u00f1", "Zz9"]
+
+
+def _statements(stmts):
+    for st in stmts:
+        yield st
+        if type(st) is If:
+            yield from _statements(st.then_body)
+            yield from _statements(st.else_body)
+
+
+def _swap(stmts, old, new):
+    """`stmts` with the statement `old` (by identity) replaced by `new`."""
+    return tuple(new if st is old else
+                 If(st.cond, _swap(st.then_body, old, new), _swap(st.else_body, old, new),
+                    st.line) if type(st) is If else st
+                 for st in stmts)
+
+
+def library_mutant(rng, p):
+    """`p` with one change made through the library, not the parser: a
+    declaration with negative bounds, or a declared, assigned or received
+    name replaced.  Also returns the new name, or None for new bounds."""
+    decls, body = list(p.decls), p.body
+    kind = rng.choice(("bounds", "decl", "var"))
+    if kind == "bounds":
+        lo = -rng.randint(1, 300)
+        hi = rng.choice((lo + rng.randint(0, 30), rng.randint(0, 300), lo - 1))  # lo - 1: empty
+        at = rng.randrange(len(decls) + 1)
+        name = decls[at].name if at < len(decls) else "N"
+        decls[at:at + 1] = [lang.SymDecl(name, lo, hi)]
+        return lang.Program(tuple(decls), p.nprocs_default, body), None
+    name = rng.choice(BAD_NAMES + GOOD_NAMES)
+    sites = [st for st in _statements(body) if type(st) in (Assign, Recv)]
+    if kind == "decl" or not sites:
+        at = rng.randrange(len(decls) + 1)
+        lo, hi = (decls[at].lo, decls[at].hi) if at < len(decls) else (0, 3)
+        decls[at:at + 1] = [lang.SymDecl(name, lo, hi)]
+    else:
+        old = rng.choice(sites)
+        body = _swap(body, old, type(old)(name, *old._values[1:], old.line))
+    return lang.Program(tuple(decls), p.nprocs_default, body), name
+
+
+def test_every_program_that_validates_prints_text_that_parses_back(rng, corpus_entries):
+    """A program built through the library either has a finding or prints,
+    through `pretty_print`, text that parses back to it: the text whose
+    sha256 identifies a test case's program (`replay.program_hash`).  A bad
+    name is one finding of its own."""
+    round_trips = negative_bounds = bad = 0
+    for entry in corpus_entries.values():
+        for _ in range(40):
+            p, name = library_mutant(rng, entry.program())
+            findings = validate(p, entry.nprocs)
+            names = [f for f in findings if f.kind == "name"]
+            if name in BAD_NAMES:
+                bad += 1
+                assert len(names) == 1 and repr(name) in names[0].message, (p, findings)
+            else:
+                assert names == [], (p, findings)
+            if not findings:
+                assert parse_program(pretty_print(p)) == p, pretty_print(p)
+                round_trips += 1
+                negative_bounds += any(d.lo < 0 for d in p.decls)
+    assert round_trips > 100 and negative_bounds > 50 and bad > 150
+
+
+def test_a_name_finding_says_which_name():
+    """The finding names the construct and the name, at its line."""
+    p = lang.Program((lang.SymDecl("if", 0, 3, 2),), 1,
+                     (Assign("x y", Num(1), 4), Recv("any", None, 5)))
+    assert [(f.kind, f.message, f.line) for f in validate(p, 2)] == [
+        ("name", "symbolic input name 'if' is not an identifier", 2),
+        ("name", "assignment target 'x y' is not an identifier", 4),
+        ("name", "receive target variable 'any' is not an identifier", 5)]
+    q = lang.Program((lang.SymDecl("X", -2, 3),), 1, (Assign("x", lang.Var("X")),))
+    assert validate(q, 1) == [] and "sym X : int[-2..3];" in pretty_print(q)
+    assert parse_program(pretty_print(q)) == q
+
+
 def test_eval_concrete_matches_python():
     p = parse_program("program { x = (3 + 4) * 2 - 1; }")
     expr = p.body[0].expr
@@ -703,12 +787,20 @@ def test_lexer_agrees_with_reference(rng, corpus_entries):
 
 class ReferenceParser(lang._Parser):
     """The parser with a hand-written branch per statement and a declaration
-    reader of its own, as it was before `lang.SYNTAX`; `program` reads a
-    declaration through `fields`."""
+    reader of its own, as it was before `lang.SYNTAX` (but for the sign a
+    domain bound may carry); `program` reads a declaration through `fields`."""
 
     def fields(self, kind):
         assert kind is lang.SymDecl
         return self.decl()
+
+    def bound(self):
+        """A domain bound: an integer literal, which a `-` may negate."""
+        negative = self.at("-")
+        if negative:
+            self.next()
+        value = self.expect("int").value
+        return -value if negative else value
 
     def decl(self):
         kw = self.expect("kw", "sym")
@@ -716,9 +808,9 @@ class ReferenceParser(lang._Parser):
         self.expect(":")
         self.expect("kw", "int")
         self.expect("[")
-        lo = self.expect("int").value
+        lo = self.bound()
         self.expect("..")
-        hi = self.expect("int").value
+        hi = self.bound()
         self.expect("]")
         self.expect(";")
         return lang.SymDecl(name, lo, hi, kw.line)

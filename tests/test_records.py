@@ -12,7 +12,7 @@ import pytest
 
 from mpisym import corpus, engine, lang, ops, oracle, replay, state
 from mpisym.lang import Assign, Binary, Bool, Num, Var
-from mpisym.state import BranchChoice, Status, StepEvent, Verdict
+from mpisym.state import BranchChoice, StepEvent, Verdict
 
 X, ONE = Var("x"), Num(1)
 
@@ -62,18 +62,18 @@ def records():
         (engine.AnalysisReport([], 1, 0, 0.5),
          "AnalysisReport(records=[], states_created=1, solver_queries=0, wall_time=0.5, "
          "truncated=False)"),
-        (replay.TestCase("ab", 2, (("X", 1),), (StepEvent(0, 1), BranchChoice(1, True)),
+        (replay.TestCase("ab", 2, {"X": 1}, (StepEvent(0, 1), BranchChoice(1, True)),
                          Verdict.ASSERT_FAIL, 3),
-         "TestCase(program_hash='ab', nprocs=2, model=(('X', 1),), "
+         "TestCase(program_hash='ab', nprocs=2, model={'X': 1}, "
          "trace=(StepEvent(rank=0, loc=1), BranchChoice(loc=1, taken=True)), "
          "verdict=<Verdict.ASSERT_FAIL: 'assertfail'>, fail_loc=3)"),
         (replay.Divergence(2, "rank 1", "rank 0"),
          "Divergence(event_index=2, expected='rank 1', observed='rank 0')"),
         (replay.ReplayResult(None, Verdict.DEADLOCK),
          "ReplayResult(verdict=None, expected=<Verdict.DEADLOCK: 'deadlock'>, divergences=[])"),
-        (state.ProcState(0, 2, {"x": ONE}, Status.ACTIVE, None),
+        (state.ProcState(0, 2, {"x": ONE}, False, None),
          "ProcState(rank=0, pc_loc=2, env={'x': Num(value=1)}, "
-         "status=<Status.ACTIVE: 'active'>, blocked_on=None)"),
+         "asleep=False, blocked_on=None)"),
         (corpus.CorpusEntry("fig1", "program {}\n", 3, True, False),
          "CorpusEntry(name='fig1', source='program {}\\n', nprocs=3, deadlock_reachable=True, "
          "assertfail_reachable=False)"),
@@ -81,10 +81,10 @@ def records():
 
 
 #: The records that have no hash: those their owner changes in place, and
-#: `CompiledProgram`, whose `domains` is a dict.
+#: `CompiledProgram` and `TestCase`, whose `domains` and `model` are dicts.
 UNHASHABLE = (oracle.OracleResult, oracle.TheoremVerdict, engine.SearchStrategy,
               engine.SolverStats, engine.PathRecord, engine.AnalysisReport,
-              replay.ReplayResult, state.ProcState, ops.CompiledProgram)
+              replay.ReplayResult, replay.TestCase, state.ProcState, ops.CompiledProgram)
 
 
 def test_every_record_kind_prints_as_its_dataclass_did():
@@ -141,7 +141,7 @@ def test_a_record_takes_its_fields_in_order_by_name_or_by_default():
     rec = engine.PathRecord(0, Verdict.DEADLOCK, (), {}, 4, None, error="e")
     assert (rec.fail_loc, rec.error) == (None, "e")
     assert engine.SolverStats().queries == 0 and engine.SolverStats(7).queries == 7
-    assert replay.TestCase("ab", 2, (), (), Verdict.DEADLOCK).fail_loc is None
+    assert replay.TestCase("ab", 2, {}, (), Verdict.DEADLOCK).fail_loc is None
     assert oracle.B() == oracle.B()
 
 

@@ -20,7 +20,7 @@ def test_fig1_deadlock_testcase_contents(corpus_entries):
     p, rep = search_records(corpus_entries["fig1-motivating"])
     deadlock = [r for r in rep.records if r.verdict is Verdict.DEADLOCK][0]
     tc = make_testcase(deadlock, p, 3)
-    assert tc.model_dict() == {"X": 97}
+    assert tc.model == {"X": 97}
     assert tc.verdict is Verdict.DEADLOCK
     assert MatchEvent(2, 1, True) in tc.trace
     assert tc.program_hash == program_hash(p)
@@ -90,7 +90,7 @@ def test_replay_mutated_input_diverges_at_branch(corpus_entries):
     for name, verdict, what in (("fig1-motivating", Verdict.DEADLOCK, "branch at loc"),
                                 ("assert-payload", Verdict.ASSERT_FAIL, "assertion at loc")):
         p, tc = corpus_case(corpus_entries, name, verdict)
-        result = replay_testcase(p, with_trace(tc, tc.trace, model=(("X", 0),)))
+        result = replay_testcase(p, with_trace(tc, tc.trace, model={"X": 0}))
         assert not result.ok
         assert result.divergences
         assert result.divergences[0].expected.startswith(what)
@@ -454,15 +454,15 @@ def test_replay_trace_opening_with_a_caused_event_diverges(corpus_entries, event
 def test_replay_input_outside_domain_is_an_error(corpus_entries):
     p, tc = corpus_case(corpus_entries, "fig1-motivating", Verdict.TERMINATED)
     with pytest.raises(ReplayError, match="outside"):
-        replay_testcase(p, with_trace(tc, tc.trace, model=(("X", 100000),)))
+        replay_testcase(p, with_trace(tc, tc.trace, model={"X": 100000}))
     with pytest.raises(ReplayError):
-        replay_testcase(p, with_trace(tc, tc.trace, model=()))
+        replay_testcase(p, with_trace(tc, tc.trace, model={}))
 
 
 def test_replay_input_undeclared_or_repeated_is_an_error(corpus_entries):
     p, tc = corpus_case(corpus_entries, "fig1-motivating", Verdict.TERMINATED)
     with pytest.raises(ReplayError) as err:
-        replay_testcase(p, with_trace(tc, tc.trace, model=tc.model + (("Z", 7),)))
+        replay_testcase(p, with_trace(tc, tc.trace, model={**tc.model, "Z": 7}))
     assert str(err.value) == "test case input: model assigns undeclared input 'Z'"
     with pytest.raises(ReplayError) as err:
         loads(TRACE_HEAD.replace("X=1\n", "X=1\nX=97\n") + "VERDICT\nterminated\n")
@@ -503,7 +503,7 @@ def random_testcase(rng):
     verdict = rng.choice((Verdict.TERMINATED, Verdict.DEADLOCK, Verdict.ASSERT_FAIL))
     return replay.TestCase(
         program_hash=f"{rng.getrandbits(256):064x}", nprocs=rng.randint(1, 40),
-        model=tuple((f"X{i}", rng.randint(-9, 300)) for i in range(rng.randint(0, 3))),
+        model={f"X{i}": rng.randint(-9, 300) for i in range(rng.randint(0, 3))},
         trace=tuple(rng.choice(makers)() for _ in range(rng.randint(0, 60))),
         verdict=verdict,
         fail_loc=rng.randint(0, 40) if verdict is Verdict.ASSERT_FAIL else None)
@@ -512,7 +512,9 @@ def random_testcase(rng):
 def test_random_testcases_round_trip(rng):
     for _ in range(300):
         tc = random_testcase(rng)
-        assert loads(dumps(tc)) == tc
+        again = loads(dumps(tc))
+        assert again == tc
+        assert list(again.model.items()) == list(tc.model.items())  # INPUT order kept
 
 
 TRACE_HEAD = "mpisym-testcase v1\nprogram-hash abc\nnprocs 2\nINPUT\nX=1\nTRACE\nstep rank=0 loc=0\n"
@@ -708,7 +710,7 @@ def reference_loads(text):
         verdict = Verdict(kind)
     else:
         raise ReplayError(f"line {vline_no}: unknown verdict {vline!r}")
-    return replay.TestCase(program_hash=phash, nprocs=nprocs, model=tuple(model.items()),
+    return replay.TestCase(program_hash=phash, nprocs=nprocs, model=model,
                            trace=tuple(trace), verdict=verdict, fail_loc=fail_loc)
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from mpisym import engine, lang, ops, replay, report, symbolic
 from mpisym.state import (BarrierRelease, BranchChoice, EngineError, MatchEvent,
-                          Status, StepEvent, Trace, Verdict, advance, assume,
+                          StepEvent, Trace, Verdict, advance, assume,
                           eval_expr, fork, init_state, match_transfer, new_tuple,
                           waiting_in)
 from randprog import random_program
@@ -39,7 +39,7 @@ def fig1():
 
 def test_init_state(fig1):
     s = init_state(fig1, 3)
-    assert [p.status for p in s.procs] == [Status.ACTIVE] * 3
+    assert [p.asleep for p in s.procs] == [False] * 3
     assert [p.pc_loc for p in s.procs] == [0, 0, 0]
     assert s.pc == ()
     assert tuple(s.trace) == ()
@@ -49,26 +49,27 @@ def test_init_state(fig1):
 
 def test_init_state_empty_body_exits_immediately():
     s = init_state(lang.parse_program("program {}"), 1)
-    assert s.procs[0].status is Status.EXITED
-    assert all(p.status is Status.EXITED for p in s.procs)
+    assert s.compiled.end == 0
+    assert [(p.pc_loc, p.asleep) for p in s.procs] == [(0, False)]
+    assert engine.classify(s) is Verdict.TERMINATED
 
 
 def proc_snapshot(p):
-    return (p.rank, p.pc_loc, tuple(sorted(p.env.items(), key=lambda kv: kv[0])), p.status,
+    return (p.rank, p.pc_loc, tuple(sorted(p.env.items(), key=lambda kv: kv[0])), p.asleep,
             p.blocked_on)
 
 
 def snapshot(s):
     """Structural fingerprint of a state, to see a fork leak into its parent."""
     return (tuple(map(proc_snapshot, s.procs)), s.pc, s.next_proc_candidate, s.barrier_epochs,
-            tuple(s.trace), s.verdict, s.fail_loc, s.error, tuple(s.model.items()))
+            tuple(s.trace), s.fail_loc, s.error, tuple(s.model.items()))
 
 
 def test_init_state_four_processes():
     p = lang.parse_program("program (nprocs = 4) { barrier; }")
     s = init_state(p, 4)
     assert len(s.procs) == 4
-    assert all(q.status is Status.ACTIVE for q in s.procs)
+    assert not any(q.asleep for q in s.procs)
 
 
 def test_fork_is_structurally_equal(fig1):
@@ -103,7 +104,7 @@ def test_fork_independence_under_random_mutation(rng):
             for name in list(proc.env)[:1] + ["zz"]:
                 proc.env[name] = lang.Num(rng.randrange(100))
             proc.pc_loc = rng.randrange(t.compiled.end + 1)
-            proc.status = rng.choice(list(Status))
+            proc.asleep = rng.choice((False, True))
             proc.blocked_on = rng.choice((None, 0, 1))
         t.trace.append(MatchEvent(0, 1, False))
         t.pc = t.pc + (lang.Bool(True),)
@@ -260,7 +261,8 @@ def test_advance_to_exit():
     p = lang.parse_program("program { x = 1; }")
     s = init_state(p, 1)
     advance(s, [0])
-    assert s.procs[0].status is Status.EXITED
+    assert s.procs[0].pc_loc == s.compiled.end
+    assert engine.classify(s) is Verdict.TERMINATED
 
 
 def test_match_transfer_binds_and_advances(fig1):
@@ -278,8 +280,9 @@ def test_match_transfer_binds_and_advances(fig1):
     before_len = len(t.trace)
     t = engine.expand(t)[0]  # r1 recv from 0: matches the blocked send
     assert t.procs[1].env["x"] == lang.Num(0)
-    assert t.procs[0].status is Status.EXITED  # advanced past its last stmt
-    assert t.procs[1].status is Status.ACTIVE
+    assert t.procs[0].pc_loc == t.compiled.end  # advanced past its last stmt
+    assert not t.procs[0].asleep
+    assert not t.procs[1].asleep and t.procs[1].pc_loc < t.compiled.end
     events = tuple(t.trace)[before_len:]
     assert MatchEvent(0, 1, False) in events
 
@@ -299,6 +302,66 @@ def test_match_transfer_mismatch_is_engine_bug(fig1):
         match_transfer(s, 0, 1)  # nobody is at a send/recv yet
 
 
+REFUSALS = """\
+program (nprocs = 3) {
+  send 1 to 1;
+  recv x from 0;
+  x = 1;
+}
+"""
+
+
+def _refusal(case):
+    """A state of REFUSALS set by hand so that `case` is refused: rank 0
+    rests at the send (entry 0) and rank 1 at the receive (entry 1)."""
+    s = init_state(lang.parse_program(REFUSALS), 3)
+    s.procs[1].pc_loc = 1
+    sender, receiver = s.procs[0], s.procs[1]
+    if case == "asleep":
+        sender.asleep = True
+    elif case in ("exited", "advance past end"):
+        sender.pc_loc = s.compiled.end
+    elif case == "failed assertion":
+        s.fail_loc = 0
+    elif case == "error":
+        s.error = "L2: rank 5 out of range [0, 3)"
+    elif case == "receiver not at a receive":
+        receiver.pc_loc = 2
+    elif case == "sender blocked on another rank":
+        sender.asleep, sender.blocked_on = True, 2
+    elif case == "receiver expects another source":
+        receiver.asleep, receiver.blocked_on = True, 2
+    return s
+
+
+@pytest.mark.parametrize("case, refuse, message", [
+    ("asleep", lambda s: engine.se_step(s, 0), "se_step on rank 0 in a state where it cannot run"),
+    ("exited", lambda s: engine.se_step(s, 0), "se_step on rank 0 in a state where it cannot run"),
+    ("failed assertion", lambda s: engine.se_step(s, 0),
+     "se_step on rank 0 in a state where it cannot run"),
+    ("error", lambda s: engine.se_step(s, 0), "se_step on rank 0 in a state where it cannot run"),
+    ("advance past end", lambda s: advance(s, [0]), r"advance past end of body \(rank 0\)"),
+    ("receiver not at a receive", lambda s: match_transfer(s, 0, 1),
+     "receiver is not at a receive"),
+    ("sender blocked on another rank", lambda s: match_transfer(s, 0, 1),
+     "sender is blocked on a different destination"),
+    ("receiver expects another source", lambda s: match_transfer(s, 0, 1),
+     "receiver expects a different source"),
+    ("no process", lambda s: init_state(lang.parse_program(REFUSALS), 0),
+     "nprocs must be positive"),
+])
+def test_the_engine_refuses_a_step_it_cannot_take(case, refuse, message):
+    """Each refusal is an EngineError, an engine bug rather than a verdict,
+    and leaves the scheduler's reading of the state as it was."""
+    s = _refusal(case)
+    before = engine.scheduler(s)
+    with pytest.raises(EngineError, match=f"^{message}$"):
+        refuse(s)
+    assert engine.scheduler(s) == before
+    ended = {"failed assertion": Verdict.ASSERT_FAIL, "error": Verdict.ERROR}
+    assert engine.classify(s) is ended.get(case, Verdict.RUNNING)
+
+
 def test_partition_invariant_random_walks(rng):
     for _ in range(60):
         program = random_program(rng)
@@ -309,12 +372,12 @@ def test_partition_invariant_random_walks(rng):
             succs = engine.expand(s)
             for t in succs:
                 for proc in t.procs:
-                    assert proc.status in (Status.ACTIVE, Status.INACTIVE, Status.EXITED)
+                    assert type(proc.asleep) is bool and 0 <= proc.pc_loc <= t.compiled.end
                     op = t.compiled.ops[proc.pc_loc] if proc.pc_loc < t.compiled.end else None
-                    if proc.status is Status.INACTIVE:
+                    if proc.asleep:
                         assert isinstance(op, (lang.Send, lang.Recv, lang.Barrier))
                     named = isinstance(op, lang.Send) or isinstance(op, lang.Recv) and op.src is not None
-                    assert (proc.blocked_on is not None) == (proc.status is Status.INACTIVE and named)
+                    assert (proc.blocked_on is not None) == (proc.asleep and named)
                     assert proc.blocked_on != proc.rank
             s = succs[rng.randrange(len(succs))]
 
@@ -331,7 +394,7 @@ def test_trace_and_pc_are_prefix_monotone(rng):
             succs = engine.expand(s)
             for t in succs:
                 assert tuple(t.trace)[:len(parent_trace)] == parent_trace
-                assert len(t.trace) > len(parent_trace) or t.verdict is Verdict.DEADLOCK
+                assert len(t.trace) > len(parent_trace)
                 assert t.pc[:len(parent_pc)] == parent_pc
             s = succs[rng.randrange(len(succs))]
 
@@ -474,7 +537,7 @@ def test_step_replaces_only_involved_processes(rng):
                 if any(isinstance(ev, BarrierRelease) for ev in events):
                     kinds.add("release")
                 # a failed assertion ends the path where it stands
-                involved = set() if t.verdict is Verdict.ASSERT_FAIL else _involved(s, events)
+                involved = set() if t.fail_loc is not None else _involved(s, events)
                 assert _replaced(s, t) == involved, events
             stack.extend(succs)
     assert {"Assign", "OpBranch", "Send", "Recv", "Barrier", "release"} <= kinds
